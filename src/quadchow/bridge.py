@@ -2,8 +2,8 @@
 built from the point-subspace incidence.
 
 A mixed cycle on F(I) x X^m is stored in the Kunneth basis: coefficients are
-indexed by pairs (Schubert representative on F(I), basis monomial on X^m),
-with one coefficient dictionary per connected component of F(I) (two sheets
+indexed by triples (sheet, Schubert representative on F(I), basis monomial on
+X^m), where the sheet numbers the connected components of F(I) (two sheets
 when n is even and d is in I, else one).  Because both factors are cellular,
 pullback and pushforward act independently on the two tensor legs, and
 pushing the flag leg all the way down to a point is just reading off the
@@ -28,18 +28,19 @@ from quadchow.quadpow import (
     QuadCycle,
     Sym,
     basis_symbols,
+    codim1,
     delta_i,
     dual1,
     external,
     h_power_cycle,
-    pair_deg,
     rho_i,
 )
-from quadchow.quadpow import _mul_mono
+from quadchow.quadpow import _mul_mono, _pairing
 from quadchow.schubert import (
     FlagCycle,
     FlagModel,
     QuadricGeometry,
+    SparseCycle,
     UnionCycle,
 )
 from quadchow.weyl import SignedPermutation
@@ -61,7 +62,7 @@ __all__ = [
     "degree_congruence",
 ]
 
-MixedKey = tuple[SignedPermutation, Mono]
+MixedKey = tuple[int, SignedPermutation, Mono]
 
 
 def symbol_class(
@@ -100,143 +101,95 @@ def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
     return QuadCycle(geometry.ctx, 1, out, x.p)
 
 
-class MixedCycle:
-    """A cycle on F(I) x X^m in the Kunneth basis, one part per sheet."""
+class MixedCycle(SparseCycle):
+    """A cycle on F(I) x X^m in the Kunneth basis, keyed (sheet, w, mono)."""
 
-    __slots__ = ("geometry", "I", "arity", "parts", "p")
+    __slots__ = ("geometry", "I", "arity")
 
     def __init__(
         self,
         geometry: QuadricGeometry,
         I,
         arity: int,
-        parts: Sequence[Mapping[MixedKey, int]],
+        coeffs: Mapping[MixedKey, int],
         p: int = 0,
     ):
         self.geometry = geometry
         self.I = frozenset(I)
         self.arity = arity
-        self.p = p
-        if len(parts) != len(geometry.sheets(self.I)):
-            raise ValueError("wrong number of sheet parts")
-        clean = []
-        for part in parts:
-            cp: dict[MixedKey, int] = {}
-            for key, c in part.items():
-                c = c % 2 if p == 2 else int(c)
-                if c:
-                    cp[key] = c
-            clean.append(cp)
-        self.parts = tuple(clean)
+        SparseCycle.__init__(self, coeffs, p)
 
-    # -- linear and ring structure ----------------------------------------
+    def _space(self) -> tuple:
+        return (self.geometry, self.I, self.arity)
 
-    def _check(self, other: "MixedCycle") -> None:
-        if (
-            self.geometry is not other.geometry
-            or self.I != other.I
-            or self.arity != other.arity
-            or self.p != other.p
-        ):
-            raise ValueError("model/I mismatch")
-
-    def __add__(self, other: "MixedCycle") -> "MixedCycle":
-        self._check(other)
-        parts = []
-        for a, b in zip(self.parts, other.parts):
-            out = dict(a)
-            for key, c in b.items():
-                out[key] = out.get(key, 0) + c
-            parts.append(out)
-        return MixedCycle(self.geometry, self.I, self.arity, parts, self.p)
-
-    def __sub__(self, other: "MixedCycle") -> "MixedCycle":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "MixedCycle":
-        return MixedCycle(
-            self.geometry,
-            self.I,
-            self.arity,
-            [{k: c * v for k, v in part.items()} for part in self.parts],
-            self.p,
+    def _key_codim(self, key: MixedKey) -> int:
+        _, w, mono = key
+        return self.geometry.group.length(w) + sum(
+            codim1(self.geometry.ctx, s) for s in mono
         )
+
+    @property
+    def parts(self) -> tuple[dict, ...]:
+        """The coefficients per sheet, keyed (w, mono)."""
+        out = tuple({} for _ in self.geometry.sheets(self.I))
+        for (k, w, mono), c in self.coeffs.items():
+            out[k][(w, mono)] = c
+        return out
 
     def __mul__(self, other: "MixedCycle") -> "MixedCycle":
         self._check(other)
         ctx = self.geometry.ctx
-        parts = []
-        for model, a, b in zip(self.geometry.sheets(self.I), self.parts, other.parts):
-            out: dict[MixedKey, int] = {}
-            for (w1, m1), c1 in a.items():
-                for (w2, m2), c2 in b.items():
-                    flag = model.basis_product(self.I, w1, w2)
-                    if not flag:
-                        continue
-                    quad = _mul_mono(ctx, m1, m2)
-                    for w, cf in flag.items():
-                        for mono, cq in quad.items():
-                            key = (w, mono)
-                            out[key] = out.get(key, 0) + c1 * c2 * cf * cq
-            parts.append(out)
-        return MixedCycle(self.geometry, self.I, self.arity, parts, self.p)
-
-    def mod2(self) -> "MixedCycle":
-        return MixedCycle(self.geometry, self.I, self.arity, self.parts, 2)
-
-    def is_zero(self) -> bool:
-        return all(not part for part in self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MixedCycle)
-            and self.geometry is other.geometry
-            and self.I == other.I
-            and self.arity == other.arity
-            and self.p == other.p
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (id(self.geometry), self.I, self.arity, self.p)
-            + tuple(frozenset(part.items()) for part in self.parts)
-        )
+        sheets = self.geometry.sheets(self.I)
+        right: list[list] = [[] for _ in sheets]
+        for (k, w, mono), c in other.coeffs.items():
+            right[k].append((w, mono, c))
+        out: dict[MixedKey, int] = {}
+        for (k, w1, m1), c1 in self.coeffs.items():
+            model = sheets[k]
+            for w2, m2, c2 in right[k]:
+                flag = model.basis_product(self.I, w1, w2)
+                if not flag:
+                    continue
+                quad = _mul_mono(ctx, m1, m2)
+                for w, cf in flag.items():
+                    for mono, cq in quad.items():
+                        key = (k, w, mono)
+                        out[key] = out.get(key, 0) + c1 * c2 * cf * cq
+        return MixedCycle(self.geometry, self.I, self.arity, out, self.p)
 
     def __repr__(self) -> str:
-        terms = sum(len(p) for p in self.parts)
         return "<MixedCycle F(%s) x X^%d, %d terms%s>" % (
             ",".join(map(str, sorted(self.I))),
             self.arity,
-            terms,
+            len(self.coeffs),
             " mod 2" if self.p == 2 else "",
         )
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_flag(
-        cls, x: UnionCycle, arity: int, p: int | None = None
-    ) -> "MixedCycle":
+    def from_flag(cls, x: UnionCycle, arity: int) -> "MixedCycle":
         """x (x) [X^arity]."""
-        geom = x.geometry
         unit = (("h", 0),) * arity
-        parts = [
-            {(w, unit): c for w, c in part.coeffs.items()} for part in x.parts
-        ]
-        return cls(geom, x.I, arity, parts, x.parts[0].p if p is None else p)
+        coeffs = {
+            (k, w, unit): c
+            for k, part in enumerate(x.parts)
+            for w, c in part.coeffs.items()
+        }
+        return cls(x.geometry, x.I, arity, coeffs, x.parts[0].p)
 
     @classmethod
     def from_quad(
         cls, geometry: QuadricGeometry, I, x: QuadCycle
     ) -> "MixedCycle":
         """[F(I)] (x) x."""
-        sheets = geometry.sheets(I)
         ident = geometry.group.identity
-        parts = [
-            {(ident, mono): c for mono, c in x.coeffs.items()} for _ in sheets
-        ]
-        return cls(geometry, I, x.m, parts, x.p)
+        coeffs = {
+            (k, ident, mono): c
+            for k in range(len(geometry.sheets(I)))
+            for mono, c in x.coeffs.items()
+        }
+        return cls(geometry, I, x.m, coeffs, x.p)
 
     # -- the two tensor legs ---------------------------------------------------
 
@@ -244,121 +197,110 @@ class MixedCycle:
         """Pullback along the flag projection F(target_I) -> F(I)."""
         geom = self.geometry
         target_I = frozenset(target_I)
-        targets = geom.sheets(target_I)
-        if len(self.parts) == len(targets):
-            parts = list(self.parts)
-        elif len(self.parts) == 1 and len(targets) == 2:
-            parts = [self.parts[0], self.parts[0]]
+        n_source, n_target = len(geom.sheets(self.I)), len(geom.sheets(target_I))
+        if n_source == n_target:
+            coeffs = self.coeffs
+        elif n_source == 1 and n_target == 2:
+            coeffs = {
+                (k, w, mono): c for (_, w, mono), c in self.coeffs.items() for k in (0, 1)
+            }
         else:
             raise ValueError("cannot pull back from a disconnected space")
         # minimal representatives stay minimal for the bigger cut set
-        return MixedCycle(geom, target_I, self.arity, parts, self.p)
+        return MixedCycle(geom, target_I, self.arity, coeffs, self.p)
 
     def push_flag(self, target_J) -> "MixedCycle":
         geom = self.geometry
         target_J = frozenset(target_J)
-        targets = geom.sheets(target_J)
-        out_parts: list[dict[MixedKey, int]] = [{} for _ in targets]
-        for model, part in zip(geom.sheets(self.I), self.parts):
-            by_mono: dict[Mono, dict[SignedPermutation, int]] = {}
-            for (w, mono), c in part.items():
-                by_mono.setdefault(mono, {})[w] = c
-            for mono, coeffs in by_mono.items():
-                fc = FlagCycle(model, self.I, coeffs, self.p)
-                pushed = model.pushforward(target_J, fc)
-                tgt = 0
-                if len(targets) == 2:
-                    tgt = 0 if model is targets[0] else 1
-                for w, c in pushed.coeffs.items():
-                    key = (w, mono)
-                    out_parts[tgt][key] = out_parts[tgt].get(key, 0) + c
-        return MixedCycle(geom, target_J, self.arity, out_parts, self.p)
+        sheets, targets = geom.sheets(self.I), geom.sheets(target_J)
+        by_mono: dict[tuple[int, Mono], dict[SignedPermutation, int]] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            by_mono.setdefault((k, mono), {})[w] = c
+        out: dict[MixedKey, int] = {}
+        for (k, mono), coeffs in by_mono.items():
+            model = sheets[k]
+            pushed = model.pushforward(target_J, FlagCycle(model, self.I, coeffs, self.p))
+            # a split target has the same sheets; a connected one adds them
+            tgt = k if len(targets) == 2 else 0
+            for w, c in pushed.coeffs.items():
+                key = (tgt, w, mono)
+                out[key] = out.get(key, 0) + c
+        return MixedCycle(geom, target_J, self.arity, out, self.p)
 
     def push_to_quad(self) -> QuadCycle:
         """Integrate the flag leg over F(I); sheets add."""
         geom = self.geometry
+        tops = [model.top_element(self.I) for model in geom.sheets(self.I)]
         out: dict[Mono, int] = {}
-        for model, part in zip(geom.sheets(self.I), self.parts):
-            top = model.top_element(self.I)
-            for (w, mono), c in part.items():
-                if w == top:
-                    out[mono] = out.get(mono, 0) + c
+        for (k, w, mono), c in self.coeffs.items():
+            if w == tops[k]:
+                out[mono] = out.get(mono, 0) + c
         return QuadCycle(geom.ctx, self.arity, out, self.p)
 
     def pull_x(self, m_target: int, slots: Sequence[int]) -> "MixedCycle":
         """Pullback along the X-power projection hitting the listed slots."""
         slots = tuple(slots)
-        parts = []
-        for part in self.parts:
-            out: dict[MixedKey, int] = {}
-            for (w, mono), c in part.items():
-                new = [("h", 0)] * m_target
-                for s, t in zip(mono, slots):
-                    new[t] = s
-                key = (w, tuple(new))
-                out[key] = out.get(key, 0) + c
-            parts.append(out)
-        return MixedCycle(self.geometry, self.I, m_target, parts, self.p)
+        out: dict[MixedKey, int] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            new = [("h", 0)] * m_target
+            for s, t in zip(mono, slots):
+                new[t] = s
+            key = (k, w, tuple(new))
+            out[key] = out.get(key, 0) + c
+        return MixedCycle(self.geometry, self.I, m_target, out, self.p)
 
     def push_x(self, keep: Sequence[int]) -> "MixedCycle":
         """Pushforward integrating the dropped X-slots."""
         keep = tuple(keep)
         drop = [t for t in range(self.arity) if t not in keep]
-        parts = []
-        for part in self.parts:
-            out: dict[MixedKey, int] = {}
-            for (w, mono), c in part.items():
-                if any(mono[t] != ("l", 0) for t in drop):
-                    continue
-                key = (w, tuple(mono[t] for t in keep))
-                out[key] = out.get(key, 0) + c
-            parts.append(out)
-        return MixedCycle(self.geometry, self.I, len(keep), parts, self.p)
+        out: dict[MixedKey, int] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            if any(mono[t] != ("l", 0) for t in drop):
+                continue
+            key = (k, w, tuple(mono[t] for t in keep))
+            out[key] = out.get(key, 0) + c
+        return MixedCycle(self.geometry, self.I, len(keep), out, self.p)
 
     def permute_x(self, perm: Sequence[int]) -> "MixedCycle":
-        parts = []
-        for part in self.parts:
-            out: dict[MixedKey, int] = {}
-            for (w, mono), c in part.items():
-                new = [None] * self.arity
-                for t, s in enumerate(mono):
-                    new[perm[t]] = s
-                key = (w, tuple(new))
-                out[key] = out.get(key, 0) + c
-            parts.append(out)
-        return MixedCycle(self.geometry, self.I, self.arity, parts, self.p)
+        out: dict[MixedKey, int] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            new = [None] * self.arity
+            for t, s in enumerate(mono):
+                new[perm[t]] = s
+            key = (k, w, tuple(new))
+            out[key] = out.get(key, 0) + c
+        return MixedCycle(self.geometry, self.I, self.arity, out, self.p)
 
     # -- correspondence actions ---------------------------------------------------
 
     def action_on_flag(self, x: UnionCycle) -> QuadCycle:
         """View as a correspondence F(I) -> X^m and act on a flag cycle."""
         geom = self.geometry
+        sheets = geom.sheets(self.I)
         out: dict[Mono, int] = {}
-        for model, part, xp in zip(geom.sheets(self.I), self.parts, x.parts):
-            for (w, mono), c in part.items():
-                d = model.deg(xp * FlagCycle(model, self.I, {w: 1}, xp.p))
-                if d:
-                    out[mono] = out.get(mono, 0) + c * d
+        for (k, w, mono), c in self.coeffs.items():
+            model, xp = sheets[k], x.parts[k]
+            d = model.deg(xp * FlagCycle(model, self.I, {w: 1}, xp.p))
+            if d:
+                out[mono] = out.get(mono, 0) + c * d
         return QuadCycle(geom.ctx, self.arity, out, self.p)
 
     def action_on_quad(self, x: QuadCycle) -> UnionCycle:
         """View as a correspondence X^m -> F(I) and act on a quadric-power cycle."""
         geom = self.geometry
         ctx = geom.ctx
-        parts = []
-        for model, part in zip(geom.sheets(self.I), self.parts):
-            out: dict[SignedPermutation, int] = {}
-            for (w, mono), c in part.items():
-                for xmono, cx in x.coeffs.items():
-                    factor = 1
-                    for s, t in zip(xmono, mono):
-                        factor *= pair_deg(ctx, s, t)
-                        if not factor:
-                            break
-                    if factor:
-                        out[w] = out.get(w, 0) + c * cx * factor
-            parts.append(FlagCycle(model, self.I, out, self.p))
-        return UnionCycle(geom, self.I, tuple(parts))
+        sheets = geom.sheets(self.I)
+        outs: list[dict[SignedPermutation, int]] = [{} for _ in sheets]
+        for (k, w, mono), c in self.coeffs.items():
+            for xmono, cx in x.coeffs.items():
+                factor = _pairing(ctx, xmono, mono)
+                if factor:
+                    outs[k][w] = outs[k].get(w, 0) + c * cx * factor
+        return UnionCycle(
+            geom,
+            self.I,
+            tuple(FlagCycle(M, self.I, out, self.p) for M, out in zip(sheets, outs)),
+        )
 
     def id_times_action(self, x: QuadCycle) -> "MixedCycle":
         """Act on the last `arity` X-slots of x, keeping the leading slots.
@@ -366,32 +308,21 @@ class MixedCycle:
         This is the operator (Id on X^{r}) x (this correspondence): the input
         lives on X^{r + arity}, the output on F(I) x X^{r}.
         """
-        geom = self.geometry
-        ctx = geom.ctx
+        ctx = self.geometry.ctx
         r = x.m - self.arity
         if r < 0:
             raise ValueError("arity mismatch")
-        parts = []
-        for part in self.parts:
-            out: dict[MixedKey, int] = {}
-            for (w, mono), c in part.items():
-                for xmono, cx in x.coeffs.items():
-                    factor = 1
-                    for s, t in zip(xmono[r:], mono):
-                        factor *= pair_deg(ctx, s, t)
-                        if not factor:
-                            break
-                    if factor:
-                        key = (w, xmono[:r])
-                        out[key] = out.get(key, 0) + c * cx * factor
-            parts.append(out)
-        return MixedCycle(geom, self.I, r, parts, self.p)
+        out: dict[MixedKey, int] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            for xmono, cx in x.coeffs.items():
+                factor = _pairing(ctx, xmono[r:], mono)
+                if factor:
+                    key = (k, w, xmono[:r])
+                    out[key] = out.get(key, 0) + c * cx * factor
+        return MixedCycle(self.geometry, self.I, r, out, self.p)
 
 
 # -- the incidence class and its derivates ------------------------------------------
-
-
-_incidence_cache: dict = {}
 
 
 def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
@@ -402,22 +333,19 @@ def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle
     """
     if not 0 <= i <= geometry.d:
         raise ValueError("grassmannian index out of range")
-    key = (id(geometry), i, p)
-    cached = _incidence_cache.get(key)
+    cached = geometry.incidence_cache.get((i, p))
     if cached is not None:
         return cached
     ctx = geometry.ctx
-    parts = []
-    for model in geometry.sheets([i]):
-        part: dict[MixedKey, int] = {}
+    coeffs: dict[MixedKey, int] = {}
+    for k, model in enumerate(geometry.sheets([i])):
         for s in basis_symbols(ctx):
             x = symbol_class(geometry, model, dual1(ctx, s), p)
             zc = x if i == 0 else model.pullpush_x_to_g(i, x)
             for w, c in zc.coeffs.items():
-                part[(w, (s,))] = c
-        parts.append(part)
-    out = MixedCycle(geometry, [i], 1, parts, p)
-    _incidence_cache[key] = out
+                coeffs[(k, w, (s,))] = c
+    out = MixedCycle(geometry, [i], 1, coeffs, p)
+    geometry.incidence_cache[(i, p)] = out
     return out
 
 
@@ -503,31 +431,21 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
     I = frozenset([0, i])
     diag = delta_i(ctx, 1, p=2)
     inc = incidence_class(geometry, i, p=2)
-    parts = []
-    for model, inc_part in zip(geometry.sheets(I), _sheet_parts(inc, geometry, I)):
-        out: dict[MixedKey, int] = {}
-        for (w_g, (b,)), c1 in inc_part.items():
-            # sigma_w pulled from G_i, times the pullback from X of the second
-            # diagonal slot; Kunneth X-slots are (first diagonal slot, b).
-            for (u, v), c2 in diag.coeffs.items():
-                vi = symbol_class(geometry, model, v, 2)
-                flag = model.pullback(I, vi) * model.pullback(
-                    I, FlagCycle(model, [i], {w_g: 1}, 2)
-                )
-                for w, cf in flag.coeffs.items():
-                    key = (w, (u, b))
-                    out[key] = out.get(key, 0) + c1 * c2 * cf
-        parts.append(out)
-    return MixedCycle(geometry, I, 2, parts, 2)
-
-
-def _sheet_parts(inc: MixedCycle, geometry: QuadricGeometry, I) -> tuple:
-    """Match incidence sheet data to the sheets of a bigger flag space."""
-    if len(geometry.sheets(I)) == len(inc.parts):
-        return inc.parts
-    if len(inc.parts) == 1:
-        return inc.parts * len(geometry.sheets(I))
-    raise ValueError("inconsistent sheet data")
+    sheets = geometry.sheets(I)  # those of G_i, as 0 < i
+    out: dict[MixedKey, int] = {}
+    for (k, w_g, (b,)), c1 in inc.coeffs.items():
+        model = sheets[k]
+        # sigma_w pulled from G_i, times the pullback from X of the second
+        # diagonal slot; Kunneth X-slots are (first diagonal slot, b).
+        for (u, v), c2 in diag.coeffs.items():
+            vi = symbol_class(geometry, model, v, 2)
+            flag = model.pullback(I, vi) * model.pullback(
+                I, FlagCycle(model, [i], {w_g: 1}, 2)
+            )
+            for w, cf in flag.coeffs.items():
+                key = (k, w, (u, b))
+                out[key] = out.get(key, 0) + c1 * c2 * cf
+    return MixedCycle(geometry, I, 2, out, 2)
 
 
 def eta_pushdown(geometry: QuadricGeometry, i: int, k: int) -> QuadCycle:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from quadchow import bridge, edi, quadpow, suites
@@ -35,7 +34,6 @@ class RunConfig:
     fmt: str = "text"
     deep: bool = False
     seed: int = 0
-    jobs: int = 1
 
     @property
     def p(self) -> int:
@@ -201,9 +199,7 @@ def _run_one_suite(name: str, cfg: RunConfig):
                 flush=True,
             )
 
-    return name, suites.run_suite(
-        name, cfg.n, cfg.orientation, cfg.seed, progress=progress
-    )
+    return suites.run_suite(name, cfg.n, cfg.orientation, cfg.seed, progress=progress)
 
 
 def cmd_verify(args) -> int:
@@ -222,15 +218,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_USAGE
     try:
-        if cfg.jobs > 1 and len(names) > 1:
-            # models are immutable once built; build them up front, then farm
-            # the independent suites out to a thread pool
-            if heavy:
-                build_geometry(cfg.n, cfg.orientation)
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                outcomes = list(pool.map(lambda s: _run_one_suite(s, cfg), names))
-        else:
-            outcomes = [_run_one_suite(name, cfg) for name in names]
+        outcomes = [(name, _run_one_suite(name, cfg)) for name in names]
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _classify_value_error(exc)
@@ -312,7 +300,6 @@ def _config(args) -> RunConfig:
         fmt=args.format,
         deep=args.deep,
         seed=args.seed,
-        jobs=args.jobs,
     )
 
 
@@ -330,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--deep", action="store_true", help="allow n >= 7 suites")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     pc = sub.add_parser("compute", help="evaluate a cycle expression or builtin")
     common(pc)

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from quadchow.schubert import QuadricContext
+from quadchow.schubert import QuadricContext, SparseCycle
 
 __all__ = [
     "QuadCycle",
@@ -140,6 +140,16 @@ def pair_deg(ctx: QuadricContext, s: Sym, t: Sym) -> int:
     return mul1(ctx, s, t).get(("l", 0), 0)
 
 
+def _pairing(ctx: QuadricContext, xs: Sequence[Sym], ys: Sequence[Sym]) -> int:
+    """The product of pair_deg over aligned slots; 0 as soon as one slot is."""
+    factor = 1
+    for s, t in zip(xs, ys):
+        factor *= pair_deg(ctx, s, t)
+        if not factor:
+            return 0
+    return factor
+
+
 def dual1(ctx: QuadricContext, s: Sym) -> Sym:
     """The Poincare dual basis class (deg(s . dual1(s)) = 1, others 0)."""
     d = ctx.d
@@ -152,42 +162,24 @@ def dual1(ctx: QuadricContext, s: Sym) -> Sym:
     return ("h", s[1])
 
 
-class QuadCycle:
+class QuadCycle(SparseCycle):
     """A cycle on X^m with exact integer (p = 0) or mod-2 (p = 2) coefficients."""
 
-    __slots__ = ("ctx", "m", "coeffs", "p")
+    __slots__ = ("ctx", "m")
 
     def __init__(self, ctx: QuadricContext, m: int, coeffs: Mapping[Mono, int], p: int = 0):
         self.ctx = ctx
         self.m = m
-        self.p = p
-        clean: dict[Mono, int] = {}
-        for mono, c in coeffs.items():
-            c = c % 2 if p == 2 else int(c)
-            if c:
-                clean[mono] = c
-        self.coeffs = clean
+        SparseCycle.__init__(self, coeffs, p)
 
-    def _check(self, other: "QuadCycle") -> None:
-        if self.ctx != other.ctx or self.m != other.m or self.p != other.p:
-            raise ValueError("context/arity mismatch")
+    def _space(self) -> tuple:
+        return (self.ctx, self.m)
 
-    # -- linear structure --------------------------------------------------
+    def _key_codim(self, mono: Mono) -> int:
+        return sum(codim1(self.ctx, s) for s in mono)
 
-    def __add__(self, other: "QuadCycle") -> "QuadCycle":
-        self._check(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, 0) + c
-        return QuadCycle(self.ctx, self.m, out, self.p)
-
-    def __sub__(self, other: "QuadCycle") -> "QuadCycle":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "QuadCycle":
-        return QuadCycle(
-            self.ctx, self.m, {mono: c * v for mono, v in self.coeffs.items()}, self.p
-        )
+    # bound here too: bench/layers.py wraps QuadCycle.__dict__["__add__"]
+    __add__ = SparseCycle.__add__
 
     def divide_exact(self, c: int) -> "QuadCycle":
         out = {}
@@ -207,54 +199,13 @@ class QuadCycle:
                     out[mono] = out.get(mono, 0) + c1 * c2 * c
         return QuadCycle(self.ctx, self.m, out, self.p)
 
-    def mod2(self) -> "QuadCycle":
-        return QuadCycle(self.ctx, self.m, self.coeffs, 2)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QuadCycle)
-            and self.ctx == other.ctx
-            and self.m == other.m
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.m, self.p, frozenset(self.coeffs.items())))
-
-    # -- grading -------------------------------------------------------------
-
-    def codimensions(self) -> set[int]:
-        return {
-            sum(codim1(self.ctx, s) for s in mono) for mono in self.coeffs
-        }
-
-    def is_homogeneous(self) -> bool:
-        return len(self.codimensions()) <= 1
-
-    def codim(self) -> int:
-        degs = self.codimensions()
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous cycle")
-        return degs.pop() if degs else -1
-
     # -- pushing and pulling ---------------------------------------------------
 
     def permute(self, perm: Sequence[int]) -> "QuadCycle":
         """Pushforward along the factor permutation sending slot t to perm[t]."""
         if sorted(perm) != list(range(self.m)):
             raise ValueError("invalid factor permutation")
-        out: dict[Mono, int] = {}
-        for mono, c in self.coeffs.items():
-            new = [None] * self.m
-            for t, s in enumerate(mono):
-                new[perm[t]] = s
-            key = tuple(new)
-            out[key] = out.get(key, 0) + c
-        return QuadCycle(self.ctx, self.m, out, self.p)
+        return _sum_permuted(self, [perm])
 
     def push_proj(self, keep: Sequence[int]) -> "QuadCycle":
         """Pushforward along the projection keeping the listed slots (in order).
@@ -394,25 +345,33 @@ def sym(x: QuadCycle) -> QuadCycle:
     explicitly (the factor-of-2 bookkeeping in the diagonal identities
     depends on overcounting being present).
     """
-    out = QuadCycle(x.ctx, x.m, {}, x.p)
-    for perm in itertools.permutations(range(x.m)):
-        out = out + x.permute(perm)
-    return out
+    return _sum_permuted(x, itertools.permutations(range(x.m)))
 
 
 def alternating_sym(x: QuadCycle) -> QuadCycle:
     """Sum of pushforwards over the alternating group only."""
-    out = QuadCycle(x.ctx, x.m, {}, x.p)
-    for perm in itertools.permutations(range(x.m)):
-        inv = sum(
-            1
-            for i in range(x.m)
-            for j in range(i + 1, x.m)
-            if perm[i] > perm[j]
-        )
-        if inv % 2 == 0:
-            out = out + x.permute(perm)
-    return out
+    return _sum_permuted(
+        x,
+        (
+            perm
+            for perm in itertools.permutations(range(x.m))
+            if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+        ),
+    )
+
+
+def _sum_permuted(x: QuadCycle, perms: Iterable[Sequence[int]]) -> QuadCycle:
+    """The sum of x.permute(perm) over perms, accumulated in one dict."""
+    out: dict[Mono, int] = {}
+    for perm in perms:
+        # slot j of the image holds slot inv[j] of the source
+        inv = [0] * x.m
+        for t, j in enumerate(perm):
+            inv[j] = t
+        for mono, c in x.coeffs.items():
+            key = tuple([mono[t] for t in inv])
+            out[key] = out.get(key, 0) + c
+    return QuadCycle(x.ctx, x.m, out, x.p)
 
 
 def diagonal_class(ctx: QuadricContext, p: int = 0) -> QuadCycle:
@@ -544,14 +503,9 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     for m1, c1 in alpha.cycle.coeffs.items():
         u, v = m1[:a], m1[a:]
         for m2, c2 in beta.cycle.coeffs.items():
-            vp, w = m2[:b], m2[b:]
-            factor = 1
-            for s, t in zip(v, vp):
-                factor *= pair_deg(ctx, s, t)
-                if not factor:
-                    break
+            factor = _pairing(ctx, v, m2[:b])
             if factor:
-                key = u + w
+                key = u + m2[b:]
                 out[key] = out.get(key, 0) + c1 * c2 * factor
     return Correspondence(
         QuadCycle(ctx, a + beta.target, out, alpha.cycle.p), a, beta.target
@@ -569,11 +523,7 @@ def action(alpha: Correspondence, x: QuadCycle) -> QuadCycle:
     out: dict[Mono, int] = {}
     for my, cy in x.coeffs.items():
         for mc, cc in alpha.cycle.coeffs.items():
-            factor = 1
-            for s, t in zip(my, mc[:a]):
-                factor *= pair_deg(ctx, s, t)
-                if not factor:
-                    break
+            factor = _pairing(ctx, my, mc[:a])
             if factor:
                 key = mc[a:]
                 out[key] = out.get(key, 0) + cy * cc * factor

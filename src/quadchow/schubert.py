@@ -51,12 +51,14 @@ from quadchow.weyl import SignedPermutation, WeylGroup, make_group
 
 __all__ = [
     "QuadricContext",
+    "SparseCycle",
     "FlagModel",
     "FlagCycle",
     "UnionCycle",
     "QuadricGeometry",
     "build_flag_model",
     "build_geometry",
+    "pullback_ladder",
 ]
 
 MIN_N = 3
@@ -90,71 +92,74 @@ class QuadricContext:
         return self.d + 1
 
 
-class FlagCycle:
-    """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients."""
+class SparseCycle:
+    """Integer (p = 0) or mod-2 (p = 2) coefficients on a basis, stored sparsely.
 
-    __slots__ = ("model", "I", "coeffs", "p")
+    A subclass names its ambient space by ``_space()``, the leading
+    constructor arguments (they must agree for ``+`` and ``==``), and the
+    codimension of one basis key by ``_key_codim``.  Results are built as
+    ``type(self)(*self._space(), coeffs, p)``.
+    """
 
-    def __init__(self, model: "FlagModel", I, coeffs: Mapping, p: int = 0):
-        self.model = model
-        self.I = frozenset(I)
+    __slots__ = ("coeffs", "p")
+
+    def __init__(self, coeffs: Mapping, p: int = 0):
         self.p = p
         clean = {}
-        for w, c in coeffs.items():
+        for key, c in coeffs.items():
             c = c % 2 if p == 2 else int(c)
             if c:
-                clean[w] = c
+                clean[key] = c
         self.coeffs = clean
+
+    def _space(self) -> tuple:
+        raise NotImplementedError
+
+    def _key_codim(self, key) -> int:
+        raise NotImplementedError
+
+    def _check(self, other: "SparseCycle") -> None:
+        if self._space() != other._space() or self.p != other.p:
+            raise ValueError("space/ring mismatch")
 
     # -- linear structure ----------------------------------------------------
 
-    def _check(self, other: "FlagCycle") -> None:
-        if self.model is not other.model or self.I != other.I or self.p != other.p:
-            raise ValueError("model/I mismatch")
-
-    def __add__(self, other: "FlagCycle") -> "FlagCycle":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return FlagCycle(self.model, self.I, out, self.p)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(*self._space(), out, self.p)
 
-    def __sub__(self, other: "FlagCycle") -> "FlagCycle":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c: int) -> "FlagCycle":
-        return FlagCycle(
-            self.model, self.I, {w: c * v for w, v in self.coeffs.items()}, self.p
+    def scale(self, c: int):
+        return type(self)(
+            *self._space(), {key: c * v for key, v in self.coeffs.items()}, self.p
         )
 
-    def __mul__(self, other: "FlagCycle") -> "FlagCycle":
-        self._check(other)
-        out: dict = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                for w, c in self.model.basis_product(self.I, u, v).items():
-                    out[w] = out.get(w, 0) + cu * cv * c
-        return FlagCycle(self.model, self.I, out, self.p)
+    def mod2(self):
+        return type(self)(*self._space(), self.coeffs, 2)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, FlagCycle)
-            and self.model is other.model
-            and self.I == other.I
+            type(other) is type(self)
+            and self._space() == other._space()
             and self.p == other.p
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.model), self.I, self.p, frozenset(self.coeffs.items())))
+        return hash((self._space(), self.p, frozenset(self.coeffs.items())))
 
     # -- grading ---------------------------------------------------------------
 
     def codimensions(self) -> set[int]:
-        return {self.model.group.length(w) for w in self.coeffs}
+        return {self._key_codim(key) for key in self.coeffs}
 
     def is_homogeneous(self) -> bool:
         return len(self.codimensions()) <= 1
@@ -165,8 +170,31 @@ class FlagCycle:
             raise ValueError("inhomogeneous cycle")
         return degs.pop() if degs else -1
 
-    def mod2(self) -> "FlagCycle":
-        return FlagCycle(self.model, self.I, self.coeffs, 2)
+
+class FlagCycle(SparseCycle):
+    """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients."""
+
+    __slots__ = ("model", "I")
+
+    def __init__(self, model: "FlagModel", I, coeffs: Mapping, p: int = 0):
+        self.model = model
+        self.I = frozenset(I)
+        SparseCycle.__init__(self, coeffs, p)
+
+    def _space(self) -> tuple:
+        return (self.model, self.I)
+
+    def _key_codim(self, w: SignedPermutation) -> int:
+        return self.model.group.length(w)
+
+    def __mul__(self, other: "FlagCycle") -> "FlagCycle":
+        self._check(other)
+        out: dict = {}
+        for u, cu in self.coeffs.items():
+            for v, cv in other.coeffs.items():
+                for w, c in self.model.basis_product(self.I, u, v).items():
+                    out[w] = out.get(w, 0) + cu * cv * c
+        return FlagCycle(self.model, self.I, out, self.p)
 
     def rep(self) -> Polynomial:
         poly = constant(self.model.group.rank, 0)
@@ -455,9 +483,6 @@ class FlagModel:
         """The correspondence X -> G_i through F(0, i) applied to a class on X."""
         return self.pushforward([i], self.pullback([0, i], x))
 
-    def pullpush_g_to_x(self, i: int, x: FlagCycle) -> FlagCycle:
-        return self.pushforward([0], self.pullback([0, i], x))
-
     def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) and push down.
 
@@ -530,43 +555,47 @@ class FlagModel:
 
     # -- convention gate -----------------------------------------------------------
 
-    def lemma_pullback_identities(self, i: int) -> list[tuple[str, FlagCycle, FlagCycle]]:
-        """The four classical identities on F(i-1, i) that pin every sign choice.
-
-        Returns (label, lhs, rhs) triples; all must be exact equalities.
-        """
-        I = [i - 1, i]
-        xi = self.class_O1(i)
-        pull_up = lambda x: self.pullback(I, x)  # noqa: E731
-        out = []
-        # (i) the full pull-push of h^i is the fundamental class of G_i
-        out.append(("W^i_0=[G_i]", self.class_W(i, 0), self.fundamental([i])))
-        # (ii) Z-classes on consecutive grassmannians
-        lo = self.n - i + 1 - self.d
-        for j in range(lo, self.n - i + 2):
-            lhs = pull_up(self.class_Z(i - 1, j))
-            rhs = xi * pull_up(self.class_Z(i, j - 1)) + pull_up(self.class_Z(i, j))
-            out.append((f"Z-ladder j={j}", lhs, rhs))
-        # (iii) W-classes below the top
-        for j in range(0, self.d - i + 1):
-            lhs = pull_up(self.class_W(i - 1, j))
-            rhs = xi * pull_up(self.class_W(i, j - 1)) + pull_up(self.class_W(i, j))
-            out.append((f"W-ladder j={j}", lhs, rhs))
-        # (iv) the top W-class picks up a doubled Z-term
-        lhs = pull_up(self.class_W(i - 1, self.d - i + 1))
-        rhs = xi * pull_up(self.class_W(i, self.d - i)) + pull_up(
-            self.class_Z(i, self.d - i + 1)
-        ).scale(2)
-        out.append(("top W-ladder", lhs, rhs))
-        return out
-
     def validate_conventions(self) -> None:
-        for i in range(1, self.d + 1):
-            for label, lhs, rhs in self.lemma_pullback_identities(i):
-                if lhs != rhs:
-                    raise ArithmeticError(
-                        "sign-convention gate failed at i=%d (%s)" % (i, label)
-                    )
+        _check_ladder(self, range(1, self.d + 1))
+
+
+def pullback_ladder(space, i: int):
+    """The Lemma 2.4 identities on F(i-1, i) that pin every sign choice.
+
+    `space` is a FlagModel or a QuadricGeometry.  Yields (case_id, params,
+    lhs, rhs) tuples; every one must be an exact equality.
+    """
+    n, d = space.n, space.d
+    I = [i - 1, i]
+    xi = space.class_O1(i)
+    pull = lambda x: space.pullback(I, x)  # noqa: E731
+    # the full pull-push of h^i is the fundamental class of G_i
+    yield "fundamental", {"n": n, "i": i}, space.class_W(i, 0), space.fundamental([i])
+    # Z-classes on consecutive grassmannians
+    for j in range(n - i + 1 - d, n - i + 2):
+        lhs = pull(space.class_Z(i - 1, j))
+        rhs = xi * pull(space.class_Z(i, j - 1)) + pull(space.class_Z(i, j))
+        yield "Z-ladder", {"n": n, "i": i, "j": j}, lhs, rhs
+    # W-classes below the top
+    for j in range(0, d - i + 1):
+        lhs = pull(space.class_W(i - 1, j))
+        rhs = xi * pull(space.class_W(i, j - 1)) + pull(space.class_W(i, j))
+        yield "W-ladder", {"n": n, "i": i, "j": j}, lhs, rhs
+    # the top W-class picks up a doubled Z-term
+    lhs = pull(space.class_W(i - 1, d - i + 1))
+    rhs = xi * pull(space.class_W(i, d - i)) + pull(space.class_Z(i, d - i + 1)).scale(2)
+    yield "top-W-ladder", {"n": n, "i": i}, lhs, rhs
+
+
+def _check_ladder(space, indices: Iterable[int]) -> None:
+    """The build gate: raise at the first failing identity of the ladders."""
+    for i in indices:
+        for case_id, params, lhs, rhs in pullback_ladder(space, i):
+            if lhs != rhs:
+                raise ArithmeticError(
+                    "sign-convention gate failed on %s at i=%d (%s, %s)"
+                    % (type(space).__name__, i, case_id, params)
+                )
 
 
 def _elementary_symmetric(roots: list[Polynomial], j: int, m: int) -> Polynomial:
@@ -706,8 +735,11 @@ class QuadricGeometry:
             )
         else:
             self.secondary = None
+        # incidence classes by (i, p), filled by bridge.incidence_class
+        self.incidence_cache: dict = {}
         if validate and self.secondary is not None:
-            self._validate_union_conventions()
+            # the per-model gates cannot see the global naming of l_d
+            _check_ladder(self, [self.d])
 
     # -- sheets ------------------------------------------------------------
 
@@ -860,36 +892,6 @@ class QuadricGeometry:
         """pi_{(i-1,_i)*} o pi*_{(i-1,i_)}: CH(G_i) -> CH(F(i-1,i)) -> CH(G_{i-1})."""
         up = self.pullback([i - 1, i], x)
         return self.pushforward([i - 1], up)
-
-    def mod2(self, x: UnionCycle) -> UnionCycle:
-        return x.mod2()
-
-    # -- gates ----------------------------------------------------------------------
-
-    def _validate_union_conventions(self) -> None:
-        """Lemma-2.4-shaped identities at i = d, per sheet, in the global naming."""
-        n, d = self.n, self.d
-        for M in self.sheets([d]):
-            xi = M.class_O1(d)
-            I = [d - 1, d]
-
-            def gz(i, j, M=M):
-                if j > n - i:
-                    return M.zero([i])
-                x = self.global_l(M, n - i - j)
-                return x if i == 0 else M.pullpush_x_to_g(i, x)
-
-            for j in range(n - d + 1 - d, n - d + 2):
-                lhs = M.pullback(I, gz(d - 1, j))
-                rhs = xi * M.pullback(I, gz(d, j - 1)) + M.pullback(I, gz(d, j))
-                if lhs != rhs:
-                    raise ArithmeticError(
-                        "union convention gate failed (Z-ladder, j=%d)" % j
-                    )
-            lhs = M.pullback(I, M.class_W(d - 1, 1))
-            rhs = xi * M.pullback(I, M.class_W(d, 0)) + M.pullback(I, gz(d, 1)).scale(2)
-            if lhs != rhs:
-                raise ArithmeticError("union convention gate failed (top W-ladder)")
 
 
 @lru_cache(maxsize=None)

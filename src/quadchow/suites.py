@@ -53,7 +53,13 @@ from quadchow.quadpow import (
     sym,
     sym_h_chain,
 )
-from quadchow.schubert import QuadricGeometry, build_geometry
+from quadchow.schubert import (
+    MAX_N,
+    MIN_N,
+    QuadricGeometry,
+    build_geometry,
+    pullback_ladder,
+)
 
 __all__ = ["CaseResult", "SUITES", "run_suite", "suite_names"]
 
@@ -131,23 +137,9 @@ def suite_lemma21(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseR
 def suite_lemma24(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseResult]:
     """The Z/W pullback ladders on F(i-1, i); this is the convention gate."""
     G = build_geometry(n, orientation)
-    d = G.d
-    for i in range(1, d + 1):
-        I = [i - 1, i]
-        xi = G.class_O1(i)
-        pull = lambda x: G.pullback(I, x)  # noqa: E731
-        yield _case("fundamental", {"n": n, "i": i}, G.class_W(i, 0), G.fundamental([i]))
-        for j in range(n - i + 1 - d, n - i + 2):
-            lhs = pull(G.class_Z(i - 1, j))
-            rhs = xi * pull(G.class_Z(i, j - 1)) + pull(G.class_Z(i, j))
-            yield _case("Z-ladder", {"n": n, "i": i, "j": j}, lhs, rhs)
-        for j in range(0, d - i + 1):
-            lhs = pull(G.class_W(i - 1, j))
-            rhs = xi * pull(G.class_W(i, j - 1)) + pull(G.class_W(i, j))
-            yield _case("W-ladder", {"n": n, "i": i, "j": j}, lhs, rhs)
-        lhs = pull(G.class_W(i - 1, d - i + 1))
-        rhs = xi * pull(G.class_W(i, d - i)) + pull(G.class_Z(i, d - i + 1)).scale(2)
-        yield _case("top-W-ladder", {"n": n, "i": i}, lhs, rhs)
+    for i in range(1, G.d + 1):
+        for case_id, params, lhs, rhs in pullback_ladder(G, i):
+            yield _case(case_id, params, lhs, rhs)
 
 
 def suite_lemma25(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseResult]:
@@ -575,12 +567,12 @@ def run_suite(
     if name in QUADPOW_ONLY:
         if n < 2:
             raise ValueError("n out of range")
-    elif not 3 <= n <= 8:
-        raise ValueError("n out of range for flag-variety suites (3..8)")
+    elif not MIN_N <= n <= MAX_N:
+        raise ValueError(
+            "n out of range for flag-variety suites (%d..%d)" % (MIN_N, MAX_N)
+        )
     results = []
     for case in SUITES[name](n, orientation, seed):
-        if case is None:
-            continue
         results.append(case)
         if progress is not None:
             progress(case)

@@ -1,5 +1,8 @@
 """Mixed cycles, the incidence class, and the correspondence machinery."""
 
+import gc
+import weakref
+
 import pytest
 
 from quadchow.bridge import (
@@ -31,7 +34,7 @@ from quadchow.quadpow import (
     one,
     sym_h_chain,
 )
-from quadchow.schubert import FlagCycle, build_geometry
+from quadchow.schubert import FlagCycle, QuadricGeometry, build_geometry
 
 
 def test_incidence_gate():
@@ -39,6 +42,18 @@ def test_incidence_gate():
         G = build_geometry(n)
         for i in range(G.d + 1):
             validate_incidence(G, i)
+
+
+def test_incidence_cache_belongs_to_its_geometry():
+    G1, G2 = QuadricGeometry(5), QuadricGeometry(5)
+    inc1, inc2 = incidence_class(G1, 1), incidence_class(G2, 1)
+    assert inc1 is not inc2
+    assert inc1.geometry is G1 and inc2.geometry is G2
+    assert incidence_class(G1, 1) is inc1
+    ref = weakref.ref(G1)
+    del G1, inc1
+    gc.collect()
+    assert ref() is None
 
 
 def test_incidence_zero_is_diagonal():

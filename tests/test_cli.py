@@ -86,8 +86,8 @@ def test_verify_deep_guard(capsys):
     assert code == 0  # quadric-power-only suites do not need the flag
 
 
-def test_verify_all_with_jobs(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "--n", "3", "--jobs", "2")
+def test_verify_all(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "3")
     assert code == 0
     assert out.count("suite ") == 12
 
