@@ -3,8 +3,9 @@
 The package computes, with exact integer (or mod-2) coefficients:
 
 * ``weyl`` -- signed-permutation Weyl groups of types B and D;
-* ``polyring`` -- sparse rational polynomials with the Weyl action and
-  divided-difference operators;
+* ``polyring`` -- sparse polynomials with integer numerators over one common
+  denominator, with the Weyl action and divided-difference operators (exact
+  in integers, since every simple root is monic in its main variable);
 * ``schubert`` -- Chow rings of orthogonal grassmannians and partial flag
   varieties of a split quadric, with pull/push along all projections,
   tautological Chern classes and the distinguished Z/W cycles;
@@ -55,10 +56,11 @@ from quadchow.schubert import (
     build_geometry,
 )
 from quadchow.suites import run_suite, suite_names
-from quadchow.weyl import MAX_RANK, SignedPermutation, WeylGroup, make_group
+from quadchow.weyl import MAX_RANK, RangeError, SignedPermutation, WeylGroup, make_group
 
 __all__ = [
     "MAX_RANK",
+    "RangeError",
     "SignedPermutation",
     "WeylGroup",
     "make_group",

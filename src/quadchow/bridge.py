@@ -43,7 +43,7 @@ from quadchow.schubert import (
     SparseCycle,
     UnionCycle,
 )
-from quadchow.weyl import SignedPermutation
+from quadchow.weyl import RangeError, SignedPermutation
 
 __all__ = [
     "MixedCycle",
@@ -332,7 +332,7 @@ def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle
     Poincare dual of b; for i = 0 this reduces to the diagonal of X.
     """
     if not 0 <= i <= geometry.d:
-        raise ValueError("grassmannian index out of range")
+        raise RangeError("grassmannian index out of range")
     cached = geometry.incidence_cache.get((i, p))
     if cached is not None:
         return cached
@@ -370,7 +370,7 @@ def validate_incidence(geometry: QuadricGeometry, i: int) -> None:
 def eta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
     """Product over the i factor-pullbacks of the incidence class, on G_i x X^i."""
     if not 1 <= i <= geometry.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     inc = incidence_class(geometry, i, p)
     total = None
     for j in range(i):
@@ -382,7 +382,7 @@ def eta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
 def theta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
     """The incidence correspondence class on G_i x X^{i+1}."""
     if not 1 <= i <= geometry.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     inc = incidence_class(geometry, i, p)
     total = None
     for j in range(i + 1):
@@ -426,7 +426,7 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
     """The mod-2 correspondence X^2 -> F(0,i) built from the split diagonal
     and the incidence class (arity 2; X-slots are the two sources)."""
     if not 1 <= i <= geometry.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     ctx = geometry.ctx
     I = frozenset([0, i])
     diag = delta_i(ctx, 1, p=2)
@@ -460,7 +460,7 @@ def eta_pushdown_expansion(geometry: QuadricGeometry, i: int, k: int) -> QuadCyc
     """The double-sum rewriting of the same cycle through G_{i-1} x X^{i-1}."""
     n, ctx = geometry.n, geometry.ctx
     if not 2 <= i <= geometry.d or not i <= k <= geometry.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     eta_prev = eta(geometry, i - 1, 2)
     z_prev = geometry.class_Z(i - 1, n - i + 1, 2)
     total: QuadCycle | None = None
@@ -485,9 +485,9 @@ def degree_congruence(
     """deg((top-Z . prod of Z's) . (sum_j W^i_{k-m-j} c_j(T_i))) mod 2 on G_i."""
     n, d = geometry.n, geometry.d
     if not 1 <= i <= d - 1:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     if not (i + 1 <= k <= d and 1 <= m <= i):
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     a = tuple(a)
     if len(a) != i or any(not 0 <= aj <= d for aj in a) or list(a) != sorted(a):
         raise ValueError("expected a sorted tuple of i indices in 0..d")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from quadchow import bridge, edi, quadpow, suites
 from quadchow.quadpow import QuadCycle, format_cycle, parse_cycle, quad_context
 from quadchow.schubert import UnionCycle, build_geometry
+from quadchow.weyl import RangeError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,7 +46,7 @@ class UsageError(Exception):
 
 
 def _classify_value_error(exc: ValueError) -> int:
-    return EXIT_RANGE if "out of range" in str(exc) else EXIT_USAGE
+    return EXIT_RANGE if isinstance(exc, RangeError) else EXIT_USAGE
 
 
 # -- compute -----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from quadchow.weyl import RangeError
+
 __all__ = ["EDISquare", "WittReport", "propagate", "check_witt_consistency",
            "render_ascii", "square_from_json", "square_to_json", "run_edi_json"]
 
@@ -42,18 +44,18 @@ class EDISquare:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("n out of range")
+            raise RangeError("n out of range")
         object.__setattr__(self, "marks", frozenset(tuple(m) for m in self.marks))
         object.__setattr__(self, "rho", frozenset(self.rho))
         d = self.d
         for i, c in self.marks:
             if not (0 <= i <= d and 0 <= c <= d):
-                raise ValueError("node out of range: %r" % ((i, c),))
+                raise RangeError("node out of range: %r" % ((i, c),))
         for i in self.rho:
             if not 0 <= i <= d:
-                raise ValueError("rho index out of range: %r" % (i,))
+                raise RangeError("rho index out of range: %r" % (i,))
         if self.witt_index is not None and not 1 <= self.witt_index <= d + 1:
-            raise ValueError("witt index out of range")
+            raise RangeError("witt index out of range")
 
     @property
     def d(self) -> int:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from quadchow.schubert import QuadricContext, SparseCycle
+from quadchow.weyl import RangeError
 
 __all__ = [
     "QuadCycle",
@@ -63,7 +64,7 @@ Mono = tuple[Sym, ...]
 
 def quad_context(n: int, orientation: int = 1) -> QuadricContext:
     if n < 2:
-        raise ValueError("n out of range (quadric powers support n >= 2)")
+        raise RangeError("n out of range (quadric powers support n >= 2)")
     return QuadricContext(n, orientation if n % 2 == 0 else None)
 
 
@@ -90,7 +91,7 @@ def _check_symbol(ctx: QuadricContext, s: Sym) -> None:
             raise ValueError("h power outside the basis: %r" % (s,))
     elif kind == "l":
         if not 0 <= idx <= d:
-            raise ValueError("isotropic index out of range: %r" % (s,))
+            raise RangeError("isotropic index out of range: %r" % (s,))
     elif kind == "lp":
         if ctx.n % 2 or idx != d:
             raise ValueError("second ruling only exists in the middle for even n")
@@ -300,7 +301,7 @@ def monomial_cycle(ctx: QuadricContext, mono: Iterable[Sym], p: int = 0) -> Quad
 def h_power_cycle(ctx: QuadricContext, a: int, p: int = 0) -> QuadCycle:
     """h^a as a cycle on X (expanded over the basis)."""
     if a < 0 or a > ctx.n:
-        raise ValueError("h power out of range")
+        raise RangeError("h power out of range")
     return QuadCycle(ctx, 1, {(s,): c for s, c in _h_reduce(ctx, a).items()}, p)
 
 
@@ -386,7 +387,7 @@ def rho_i(ctx: QuadricContext, i: int, p: int = 0) -> QuadCycle:
     """sym(h^0 x h^1 x ... x h^{i-1} x l_0) on X^{i+1}; the i = 1 case is the
     Rost correspondence and i = 0 degenerates to l_0."""
     if not 0 <= i <= ctx.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     factors = [h_power_cycle(ctx, j, p) for j in range(i)] + [l_cycle(ctx, 0, p)]
     return sym(external_list(factors))
 
@@ -394,7 +395,7 @@ def rho_i(ctx: QuadricContext, i: int, p: int = 0) -> QuadCycle:
 def delta_i(ctx: QuadricContext, i: int, p: int = 0) -> QuadCycle:
     """sym((x h^j)_{j<i} x 1 x l_0) + sum_k sym((x h^j)_{j<i} x h^k x l_k)."""
     if not 1 <= i <= ctx.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     prefix = [h_power_cycle(ctx, j, p) for j in range(1, i)]
     total = sym(external_list(prefix + [one(ctx, 1, p), l_cycle(ctx, 0, p)]))
     for k in range(i, ctx.d + 1):
@@ -540,7 +541,7 @@ def primordial_shape(
     """The mod-2 shape 1 x l_{i1-1} + l_{i1-1} x 1 + sum_j a_j (h^j x l_{j+i1-1} + ...)
     on X^2, with a_j over j = i1 .. d - i1 + 1."""
     if not 1 <= i1 <= ctx.d:
-        raise ValueError("index out of range")
+        raise RangeError("index out of range")
     js = list(range(i1, ctx.d - i1 + 2))
     if len(coefficients) != len(js):
         raise ValueError("expected %d coefficients" % len(js))

@@ -5,17 +5,20 @@ For a split quadric X of dimension n, put d = n // 2.  The orthogonal
 grassmannians G_0 = X, G_1, ..., G_d and the partial flag varieties F(I),
 I a subset of {0..d}, are homogeneous spaces for a group with Weyl group
 B_{d+1} (n odd) or D_{d+1} (n even).  Their Chow rings are computed inside
-the rational coinvariant algebra:
+the coinvariant algebra, with integer polynomials over one common
+denominator (see :mod:`quadchow.polyring`):
 
 * the point class of the full flag variety is represented by the product of
-  the positive roots divided by |W|;
+  the positive roots over the denominator |W|;
 * the Schubert class attached to w is obtained from it by the divided
   difference of w^{-1} w_0, and classes on F(I) are the Schubert classes of
-  minimal coset representatives;
+  minimal coset representatives; divided differences keep the denominator,
+  since every simple root is monic in its main variable;
 * products are expanded by applying divided-difference words and reading off
-  constant terms; every extracted coefficient must be an integer (these
-  varieties have torsion-free Chow groups), and a fractional value raises
-  immediately since it can only come from a convention bug;
+  constant terms; a k-fold product carries |W|^k, and the division by it
+  happens once, at extraction.  Every extracted coefficient must be an
+  integer (these varieties have torsion-free Chow groups), and a remainder
+  raises immediately since it can only come from a convention bug;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
   polynomial work is needed there.
@@ -36,7 +39,6 @@ pullback identities relating Z- and W-classes on consecutive grassmannians;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -47,7 +49,7 @@ from quadchow.polyring import (
     divided_difference_word,
     variable,
 )
-from quadchow.weyl import SignedPermutation, WeylGroup, make_group
+from quadchow.weyl import RangeError, SignedPermutation, WeylGroup, make_group
 
 __all__ = [
     "QuadricContext",
@@ -217,29 +219,30 @@ class FlagModel:
 
     def __init__(self, n: int, orientation: int | None = None, validate: bool = True):
         if not MIN_N <= n <= MAX_N:
-            raise ValueError("n out of range (supported: %d..%d)" % (MIN_N, MAX_N))
+            raise RangeError("n out of range (supported: %d..%d)" % (MIN_N, MAX_N))
         self.ctx = QuadricContext(n, orientation)
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
         m = self.group.rank
-        prod = constant(m, Fraction(1, len(self.group)))
+        prod = constant(m, 1)
         for root in self.group.positive_roots:
             lin = Polynomial(
                 m,
                 {
-                    tuple(1 if k == j else 0 for k in range(m)): Fraction(c)
+                    tuple(1 if k == j else 0 for k in range(m)): c
                     for j, c in enumerate(root)
                     if c
                 },
             )
             prod = prod * lin
-        self.point_rep: Polynomial = prod
+        self.point_rep = Polynomial(m, prod.coeffs, len(self.group))
         self._reps: dict[tuple[int, ...], Polynomial] = {
             self.group.longest_element.window: self.point_rep
         }
         self._pair_products: dict = {}
         self._push_ops: dict = {}
+        self._h_powers: dict[tuple[int, int], FlagCycle] = {}
         self._x_middle: tuple[SignedPermutation, SignedPermutation] | None = None
         self._identify_quadric_basis()
         if validate:
@@ -253,7 +256,7 @@ class FlagModel:
         nodes: set[int] = set()
         for i in I:
             if not 0 <= i <= self.d:
-                raise ValueError("flag index out of range: %r" % (i,))
+                raise RangeError("flag index out of range: %r" % (i,))
             if self.ctx.family == "B" or i <= self.d - 2:
                 nodes.add(i + 1)
             elif i == self.d - 1:
@@ -319,21 +322,22 @@ class FlagModel:
         degrees = {sum(e) for e in poly.coeffs}
         top = self.dim_flag(I)
         candidates = self.basis(I)
+        origin = (0,) * g.rank
         for k in sorted(degrees):
             if k > top:
                 continue
             for w in candidates:
                 if g.length(w) != k:
                     continue
-                c = divided_difference_word(
-                    g, g.reduced_word(w), poly
-                ).constant_term()
+                r = divided_difference_word(g, g.reduced_word(w), poly)
+                c = r.coeffs.get(origin, 0)
                 if c:
-                    if c.denominator != 1:
+                    if c % r.den:
                         raise ArithmeticError(
-                            "nonintegral Schubert coefficient %s at %r" % (c, w.window)
+                            "nonintegral Schubert coefficient %s at %r"
+                            % (r.constant_term(), w.window)
                         )
-                    out[w] = int(c)
+                    out[w] = c // r.den
         return FlagCycle(self, I, out, p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
@@ -414,12 +418,12 @@ class FlagModel:
             if x.I != I:
                 raise ValueError("model/I mismatch")
             poly = poly * x.rep()
-        c = divided_difference_word(
-            g, g.reduced_word(self.top_element(I)), poly
-        ).constant_term()
-        if c.denominator != 1:
-            raise ArithmeticError("nonintegral degree %s" % (c,))
-        return int(c) % 2 if p == 2 else int(c)
+        r = divided_difference_word(g, g.reduced_word(self.top_element(I)), poly)
+        c = r.coeffs.get((0,) * g.rank, 0)
+        if c % r.den:
+            raise ArithmeticError("nonintegral degree %s" % (r.constant_term(),))
+        c //= r.den
+        return c % 2 if p == 2 else c
 
     # -- the quadric inside the model -------------------------------------------
 
@@ -457,15 +461,19 @@ class FlagModel:
         return FlagCycle(self, [0], {w: 1}, p)
 
     def h_power(self, k: int, p: int = 0) -> FlagCycle:
-        """h^k on X, for 0 <= k <= n (expanded in the Schubert basis)."""
+        """h^k on X, for 0 <= k <= n (expanded in the Schubert basis, memoised)."""
         if not 0 <= k <= self.n:
-            raise ValueError("hyperplane power out of range")
-        return self.expand(variable(self.group.rank, 1) ** k, [0], p)
+            raise RangeError("hyperplane power out of range")
+        cached = self._h_powers.get((k, p))
+        if cached is None:
+            cached = self.expand(variable(self.group.rank, 1) ** k, [0], p)
+            self._h_powers[(k, p)] = cached
+        return cached
 
     def l_class(self, b: int, p: int = 0) -> FlagCycle:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
         if not 0 <= b <= self.d:
-            raise ValueError("isotropic dimension out of range")
+            raise RangeError("isotropic dimension out of range")
         if self.n % 2 == 0 and b == self.d:
             return FlagCycle(self, [0], {self._x_middle[0]: 1}, p)
         (w,) = self._x_by_codim[self.n - b]
@@ -491,11 +499,11 @@ class FlagModel:
         bound is a genuine range error.
         """
         if not 0 <= i <= self.d:
-            raise ValueError("grassmannian index out of range")
+            raise RangeError("grassmannian index out of range")
         if j > self.n - i:
             return self.zero([i], p)
         if j < self.n - i - self.d:
-            raise ValueError("Z index out of range")
+            raise RangeError("Z index out of range")
         x = self.l_class(self.n - i - j, p)
         if i == 0:
             return x
@@ -509,13 +517,13 @@ class FlagModel:
         computations on products use, so any j + i <= n is accepted.
         """
         if not 0 <= i <= self.d:
-            raise ValueError("grassmannian index out of range")
+            raise RangeError("grassmannian index out of range")
         if j < 0:
             return self.zero([i], p)
         if i == 0:
             return self.h_power(j, p)
         if j + i > self.n:
-            raise ValueError("W index out of range")
+            raise RangeError("W index out of range")
         return self.pullpush_x_to_g(i, self.h_power(j + i, p))
 
     def taut_chern_roots(self, i: int) -> list[Polynomial]:
@@ -529,7 +537,7 @@ class FlagModel:
     def chern_taut(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """c_j of the tautological bundle on G_i."""
         if not 0 <= j <= i + 1:
-            raise ValueError("Chern index out of range")
+            raise RangeError("Chern index out of range")
         roots = self.taut_chern_roots(i)
         poly = _elementary_symmetric(roots, j, self.group.rank)
         return self.expand(poly, [i], p)
@@ -538,7 +546,7 @@ class FlagModel:
         """c_j of the quotient of the trivial bundle by the tautological one."""
         rank_q = self.n + 2 - (i + 1)
         if not 0 <= j <= rank_q:
-            raise ValueError("Chern index out of range")
+            raise RangeError("Chern index out of range")
         negroots = [r.scale(-1) for r in self.taut_chern_roots(i)]
         poly = _complete_homogeneous(negroots, j, self.group.rank)
         return self.expand(poly, [i], p)
@@ -546,7 +554,7 @@ class FlagModel:
     def class_O1(self, i: int, p: int = 0) -> FlagCycle:
         """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i."""
         if not 1 <= i <= self.d:
-            raise ValueError("bundle index out of range")
+            raise RangeError("bundle index out of range")
         m = self.group.rank
         poly = variable(m, i + 1).scale(-1)
         if self.ctx.family == "D" and i == self.d and self.ctx.orientation == -1:
@@ -856,9 +864,9 @@ class QuadricGeometry:
 
     def class_Z(self, i: int, j: int, p: int = 0) -> UnionCycle:
         if not 0 <= i <= self.d:
-            raise ValueError("grassmannian index out of range")
+            raise RangeError("grassmannian index out of range")
         if j < self.n - i - self.d:
-            raise ValueError("Z index out of range")
+            raise RangeError("Z index out of range")
         parts = []
         for M in self.sheets([i]):
             if j > self.n - i:

@@ -60,6 +60,7 @@ from quadchow.schubert import (
     build_geometry,
     pullback_ladder,
 )
+from quadchow.weyl import RangeError
 
 __all__ = ["CaseResult", "SUITES", "run_suite", "suite_names"]
 
@@ -566,9 +567,9 @@ def run_suite(
         raise KeyError("unknown suite: %r" % (name,))
     if name in QUADPOW_ONLY:
         if n < 2:
-            raise ValueError("n out of range")
+            raise RangeError("n out of range")
     elif not MIN_N <= n <= MAX_N:
-        raise ValueError(
+        raise RangeError(
             "n out of range for flag-variety suites (%d..%d)" % (MIN_N, MAX_N)
         )
     results = []

@@ -22,9 +22,14 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["SignedPermutation", "WeylGroup", "make_group", "MAX_RANK"]
+__all__ = ["RangeError", "SignedPermutation", "WeylGroup", "make_group", "MAX_RANK"]
 
 MAX_RANK = 5
+
+
+class RangeError(ValueError):
+    """An index or dimension outside the supported range (CLI exit code 3)."""
+
 
 Root = tuple[int, ...]
 
@@ -236,7 +241,7 @@ class WeylGroup:
         """
         key = frozenset(parabolic)
         if not key <= set(range(1, self.rank + 1)):
-            raise ValueError("parabolic indices out of range: %r" % (sorted(key),))
+            raise RangeError("parabolic indices out of range: %r" % (sorted(key),))
         if key not in self._coset_reps:
             reps = [
                 w

@@ -9,6 +9,8 @@ import json
 import pathlib
 import random
 
+import pytest
+
 from quadchow.edi import (
     EDISquare,
     propagate,
@@ -16,7 +18,7 @@ from quadchow.edi import (
     run_edi_json,
     square_from_json,
 )
-from quadchow.suites import run_suite
+from quadchow.suites import QUADPOW_ONLY, run_suite, suite_names
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -142,3 +144,13 @@ def test_criterion_12_edi():
         % (status, total, len(failures))
     )
     assert not failures
+
+
+@pytest.mark.slow
+def test_flag_variety_suites_at_n8():
+    total, failures = 0, []
+    for suite in sorted(set(suite_names()) - QUADPOW_ONLY):
+        t, f = _run(suite, [8])
+        total += t
+        failures += f
+    _report("slow gate: every flag-variety suite at n=8 (orientation 1)", total, failures)

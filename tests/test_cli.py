@@ -119,3 +119,24 @@ def test_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, "compute", "--n", "4", "delta 2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_range_errors_are_classified_by_type():
+    from quadchow import RangeError
+    from quadchow.cli import EXIT_RANGE, EXIT_USAGE, _classify_value_error
+
+    assert issubclass(RangeError, ValueError)
+    assert _classify_value_error(ValueError("index out of range")) == EXIT_USAGE
+    assert _classify_value_error(RangeError("index out of range")) == EXIT_RANGE
+
+
+def test_every_out_of_range_message_is_a_range_error():
+    import pathlib
+    import re
+
+    import quadchow
+
+    src = pathlib.Path(quadchow.__file__).parent
+    untyped = re.compile(r'ValueError\(\s*"[^"]*out of range')
+    for path in sorted(src.glob("*.py")):
+        assert not untyped.search(path.read_text()), path.name

@@ -151,3 +151,54 @@ def test_inexact_division_raises():
         _divide_linear(variable(2, 2), 1, 2, 1)  # x2 / (x1 - x2)
     with pytest.raises(ArithmeticError, match="inexact"):
         _divide_linear(constant(2, 1), 2, None, 1)  # 1 / x2
+
+
+def test_values_over_a_common_denominator():
+    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 1})
+    assert half.den == 2 and half.coeffs == {(1, 0): 1, (0, 1): 2}
+    same = Polynomial(2, {(1, 0): 2, (0, 1): 4}, den=4)
+    assert same == half and hash(same) == hash(half)
+    assert Polynomial(2, {(1, 0): 2}, den=4) != Polynomial(2, {(1, 0): 1}, den=1)
+    assert (half * half).den == 4
+    assert half + half == Polynomial(2, {(1, 0): 1, (0, 1): 2})
+    assert (half - same).is_zero()
+    assert constant(2, Fraction(3, 6)).constant_term() == Fraction(1, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        Polynomial(2, {(1, 0): 1}, den=0)
+
+
+def _long_division_reference(G, i, f):
+    """(f - s_i . f) / alpha_i by the action and synthetic division."""
+    from quadchow.polyring import _divide_linear
+
+    m = G.rank
+    num = f - act(G.simple_reflections[i - 1], f)
+    if i < m:
+        return _divide_linear(num, i, i + 1, 1)
+    if G.family == "B":
+        return _divide_linear(num, m, None, 1)
+    return _divide_linear(num, m - 1, m, -1)
+
+
+def test_fused_kernel_matches_long_division():
+    rng = random.Random(31)
+    for G in (make_group("B", 3), make_group("D", 3), make_group("B", 4), make_group("D", 4)):
+        m = G.rank
+        for _ in range(15):
+            f = rand_poly(m, rng, terms=8, deg=5).scale(Fraction(1, rng.randrange(1, 7)))
+            for i in range(1, m + 1):
+                got = divided_difference(G, i, f)
+                assert got == _long_division_reference(G, i, f)
+                assert got.den == f.den
+                assert got * simple_root(G, i) == f - act(G.simple_reflections[i - 1], f)
+
+
+def test_point_class_carries_the_group_order():
+    from quadchow.schubert import build_flag_model
+
+    for n in (3, 4, 5):
+        model = build_flag_model(n)
+        G = model.group
+        assert model.point_rep.den == len(G)
+        top = divided_difference_word(G, G.reduced_word(G.longest_element), model.point_rep)
+        assert top == constant(G.rank, 1)

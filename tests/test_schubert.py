@@ -228,3 +228,39 @@ def test_geometry_odd_single_sheet():
     G = build_geometry(5)
     assert G.secondary is None
     assert len(G.sheets([G.d])) == 1
+
+
+def test_hyperplane_powers_are_memoised(monkeypatch):
+    from quadchow.schubert import FlagModel
+
+    M = FlagModel(5)
+    calls = []
+    expand = M.expand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(M, "expand", counting)
+    first = M.class_W(1, 1, 2)  # pull-push of h^2 mod 2: one expansion
+    assert len(calls) == 1
+    assert M.class_W(1, 1, 2) == first
+    assert M.h_power(2, 2) is M.h_power(2, 2)
+    assert len(calls) == 1
+
+
+def test_nonintegral_extraction_raises(monkeypatch):
+    from fractions import Fraction
+
+    from quadchow.polyring import variable
+    from quadchow.schubert import FlagModel
+
+    M = FlagModel(3, validate=False)
+    half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
+        M.expand(half_h, [0])
+    I = [0]
+    reps = {w: M.schubert_rep(w) for w in (M.top_element(I), M.group.identity)}
+    monkeypatch.setattr(M, "schubert_rep", lambda w: reps[w].scale(Fraction(1, 2)))
+    with pytest.raises(ArithmeticError, match="nonintegral degree 1/4"):
+        M.deg_product([M.point_class(I), M.fundamental(I)])
