@@ -272,14 +272,11 @@ class FlagModel:
         return self.group.min_coset_reps(self.parabolic(I))
 
     def dim_flag(self, I: Iterable[int]) -> int:
-        g = self.group
-        return g.length(g.longest_element) - g.length(
-            g.parabolic_longest(self.parabolic(I))
-        )
+        return self.group.length(self.top_element(I))
 
     def top_element(self, I: Iterable[int]) -> SignedPermutation:
-        g = self.group
-        return g.longest_element * g.parabolic_longest(self.parabolic(I))
+        """The longest minimal coset representative, w_0 * w_0(P_I)."""
+        return self.basis(I)[-1]
 
     def zero(self, I: Iterable[int], p: int = 0) -> FlagCycle:
         return FlagCycle(self, I, {}, p)
@@ -299,8 +296,7 @@ class FlagModel:
             return cached
         g = self.group
         lw = g.length(w)
-        for i, s in enumerate(g.simple_reflections, start=1):
-            ws = w * s
+        for i, ws in enumerate(g.right_multiples(w), start=1):
             if g.length(ws) > lw:
                 rep = divided_difference(g, i, self.schubert_rep(ws))
                 self._reps[w.window] = rep

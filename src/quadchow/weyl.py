@@ -14,6 +14,17 @@ tied to this numbering rather than to a fixed combinatorial statistic.
 
 Groups of rank <= 5 are fully enumerated and cached at construction; larger
 ranks are rejected (the geometry downstream never needs more at desk scale).
+
+Construction also builds a right-multiplication table: for every element w
+and every simple reflection s_i it stores the canonical element ``w * s_i``.
+Right multiplication by s_i is an edit of the window -- for i < m it swaps
+entries i and i + 1; the last node negates the last entry (B) or swaps and
+negates the last two (D) -- so the table needs no generic product.  Reduced
+words, descents, coset representatives and parabolic factorisations walk this
+table and the length table one simple reflection at a time.  The longest
+element w_0(P) of a parabolic subgroup W_P is the unique element of W_P whose
+right descents are all of P, so an ascent from the identity inside W_P reaches
+it in l(w_0(P)) steps (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
 """
 
 from __future__ import annotations
@@ -95,12 +106,11 @@ class WeylGroup:
     def __init__(self, family: str, rank: int):
         if family not in ("B", "D"):
             raise ValueError("unsupported family: %r" % (family,))
-        if family == "B" and not 1 <= rank <= MAX_RANK:
-            raise ValueError("unsupported rank")
-        if family == "D" and not 2 <= rank <= MAX_RANK:
-            raise ValueError("unsupported rank")
+        if not (1 if family == "B" else 2) <= rank <= MAX_RANK:
+            raise RangeError("unsupported rank")
         self.family = family
         self.rank = rank
+        self._indices = frozenset(range(1, rank + 1))
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
         self.identity = SignedPermutation(self, tuple(range(1, rank + 1)))
         self.simple_reflections: tuple[SignedPermutation, ...] = tuple(
@@ -110,6 +120,9 @@ class WeylGroup:
         self._lengths: dict[tuple[int, ...], int] = {
             w.window: self._root_length(w) for w in self.elements
         }
+        self._right: dict[tuple[int, ...], tuple[SignedPermutation, ...]] = (
+            self._right_table()
+        )
         self.longest_element = max(self.elements, key=lambda w: self._lengths[w.window])
         self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
         self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
@@ -140,8 +153,6 @@ class WeylGroup:
         elif self.family == "B":
             win[m - 1] = -m
         else:
-            if m < 2:
-                raise ValueError("unsupported rank")
             win[m - 2], win[m - 1] = -m, -(m - 1)
         return SignedPermutation(self, tuple(win))
 
@@ -152,6 +163,23 @@ class WeylGroup:
                 if self.family == "D" and signs.count(-1) % 2 != 0:
                     continue
                 yield SignedPermutation(self, tuple(s * p for s, p in zip(signs, perm)))
+
+    def _right_table(self) -> dict[tuple[int, ...], tuple[SignedPermutation, ...]]:
+        """``(w * s_1, ..., w * s_m)`` for every element, by window edits."""
+        canonical = {w.window: w for w in self.elements}
+        last_b = self.family == "B"
+        table = {}
+        for win in canonical:
+            row = [
+                canonical[win[:i] + (win[i + 1], win[i]) + win[i + 2 :]]
+                for i in range(self.rank - 1)
+            ]
+            if last_b:
+                row.append(canonical[win[:-1] + (-win[-1],)])
+            else:
+                row.append(canonical[win[:-2] + (-win[-1], -win[-2])])
+            table[win] = tuple(row)
+        return table
 
     def _root_length(self, w: SignedPermutation) -> int:
         count = 0
@@ -198,12 +226,18 @@ class WeylGroup:
             raise ValueError("group mismatch")
         return self._lengths[w.window]
 
+    def right_multiples(self, w: SignedPermutation) -> tuple[SignedPermutation, ...]:
+        """``(w * s_1, ..., w * s_m)``, read from the table."""
+        if w.group is not self:
+            raise ValueError("group mismatch")
+        return self._right[w.window]
+
     def right_descents(self, w: SignedPermutation) -> list[int]:
         lw = self.length(w)
         return [
             i
-            for i, s in enumerate(self.simple_reflections, start=1)
-            if self.length(w * s) < lw
+            for i, ws in enumerate(self._right[w.window], start=1)
+            if self._lengths[ws.window] < lw
         ]
 
     def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
@@ -211,26 +245,51 @@ class WeylGroup:
 
         The returned indices multiply left to right: ``w = s[i1] * ... * s[ik]``.
         """
-        word_rev = []
-        u = w
-        lu = self.length(u)
-        while lu:
-            for i, s in enumerate(self.simple_reflections, start=1):
-                us = u * s
-                lus = self.length(us)
-                if lus < lu:
-                    word_rev.append(i)
-                    u, lu = us, lus
-                    break
-        return tuple(reversed(word_rev))
+        _, letters = self._walk(w, range(1, self.rank + 1), -1)
+        return tuple(reversed(letters))
 
     def from_word(self, word: Iterable[int]) -> SignedPermutation:
+        word = tuple(word)
+        self._check_indices(word, "word letter")
         w = self.identity
         for i in word:
-            w = w * self.simple_reflections[i - 1]
+            w = self._right[w.window][i - 1]
         return w
 
+    def _walk(
+        self, u: SignedPermutation, indices: Iterable[int], step: int
+    ) -> tuple[SignedPermutation, list[int]]:
+        """Move u along the table while some s_i, i in indices, changes its
+        length by step (-1 descends, +1 ascends), trying the indices in order.
+
+        Returns where the walk stops and the letters it multiplied by.
+        """
+        lengths, right = self._lengths, self._right
+        lu = self.length(u)
+        letters = []
+        while True:
+            row = right[u.window]
+            for i in indices:
+                us = row[i - 1]
+                if lengths[us.window] == lu + step:
+                    letters.append(i)
+                    u, lu = us, lu + step
+                    break
+            else:
+                return u, letters
+
     # -- parabolic combinatorics --------------------------------------------
+
+    def _check_indices(self, indices: Iterable[int], what: str) -> None:
+        """Raise RangeError unless every index names a simple reflection."""
+        if not self._indices.issuperset(indices):
+            bad = sorted(set(indices) - self._indices)
+            raise RangeError("%s out of range (1..%d): %r" % (what, self.rank, bad))
+
+    def _parabolic(self, parabolic: Iterable[int]) -> frozenset[int]:
+        key = frozenset(parabolic)
+        self._check_indices(key, "parabolic index")
+        return key
 
     def min_coset_reps(self, parabolic: Iterable[int]) -> tuple[SignedPermutation, ...]:
         """Minimal-length representatives of the cosets ``w W_P``.
@@ -239,19 +298,15 @@ class WeylGroup:
         A representative is exactly an element with no right descent in the
         parabolic set.
         """
-        key = frozenset(parabolic)
-        if not key <= set(range(1, self.rank + 1)):
-            raise RangeError("parabolic indices out of range: %r" % (sorted(key),))
+        key = self._parabolic(parabolic)
         if key not in self._coset_reps:
-            reps = [
-                w
-                for w in self.elements
-                if all(
-                    self.length(w * self.simple_reflections[i - 1]) > self.length(w)
-                    for i in key
-                )
-            ]
-            reps.sort(key=lambda w: (self.length(w), w.window))
+            lengths, right = self._lengths, self._right
+            reps = []
+            for w in self.elements:
+                lw, row = lengths[w.window], right[w.window]
+                if all(lengths[row[i - 1].window] > lw for i in key):
+                    reps.append(w)
+            reps.sort(key=lambda w: (lengths[w.window], w.window))
             self._coset_reps[key] = tuple(reps)
         return self._coset_reps[key]
 
@@ -259,30 +314,19 @@ class WeylGroup:
         self, w: SignedPermutation, parabolic: Iterable[int]
     ) -> tuple[SignedPermutation, SignedPermutation]:
         """Factor ``w = w_min * w_par`` with lengths adding."""
-        key = frozenset(parabolic)
-        u = w
-        par = self.identity
-        while True:
-            lu = self.length(u)
-            for i in key:
-                s = self.simple_reflections[i - 1]
-                if self.length(u * s) < lu:
-                    u = u * s
-                    par = s * par
-                    break
-            else:
-                return u, par
+        u, letters = self._walk(w, self._parabolic(parabolic), -1)
+        # w = u * s[ik] * ... * s[i1] for the letters i1..ik removed
+        return u, self.from_word(reversed(letters))
 
     def parabolic_longest(self, parabolic: Iterable[int]) -> SignedPermutation:
-        """Longest element of the parabolic subgroup ``W_P``."""
-        key = frozenset(parabolic)
+        """Longest element of the parabolic subgroup ``W_P``.
+
+        Found by ascent: climb from the identity by any s_i, i in P, that
+        lengthens, until every s_i in P is a right descent.
+        """
+        key = self._parabolic(parabolic)
         if key not in self._parabolic_longest:
-            best = self.identity
-            for w in self.elements:
-                w_min, w_par = self.parabolic_decompose(w, key)
-                if w_min == self.identity and self.length(w) > self.length(best):
-                    best = w
-            self._parabolic_longest[key] = best
+            self._parabolic_longest[key] = self._walk(self.identity, key, 1)[0]
         return self._parabolic_longest[key]
 
 

@@ -5,12 +5,14 @@
 over positive roots beta with l(w s_beta) = l(w) + 1.  The right-hand side
 is Weyl-group combinatorics only (roots, reflections, lengths); no
 polynomial is involved, so it is an independent oracle for
-``FlagModel.basis_product``.
+``FlagModel.basis_product``.  On a partial flag variety F(I) the same sum,
+kept to the minimal coset representatives of W_{P_I}, multiplies by any
+divisor sum a_j sigma_{s_j}; c_1(O(1)) on F(i-1, i) is checked that way.
 """
 
 import pytest
 
-from quadchow.schubert import build_flag_model
+from quadchow.schubert import FlagCycle, build_flag_model
 
 
 def _coroot(beta):
@@ -92,3 +94,40 @@ def test_hyperplane_products_on_the_quadric_follow_chevalley(n):
     for w in model.basis([0]):
         got = {v.window: c for v, c in model.basis_product([0], h, w).items()}
         assert got == _chevalley(group, weight2, w), w.window
+
+
+def _check_tautological_divisor(n, orientation):
+    model = build_flag_model(n, orientation)
+    group = model.group
+    simple = {s: j for j, s in enumerate(group.simple_reflections)}
+    weights = _double_weights(group)
+    for i in range(1, model.d + 1):
+        I = [i - 1, i]
+        xi = model.class_O1(i)
+        assert set(xi.coeffs) <= set(simple), xi
+        reps = {w.window for w in model.basis(I)}
+        for w in model.basis(I):
+            want = {}
+            for s, a in xi.coeffs.items():
+                for v, c in _chevalley(group, weights[simple[s]], w).items():
+                    if v in reps:
+                        want[v] = want.get(v, 0) + a * c
+            got = xi * FlagCycle(model, I, {w: 1})
+            assert {v.window: c for v, c in got.coeffs.items()} == {
+                v: c for v, c in want.items() if c
+            }, (i, w.window)
+
+
+@pytest.mark.parametrize(
+    "n,orientation", [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1)]
+)
+def test_tautological_divisor_on_incidence_flags_follows_chevalley(n, orientation):
+    _check_tautological_divisor(n, orientation)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,orientation", [(7, None), (8, 1)])
+def test_tautological_divisor_on_incidence_flags_follows_chevalley_slow(
+    n, orientation
+):
+    _check_tautological_divisor(n, orientation)

@@ -1,11 +1,14 @@
 """Group axioms, lengths, reduced words and coset combinatorics for types B/D."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
-from quadchow.weyl import make_group
+from quadchow.schubert import build_flag_model
+from quadchow.weyl import RangeError, make_group
 
 
 def brute_force_order(family: str, rank: int) -> int:
@@ -156,3 +159,81 @@ def test_parabolic_decompose_lengths_add():
     wpar = B3.from_word((1, 2, 1))
     assert B3.parabolic_decompose(wpar, (1, 2)) == (B3.identity, wpar)
     assert B3.parabolic_decompose(B3.identity, (1, 2)) == (B3.identity, B3.identity)
+
+
+GROUPS = [("B", r) for r in range(1, 6)] + [("D", r) for r in range(2, 6)]
+
+
+def _product(G, word):
+    # Generic products only, so this stays independent of the table.
+    return functools.reduce(
+        operator.mul, (G.simple_reflections[i - 1] for i in word), G.identity
+    )
+
+
+def _generated_longest(G, P):
+    # Oracle: close {s_i : i in P} under generic products, take the longest.
+    subgroup = {G.identity}
+    frontier = {G.identity}
+    while frontier:
+        frontier = {u * G.simple_reflections[i - 1] for u in frontier for i in P}
+        frontier -= subgroup
+        subgroup |= frontier
+    return max(subgroup, key=G.length)
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_right_table_matches_generic_products(family, rank):
+    G = make_group(family, rank)
+    for w in G.elements:
+        row = G.right_multiples(w)
+        assert len(row) == rank
+        for ws, s in zip(row, G.simple_reflections):
+            assert ws == w * s
+
+
+def test_parabolic_longest_matches_generated_subgroup():
+    for family, rank in [("B", r) for r in range(1, 5)] + [("D", r) for r in (2, 3, 4)]:
+        G = make_group(family, rank)
+        for r in range(rank + 1):
+            for P in itertools.combinations(range(1, rank + 1), r):
+                assert G.parabolic_longest(P) == _generated_longest(G, P), P
+
+
+@pytest.mark.parametrize("n,orientation", [(7, None), (8, 1), (8, -1)])
+def test_model_parabolic_longest_matches_generated_subgroup(n, orientation):
+    model = build_flag_model(n, orientation)
+    G = model.group
+    for r in range(model.d + 2):
+        for I in itertools.combinations(range(model.d + 1), r):
+            P = model.parabolic(I)
+            assert G.parabolic_longest(P) == _generated_longest(G, P), I
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("D", 5)])
+def test_reduced_words_multiply_back(family, rank):
+    G = make_group(family, rank)
+    for w in G.elements:
+        word = G.reduced_word(w)
+        assert len(word) == G.length(w)
+        assert _product(G, word) == w
+
+
+def test_unsupported_rank_is_a_range_error():
+    with pytest.raises(RangeError, match="unsupported rank"):
+        make_group("D", 6)
+
+
+@pytest.mark.parametrize("bad", [0, 4, -1])
+def test_simple_indices_out_of_range(bad):
+    B3 = make_group("B", 3)
+    w = B3.longest_element
+    calls = [
+        lambda: B3.parabolic_longest([1, bad]),
+        lambda: B3.parabolic_decompose(w, [bad]),
+        lambda: B3.min_coset_reps([bad, 2]),
+        lambda: B3.from_word([1, bad, 2]),
+    ]
+    for call in calls:
+        with pytest.raises(RangeError, match=r"out of range \(1\.\.3\): \[%d\]" % bad):
+            call()
