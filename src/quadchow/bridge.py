@@ -274,13 +274,17 @@ class MixedCycle(SparseCycle):
     # -- correspondence actions ---------------------------------------------------
 
     def action_on_flag(self, x: UnionCycle) -> QuadCycle:
-        """View as a correspondence F(I) -> X^m and act on a flag cycle."""
+        """View as a correspondence F(I) -> X^m and act on a flag cycle.
+
+        deg(x . s_w) is the coefficient of x on the Poincare dual of w.
+        """
         geom = self.geometry
-        sheets = geom.sheets(self.I)
+        if x.I != self.I:
+            raise ValueError("space/ring mismatch")
+        duals = [model.poincare_dual(self.I) for model in geom.sheets(self.I)]
         out: dict[Mono, int] = {}
         for (k, w, mono), c in self.coeffs.items():
-            model, xp = sheets[k], x.parts[k]
-            d = model.deg(xp * FlagCycle(model, self.I, {w: 1}, xp.p))
+            d = x.parts[k].coeffs.get(duals[k][w], 0)
             if d:
                 out[mono] = out.get(mono, 0) + c * d
         return QuadCycle(geom.ctx, self.arity, out, self.p)

@@ -19,6 +19,11 @@ denominator (see :mod:`quadchow.polyring`):
   happens once, at extraction.  Every extracted coefficient must be an
   integer (these varieties have torsion-free Chow groups), and a remainder
   raises immediately since it can only come from a convention bug;
+* degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
+  v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
+  cells and cohomology of G/P, 1973).  The factors are split into two halves
+  of near-equal codimension, each half is multiplied and expanded, and the
+  two Schubert vectors are paired, so no product reaches the top degree;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
   polynomial work is needed there.
@@ -240,8 +245,10 @@ class FlagModel:
         self._reps: dict[tuple[int, ...], Polynomial] = {
             self.group.longest_element.window: self.point_rep
         }
+        self._index_sets: dict = {}
         self._pair_products: dict = {}
         self._push_ops: dict = {}
+        self._duals: dict = {}
         self._h_powers: dict[tuple[int, int], FlagCycle] = {}
         self._x_middle: tuple[SignedPermutation, SignedPermutation] | None = None
         self._identify_quadric_basis()
@@ -252,6 +259,17 @@ class FlagModel:
 
     def cut_nodes(self, I: Iterable[int]) -> frozenset[int]:
         """Simple-reflection indices removed from the parabolic for F(I)."""
+        return self._cut_and_parabolic(I)[0]
+
+    def parabolic(self, I: Iterable[int]) -> frozenset[int]:
+        return self._cut_and_parabolic(I)[1]
+
+    def _cut_and_parabolic(self, I: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+        """(cut nodes, parabolic) of F(I), memoised per valid index set."""
+        I = frozenset(I)
+        cached = self._index_sets.get(I)
+        if cached is not None:
+            return cached
         m = self.group.rank
         nodes: set[int] = set()
         for i in I:
@@ -263,10 +281,9 @@ class FlagModel:
                 nodes.update((m - 1, m))
             else:  # i == d, type D: one ruling component, picked by orientation
                 nodes.add(m if self.ctx.orientation == 1 else m - 1)
-        return frozenset(nodes)
-
-    def parabolic(self, I: Iterable[int]) -> frozenset[int]:
-        return frozenset(range(1, self.group.rank + 1)) - self.cut_nodes(I)
+        cut = frozenset(nodes)
+        cached = self._index_sets[I] = (cut, frozenset(range(1, m + 1)) - cut)
+        return cached
 
     def basis(self, I: Iterable[int]) -> tuple[SignedPermutation, ...]:
         return self.group.min_coset_reps(self.parabolic(I))
@@ -397,29 +414,47 @@ class FlagModel:
         top = self.top_element(x.I)
         return x.coeffs.get(top, 0)
 
+    def poincare_dual(self, I: Iterable[int]) -> dict[SignedPermutation, SignedPermutation]:
+        """The involution u -> w_0 u w_0(P_I) of basis(I), memoised per I.
+
+        deg(s_u s_v) on F(I) is 1 when v is the dual of u and 0 otherwise.
+        """
+        I = frozenset(I)
+        dual = self._duals.get(I)
+        if dual is None:
+            g = self.group
+            w0, w0p = g.longest_element, g.parabolic_longest(self.parabolic(I))
+            dual = self._duals[I] = {u: w0 * u * w0p for u in self.basis(I)}
+        return dual
+
     def deg_product(self, classes: list[FlagCycle]) -> int:
-        """deg of a product, via one representative product and one extraction."""
+        """deg of a product, by Poincare duality.
+
+        The factors are split greedily (largest codimension first) into two
+        halves of near-equal codimension; each half's representatives are
+        multiplied and expanded on F(I), and the two Schubert vectors A, B are
+        paired: deg = sum_u A_u B_{dual(u)}.  Both expansions check that every
+        coefficient is integral.
+        """
         if not classes:
             raise ValueError("empty product")
-        I = classes[0].I
-        p = classes[0].p
-        total = 0
-        for x in classes:
-            total += x.codim()
-        if total != self.dim_flag(I):
-            return 0
-        g = self.group
-        poly = classes[0].rep()
+        first = classes[0]
         for x in classes[1:]:
-            if x.I != I:
-                raise ValueError("model/I mismatch")
-            poly = poly * x.rep()
-        r = divided_difference_word(g, g.reduced_word(self.top_element(I)), poly)
-        c = r.coeffs.get((0,) * g.rank, 0)
-        if c % r.den:
-            raise ArithmeticError("nonintegral degree %s" % (r.constant_term(),))
-        c //= r.den
-        return c % 2 if p == 2 else c
+            first._check(x)
+        I = first.I
+        codims = [x.codim() for x in classes]
+        if sum(codims) != self.dim_flag(I):
+            return 0
+        halves: tuple[list, list] = ([], [])
+        weight = [0, 0]
+        for c, x in sorted(zip(codims, classes), key=lambda t: -t[0]):
+            k = 0 if weight[0] <= weight[1] else 1
+            halves[k].append(x)
+            weight[k] += c
+        a, b = (self.expand(_rep_product(self.group.rank, h), I).coeffs for h in halves)
+        dual = self.poincare_dual(I)
+        total = sum(c * b.get(dual[u], 0) for u, c in a.items())
+        return total % 2 if first.p == 2 else total
 
     # -- the quadric inside the model -------------------------------------------
 
@@ -600,6 +635,16 @@ def _check_ladder(space, indices: Iterable[int]) -> None:
                     "sign-convention gate failed on %s at i=%d (%s, %s)"
                     % (type(space).__name__, i, case_id, params)
                 )
+
+
+def _rep_product(m: int, classes: list[FlagCycle]) -> Polynomial:
+    """The product of the classes' polynomial representatives (1 if none)."""
+    if not classes:
+        return constant(m, 1)
+    poly = classes[0].rep()
+    for x in classes[1:]:
+        poly = poly * x.rep()
+    return poly
 
 
 def _elementary_symmetric(roots: list[Polynomial], j: int, m: int) -> Polynomial:
@@ -845,6 +890,8 @@ class QuadricGeometry:
         return total % 2 if any(px.p == 2 for px in x.parts) else total
 
     def deg_product(self, classes: list[UnionCycle]) -> int:
+        if not classes:
+            raise ValueError("empty product")
         I = classes[0].I
         if any(x.I != I for x in classes):
             raise ValueError("model/I mismatch")

@@ -8,9 +8,7 @@ admits only windows with an even number of negative entries.
 Simple reflections are numbered so that ``s_1 .. s_{m-1}`` are the adjacent
 transpositions and the last node is the special one: for B_m the sign change
 on the *last* coordinate (simple root ``x_m``), for D_m the signed swap of the
-last two coordinates (simple root ``x_{m-1} + x_m``).  Lengths are computed by
-counting positive roots sent to negative ones, which keeps the length function
-tied to this numbering rather than to a fixed combinatorial statistic.
+last two coordinates (simple root ``x_{m-1} + x_m``).
 
 Groups of rank <= 5 are fully enumerated and cached at construction; larger
 ranks are rejected (the geometry downstream never needs more at desk scale).
@@ -19,12 +17,16 @@ Construction also builds a right-multiplication table: for every element w
 and every simple reflection s_i it stores the canonical element ``w * s_i``.
 Right multiplication by s_i is an edit of the window -- for i < m it swaps
 entries i and i + 1; the last node negates the last entry (B) or swaps and
-negates the last two (D) -- so the table needs no generic product.  Reduced
-words, descents, coset representatives and parabolic factorisations walk this
-table and the length table one simple reflection at a time.  The longest
-element w_0(P) of a parabolic subgroup W_P is the unique element of W_P whose
-right descents are all of P, so an ascent from the identity inside W_P reaches
-it in l(w_0(P)) steps (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
+negates the last two (D) -- so the table needs no generic product.  The
+length of w is its distance from the identity in the Cayley graph of the
+simple reflections, so one breadth-first walk of the table from the identity
+gives every length (the test suite checks it against the count of positive
+roots sent to negative ones).  Reduced words, descents, coset representatives
+and parabolic factorisations walk this table and the length table one simple
+reflection at a time.  The longest element w_0(P) of a parabolic subgroup W_P
+is the unique element of W_P whose right descents are all of P, so an ascent
+from the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 2.4).
 """
 
 from __future__ import annotations
@@ -117,12 +119,10 @@ class WeylGroup:
             self._simple_reflection(i) for i in range(1, rank + 1)
         )
         self.elements: tuple[SignedPermutation, ...] = tuple(self._enumerate())
-        self._lengths: dict[tuple[int, ...], int] = {
-            w.window: self._root_length(w) for w in self.elements
-        }
         self._right: dict[tuple[int, ...], tuple[SignedPermutation, ...]] = (
             self._right_table()
         )
+        self._lengths: dict[tuple[int, ...], int] = self._length_table()
         self.longest_element = max(self.elements, key=lambda w: self._lengths[w.window])
         self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
         self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
@@ -181,20 +181,20 @@ class WeylGroup:
             table[win] = tuple(row)
         return table
 
-    def _root_length(self, w: SignedPermutation) -> int:
-        count = 0
-        for root in self.positive_roots:
-            image = [0] * self.rank
-            for j, c in enumerate(root, start=1):
-                if c:
-                    v = w(j)
-                    image[abs(v) - 1] += c * (1 if v > 0 else -1)
-            for c in image:
-                if c:
-                    if c < 0:
-                        count += 1
-                    break
-        return count
+    def _length_table(self) -> dict[tuple[int, ...], int]:
+        """Every element's length, by a breadth-first walk of the table."""
+        lengths = {self.identity.window: 0}
+        frontier = [self.identity.window]
+        while frontier:
+            nxt = []
+            for win in frontier:
+                step = lengths[win] + 1
+                for ws in self._right[win]:
+                    if ws.window not in lengths:
+                        lengths[ws.window] = step
+                        nxt.append(ws.window)
+            frontier = nxt
+        return lengths
 
     # -- the group interface ----------------------------------------------
 

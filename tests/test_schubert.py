@@ -1,8 +1,14 @@
 """Flag-variety Chow rings: basis sizes, functoriality, distinguished classes."""
 
+import json
+import pathlib
+import random
+
 import pytest
 
+from quadchow.polyring import divided_difference_word
 from quadchow.schubert import FlagCycle, build_flag_model, build_geometry
+from quadchow.weyl import RangeError
 
 
 def test_model_sizes():
@@ -262,5 +268,115 @@ def test_nonintegral_extraction_raises(monkeypatch):
     I = [0]
     reps = {w: M.schubert_rep(w) for w in (M.top_element(I), M.group.identity)}
     monkeypatch.setattr(M, "schubert_rep", lambda w: reps[w].scale(Fraction(1, 2)))
-    with pytest.raises(ArithmeticError, match="nonintegral degree 1/4"):
+    # deg_product expands each half of the product, so the expansion raises
+    with pytest.raises(ArithmeticError, match="nonintegral Schubert coefficient 1/2"):
         M.deg_product([M.point_class(I), M.fundamental(I)])
+
+
+def test_deg_product_checks_every_factor():
+    M = build_flag_model(4)
+    I = [0]
+    pt, fund = M.point_class(I).scale(3), M.fundamental(I, 2)
+    with pytest.raises(ValueError, match="space/ring mismatch"):
+        M.deg_product([pt, fund])
+    other = build_flag_model(4, -1)
+    with pytest.raises(ValueError, match="space/ring mismatch"):
+        M.deg_product([pt, other.fundamental(I)])
+    with pytest.raises(ValueError, match="space/ring mismatch"):
+        M.deg_product([pt, M.fundamental([1])])
+    assert M.deg_product([pt, M.fundamental(I)]) == 3
+    with pytest.raises(ValueError, match="empty product"):
+        M.deg_product([])
+    with pytest.raises(ValueError, match="empty product"):
+        build_geometry(4).deg_product([])
+
+
+def test_index_sets_are_memoised_only_when_valid():
+    M = build_flag_model(6)
+    assert M.cut_nodes([0, 2]) is M.cut_nodes((2, 0))
+    assert M.parabolic([1]) is M.parabolic({1})
+    for _ in range(2):
+        with pytest.raises(RangeError, match="flag index out of range"):
+            M.parabolic([M.d + 1])
+        with pytest.raises(RangeError):
+            M.basis([0, -1])
+
+
+# -- degrees by Poincare duality against independent oracles ------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+TABLES = json.loads((DATA / "basis_products.json").read_text())
+
+
+def test_duality_pairing_matches_frozen_top_coefficients():
+    # The frozen product tables come from the earlier engine, which never used
+    # the pairing: the top coefficient of s_u s_v must be 1 exactly when v is
+    # the dual of u, and deg_product of the pair must read it back.
+    for entry in TABLES:
+        M = build_flag_model(entry["n"], entry["orientation"])
+        I = entry["I"]
+        products = {
+            (tuple(u), tuple(v)): {tuple(w): c for w, c in terms}
+            for u, v, terms in entry["products"]
+        }
+        top, dim = M.top_element(I), M.dim_flag(I)
+        dual = M.poincare_dual(I)
+        basis = M.basis(I)
+        assert set(dual) == set(dual.values()) == set(basis)
+        for a, u in enumerate(basis):
+            assert dual[dual[u]] == u
+            assert M.group.length(dual[u]) == dim - M.group.length(u)
+            for v in basis[a:]:
+                got = products.get((u.window, v.window), {}).get(top.window, 0)
+                assert got == (1 if dual[u] == v else 0), (entry["n"], I, u, v)
+                if M.group.length(u) + M.group.length(v) == dim:
+                    pair = [FlagCycle(M, I, {u: 1}), FlagCycle(M, I, {v: 1})]
+                    assert M.deg_product(pair) == got, (entry["n"], I, u, v)
+
+
+def _deg_by_top_extraction(M, classes):
+    # The former route: one product of the whole representatives, then the
+    # divided-difference word of the longest minimal coset representative.
+    g = M.group
+    poly = classes[0].rep()
+    for x in classes[1:]:
+        poly = poly * x.rep()
+    r = divided_difference_word(g, g.reduced_word(M.top_element(classes[0].I)), poly)
+    c = r.coeffs.get((0,) * g.rank, 0)
+    assert c % r.den == 0
+    c //= r.den
+    return c % 2 if classes[0].p == 2 else c
+
+
+def _random_product(rng, M):
+    spaces = [[i] for i in range(M.d + 1)] + [[i - 1, i] for i in range(1, M.d + 1)]
+    I = rng.choice(spaces + [list(range(M.d + 1))])
+    dim = M.dim_flag(I)
+    by_length = {}
+    for w in M.basis(I):
+        by_length.setdefault(M.group.length(w), []).append(w)
+    k = rng.randint(2, 5)
+    cuts = sorted(rng.randint(0, dim) for _ in range(k - 1))
+    codims = [b - a for a, b in zip([0] + cuts, cuts + [dim])]
+    if rng.random() < 0.1:  # a product off the top degree
+        codims[0] = min(codims[0] + 1, dim)
+    p = rng.choice([0, 0, 2])
+    classes = []
+    for c in codims:
+        terms = rng.sample(by_length[c], min(len(by_length[c]), rng.randint(1, 2)))
+        coeffs = {w: rng.choice([-2, -1, 1, 2, 3]) for w in terms}
+        classes.append(FlagCycle(M, I, coeffs, p))
+    return classes
+
+
+@pytest.mark.parametrize("n,orientation", [(5, None), (6, 1), (6, -1), (7, None)])
+def test_deg_product_matches_top_degree_extraction(n, orientation):
+    M = build_flag_model(n, orientation)
+    rng = random.Random(2016 + n * 3 + (orientation or 0))
+    nonzero = 0
+    for _ in range(50):
+        classes = _random_product(rng, M)
+        expected = _deg_by_top_extraction(M, classes)
+        assert M.deg_product(classes) == expected, [repr(x) for x in classes]
+        nonzero += expected != 0
+    assert nonzero >= 10

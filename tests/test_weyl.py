@@ -192,6 +192,27 @@ def test_right_table_matches_generic_products(family, rank):
             assert ws == w * s
 
 
+def _root_count(G, w):
+    # Oracle: the number of positive roots that w sends to negative roots.
+    count = 0
+    for root in G.positive_roots:
+        image = [0] * G.rank
+        for j, c in enumerate(root, start=1):
+            if c:
+                v = w(j)
+                image[abs(v) - 1] += c if v > 0 else -c
+        leading = next(c for c in image if c)
+        count += leading < 0
+    return count
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_lengths_match_root_count(family, rank):
+    G = make_group(family, rank)
+    for w in G.elements:
+        assert G.length(w) == _root_count(G, w), w
+
+
 def test_parabolic_longest_matches_generated_subgroup():
     for family, rank in [("B", r) for r in range(1, 5)] + [("D", r) for r in (2, 3, 4)]:
         G = make_group(family, rank)
