@@ -33,6 +33,7 @@ from quadchow.quadpow import (
     dual1,
     external,
     h_power_cycle,
+    monomial_cycle,
     rho_i,
 )
 from quadchow.quadpow import _mul_mono, _pairing
@@ -237,39 +238,35 @@ class MixedCycle(SparseCycle):
                 out[mono] = out.get(mono, 0) + c
         return QuadCycle(geom.ctx, self.arity, out, self.p)
 
+    def _map_x(self, quad_map) -> "MixedCycle":
+        """Apply a QuadCycle slot map to the X leg of every (sheet, w) group.
+
+        The map runs once on the zero cycle first, so a bad slot list raises
+        even on a zero cycle, and the zero image gives the new arity.
+        """
+        ctx = self.geometry.ctx
+        arity = quad_map(QuadCycle(ctx, self.arity, {}, self.p)).m
+        groups: dict[tuple[int, SignedPermutation], dict[Mono, int]] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            groups.setdefault((k, w), {})[mono] = c
+        out: dict[MixedKey, int] = {}
+        for (k, w), coeffs in groups.items():
+            leg = quad_map(QuadCycle(ctx, self.arity, coeffs, self.p))
+            for mono, c in leg.coeffs.items():
+                out[(k, w, mono)] = c
+        return MixedCycle(self.geometry, self.I, arity, out, self.p)
+
     def pull_x(self, m_target: int, slots: Sequence[int]) -> "MixedCycle":
         """Pullback along the X-power projection hitting the listed slots."""
-        slots = tuple(slots)
-        out: dict[MixedKey, int] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            new = [("h", 0)] * m_target
-            for s, t in zip(mono, slots):
-                new[t] = s
-            key = (k, w, tuple(new))
-            out[key] = out.get(key, 0) + c
-        return MixedCycle(self.geometry, self.I, m_target, out, self.p)
+        return self._map_x(lambda q: q.pull_proj(m_target, slots))
 
     def push_x(self, keep: Sequence[int]) -> "MixedCycle":
         """Pushforward integrating the dropped X-slots."""
-        keep = tuple(keep)
-        drop = [t for t in range(self.arity) if t not in keep]
-        out: dict[MixedKey, int] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            if any(mono[t] != ("l", 0) for t in drop):
-                continue
-            key = (k, w, tuple(mono[t] for t in keep))
-            out[key] = out.get(key, 0) + c
-        return MixedCycle(self.geometry, self.I, len(keep), out, self.p)
+        return self._map_x(lambda q: q.push_proj(keep))
 
     def permute_x(self, perm: Sequence[int]) -> "MixedCycle":
-        out: dict[MixedKey, int] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            new = [None] * self.arity
-            for t, s in enumerate(mono):
-                new[perm[t]] = s
-            key = (k, w, tuple(new))
-            out[key] = out.get(key, 0) + c
-        return MixedCycle(self.geometry, self.I, self.arity, out, self.p)
+        """Pushforward along the X-factor permutation sending slot t to perm[t]."""
+        return self._map_x(lambda q: q.permute(perm))
 
     # -- correspondence actions ---------------------------------------------------
 
@@ -329,6 +326,17 @@ class MixedCycle(SparseCycle):
 # -- the incidence class and its derivates ------------------------------------------
 
 
+def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
+    """The correspondence X -> G_i through F(0, i), sheet by sheet, on a cycle of X."""
+    parts = []
+    for model in geometry.sheets([i]):
+        fc = model.zero([0], x.p)
+        for (s,), c in x.coeffs.items():
+            fc = fc + symbol_class(geometry, model, s, x.p).scale(c)
+        parts.append(model.pullpush_x_to_g(i, fc))
+    return UnionCycle(geometry, [i], tuple(parts))
+
+
 def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
     """The class of {(subspace, point on it)} in G_i x X, via its Kunneth expansion.
 
@@ -342,11 +350,10 @@ def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle
         return cached
     ctx = geometry.ctx
     coeffs: dict[MixedKey, int] = {}
-    for k, model in enumerate(geometry.sheets([i])):
-        for s in basis_symbols(ctx):
-            x = symbol_class(geometry, model, dual1(ctx, s), p)
-            zc = x if i == 0 else model.pullpush_x_to_g(i, x)
-            for w, c in zc.coeffs.items():
+    for s in basis_symbols(ctx):
+        z = _pullpush_to_g(geometry, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
+        for k, part in enumerate(z.parts):
+            for w, c in part.coeffs.items():
                 coeffs[(k, w, (s,))] = c
     out = MixedCycle(geometry, [i], 1, coeffs, p)
     geometry.incidence_cache[(i, p)] = out
@@ -358,41 +365,32 @@ def validate_incidence(geometry: QuadricGeometry, i: int) -> None:
     ctx = geometry.ctx
     inc = incidence_class(geometry, i)
     for s in basis_symbols(ctx):
-        x = QuadCycle(ctx, 1, {(s,): 1})
-        got = inc.action_on_quad(x)
-        expected_parts = []
-        for model in geometry.sheets([i]):
-            fc = symbol_class(geometry, model, s)
-            expected_parts.append(fc if i == 0 else model.pullpush_x_to_g(i, fc))
-        expected = UnionCycle(geometry, frozenset([i]), tuple(expected_parts))
-        if got != expected:
+        x = monomial_cycle(ctx, [s])
+        if inc.action_on_quad(x) != _pullpush_to_g(geometry, i, x):
             raise ArithmeticError(
                 "incidence Kunneth bookkeeping failed at i=%d on %r" % (i, s)
             )
 
 
-def eta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
-    """Product over the i factor-pullbacks of the incidence class, on G_i x X^i."""
+def _incidence_power(geometry: QuadricGeometry, i: int, m: int, p: int) -> MixedCycle:
+    """Product over the m factor-pullbacks of the incidence class, on G_i x X^m."""
     if not 1 <= i <= geometry.d:
         raise RangeError("index out of range")
     inc = incidence_class(geometry, i, p)
-    total = None
-    for j in range(i):
-        factor = inc.pull_x(i, [j])
-        total = factor if total is None else total * factor
+    total = inc.pull_x(m, [0])
+    for j in range(1, m):
+        total = total * inc.pull_x(m, [j])
     return total
+
+
+def eta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
+    """Product over the i factor-pullbacks of the incidence class, on G_i x X^i."""
+    return _incidence_power(geometry, i, i, p)
 
 
 def theta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
     """The incidence correspondence class on G_i x X^{i+1}."""
-    if not 1 <= i <= geometry.d:
-        raise RangeError("index out of range")
-    inc = incidence_class(geometry, i, p)
-    total = None
-    for j in range(i + 1):
-        factor = inc.pull_x(i + 1, [j])
-        total = factor if total is None else total * factor
-    return total
+    return _incidence_power(geometry, i, i + 1, p)
 
 
 def theta_action(geometry: QuadricGeometry, i: int, p: int = 0) -> QuadCycle:
@@ -405,17 +403,8 @@ def theta_action(geometry: QuadricGeometry, i: int, p: int = 0) -> QuadCycle:
 def action_via_pullpush(geometry: QuadricGeometry, i: int, x: QuadCycle) -> QuadCycle:
     """The push-pull route through G_i x X^i for the action of
     (theta_i)_*(top Z) on a cycle of X."""
-    n = geometry.n
     p = x.p
-    parts = []
-    for model in geometry.sheets([i]):
-        acc = model.zero([i], p)
-        for (s,), c in x.coeffs.items():
-            fc = symbol_class(geometry, model, s, p).scale(c)
-            acc = acc + (fc if i == 0 else model.pullpush_x_to_g(i, fc))
-        parts.append(acc)
-    zx = UnionCycle(geometry, frozenset([i]), tuple(parts))
-    zx = zx * geometry.class_Z(i, n - i, p)
+    zx = _pullpush_to_g(geometry, i, x) * geometry.class_Z(i, geometry.n - i, p)
     mixed = MixedCycle.from_flag(zx, i) * eta(geometry, i, p)
     return mixed.push_to_quad()
 
@@ -469,14 +458,8 @@ def eta_pushdown_expansion(geometry: QuadricGeometry, i: int, k: int) -> QuadCyc
     z_prev = geometry.class_Z(i - 1, n - i + 1, 2)
     total: QuadCycle | None = None
     for m in range(0, k + 1):
-        inner = geometry.zero([i - 1], 2)
-        for j in range(max(i - m, 0), min(k - m, i) + 1):
-            sigma_j = geometry.pushforward(
-                [i - 1],
-                geometry.pullback([i - 1, i], geometry.class_Z(i, n - 2 * i + j, 2)),
-            )
-            inner = inner + geometry.class_W(i - 1, k - m - j, 2) * sigma_j
-        inner = inner * z_prev
+        js = range(max(i - m, 0), min(k - m, i) + 1)
+        inner = geometry.w_sigma_sum(i, k - m, js, 2) * z_prev
         q = (MixedCycle.from_flag(inner, i - 1) * eta_prev).push_to_quad()
         term = external(q, h_power_cycle(ctx, m, 2))
         total = term if total is None else total + term

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from quadchow import bridge, edi, quadpow, suites
 from quadchow.quadpow import QuadCycle, format_cycle, parse_cycle, quad_context
@@ -233,16 +233,7 @@ def cmd_verify(args) -> int:
                 {
                     "suite": name,
                     "n": cfg.n,
-                    "cases": [
-                        {
-                            "id": c.id,
-                            "params": c.params,
-                            "status": c.status,
-                            "lhs": c.lhs,
-                            "rhs": c.rhs,
-                        }
-                        for c in results
-                    ],
+                    "cases": [asdict(c) for c in results],
                 }
             )
         else:

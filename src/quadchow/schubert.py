@@ -519,7 +519,10 @@ class FlagModel:
     # -- distinguished classes ---------------------------------------------------
 
     def pullpush_x_to_g(self, i: int, x: FlagCycle) -> FlagCycle:
-        """The correspondence X -> G_i through F(0, i) applied to a class on X."""
+        """The correspondence X -> G_i through F(0, i) applied to a class on X.
+
+        At i = 0 both maps are identities on F(0), so the result equals x.
+        """
         return self.pushforward([i], self.pullback([0, i], x))
 
     def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
@@ -535,10 +538,7 @@ class FlagModel:
             return self.zero([i], p)
         if j < self.n - i - self.d:
             raise RangeError("Z index out of range")
-        x = self.l_class(self.n - i - j, p)
-        if i == 0:
-            return x
-        return self.pullpush_x_to_g(i, x)
+        return self.pullpush_x_to_g(i, self.l_class(self.n - i - j, p))
 
     def class_W(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """W^i_j on G_i (and W^0_j = h^j); zero for negative j.
@@ -800,9 +800,6 @@ class QuadricGeometry:
             return (self.primary, self.secondary)
         return (self.primary,)
 
-    def wrap(self, *parts: FlagCycle) -> UnionCycle:
-        return UnionCycle(self, parts[0].I, parts)
-
     def from_primary(self, x: FlagCycle) -> UnionCycle:
         """Lift a cycle on a connected F(I) (computed on the primary model)."""
         if self.split(x.I):
@@ -816,11 +813,15 @@ class QuadricGeometry:
 
     # -- basic classes -------------------------------------------------------
 
+    def _per_sheet(self, I, make) -> UnionCycle:
+        """The cycle on F(I) whose part on each sheet's model M is make(M)."""
+        return UnionCycle(self, I, tuple(make(M) for M in self.sheets(I)))
+
     def zero(self, I, p: int = 0) -> UnionCycle:
-        return UnionCycle(self, I, tuple(M.zero(I, p) for M in self.sheets(I)))
+        return self._per_sheet(I, lambda M: M.zero(I, p))
 
     def fundamental(self, I, p: int = 0) -> UnionCycle:
-        return UnionCycle(self, I, tuple(M.fundamental(I, p) for M in self.sheets(I)))
+        return self._per_sheet(I, lambda M: M.fundamental(I, p))
 
     def point_class(self, I, p: int = 0) -> UnionCycle:
         # On a disconnected variety this is the point of the primary sheet.
@@ -910,39 +911,37 @@ class QuadricGeometry:
             raise RangeError("grassmannian index out of range")
         if j < self.n - i - self.d:
             raise RangeError("Z index out of range")
-        parts = []
-        for M in self.sheets([i]):
-            if j > self.n - i:
-                parts.append(M.zero([i], p))
-                continue
-            x = self.global_l(M, self.n - i - j, p)
-            parts.append(x if i == 0 else M.pullpush_x_to_g(i, x))
-        return UnionCycle(self, [i], tuple(parts))
+        if j > self.n - i:
+            return self.zero([i], p)
+        b = self.n - i - j
+        return self._per_sheet([i], lambda M: M.pullpush_x_to_g(i, self.global_l(M, b, p)))
 
     def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return UnionCycle(
-            self, [i], tuple(M.class_W(i, j, p) for M in self.sheets([i]))
-        )
+        return self._per_sheet([i], lambda M: M.class_W(i, j, p))
 
     def chern_taut(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return UnionCycle(
-            self, [i], tuple(M.chern_taut(i, j, p) for M in self.sheets([i]))
-        )
+        return self._per_sheet([i], lambda M: M.chern_taut(i, j, p))
 
     def chern_quot(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return UnionCycle(
-            self, [i], tuple(M.chern_quot(i, j, p) for M in self.sheets([i]))
-        )
+        return self._per_sheet([i], lambda M: M.chern_quot(i, j, p))
 
     def class_O1(self, i: int, p: int = 0) -> UnionCycle:
-        return UnionCycle(
-            self, [i - 1, i], tuple(M.class_O1(i, p) for M in self.sheets([i]))
-        )
+        # F(i-1, i) splits exactly when G_i does
+        return self._per_sheet([i - 1, i], lambda M: M.class_O1(i, p))
 
     def pullpush_through(self, i: int, x: UnionCycle) -> UnionCycle:
         """pi_{(i-1,_i)*} o pi*_{(i-1,i_)}: CH(G_i) -> CH(F(i-1,i)) -> CH(G_{i-1})."""
         up = self.pullback([i - 1, i], x)
         return self.pushforward([i - 1], up)
+
+    def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> UnionCycle:
+        """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
+        W^{i-1}_{t-j} . pi_* pi^*(Z^i_{n-2i+j})."""
+        total = self.zero([i - 1], p)
+        for j in js:
+            sigma = self.pullpush_through(i, self.class_Z(i, self.n - 2 * i + j, p))
+            total = total + self.class_W(i - 1, t - j, p) * sigma
+        return total
 
 
 @lru_cache(maxsize=None)

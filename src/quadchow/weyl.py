@@ -232,14 +232,6 @@ class WeylGroup:
             raise ValueError("group mismatch")
         return self._right[w.window]
 
-    def right_descents(self, w: SignedPermutation) -> list[int]:
-        lw = self.length(w)
-        return [
-            i
-            for i, ws in enumerate(self._right[w.window], start=1)
-            if self._lengths[ws.window] < lw
-        ]
-
     def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
         """A reduced word for ``w``, found by greedy right-descent removal.
 

@@ -1,6 +1,7 @@
 """Mixed cycles, the incidence class, and the correspondence machinery."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from quadchow.bridge import (
 )
 from quadchow.quadpow import (
     Correspondence,
+    QuadCycle,
     action,
     basis_symbols,
     codim1,
@@ -217,3 +219,48 @@ def test_mixed_cycle_algebra():
     assert a * b == b * a
     with pytest.raises(ValueError, match="mismatch"):
         a + MixedCycle.from_quad(G, [1], one(ctx, 2))
+
+
+def test_mixed_slot_maps_reject_bad_slots():
+    th = theta(build_geometry(5), 1)
+    zero = th.scale(0)
+    for x in (th, zero):
+        with pytest.raises(ValueError, match="invalid factor"):
+            x.permute_x([0, 0])
+        with pytest.raises(ValueError, match="invalid factor"):
+            x.pull_x(1, [0])
+        with pytest.raises(ValueError, match="invalid factor"):
+            x.pull_x(3, [0, 0])
+        with pytest.raises(ValueError, match="invalid factor"):
+            x.push_x([5])
+
+
+def _random_quad_cycle(ctx, m, rng, p):
+    syms = basis_symbols(ctx)
+    coeffs = {
+        tuple(rng.choice(syms) for _ in range(m)): rng.randint(-3, 3) for _ in range(6)
+    }
+    return QuadCycle(ctx, m, coeffs, p)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_mixed_slot_maps_match_quad_cycle(n):
+    # [F(I)] (x) q and x (x) q for a flag class x: the X-leg maps act on q alone
+    G = build_geometry(n)
+    ctx, I = G.ctx, [G.d]
+    rng = random.Random(n)
+    flags = [G.fundamental(I), G.class_W(G.d, 0) + G.class_Z(G.d, n - G.d)]
+    for seed_case in range(4):
+        p = 2 if seed_case % 2 else 0
+        q = _random_quad_cycle(ctx, 3, rng, p)
+        for x in flags:
+            x = x.mod2() if p else x
+
+            def lift(y, x=x):
+                return MixedCycle.from_flag(x, y.m) * MixedCycle.from_quad(G, I, y)
+
+            mixed = lift(q)
+            assert mixed.pull_x(4, [2, 0, 3]) == lift(q.pull_proj(4, [2, 0, 3]))
+            assert mixed.push_x([2, 0]) == lift(q.push_proj([2, 0]))
+            assert mixed.push_x([]) == lift(q.push_proj([]))
+            assert mixed.permute_x([1, 2, 0]) == lift(q.permute([1, 2, 0]))

@@ -1,0 +1,56 @@
+"""The full JSON verification report is byte-identical to its recorded hash.
+
+``tests/data/verify_golden.json`` maps n to the sha256 of the standard output
+of ``python -m quadchow.cli verify all --n N --seed 0 --format json`` (with
+``--deep`` for n >= 7).  Every case's parameters, status and printed sides
+enter the hash, so a refactor that changes any printed class, case order or
+case count fails here.  After an intended change to what the report prints,
+rewrite the file from the commands above.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quadchow.schubert import MAX_N, MIN_N
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tests" / "data" / "verify_golden.json").read_text())
+
+
+def _report_sha256(n: int) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["verify", "all", "--n", str(n), "--seed", "0", "--format", "json"]
+    if n >= 7:
+        argv.append("--deep")
+    done = subprocess.run(
+        [sys.executable, "-m", "quadchow.cli", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+def test_golden_file_covers_every_supported_n():
+    assert sorted(map(int, GOLDEN)) == list(range(MIN_N, MAX_N + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_verify_report_is_unchanged(n):
+    assert _report_sha256(n) == GOLDEN[str(n)]
+
+
+@pytest.mark.slow
+def test_verify_report_is_unchanged_n8():
+    assert _report_sha256(8) == GOLDEN["8"]
