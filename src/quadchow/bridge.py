@@ -9,6 +9,10 @@ pullback and pushforward act independently on the two tensor legs, and
 pushing the flag leg all the way down to a point is just reading off the
 point-class coefficient sheet by sheet.
 
+Flag-side correspondence actions p_*((x (x) 1) . M) read x on the Poincare
+duals of M's Schubert classes (``MixedCycle.action_on_flag``, no product on
+F(I)); ``push_to_quad`` of the full product is the reference.
+
 The incidence class of pairs (subspace, point on it) inside G_i x X is not
 computed from an embedding; it is assembled from its Kunneth expansion, whose
 coefficient on a basis monomial b of X is the pull-push to G_i of the Poincare
@@ -229,7 +233,7 @@ class MixedCycle(SparseCycle):
         return MixedCycle(geom, target_J, self.arity, out, self.p)
 
     def push_to_quad(self) -> QuadCycle:
-        """Integrate the flag leg over F(I); sheets add."""
+        """Integrate the flag leg over F(I); sheets add.  The action_on_flag reference."""
         geom = self.geometry
         tops = [model.top_element(self.I) for model in geom.sheets(self.I)]
         out: dict[Mono, int] = {}
@@ -270,13 +274,17 @@ class MixedCycle(SparseCycle):
 
     # -- correspondence actions ---------------------------------------------------
 
+    def _check_quad(self, x: QuadCycle, arity: int) -> None:
+        """x must be a cycle on X^arity over this cycle's quadric and ring."""
+        QuadCycle(self.geometry.ctx, arity, {}, self.p)._check(x)
+
     def action_on_flag(self, x: UnionCycle) -> QuadCycle:
         """View as a correspondence F(I) -> X^m and act on a flag cycle.
 
         deg(x . s_w) is the coefficient of x on the Poincare dual of w.
         """
         geom = self.geometry
-        if x.I != self.I:
+        if x.geometry is not geom or x.I != self.I or any(px.p != self.p for px in x.parts):
             raise ValueError("space/ring mismatch")
         duals = [model.poincare_dual(self.I) for model in geom.sheets(self.I)]
         out: dict[Mono, int] = {}
@@ -288,6 +296,7 @@ class MixedCycle(SparseCycle):
 
     def action_on_quad(self, x: QuadCycle) -> UnionCycle:
         """View as a correspondence X^m -> F(I) and act on a quadric-power cycle."""
+        self._check_quad(x, self.arity)
         geom = self.geometry
         ctx = geom.ctx
         sheets = geom.sheets(self.I)
@@ -313,6 +322,7 @@ class MixedCycle(SparseCycle):
         r = x.m - self.arity
         if r < 0:
             raise ValueError("arity mismatch")
+        self._check_quad(x, x.m)
         out: dict[MixedKey, int] = {}
         for (k, w, mono), c in self.coeffs.items():
             for xmono, cx in x.coeffs.items():
@@ -403,10 +413,8 @@ def theta_action(geometry: QuadricGeometry, i: int, p: int = 0) -> QuadCycle:
 def action_via_pullpush(geometry: QuadricGeometry, i: int, x: QuadCycle) -> QuadCycle:
     """The push-pull route through G_i x X^i for the action of
     (theta_i)_*(top Z) on a cycle of X."""
-    p = x.p
-    zx = _pullpush_to_g(geometry, i, x) * geometry.class_Z(i, geometry.n - i, p)
-    mixed = MixedCycle.from_flag(zx, i) * eta(geometry, i, p)
-    return mixed.push_to_quad()
+    zx = _pullpush_to_g(geometry, i, x) * geometry.class_Z(i, geometry.n - i, x.p)
+    return eta(geometry, i, x.p).action_on_flag(zx)
 
 
 def alpha(geometry: QuadricGeometry, i: int, p: int = 0) -> Correspondence:
@@ -443,10 +451,8 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
 
 def eta_pushdown(geometry: QuadricGeometry, i: int, k: int) -> QuadCycle:
     """The mixed pushforward of (W-part . top-z . eta_i) down to X^i, mod 2."""
-    n = geometry.n
-    wz = geometry.class_W(i, k - i, 2) * geometry.class_Z(i, n - i, 2)
-    mixed = MixedCycle.from_flag(wz, i) * eta(geometry, i, 2)
-    return mixed.push_to_quad()
+    wz = geometry.class_W(i, k - i, 2) * geometry.class_Z(i, geometry.n - i, 2)
+    return eta(geometry, i, 2).action_on_flag(wz)
 
 
 def eta_pushdown_expansion(geometry: QuadricGeometry, i: int, k: int) -> QuadCycle:
@@ -460,8 +466,7 @@ def eta_pushdown_expansion(geometry: QuadricGeometry, i: int, k: int) -> QuadCyc
     for m in range(0, k + 1):
         js = range(max(i - m, 0), min(k - m, i) + 1)
         inner = geometry.w_sigma_sum(i, k - m, js, 2) * z_prev
-        q = (MixedCycle.from_flag(inner, i - 1) * eta_prev).push_to_quad()
-        term = external(q, h_power_cycle(ctx, m, 2))
+        term = external(eta_prev.action_on_flag(inner), h_power_cycle(ctx, m, 2))
         total = term if total is None else total + term
     return total
 

@@ -65,7 +65,7 @@ Mono = tuple[Sym, ...]
 def quad_context(n: int, orientation: int = 1) -> QuadricContext:
     if n < 2:
         raise RangeError("n out of range (quadric powers support n >= 2)")
-    return QuadricContext(n, orientation if n % 2 == 0 else None)
+    return QuadricContext(n, orientation)
 
 
 def basis_symbols(ctx: QuadricContext) -> list[Sym]:

@@ -19,6 +19,9 @@ denominator (see :mod:`quadchow.polyring`):
   happens once, at extraction.  Every extracted coefficient must be an
   integer (these varieties have torsion-free Chow groups), and a remainder
   raises immediately since it can only come from a convention bug;
+* representatives and two-class products belong to the Weyl group: both
+  rulings share one memo of each, and a product of two W^P classes, pulled
+  back from G/B, is memoised per pair whichever F(I) asked for it;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
@@ -80,11 +83,12 @@ class QuadricContext:
     orientation: int | None = None
 
     def __post_init__(self):
-        if self.n % 2 == 0:
-            if self.orientation not in (1, -1):
-                object.__setattr__(self, "orientation", 1)
-        else:
-            object.__setattr__(self, "orientation", None)
+        if self.orientation not in (1, -1, None):
+            raise ValueError("orientation must be 1, -1 or None")
+        # even n: None means the default ruling; odd n has a single one
+        object.__setattr__(
+            self, "orientation", (self.orientation or 1) if self.n % 2 == 0 else None
+        )
 
     @property
     def d(self) -> int:
@@ -222,38 +226,23 @@ class FlagCycle(SparseCycle):
 class FlagModel:
     """All Chow-ring data for the flag varieties of one split quadric."""
 
-    def __init__(self, n: int, orientation: int | None = None, validate: bool = True):
+    def __init__(self, n: int, orientation: int | None = None):
         if not MIN_N <= n <= MAX_N:
             raise RangeError("n out of range (supported: %d..%d)" % (MIN_N, MAX_N))
         self.ctx = QuadricContext(n, orientation)
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
-        m = self.group.rank
-        prod = constant(m, 1)
-        for root in self.group.positive_roots:
-            lin = Polynomial(
-                m,
-                {
-                    tuple(1 if k == j else 0 for k in range(m)): c
-                    for j, c in enumerate(root)
-                    if c
-                },
-            )
-            prod = prod * lin
-        self.point_rep = Polynomial(m, prod.coeffs, len(self.group))
-        self._reps: dict[tuple[int, ...], Polynomial] = {
-            self.group.longest_element.window: self.point_rep
-        }
+        self.point_rep, self._reps, self._pair_products = _group_memos(
+            self.ctx.family, self.ctx.rank
+        )
         self._index_sets: dict = {}
-        self._pair_products: dict = {}
         self._push_ops: dict = {}
         self._duals: dict = {}
         self._h_powers: dict[tuple[int, int], FlagCycle] = {}
         self._x_middle: tuple[SignedPermutation, SignedPermutation] | None = None
         self._identify_quadric_basis()
-        if validate:
-            self.validate_conventions()
+        self.validate_conventions()
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -354,10 +343,10 @@ class FlagModel:
         return FlagCycle(self, I, out, p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
-        I = frozenset(I)
+        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)."""
         if u.window > v.window:
             u, v = v, u
-        key = (I, u.window, v.window)
+        key = (u.window, v.window)
         cached = self._pair_products.get(key)
         if cached is None:
             g = self.group
@@ -674,19 +663,25 @@ def _complete_homogeneous(roots: list[Polynomial], j: int, m: int) -> Polynomial
 
 
 @lru_cache(maxsize=None)
-def _cached_model(n: int, orientation: int | None, validate: bool) -> FlagModel:
-    return FlagModel(n, orientation, validate)
+def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict]:
+    """(point representative, representative memo, pair-product memo) of one group."""
+    g = make_group(family, rank)
+    unit = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
+    prod = constant(rank, 1)
+    for root in g.positive_roots:
+        prod = prod * Polynomial(rank, {unit[j]: c for j, c in enumerate(root) if c})
+    point = Polynomial(rank, prod.coeffs, len(g))
+    return point, {g.longest_element.window: point}, {}
 
 
-def build_flag_model(
-    n: int, orientation: int | None = None, validate: bool = True
-) -> FlagModel:
+@lru_cache(maxsize=None)
+def _cached_model(n: int, orientation: int | None) -> FlagModel:
+    return FlagModel(n, orientation)
+
+
+def build_flag_model(n: int, orientation: int | None = None) -> FlagModel:
     """Build (and cache) the flag-variety model for the split quadric of dim n."""
-    if n % 2 == 0 and orientation is None:
-        orientation = 1
-    if n % 2 == 1:
-        orientation = None
-    return _cached_model(n, orientation, validate)
+    return _cached_model(n, QuadricContext(n, orientation).orientation)
 
 
 class UnionCycle:
@@ -772,21 +767,19 @@ class QuadricGeometry:
     ruling components wherever the geometry is disconnected.
     """
 
-    def __init__(self, n: int, orientation: int = 1, validate: bool = True):
+    def __init__(self, n: int, orientation: int | None = 1):
         self.n = n
         self.d = n // 2
-        self.primary = build_flag_model(n, orientation, validate)
+        self.primary = build_flag_model(n, orientation)
         self.ctx = self.primary.ctx
         self.group = self.primary.group
         if n % 2 == 0:
-            self.secondary: FlagModel | None = build_flag_model(
-                n, -self.primary.ctx.orientation, validate
-            )
+            self.secondary: FlagModel | None = build_flag_model(n, -self.ctx.orientation)
         else:
             self.secondary = None
         # incidence classes by (i, p), filled by bridge.incidence_class
         self.incidence_cache: dict = {}
-        if validate and self.secondary is not None:
+        if self.secondary is not None:
             # the per-model gates cannot see the global naming of l_d
             _check_ladder(self, [self.d])
 
@@ -945,10 +938,10 @@ class QuadricGeometry:
 
 
 @lru_cache(maxsize=None)
-def _cached_geometry(n: int, orientation: int, validate: bool) -> QuadricGeometry:
-    return QuadricGeometry(n, orientation, validate)
+def _cached_geometry(n: int, orientation: int | None) -> QuadricGeometry:
+    return QuadricGeometry(n, orientation)
 
 
-def build_geometry(n: int, orientation: int = 1, validate: bool = True) -> QuadricGeometry:
+def build_geometry(n: int, orientation: int | None = 1) -> QuadricGeometry:
     """Build (and cache) the sheet-aware geometry for the split quadric of dim n."""
-    return _cached_geometry(n, orientation, validate)
+    return _cached_geometry(n, QuadricContext(n, orientation).orientation)

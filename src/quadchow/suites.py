@@ -276,17 +276,15 @@ def suite_prop31(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseRe
             inner = G.w_sigma_sum(i, t, range(1, min(t, i) + 1), 2) * G.class_Z(
                 i - 1, n - i + 1, 2
             )
-            terms = (MixedCycle.from_flag(inner, i - 1) * eta(G, i - 1, 2)).push_to_quad()
+            terms = eta(G, i - 1, 2).action_on_flag(inner)
             yield _case("coordinate-expansion", {"n": n, "i": i, "k": k}, coord, terms)
             # Whitney collapse and the resulting next pushdown
             acc = G.w_sigma_sum(i, t, range(0, min(t, i) + 1), 2)
             yield _case(
                 "whitney-collapse", {"n": n, "i": i, "k": k}, acc, G.zero([i - 1], 2)
             )
-            inner = (
-                G.class_W(i - 1, t, 2) * G.class_Z(i - 1, n - i + 1, 2)
-            )
-            got314 = (MixedCycle.from_flag(inner, i - 1) * eta(G, i - 1, 2)).push_to_quad()
+            inner = G.class_W(i - 1, t, 2) * G.class_Z(i - 1, n - i + 1, 2)
+            got314 = eta(G, i - 1, 2).action_on_flag(inner)
             yield _case(
                 "pushdown-next", {"n": n, "i": i, "k": k},
                 got314, sym_h_chain(ctx, list(range(1, i - 1)) + [k], 2),
@@ -299,9 +297,7 @@ def suite_prop31(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseRe
             )
     # the retrieved identity shape: p(z_i . eta_i) = sym(h^1 x ... x h^i)
     for i in range(1, d + 1):
-        got = (
-            MixedCycle.from_flag(G.class_Z(i, n - i, 2), i) * eta(G, i, 2)
-        ).push_to_quad()
+        got = eta(G, i, 2).action_on_flag(G.class_Z(i, n - i, 2))
         yield _case(
             "retrieved-identity", {"n": n, "i": i},
             got, sym_h_chain(ctx, range(1, i + 1), 2),

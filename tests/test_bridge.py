@@ -34,9 +34,11 @@ from quadchow.quadpow import (
     l_cycle,
     monomial_cycle,
     one,
+    quad_context,
+    rho_i,
     sym_h_chain,
 )
-from quadchow.schubert import FlagCycle, QuadricGeometry, build_geometry
+from quadchow.schubert import FlagCycle, QuadricGeometry, UnionCycle, build_geometry
 
 
 def test_incidence_gate():
@@ -264,3 +266,68 @@ def test_mixed_slot_maps_match_quad_cycle(n):
             assert mixed.push_x([2, 0]) == lift(q.push_proj([2, 0]))
             assert mixed.push_x([]) == lift(q.push_proj([]))
             assert mixed.permute_x([1, 2, 0]) == lift(q.permute([1, 2, 0]))
+
+
+def test_correspondence_actions_check_their_argument():
+    # each action refuses what the product route's SparseCycle._check refuses
+    G = build_geometry(5)
+    e = eta(G, 1, 2)
+    for x in (G.class_Z(1, 3), build_geometry(6).class_Z(1, 4, 2), G.class_Z(2, 2, 2)):
+        with pytest.raises(ValueError, match="space/ring mismatch"):
+            e.action_on_flag(x)
+    assert e.action_on_flag(G.class_Z(1, 3, 2)) == (
+        MixedCycle.from_flag(G.class_Z(1, 3, 2), 1) * e
+    ).push_to_quad()
+    tp = theta_prime(G, 1)
+    ctx, other = G.ctx, quad_context(7)
+    for q in (
+        l_cycle(ctx, 0, 2),  # arity 1 against arity 2
+        external(l_cycle(ctx, 0), l_cycle(ctx, 0)),
+        external(l_cycle(other, 0, 2), l_cycle(other, 0, 2)),
+    ):
+        with pytest.raises(ValueError, match="space/ring mismatch"):
+            tp.action_on_quad(q)
+    for q in (rho_i(ctx, 1, 0), rho_i(other, 1, 2)):
+        with pytest.raises(ValueError, match="space/ring mismatch"):
+            tp.id_times_action(q)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        tp.id_times_action(l_cycle(ctx, 0, 2))
+
+
+def _random_flag_cycle(G, I, rng, p):
+    """A seeded, usually inhomogeneous cycle on F(I), with a part on every sheet."""
+    parts = []
+    for M in G.sheets(I):
+        basis = M.basis(I)
+        coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
+        parts.append(FlagCycle(M, I, coeffs, p))
+    return UnionCycle(G, I, tuple(parts))
+
+
+@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1), (7, 1)])
+def test_action_on_flag_matches_product_oracle(n, orientation):
+    # p_*((x (x) 1) . M) by the full product and push_to_quad, against the dual read-off
+    G = build_geometry(n, orientation)
+    rng = random.Random(100 * n + orientation)
+    for p in (0, 2):
+        for i in range(1, G.d + 1):
+            for M in (incidence_class(G, i, p), eta(G, i, p), theta(G, i, p)):
+                for _ in range(3):
+                    x = _random_flag_cycle(G, [i], rng, p)
+                    oracle = (MixedCycle.from_flag(x, M.arity) * M).push_to_quad()
+                    assert M.action_on_flag(x) == oracle, (n, orientation, p, i, M.arity)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_schubert_memos_belong_to_the_group(n):
+    G = build_geometry(n)
+    A, B = G.primary, G.secondary
+    assert A._reps is B._reps and A._pair_products is B._pair_products
+    assert not any(isinstance(k, frozenset) for key in A._pair_products for k in key)
+    for w in A.group.elements[::7]:
+        assert A.schubert_rep(w) is B.schubert_rep(w)
+    u, v = A.basis([0])[1], A.basis([0])[2]
+    prod = A.basis_product([0], u, v)
+    assert prod
+    assert A.basis_product([0, 1], v, u) is prod
+    assert B.basis_product([0, 1, G.d], u, v) is prod

@@ -261,7 +261,7 @@ def test_nonintegral_extraction_raises(monkeypatch):
     from quadchow.polyring import variable
     from quadchow.schubert import FlagModel
 
-    M = FlagModel(3, validate=False)
+    M = FlagModel(3)
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
@@ -380,3 +380,19 @@ def test_deg_product_matches_top_degree_extraction(n, orientation):
         assert M.deg_product(classes) == expected, [repr(x) for x in classes]
         nonzero += expected != 0
     assert nonzero >= 10
+
+
+def test_orientation_is_normalised_before_caching():
+    from quadchow.quadpow import quad_context
+
+    assert build_flag_model(4) is build_flag_model(4, None) is build_flag_model(4, 1)
+    assert build_flag_model(5, -1) is build_flag_model(5, 1) is build_flag_model(5)
+    assert build_geometry(5, -1) is build_geometry(5, None) is build_geometry(5)
+    assert build_geometry(4, None) is build_geometry(4)
+    G, H = build_geometry(5, -1), build_geometry(5, 1)
+    assert G.class_Z(1, 4) + H.class_Z(1, 4) == H.class_Z(1, 4).scale(2)
+    for bad in (0, 2, 7):
+        for n in (4, 5):
+            for build in (build_flag_model, build_geometry, quad_context):
+                with pytest.raises(ValueError, match="orientation must be 1, -1 or None"):
+                    build(n, bad)
