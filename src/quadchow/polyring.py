@@ -342,7 +342,9 @@ def divided_difference_word(
 
     For a reduced word of ``w`` the result depends only on ``w`` (the braid
     relations hold for these operators); this is exercised by the test suite,
-    not assumed here.
+    not assumed here.  ``FlagModel.expand`` shares divided differences between
+    the words of one call instead; this one-word-per-element form is the
+    reference its tests compare against.
     """
     for i in reversed(tuple(word)):
         f = divided_difference(group, i, f)

@@ -14,11 +14,15 @@ denominator (see :mod:`quadchow.polyring`):
   difference of w^{-1} w_0, and classes on F(I) are the Schubert classes of
   minimal coset representatives; divided differences keep the denominator,
   since every simple root is monic in its main variable;
-* products are expanded by applying divided-difference words and reading off
-  constant terms; a k-fold product carries |W|^k, and the division by it
-  happens once, at extraction.  Every extracted coefficient must be an
-  integer (these varieties have torsion-free Chow groups), and a remainder
-  raises immediately since it can only come from a convention bug;
+* a polynomial f is expanded on F(I) by reading the coefficient of s_w off
+  the constant term of div_w(f).  One expansion applies at most one divided
+  difference per basis element: div_v(f) is memoised for the call and
+  shared by every w = u v with lengths adding.  A k-fold product carries
+  |W|^k, and the division by it happens once, at extraction.  Every
+  extracted coefficient must be an integer (these varieties have
+  torsion-free Chow groups), and a remainder raises immediately since it
+  can only come from a convention bug.  `deg_product` memoises the
+  expansions of its two halves on the model;
 * representatives and two-class products belong to the Weyl group: both
   rulings share one memo of each, and a product of two W^P classes, pulled
   back from G/B, is memoised per pair whichever F(I) asked for it;
@@ -46,6 +50,7 @@ pullback identities relating Z- and W-classes on consecutive grassmannians;
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -54,7 +59,6 @@ from quadchow.polyring import (
     Polynomial,
     constant,
     divided_difference,
-    divided_difference_word,
     variable,
 )
 from quadchow.weyl import RangeError, SignedPermutation, WeylGroup, make_group
@@ -239,6 +243,7 @@ class FlagModel:
         self._index_sets: dict = {}
         self._push_ops: dict = {}
         self._duals: dict = {}
+        self._halves: dict = {}
         self._h_powers: dict[tuple[int, int], FlagCycle] = {}
         self._x_middle: tuple[SignedPermutation, SignedPermutation] | None = None
         self._identify_quadric_basis()
@@ -312,34 +317,48 @@ class FlagModel:
     def expand(self, poly: Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I).
 
+        The coefficient of s_w, for l(w) a degree of poly, is the constant
+        term of div_w(poly).  Each div_v(poly) is computed once per call and
+        shared between candidates: with a reduced word w = s_i1 ... s_ik,
+        div_w = div_i1 o div_v for v = s_i2 ... s_ik, and v is again in
+        basis(I), so the memo is keyed by basis elements.
+
         Every coefficient must come out integral; a fractional coefficient is a
         hard error (it means the class does not live on F(I), or a convention
-        broke).
+        broke).  A polynomial whose number of variables is not the group's
+        rank raises ValueError.
         """
         I = frozenset(I)
         g = self.group
+        if poly.nvars != g.rank:
+            raise ValueError("rank mismatch")
         out: dict[SignedPermutation, int] = {}
-        if poly.is_zero():
-            return FlagCycle(self, I, out, p)
-        degrees = {sum(e) for e in poly.coeffs}
-        top = self.dim_flag(I)
-        candidates = self.basis(I)
+        dim = self.dim_flag(I)
+        degrees = {k for k in map(sum, poly.coeffs) if k <= dim}
         origin = (0,) * g.rank
-        for k in sorted(degrees):
-            if k > top:
+        diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
+        for w in self.basis(I):
+            if g.length(w) not in degrees:
                 continue
-            for w in candidates:
-                if g.length(w) != k:
-                    continue
-                r = divided_difference_word(g, g.reduced_word(w), poly)
-                c = r.coeffs.get(origin, 0)
-                if c:
-                    if c % r.den:
-                        raise ArithmeticError(
-                            "nonintegral Schubert coefficient %s at %r"
-                            % (r.constant_term(), w.window)
-                        )
-                    out[w] = c // r.den
+            # climb the suffixes of w's word to the longest one already known
+            word = g.reduced_word(w)
+            pending = []
+            v = w
+            while (r := diffs.get(v.window)) is None:
+                pending.append(v.window)
+                v = g.from_word(word[len(pending) :])
+            for j in reversed(range(len(pending))):
+                if not r.is_zero():
+                    r = divided_difference(g, word[j], r)
+                diffs[pending[j]] = r
+            c = r.coeffs.get(origin, 0)
+            if c:
+                if c % r.den:
+                    raise ArithmeticError(
+                        "nonintegral Schubert coefficient %s at %r"
+                        % (r.constant_term(), w.window)
+                    )
+                out[w] = c // r.den
         return FlagCycle(self, I, out, p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
@@ -440,10 +459,24 @@ class FlagModel:
             k = 0 if weight[0] <= weight[1] else 1
             halves[k].append(x)
             weight[k] += c
-        a, b = (self.expand(_rep_product(self.group.rank, h), I).coeffs for h in halves)
+        a, b = (self._half_expansion(I, h) for h in halves)
         dual = self.poincare_dual(I)
         total = sum(c * b.get(dual[u], 0) for u, c in a.items())
         return total % 2 if first.p == 2 else total
+
+    def _half_expansion(self, I: frozenset, half: list[FlagCycle]) -> dict:
+        """Schubert coefficients of the product of one half of deg_product's
+        factors, memoised per model by (I, multiset of the factors' coefficients).
+
+        The ring p does not enter the key: the expansion is integral, and
+        deg_product reduces mod 2 after pairing.
+        """
+        key = (I, frozenset(Counter(frozenset(x.coeffs.items()) for x in half).items()))
+        cached = self._halves.get(key)
+        if cached is None:
+            poly = _rep_product(self.group.rank, half)
+            cached = self._halves[key] = self.expand(poly, I).coeffs
+        return cached
 
     # -- the quadric inside the model -------------------------------------------
 

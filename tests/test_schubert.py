@@ -311,9 +311,12 @@ TABLES = json.loads((DATA / "basis_products.json").read_text())
 def test_duality_pairing_matches_frozen_top_coefficients():
     # The frozen product tables come from the earlier engine, which never used
     # the pairing: the top coefficient of s_u s_v must be 1 exactly when v is
-    # the dual of u, and deg_product of the pair must read it back.
+    # the dual of u, and deg_product of the pair must read it back, from a
+    # cold half memo and then, factors swapped, from a warm one.
+    from quadchow.schubert import FlagModel
+
     for entry in TABLES:
-        M = build_flag_model(entry["n"], entry["orientation"])
+        M = FlagModel(entry["n"], entry["orientation"])
         I = entry["I"]
         products = {
             (tuple(u), tuple(v)): {tuple(w): c for w, c in terms}
@@ -332,6 +335,7 @@ def test_duality_pairing_matches_frozen_top_coefficients():
                 if M.group.length(u) + M.group.length(v) == dim:
                     pair = [FlagCycle(M, I, {u: 1}), FlagCycle(M, I, {v: 1})]
                     assert M.deg_product(pair) == got, (entry["n"], I, u, v)
+                    assert M.deg_product(pair[::-1]) == got, (entry["n"], I, v, u)
 
 
 def _deg_by_top_extraction(M, classes):
@@ -396,3 +400,148 @@ def test_orientation_is_normalised_before_caching():
             for build in (build_flag_model, build_geometry, quad_context):
                 with pytest.raises(ValueError, match="orientation must be 1, -1 or None"):
                     build(n, bad)
+
+
+# -- the shared expansion against one whole word per candidate ------------------
+
+
+def _expand_by_words(M, poly, I):
+    # Reference: every candidate w of a degree of poly gets its own greedy
+    # reduced word, applied in full by divided_difference_word.
+    g = M.group
+    degrees = {sum(e) for e in poly.coeffs}
+    out = {}
+    for w in M.basis(I):
+        if g.length(w) not in degrees:
+            continue
+        r = divided_difference_word(g, g.reduced_word(w), poly)
+        c = r.coeffs.get((0,) * g.rank, 0)
+        assert c % r.den == 0, (I, w)
+        if c:
+            out[w] = c // r.den
+    return out
+
+
+def _index_sets(d):
+    return [
+        [i for i in range(d + 1) if mask >> i & 1] for mask in range(1, 2 ** (d + 1))
+    ]
+
+
+def _oracle_inputs(rng, M, I, max_length):
+    """Seeded polynomials for one F(I), named by kind; factors are drawn from
+    the basis elements of length at most max_length."""
+    from quadchow.polyring import variable
+
+    g = M.group
+    basis = M.basis(I)
+    low = [w for w in basis if g.length(w) <= max_length]
+    rep = M.schubert_rep
+    u, v, a, b, c = (rng.choice(low) for _ in range(5))
+    outside = rng.choice([w for w in g.elements if g.length(w) <= max_length])
+    x = [variable(g.rank, j) for j in range(1, g.rank + 1)]
+    invariant = x[0] ** 2  # the sum of squares is W-invariant in B and D
+    for xj in x[1:]:
+        invariant = invariant + xj**2
+    yield "product", rep(u) * rep(v)
+    yield "inhomogeneous", rep(a).scale(3) + (rep(b) * rep(c)).scale(-2) + rep(u) * rep(v)
+    yield "above-top", (x[0] + x[-1]) ** (M.dim_flag(I) + 1) + rep(u)
+    yield "outside-basis", rep(outside) + rep(outside) * rep(v)
+    yield "invariant-multiple", invariant * rep(u) + rep(v)
+    yield "linear-power", rng.choice(x) ** rng.randint(1, max_length)
+
+
+def _oracle_cases():
+    models = ((4, 1), (4, -1), (5, None), (6, 1), (6, -1))
+    cases = [(n, o, I) for n, o in models for I in _index_sets(n // 2)]
+    rng = random.Random(8)
+    for n in (7, 8):
+        cases += [(n, None, I) for I in rng.sample(_index_sets(n // 2), 3)]
+    sign = {1: "+", -1: "-", None: ""}
+    return [
+        pytest.param(n, o, I, id="%d%s-F%s" % (n, sign[o], "".join(map(str, I))))
+        for n, o, I in cases
+    ]
+
+
+@pytest.mark.parametrize("n,orientation,I", _oracle_cases())
+def test_expand_matches_one_word_per_candidate(n, orientation, I):
+    M = build_flag_model(n, orientation)
+    rng = random.Random(f"{n} {orientation} {I}")
+    # at n >= 7 short factors keep the one-word-per-candidate reference cheap
+    max_length = M.dim_flag(I) // 2 if n <= 6 else 5
+    for kind, poly in _oracle_inputs(rng, M, I, max_length):
+        got = M.expand(poly, I)
+        assert got.coeffs == _expand_by_words(M, poly, I), (kind, repr(got))
+
+
+def test_expand_computes_each_divided_difference_once(monkeypatch):
+    import quadchow.polyring as polyring
+    import quadchow.schubert as schubert
+
+    M = build_flag_model(6, -1)
+    g = M.group
+    calls = []
+    original = polyring.divided_difference
+
+    def counting(group, i, f):
+        calls.append(i)
+        return original(group, i, f)
+
+    # the reference path reaches the polyring name through divided_difference_word
+    monkeypatch.setattr(schubert, "divided_difference", counting)
+    monkeypatch.setattr(polyring, "divided_difference", counting)
+    rng = random.Random(86)
+    saved = 0
+    for I in ([0], [1, 2], [0, 1, 2, 3]):
+        for kind, poly in _oracle_inputs(rng, M, I, M.dim_flag(I) // 2):
+            degrees = [k for k in map(sum, poly.coeffs) if k <= M.dim_flag(I)]
+            bound = sum(1 for w in M.basis(I) if g.length(w) <= max(degrees, default=-1))
+            del calls[:]
+            got = M.expand(poly, I)
+            assert len(calls) <= bound, (I, kind)
+            shared = len(calls)
+            del calls[:]
+            assert got.coeffs == _expand_by_words(M, poly, I)
+            saved += len(calls) - shared
+    assert saved > 0  # one word per candidate repeats work the memo shares
+
+
+def test_expand_rejects_a_polynomial_of_another_rank():
+    from quadchow.polyring import constant, variable
+
+    M = build_flag_model(3)  # rank 2
+    for poly in (constant(3, 1), variable(3, 1), constant(1, 0)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            M.expand(poly, [0])
+
+
+# -- the deg_product half memo --------------------------------------------------
+
+
+def test_deg_product_halves_are_memoised_per_model(monkeypatch):
+    from quadchow.schubert import FlagModel
+
+    M, other = FlagModel(5), FlagModel(5)
+    assert M._halves is not other._halves
+    calls = []
+    expand = M.expand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(M, "expand", counting)
+    rng = random.Random(316)
+    for _ in range(30):
+        classes = _random_product(rng, M)
+        want = _deg_by_top_extraction(M, classes)
+        assert M.deg_product(classes) == want
+        del calls[:]
+        assert M.deg_product(classes) == want
+        assert not calls  # both halves came from the memo
+        for _ in range(3):
+            assert M.deg_product(rng.sample(classes, len(classes))) == want
+        # over Z/2 the degree is the integer pairing reduced mod 2
+        assert M.deg_product([x.mod2() for x in classes]) == want % 2
+    assert M._halves and not other._halves
