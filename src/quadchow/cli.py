@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from quadchow import bridge, edi, quadpow, suites
 from quadchow.quadpow import QuadCycle, format_cycle, parse_cycle, quad_context
@@ -327,10 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about ten parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     return args.func(args)

@@ -1,15 +1,25 @@
 """Sparse multivariate polynomials with integer numerators over one common
 denominator, with the signed Weyl action and type-B/D divided differences.
 
-A polynomial in ``m`` variables is a map from exponent tuples of length ``m``
-to nonzero integer numerators, together with one positive integer ``den``;
-the polynomial is ``sum(c * x^e) / den``.  Sums bring both operands to a
-common denominator, products multiply denominators, and the Weyl action and
-divided differences keep the denominator.  Nothing is reduced: the point
-class of the flag variety is ``prod(roots)`` over ``|W|``, a k-fold product of
-Schubert representatives carries ``|W|^k``, and a caller that extracts a
-coefficient divides once, at the end.  Equality and hashing compare values,
-so ``2/4 == 1/2``.
+A polynomial in ``m`` variables maps monomials to nonzero integer numerators
+and carries one positive integer ``den``; the polynomial is
+``sum(c * x^e) / den``.  Sums bring both operands to a common denominator,
+products multiply denominators, and the Weyl action and divided differences
+keep the denominator.  Nothing is reduced: a k-fold product of Schubert
+representatives carries ``|W|^k``, and a caller that extracts a coefficient
+divides once, at the end.  Equality and hashing compare values, so
+``2/4 == 1/2``.
+
+Each monomial is packed into one integer, ``terms``' key: exponent ``e_j`` of
+``x_{j+1}`` sits in the ``BITS``-wide field at bit ``BITS * j``, and the total
+degree in the field above the last variable.  A product of monomials is then
+one integer add, a term's degree one shift, the constant monomial is key 0,
+and the largest key has the largest degree.  Every field stays below
+``2**BITS`` because the degree does and every exponent is at most the
+degree; a constructor argument, product or power whose degree would pass it
+raises ``OverflowError`` before any field could carry into its neighbour.
+``coeffs`` decodes the keys back to exponent tuples, for display and for
+callers that read monomials.
 
 The Weyl group acts by permuting the variables and negating the signed ones;
 the divided difference for the i-th simple root ``a_i`` is
@@ -23,16 +33,15 @@ so the division of an integer numerator is again integral, and it is exact
 because ``f - s_i . f`` is antisymmetric under ``s_i``.  `divided_difference`
 applies this monomial by monomial in one pass: with ``y = sigma * x_b`` the
 reflection swaps ``x_a`` and ``y`` and the root is ``x_a - y``, and
-``(x_a^p y^q - x_a^q y^p) / (x_a - y)`` is a geometric sum.  The reflection
-and root are read off the group's own simple reflection, so the two cannot
-disagree.  `_divide_linear` is the long division by a root, kept as the
-reference the kernel is tested against; it raises ``ArithmeticError`` on a
-nonzero remainder rather than returning approximate data.
+``(x_a^p y^q - x_a^q y^p) / (x_a - y)`` is a geometric sum, whose packed keys
+form an arithmetic progression with step ``2^(BITS a) - 2^(BITS b)``.  The
+reflection and root are read off the group's own simple reflection, so the
+two cannot disagree.  The test suite checks the kernel against a long
+division by the root written on exponent tuples.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -51,35 +60,65 @@ __all__ = [
 
 Expo = tuple[int, ...]
 
+BITS = 8  # width of one exponent field and of the degree field
+MASK = (1 << BITS) - 1
 
-def _make(nvars: int, coeffs: dict[Expo, int], den: int) -> "Polynomial":
-    """Wrap already-clean integer numerators (no zeros) without copying."""
+
+def _pack(e: Expo, nvars: int) -> int:
+    """The key of the monomial ``x^e``."""
+    if len(e) != nvars:
+        raise ValueError("exponent tuple of length %d in %d variables" % (len(e), nvars))
+    if min(e, default=0) < 0:
+        raise ValueError("negative exponent in %r" % (e,))
+    degree = sum(e)
+    if degree > MASK:
+        raise OverflowError("degree %d exceeds the %d-bit exponent field" % (degree, BITS))
+    key = degree << (BITS * nvars)
+    for j, p in enumerate(e):
+        key += p << (BITS * j)
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Expo:
+    return tuple(key >> (BITS * j) & MASK for j in range(nvars))
+
+
+def _make(nvars: int, terms: dict[int, int], den: int) -> "Polynomial":
+    """Wrap already-clean packed numerators (no zeros) without copying."""
     f = object.__new__(Polynomial)
     f.nvars = nvars
-    f.coeffs = coeffs
+    f.terms = terms
     f.den = den
     return f
 
 
 class Polynomial:
-    """Immutable sparse polynomial: integer numerators ``coeffs`` over ``den``.
+    """Immutable sparse polynomial: integer numerators over ``den``.
 
-    The constructor also accepts ``Fraction`` (or int) values; they are
-    brought to one common denominator.
+    ``terms`` maps packed monomial keys to numerators; ``coeffs`` is the same
+    map keyed by exponent tuples.  The constructor takes exponent tuples and
+    also accepts ``Fraction`` (or int) values; they are brought to one common
+    denominator.
     """
 
-    __slots__ = ("nvars", "coeffs", "den")
+    __slots__ = ("nvars", "terms", "den")
 
     def __init__(
         self, nvars: int, coeffs: Mapping[Expo, Fraction | int] | None = None, den: int = 1
     ):
         if den <= 0:
             raise ValueError("denominator must be positive")
-        ratios = {e: c.as_integer_ratio() for e, c in (coeffs or {}).items() if c}
+        ratios = {_pack(e, nvars): c.as_integer_ratio() for e, c in (coeffs or {}).items() if c}
         scale = lcm(*(q for _, q in ratios.values()))
         self.nvars = nvars
-        self.coeffs = {e: p * (scale // q) for e, (p, q) in ratios.items()}
+        self.terms = {k: p * (scale // q) for k, (p, q) in ratios.items()}
         self.den = den * scale
+
+    @property
+    def coeffs(self) -> dict[Expo, int]:
+        """The numerators keyed by exponent tuples (a fresh dict)."""
+        m = self.nvars
+        return {_unpack(k, m): c for k, c in self.terms.items()}
 
     # -- ring structure -----------------------------------------------------
 
@@ -90,20 +129,24 @@ class Polynomial:
         return _combine(self, other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return _make(self.nvars, {e: -c for e, c in self.coeffs.items()}, self.den)
+        return _make(self.nvars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        add = operator.add
-        out: dict[Expo, int] = {}
-        get = out.get
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return _make(self.nvars, {e: c for e, c in out.items() if c}, self.den * other.den)
+        mine, theirs = self.terms, other.terms
+        out: dict[int, int] = {}
+        if mine and theirs:
+            if (max(mine) + max(theirs)) >> (BITS * self.nvars) > MASK:
+                raise OverflowError("product degree exceeds the %d-bit exponent field" % BITS)
+            get = out.get
+            pairs = theirs.items()
+            for k1, c1 in mine.items():
+                for k2, c2 in pairs:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return _make(self.nvars, {k: c for k, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -123,7 +166,7 @@ class Polynomial:
         num, den = c.as_integer_ratio()
         if not num:
             return Polynomial(self.nvars)
-        return _make(self.nvars, {e: num * v for e, v in self.coeffs.items()}, self.den * den)
+        return _make(self.nvars, {k: num * v for k, v in self.terms.items()}, self.den * den)
 
     def _check(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
@@ -132,42 +175,47 @@ class Polynomial:
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
+        if not self.terms:
             return -1
-        return max(sum(e) for e in self.coeffs)
+        return max(self.terms) >> (BITS * self.nvars)
+
+    def degrees(self) -> set[int]:
+        """The total degrees of the terms."""
+        shift = BITS * self.nvars
+        return {k >> shift for k in self.terms}
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.coeffs}
-        return len(degrees) <= 1
+        return len(self.degrees()) <= 1
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.coeffs.get((0,) * self.nvars, 0), self.den)
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial) or self.nvars != other.nvars:
             return False
         if self.den == other.den:
-            return self.coeffs == other.coeffs
-        if self.coeffs.keys() != other.coeffs.keys():
+            return self.terms == other.terms
+        if self.terms.keys() != other.terms.keys():
             return False
-        d1, d2, theirs = self.den, other.den, other.coeffs
-        return all(c * d2 == theirs[e] * d1 for e, c in self.coeffs.items())
+        d1, d2, theirs = self.den, other.den, other.terms
+        return all(c * d2 == theirs[k] * d1 for k, c in self.terms.items())
 
     def __hash__(self) -> int:
-        g = gcd(self.den, *self.coeffs.values())
-        reduced = frozenset((e, c // g) for e, c in self.coeffs.items())
+        g = gcd(self.den, *self.terms.values())
+        reduced = frozenset((k, c // g) for k, c in self.terms.items())
         return hash((self.nvars, self.den // g, reduced))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = Fraction(self.coeffs[e], self.den)
+        for e in sorted(coeffs, reverse=True):
+            c = Fraction(coeffs[e], self.den)
             mono = "*".join(
                 f"x{i+1}" if p == 1 else f"x{i+1}^{p}" for i, p in enumerate(e) if p
             )
@@ -180,18 +228,18 @@ def _combine(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
     f._check(g)
     den = lcm(f.den, g.den)
     a, b = den // f.den, sign * (den // g.den)
-    out = {e: a * c for e, c in f.coeffs.items()} if a != 1 else dict(f.coeffs)
+    out = {k: a * c for k, c in f.terms.items()} if a != 1 else dict(f.terms)
     get = out.get
-    for e, c in g.coeffs.items():
-        out[e] = get(e, 0) + b * c
-    return _make(f.nvars, {e: c for e, c in out.items() if c}, den)
+    for k, c in g.terms.items():
+        out[k] = get(k, 0) + b * c
+    return _make(f.nvars, {k: c for k, c in out.items() if c}, den)
 
 
 def variable(nvars: int, i: int) -> Polynomial:
     """The variable ``x_i`` (1-based) in ``nvars`` variables."""
-    e = [0] * nvars
-    e[i - 1] = 1
-    return _make(nvars, {tuple(e): 1}, 1)
+    if not 1 <= i <= nvars:
+        raise RangeError("variable index out of range")
+    return _make(nvars, {1 << (BITS * nvars) | 1 << (BITS * (i - 1)): 1}, 1)
 
 
 def constant(nvars: int, c) -> Polynomial:
@@ -204,63 +252,18 @@ def act(w: SignedPermutation, f: Polynomial) -> Polynomial:
     if f.nvars != m:
         raise ValueError("rank mismatch")
     window = w.window
-    out: dict[Expo, int] = {}
-    for e, c in f.coeffs.items():
-        new = [0] * m
+    shift = BITS * m
+    out: dict[int, int] = {}
+    for k, c in f.terms.items():
+        new = k >> shift << shift  # the degree field is unchanged
         sign = 1
-        for j, p in enumerate(e):
+        for j, v in enumerate(window):
+            p = k >> (BITS * j) & MASK
             if p:
-                v = window[j]
-                new[abs(v) - 1] = p
-                if v < 0 and p % 2:
+                new += p << (BITS * (abs(v) - 1))
+                if v < 0 and p & 1:
                     sign = -sign
-        out[tuple(new)] = sign * c
-    return _make(m, out, f.den)
-
-
-def _divide_linear(f: Polynomial, a: int, b: int | None, s: int) -> Polynomial:
-    """Exact division of ``f`` by ``x_a - s*x_b`` (or by ``x_a`` when b is None).
-
-    Integer synthetic division with main variable ``x_a`` (the divisor is
-    monic in it); raises ArithmeticError when the remainder is nonzero.
-    """
-    m = f.nvars
-    if b is None:
-        out = {}
-        for e, c in f.coeffs.items():
-            if e[a - 1] == 0:
-                raise ArithmeticError("inexact division by simple root")
-            new = list(e)
-            new[a - 1] -= 1
-            out[tuple(new)] = c
-        return _make(m, out, f.den)
-    # Group by the exponent of x_a:  f = sum_k f_k * x_a^k.
-    layers: dict[int, dict[Expo, int]] = {}
-    for e, c in f.coeffs.items():
-        rest = list(e)
-        rest[a - 1] = 0
-        layers.setdefault(e[a - 1], {})[tuple(rest)] = c
-    out: dict[Expo, int] = {}
-    carry: dict[Expo, int] = {}
-    # Synthetic division: q_{k-1} = f_k + s * x_b * q_k, remainder f_0 + s*x_b*q_0.
-    for k in range(max(layers, default=0), 0, -1):
-        q = dict(layers.get(k, {}))
-        for e, c in carry.items():
-            q[e] = q.get(e, 0) + c
-        carry = {}
-        for e, c in q.items():
-            if c:
-                new = list(e)
-                new[a - 1] = k - 1
-                out[tuple(new)] = c
-                new[a - 1] = 0
-                new[b - 1] += 1
-                carry[tuple(new)] = s * c
-    remainder = dict(layers.get(0, {}))
-    for e, c in carry.items():
-        remainder[e] = remainder.get(e, 0) + c
-    if any(remainder.values()):
-        raise ArithmeticError("inexact division by simple root")
+        out[new] = sign * c
     return _make(m, out, f.den)
 
 
@@ -301,19 +304,19 @@ def divided_difference(group: WeylGroup, i: int, f: Polynomial) -> Polynomial:
     if not 1 <= i <= m:
         raise RangeError("simple index out of range")
     a, b, sigma = _reflection_kernel(group.simple_reflections[i - 1].window)
-    out: dict[Expo, int] = {}
-    get = out.get
+    sa = BITS * a
+    one = 1 << (BITS * m)  # degree one, in the degree field
     if b is None:
         # (1 - (-1)^p) x^e / x_a: twice the monomial for odd p, else zero
-        for e, c in f.coeffs.items():
-            p = e[a]
-            if p & 1:
-                new = e[:a] + (p - 1,) + e[a + 1 :]
-                out[new] = 2 * c
-        return _make(m, out, f.den)
-    for e, c in f.coeffs.items():
-        p = e[a]
-        q = e[b]
+        drop = one + (1 << sa)
+        return _make(m, {k - drop: 2 * c for k, c in f.terms.items() if k >> sa & 1}, f.den)
+    sb = sa + BITS
+    step = (1 << sa) - (1 << sb)  # x_a^t y^s -> x_a^(t+1) y^(s-1)
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in f.terms.items():
+        p = k >> sa & MASK
+        q = k >> sb & MASK
         if p == q:
             continue
         # x_a^p x_b^q = sigma^q x_a^p y^q; divide x_a^p y^q - x_a^q y^p by x_a - y
@@ -323,16 +326,22 @@ def divided_difference(group: WeylGroup, i: int, f: Polynomial) -> Polynomial:
             lo, hi = q, p
         if sigma < 0 and (q + hi - 1) & 1:
             c = -c
-        head = e[:a]
-        tail = e[b + 1 :]
-        top = hi + lo - 1
-        for t in range(lo, hi):
-            # x_a^t y^(top - t), and y^j = sigma^j x_b^j
-            new = head + (t, top - t) + tail
-            out[new] = get(new, 0) + c
-            if sigma < 0:
-                c = -c
-    return _make(m, {e: c for e, c in out.items() if c}, f.den)
+        # the terms x_a^t y^(hi + lo - 1 - t) for lo <= t < hi, from t = lo
+        first = k - one + ((lo - p) << sa) + ((hi - 1 - q) << sb)
+        if hi - lo == 1:  # the most common case after p == q
+            out[first] = get(first, 0) + c
+            continue
+        end = first + (hi - lo) * step
+        if sigma > 0:
+            for new in range(first, end, step):
+                out[new] = get(new, 0) + c
+        else:
+            # y^j = sigma^j x_b^j: the sign alternates along the progression
+            for new in range(first, end, 2 * step):
+                out[new] = get(new, 0) + c
+            for new in range(first + step, end, 2 * step):
+                out[new] = get(new, 0) - c
+    return _make(m, {k: c for k, c in out.items() if c}, f.den)
 
 
 def divided_difference_word(

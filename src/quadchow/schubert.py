@@ -8,8 +8,12 @@ B_{d+1} (n odd) or D_{d+1} (n even).  Their Chow rings are computed inside
 the coinvariant algebra, with integer polynomials over one common
 denominator (see :mod:`quadchow.polyring`):
 
-* the point class of the full flag variety is represented by the product of
-  the positive roots over the denominator |W|;
+* the point class of the full flag variety is represented by one monomial,
+  m! x^rho over the denominator |W|, with rho = (2m-1, ..., 3, 1) for B_m and
+  (2m-2, ..., 2, 0) for D_m.  The top degree of the coinvariant algebra is
+  one-dimensional, so this agrees with the product of the positive roots over
+  |W| modulo the ideal J of positive-degree invariants; every representative
+  derived from it changes only modulo J, which no expansion sees;
 * the Schubert class attached to w is obtained from it by the divided
   difference of w^{-1} w_0, and classes on F(I) are the Schubert classes of
   minimal coset representatives; divided differences keep the denominator,
@@ -53,6 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Mapping
 
 from quadchow.polyring import (
@@ -334,8 +339,7 @@ class FlagModel:
             raise ValueError("rank mismatch")
         out: dict[SignedPermutation, int] = {}
         dim = self.dim_flag(I)
-        degrees = {k for k in map(sum, poly.coeffs) if k <= dim}
-        origin = (0,) * g.rank
+        degrees = {k for k in poly.degrees() if k <= dim}
         diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
         for w in self.basis(I):
             if g.length(w) not in degrees:
@@ -351,7 +355,7 @@ class FlagModel:
                 if not r.is_zero():
                     r = divided_difference(g, word[j], r)
                 diffs[pending[j]] = r
-            c = r.coeffs.get(origin, 0)
+            c = r.terms.get(0, 0)  # the constant term's numerator
             if c:
                 if c % r.den:
                     raise ArithmeticError(
@@ -697,13 +701,19 @@ def _complete_homogeneous(roots: list[Polynomial], j: int, m: int) -> Polynomial
 
 @lru_cache(maxsize=None)
 def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict]:
-    """(point representative, representative memo, pair-product memo) of one group."""
+    """(point representative, representative memo, pair-product memo) of one group.
+
+    The point class is the single monomial m! x^rho / |W|, with rho =
+    (2m-1, ..., 3, 1) for B_m and (2m-2, ..., 2, 0) for D_m: div_{w_0} sends
+    x^rho to 2^m (B) or 2^(m-1) (D), so div_{w_0} of the point class is 1,
+    as for the product of the positive roots over |W|.  The two differ by an
+    element of the ideal J of positive-degree invariants, and div_i maps J
+    into itself: for f in J of degree l(w), div_w(f) = 0, so no expansion
+    can tell the representatives derived from either apart.
+    """
     g = make_group(family, rank)
-    unit = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
-    prod = constant(rank, 1)
-    for root in g.positive_roots:
-        prod = prod * Polynomial(rank, {unit[j]: c for j, c in enumerate(root) if c})
-    point = Polynomial(rank, prod.coeffs, len(g))
+    rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
+    point = Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
     return point, {g.longest_element.window: point}, {}
 
 

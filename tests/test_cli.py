@@ -140,3 +140,34 @@ def test_every_out_of_range_message_is_a_range_error():
     untyped = re.compile(r'ValueError\(\s*"[^"]*out of range')
     for path in sorted(src.glob("*.py")):
         assert not untyped.search(path.read_text()), path.name
+
+
+def test_one_process_serves_mixed_requests_alike(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process, so a usage error or a range error
+    # must leave nothing behind that changes a later call's exit code or output.
+    from quadchow import cli
+
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"n": 7, "marks": [[1, 0]], "witt_index": 2}))
+    requests = [
+        ("compute", "--n", "3", "rho 1"),
+        ("compute", "--n"),  # usage error: missing value
+        ("compute", "--n", "3", "rho 7"),  # range error
+        ("verify", "lemma24", "--n", "3", "--format", "json"),
+        ("bogus",),  # usage error: unknown command
+        ("compute", "--n", "5", "--coeff", "z2", "--format", "json", "W 1 0"),
+        ("edi", "--input", str(square)),
+        ("verify", "lemma24", "--n", "7"),  # usage error: needs --deep
+        ("compute", "--n", "3", "h*h"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in requests]
+    assert [code for code, _, _ in first] == [0, 2, 3, 0, 2, 0, 0, 2, 0]
+    assert first[0][1].strip() == "1 x l0 + l0 x 1"
+    assert first[8][1].strip() == "2 l1"
+    assert "range" in first[2][2]
+    # the same requests again, in reverse order, give the same results
+    again = [run_cli(capsys, *argv) for argv in reversed(requests)]
+    assert again[::-1] == first
+    # and so does a fresh parser for every call
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(capsys, *argv) for argv in requests] == first

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadchow.polyring import (
+    MASK,
     Polynomial,
     act,
     constant,
@@ -14,7 +15,7 @@ from quadchow.polyring import (
     simple_root,
     variable,
 )
-from quadchow.weyl import make_group
+from quadchow.weyl import MAX_RANK, RangeError, make_group
 
 
 def rand_poly(m, rng, terms=5, deg=3):
@@ -142,11 +143,56 @@ def test_word_nilpotence():
     assert divided_difference_word(G, (1, 1), f).is_zero()
 
 
+def _divide_linear(f, a, b, s):
+    """Exact division of ``f`` by ``x_a - s*x_b`` (or by ``x_a`` when b is None).
+
+    Integer synthetic division on exponent tuples with main variable ``x_a``
+    (the divisor is monic in it); raises ArithmeticError when the remainder is
+    nonzero.  It shares no code with the packed kernel it is a reference for.
+    """
+    m = f.nvars
+    if b is None:
+        out = {}
+        for e, c in f.coeffs.items():
+            if e[a - 1] == 0:
+                raise ArithmeticError("inexact division by simple root")
+            new = list(e)
+            new[a - 1] -= 1
+            out[tuple(new)] = c
+        return Polynomial(m, out, f.den)
+    # Group by the exponent of x_a:  f = sum_k f_k * x_a^k.
+    layers = {}
+    for e, c in f.coeffs.items():
+        rest = list(e)
+        rest[a - 1] = 0
+        layers.setdefault(e[a - 1], {})[tuple(rest)] = c
+    out = {}
+    carry = {}
+    # Synthetic division: q_{k-1} = f_k + s * x_b * q_k, remainder f_0 + s*x_b*q_0.
+    for k in range(max(layers, default=0), 0, -1):
+        q = dict(layers.get(k, {}))
+        for e, c in carry.items():
+            q[e] = q.get(e, 0) + c
+        carry = {}
+        for e, c in q.items():
+            if c:
+                new = list(e)
+                new[a - 1] = k - 1
+                out[tuple(new)] = c
+                new[a - 1] = 0
+                new[b - 1] += 1
+                carry[tuple(new)] = s * c
+    remainder = dict(layers.get(0, {}))
+    for e, c in carry.items():
+        remainder[e] = remainder.get(e, 0) + c
+    if any(remainder.values()):
+        raise ArithmeticError("inexact division by simple root")
+    return Polynomial(m, out, f.den)
+
+
 def test_inexact_division_raises():
     # Dividing a non-antisymmetrized numerator must fail loudly, so feed the
     # low-level operator a polynomial with a doctored action.
-    from quadchow.polyring import _divide_linear
-
     with pytest.raises(ArithmeticError, match="inexact"):
         _divide_linear(variable(2, 2), 1, 2, 1)  # x2 / (x1 - x2)
     with pytest.raises(ArithmeticError, match="inexact"):
@@ -169,8 +215,6 @@ def test_values_over_a_common_denominator():
 
 def _long_division_reference(G, i, f):
     """(f - s_i . f) / alpha_i by the action and synthetic division."""
-    from quadchow.polyring import _divide_linear
-
     m = G.rank
     num = f - act(G.simple_reflections[i - 1], f)
     if i < m:
@@ -180,15 +224,31 @@ def _long_division_reference(G, i, f):
     return _divide_linear(num, m - 1, m, -1)
 
 
+def composition(rng, m, degree):
+    """A random exponent tuple of length m and the given total degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(m - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+def wide_poly(m, rng, terms=4):
+    """Terms whose degree fills, or nearly fills, the exponent field."""
+    degrees = [rng.randint(MASK - 12, MASK) for _ in range(terms)]
+    return Polynomial(m, {composition(rng, m, d): rng.randrange(-4, 5) for d in degrees})
+
+
 def test_fused_kernel_matches_long_division():
     rng = random.Random(31)
-    for G in (make_group("B", 3), make_group("D", 3), make_group("B", 4), make_group("D", 4)):
+    groups = [make_group("B", r) for r in range(1, MAX_RANK + 1)]
+    groups += [make_group("D", r) for r in range(2, MAX_RANK + 1)]
+    for G in groups:
         m = G.rank
-        for _ in range(15):
-            f = rand_poly(m, rng, terms=8, deg=5).scale(Fraction(1, rng.randrange(1, 7)))
+        polys = [rand_poly(m, rng, terms=8, deg=5) for _ in range(15)]
+        polys += [wide_poly(m, rng) for _ in range(3)]
+        for f in polys:
+            f = f.scale(Fraction(1, rng.randrange(1, 7)))
             for i in range(1, m + 1):
                 got = divided_difference(G, i, f)
-                assert got == _long_division_reference(G, i, f)
+                assert got == _long_division_reference(G, i, f), (G.family, m, i)
                 assert got.den == f.den
                 assert got * simple_root(G, i) == f - act(G.simple_reflections[i - 1], f)
 
@@ -202,3 +262,71 @@ def test_point_class_carries_the_group_order():
         assert model.point_rep.den == len(G)
         top = divided_difference_word(G, G.reduced_word(G.longest_element), model.point_rep)
         assert top == constant(G.rank, 1)
+
+
+# -- the packed monomial encoding -----------------------------------------------
+
+
+def test_tuple_coefficients_round_trip():
+    rng = random.Random(37)
+    for m in range(1, 6):
+        for _ in range(20):
+            c = {}
+            for _ in range(rng.randint(0, 8)):
+                degree = rng.choice([rng.randrange(8), rng.randint(MASK - 8, MASK)])
+                c[composition(rng, m, degree)] = rng.choice([-3, -1, 1, 2, 7])
+            f = Polynomial(m, c)
+            assert f.coeffs == c and f.den == 1
+            assert f.degree() == max(map(sum, c), default=-1)
+            assert Polynomial(m, f.coeffs, 3) == f.scale(Fraction(1, 3))
+
+
+def test_degree_past_the_field_raises_instead_of_carrying():
+    top = MASK
+    x1, x2 = variable(2, 1), variable(2, 2)
+    assert Polynomial(2, {(top, 0): 1}).coeffs == {(top, 0): 1}
+    for e in ((top + 1, 0), (0, top + 1), (top - 3, 4), (200, 200)):
+        with pytest.raises(OverflowError):
+            Polynomial(2, {e: 1})
+    big = x1**top
+    assert big.coeffs == {(top, 0): 1} and (x1 ** (top - 1) * x2).coeffs == {(top - 1, 1): 1}
+    for make in (lambda: big * x1, lambda: big * x2, lambda: x2 * big):
+        with pytest.raises(OverflowError):
+            make()
+    for base in (x1, x1 + x2, x1 * x2 + constant(2, 1)):
+        with pytest.raises(OverflowError):
+            base ** (top + 1)
+    with pytest.raises(OverflowError):
+        (x1 * x2) ** 128
+    assert ((x1 * x2) ** 127).coeffs == {(127, 127): 1}
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(-1, 2): 1})
+    with pytest.raises(ValueError, match="length"):
+        Polynomial(2, {(1, 0, 0): 1})
+    for i in (0, 3):  # a field outside the variables would be the degree's
+        with pytest.raises(RangeError, match="variable index out of range"):
+            variable(2, i)
+
+
+def test_equal_values_hash_alike_over_any_denominator():
+    rng = random.Random(41)
+    for m in (1, 3, 5):
+        for _ in range(20):
+            f = rand_poly(m, rng, terms=6, deg=6)
+            k = rng.randrange(2, 9)
+            g = Polynomial(m, {e: c * k for e, c in f.coeffs.items()}, f.den * k)
+            assert g.den == f.den * k
+            assert g == f and hash(g) == hash(f)
+            if not f.is_zero():
+                assert g != f.scale(2) and g != f + constant(m, 1)
+
+
+def test_repr_is_unchanged():
+    f = Polynomial(3, {(2, 0, 1): Fraction(1, 2), (0, 0, 0): 3, (0, 1, 0): -1, (1, 1, 1): 4})
+    assert repr(f) == "1/2*x1^2*x3 + 4*x1*x2*x3 + -1*x2 + 3"
+    assert repr(Polynomial(2)) == "0"
+    assert repr(variable(4, 3).scale(Fraction(-2, 6))) == "-1/3*x3"
+    assert repr(Polynomial(1, {(MASK,): 5}, 10)) == "1/2*x1^255"
+    # terms run in decreasing exponent-tuple order, not by degree
+    f = Polynomial(2, {(0, MASK): 1, (1, 0): -2, (0, 3): 1})
+    assert repr(f) == "-2*x1 + 1*x2^255 + 1*x2^3"

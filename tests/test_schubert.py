@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -545,3 +546,37 @@ def test_deg_product_halves_are_memoised_per_model(monkeypatch):
         # over Z/2 the degree is the integer pairing reduced mod 2
         assert M.deg_product([x.mod2() for x in classes]) == want % 2
     assert M._halves and not other._halves
+
+
+# -- the one-monomial point class against the product of the positive roots ----
+
+
+def _positive_root_point(G):
+    # The former point representative: the product of the positive roots over |W|.
+    from quadchow.polyring import Polynomial, constant
+
+    m = G.rank
+    unit = [tuple(int(k == j) for k in range(m)) for j in range(m)]
+    prod = constant(m, 1)
+    for root in G.positive_roots:
+        prod = prod * Polynomial(m, {unit[j]: c for j, c in enumerate(root) if c})
+    return prod.scale(Fraction(1, len(G)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_point_monomial_and_positive_roots_give_the_same_classes(n):
+    from math import factorial
+
+    M = build_flag_model(n)
+    G = M.group
+    m = G.rank
+    rho = range(2 * m - 1, 0, -2) if G.family == "B" else range(2 * m - 2, -1, -2)
+    assert M.point_rep.coeffs == {tuple(rho): factorial(m)}
+    assert M.point_rep.den == len(G)
+    full = range(M.d + 1)
+    old_point = _positive_root_point(G)
+    w0 = G.longest_element
+    for w in G.elements:
+        old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
+        assert M.expand(old, full).coeffs == {w: 1}, w
+        assert M.expand(M.schubert_rep(w), full).coeffs == {w: 1}, w
