@@ -20,6 +20,13 @@ dual of b.  That assembly is validated against the intrinsic characterisation
 (its correspondence action on X-classes must reproduce the raw pull-push maps)
 by ``validate_incidence``; a mismatch is a hard error in the Kunneth
 bookkeeping, not a tolerance issue.
+
+The incidence powers on G_i x X^m (the class itself at m = 1, eta_i at
+m = i, theta_i at m = i + 1) are memoised per geometry in
+``QuadricGeometry.bridge_memo``: each is built once, by one product from the
+power below it, so theta_i costs one product once eta_i exists and later
+eta/theta/alpha calls on that geometry are lookups.  The memo lives and dies
+with its geometry.
 """
 
 from __future__ import annotations
@@ -85,11 +92,15 @@ def symbol_class(
 
 
 def _x_window_table(geometry: QuadricGeometry) -> dict[tuple[int, ...], Sym]:
-    table: dict[tuple[int, ...], Sym] = {}
-    for s in basis_symbols(geometry.ctx):
-        fc = symbol_class(geometry, geometry.primary, s)
-        (w,) = fc.coeffs
-        table[w.window] = s
+    """Window of each X-class's Schubert label -> its basis symbol, built once
+    per geometry."""
+    table = geometry.bridge_memo.get("x_windows")
+    if table is None:
+        table = {}
+        for s in basis_symbols(geometry.ctx):
+            (w,) = symbol_class(geometry, geometry.primary, s).coeffs
+            table[w.window] = s
+        geometry.bridge_memo["x_windows"] = table
     return table
 
 
@@ -351,23 +362,12 @@ def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle
     """The class of {(subspace, point on it)} in G_i x X, via its Kunneth expansion.
 
     The coefficient on the X-basis monomial b is the pull-push to G_i of the
-    Poincare dual of b; for i = 0 this reduces to the diagonal of X.
+    Poincare dual of b; for i = 0 this reduces to the diagonal of X.  It is the
+    first incidence power, memoised on the geometry under (i, 1, p).
     """
     if not 0 <= i <= geometry.d:
         raise RangeError("grassmannian index out of range")
-    cached = geometry.incidence_cache.get((i, p))
-    if cached is not None:
-        return cached
-    ctx = geometry.ctx
-    coeffs: dict[MixedKey, int] = {}
-    for s in basis_symbols(ctx):
-        z = _pullpush_to_g(geometry, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
-        for k, part in enumerate(z.parts):
-            for w, c in part.coeffs.items():
-                coeffs[(k, w, (s,))] = c
-    out = MixedCycle(geometry, [i], 1, coeffs, p)
-    geometry.incidence_cache[(i, p)] = out
-    return out
+    return _power(geometry, i, 1, p)
 
 
 def validate_incidence(geometry: QuadricGeometry, i: int) -> None:
@@ -382,15 +382,39 @@ def validate_incidence(geometry: QuadricGeometry, i: int) -> None:
             )
 
 
+def _power(geometry: QuadricGeometry, i: int, m: int, p: int) -> MixedCycle:
+    """The incidence power on G_i x X^m, memoised on the geometry by (i, m, p).
+
+    Power m is power m - 1 pulled to the first m - 1 slots times the incidence
+    class pulled to the last: the left fold over the factor pullbacks, with
+    its prefixes shared, since pull_x is a ring homomorphism.
+    """
+    memo = geometry.bridge_memo
+    key = (i, m, p)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if m == 1:
+        ctx = geometry.ctx
+        coeffs: dict[MixedKey, int] = {}
+        for s in basis_symbols(ctx):
+            z = _pullpush_to_g(geometry, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
+            for k, part in enumerate(z.parts):
+                for w, c in part.coeffs.items():
+                    coeffs[(k, w, (s,))] = c
+        out = MixedCycle(geometry, [i], 1, coeffs, p)
+    else:
+        prev = _power(geometry, i, m - 1, p).pull_x(m, range(m - 1))
+        out = prev * _power(geometry, i, 1, p).pull_x(m, [m - 1])
+    memo[key] = out
+    return out
+
+
 def _incidence_power(geometry: QuadricGeometry, i: int, m: int, p: int) -> MixedCycle:
     """Product over the m factor-pullbacks of the incidence class, on G_i x X^m."""
     if not 1 <= i <= geometry.d:
         raise RangeError("index out of range")
-    inc = incidence_class(geometry, i, p)
-    total = inc.pull_x(m, [0])
-    for j in range(1, m):
-        total = total * inc.pull_x(m, [j])
-    return total
+    return _power(geometry, i, m, p)
 
 
 def eta(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:

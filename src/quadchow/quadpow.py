@@ -344,21 +344,33 @@ def sym(x: QuadCycle) -> QuadCycle:
 
     Literally all m! permutations; callers that need orbit sums divide
     explicitly (the factor-of-2 bookkeeping in the diagonal identities
-    depends on overcounting being present).
+    depends on overcounting being present).  The pushforward along sigma
+    reorders a monomial by sigma^-1; as sigma runs over S_m so does sigma^-1,
+    so the sum is that of every reordering ``itertools.permutations`` yields.
     """
-    return _sum_permuted(x, itertools.permutations(range(x.m)))
+    return _sum_images(x, itertools.permutations)
 
 
 def alternating_sym(x: QuadCycle) -> QuadCycle:
-    """Sum of pushforwards over the alternating group only."""
-    return _sum_permuted(
-        x,
-        (
-            perm
-            for perm in itertools.permutations(range(x.m))
-            if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
-        ),
+    """Sum of pushforwards over the alternating group only (closed under
+    inverses, so the even reorderings of each monomial give the same sum)."""
+    even = [
+        sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+        for perm in itertools.permutations(range(x.m))
+    ]
+    return _sum_images(
+        x, lambda mono: itertools.compress(itertools.permutations(mono), even)
     )
+
+
+def _sum_images(x: QuadCycle, images) -> QuadCycle:
+    """The sum, over x's monomials, of each monomial ``images(mono)`` yields,
+    with that monomial's coefficient."""
+    out: dict[Mono, int] = {}
+    for mono, c in x.coeffs.items():
+        for key in images(mono):
+            out[key] = out.get(key, 0) + c
+    return QuadCycle(x.ctx, x.m, out, x.p)
 
 
 def _sum_permuted(x: QuadCycle, perms: Iterable[Sequence[int]]) -> QuadCycle:

@@ -820,8 +820,10 @@ class QuadricGeometry:
             self.secondary: FlagModel | None = build_flag_model(n, -self.ctx.orientation)
         else:
             self.secondary = None
-        # incidence classes by (i, p), filled by bridge.incidence_class
-        self.incidence_cache: dict = {}
+        # bridge memo, freed with this geometry: the incidence powers on
+        # G_i x X^m by (i, m, p) (the incidence class is m = 1, eta_i is
+        # m = i, theta_i m = i + 1), and the X window table under "x_windows"
+        self.bridge_memo: dict = {}
         if self.secondary is not None:
             # the per-model gates cannot see the global naming of l_d
             _check_ladder(self, [self.d])

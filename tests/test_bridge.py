@@ -8,6 +8,7 @@ import pytest
 
 from quadchow.bridge import (
     MixedCycle,
+    _incidence_power,
     alpha,
     eta,
     flag_cycle_to_quad,
@@ -39,6 +40,7 @@ from quadchow.quadpow import (
     sym_h_chain,
 )
 from quadchow.schubert import FlagCycle, QuadricGeometry, UnionCycle, build_geometry
+from quadchow.weyl import RangeError
 
 
 def test_incidence_gate():
@@ -54,10 +56,77 @@ def test_incidence_cache_belongs_to_its_geometry():
     assert inc1 is not inc2
     assert inc1.geometry is G1 and inc2.geometry is G2
     assert incidence_class(G1, 1) is inc1
+    # the powers and the X window table sit in G1's memo; every power refers
+    # back to G1, so G1 can only be collected once no power is alive
+    powers = [eta(G1, 2), theta(G1, 2, 2), alpha(G1, 1).cycle]
+    assert G1.bridge_memo[(2, 2, 0)] is powers[0]
+    assert G1.bridge_memo[(2, 3, 2)] is powers[1]
+    flag_cycle_to_quad(G1, G1.class_Z(0, 4))
+    assert "x_windows" in G1.bridge_memo
+    assert not G2.bridge_memo.keys() - {(1, 1, 0)}
     ref = weakref.ref(G1)
-    del G1, inc1
+    del G1, inc1, powers
     gc.collect()
     assert ref() is None
+
+
+GEOMETRIES = [(3, 1), (4, 1), (4, -1), (5, 1), (6, 1), (6, -1), (7, 1)]
+
+
+def _left_fold(G, i, m, p):
+    """The reference power: inc.pull_x(m, [0]) * ... * inc.pull_x(m, [m-1])."""
+    inc = incidence_class(G, i, p)
+    total = inc.pull_x(m, [0])
+    for j in range(1, m):
+        total = total * inc.pull_x(m, [j])
+    return total
+
+
+@pytest.mark.parametrize("n,orientation", GEOMETRIES)
+def test_incidence_powers_match_the_left_fold(n, orientation):
+    G = build_geometry(n, orientation)
+    for p in (0, 2):
+        for i in range(1, G.d + 1):
+            for m in range(1, i + 2):
+                got = _incidence_power(G, i, m, p)
+                assert got == _left_fold(G, i, m, p), (n, orientation, p, i, m)
+                assert _incidence_power(G, i, m, p) is got
+            assert eta(G, i, p) is _incidence_power(G, i, i, p)
+            assert theta(G, i, p) is _incidence_power(G, i, i + 1, p)
+            assert incidence_class(G, i, p) is _incidence_power(G, i, 1, p)
+
+
+@pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
+def test_incidence_powers_do_not_depend_on_build_order(n, orientation):
+    theta_first, eta_first = QuadricGeometry(n, orientation), QuadricGeometry(n, orientation)
+    for p in (0, 2):
+        for i in range(1, theta_first.d + 1):
+            th = theta(theta_first, i, p)
+            et = eta(eta_first, i, p)
+            assert th.parts == theta(eta_first, i, p).parts
+            assert et.parts == eta(theta_first, i, p).parts
+            assert alpha(theta_first, i, p).cycle == alpha(eta_first, i, p).cycle
+
+
+def test_incidence_power_ranges_hold_on_a_warm_memo():
+    G = build_geometry(6)
+    for i in range(1, G.d + 1):
+        theta(G, i)
+        eta(G, i, 2)
+    bad_calls = [
+        lambda: theta(G, 0),
+        lambda: eta(G, 0, 2),
+        lambda: eta(G, G.d + 1),
+        lambda: theta(G, G.d + 1, 2),
+        lambda: alpha(G, 0),
+        lambda: incidence_class(G, G.d + 1),
+        lambda: incidence_class(G, -1),
+    ]
+    for bad in bad_calls:
+        with pytest.raises(RangeError):
+            bad()
+    incidence_class(G, 0)
+    assert (0, 1, 0) in G.bridge_memo and (0, 2, 0) not in G.bridge_memo
 
 
 def test_incidence_zero_is_diagonal():
@@ -331,3 +400,31 @@ def test_schubert_memos_belong_to_the_group(n):
     assert prod
     assert A.basis_product([0, 1], v, u) is prod
     assert B.basis_product([0, 1, G.d], u, v) is prod
+
+
+def _random_mixed_cycle(G, I, arity, rng, p):
+    """A seeded, usually inhomogeneous mixed cycle with terms on every sheet."""
+    syms = basis_symbols(G.ctx)
+    coeffs = {}
+    for k, M in enumerate(G.sheets(I)):
+        basis = M.basis(I)
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(rng.choice(syms) for _ in range(arity))
+            coeffs[(k, rng.choice(basis), mono)] = rng.randint(-3, 3)
+    return MixedCycle(G, I, arity, coeffs, p)
+
+
+@pytest.mark.parametrize("n,orientation", [(3, 1), (4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
+def test_mixed_product_is_a_ring_and_pull_x_a_ring_map(n, orientation):
+    # the incidence-power recursion rests on these three laws
+    G = build_geometry(n, orientation)
+    rng = random.Random(10 * n + orientation)
+    for p in (0, 2):
+        for i in range(G.d + 1):
+            I = [i]
+            for _ in range(2):
+                a, b, c = (_random_mixed_cycle(G, I, 2, rng, p) for _ in range(3))
+                assert a * b == b * a
+                assert (a * b) * c == a * (b * c)
+                for m, slots in ((2, [1, 0]), (3, [2, 0]), (4, [1, 3])):
+                    assert (a * b).pull_x(m, slots) == a.pull_x(m, slots) * b.pull_x(m, slots)

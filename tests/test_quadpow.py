@@ -34,6 +34,7 @@ from quadchow.quadpow import (
     sym,
     sym_h_chain,
 )
+from quadchow.quadpow import _sum_permuted
 
 
 def rand_cycle(ctx, m, rng, p=0, terms=4):
@@ -103,6 +104,26 @@ def test_sym_examples():
         [h_power_cycle(ctx5, 1), h_power_cycle(ctx5, 1), l_cycle(ctx5, 1)]
     )
     assert sym(base) == alternating_sym(base).scale(2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sym_matches_the_sum_over_permutations(n):
+    # sym and alternating_sym reorder each monomial directly; the reference
+    # pushes forward along every permutation (inverting it) one by one
+    ctx = quad_context(n)
+    rng = random.Random(n)
+    pool = basis_symbols(ctx)[:3]  # few symbols, so monomials repeat them
+    for m in range(0, 6):
+        perms = list(itertools.permutations(range(m)))
+        even = [q for q in perms if sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 0]
+        for p in (0, 2):
+            coeffs = {
+                tuple(rng.choice(pool) for _ in range(m)): rng.randint(-3, 3)
+                for _ in range(5)
+            }
+            x = QuadCycle(ctx, m, coeffs, p)
+            assert sym(x) == _sum_permuted(x, perms), (m, p)
+            assert alternating_sym(x) == _sum_permuted(x, even), (m, p)
 
 
 def test_push_pull_projections():
