@@ -5,13 +5,19 @@ A mixed cycle on F(I) x X^m is stored in the Kunneth basis: coefficients are
 indexed by triples (sheet, Schubert representative on F(I), basis monomial on
 X^m), where the sheet numbers the connected components of F(I) (two sheets
 when n is even and d is in I, else one).  Because both factors are cellular,
-pullback and pushforward act independently on the two tensor legs, and
-pushing the flag leg all the way down to a point is just reading off the
-point-class coefficient sheet by sheet.
+pullback and pushforward act independently on the two tensor legs: the X leg
+by the ``QuadCycle`` slot maps, the flag leg by ``QuadricGeometry.pullback``
+and ``pushforward``, the one place that knows the sheet rules (a connected
+space duplicates into a split one, a split one adds into a connected one).
+The X-class of a basis symbol is ``QuadricGeometry.x_class``.
 
 Flag-side correspondence actions p_*((x (x) 1) . M) read x on the Poincare
 duals of M's Schubert classes (``MixedCycle.action_on_flag``, no product on
-F(I)); ``push_to_quad`` of the full product is the reference.
+F(I)); ``push_to_quad`` of the full product is the reference.  X-side actions
+pair slots by ``quadpow.contract``; ``action_on_quad`` is ``id_times_action``
+with no kept slot.  theta'_i is a product: the split diagonal, its second slot
+moved onto the flag leg of F(0) x X, times the incidence class of G_i, both
+pulled to F(0, i).
 
 The incidence class of pairs (subspace, point on it) inside G_i x X is not
 computed from an embedding; it is assembled from its Kunneth expansion, whose
@@ -40,6 +46,7 @@ from quadchow.quadpow import (
     Sym,
     basis_symbols,
     codim1,
+    contract,
     delta_i,
     dual1,
     external,
@@ -47,10 +54,9 @@ from quadchow.quadpow import (
     monomial_cycle,
     rho_i,
 )
-from quadchow.quadpow import _mul_mono, _pairing
+from quadchow.quadpow import _mul_mono
 from quadchow.schubert import (
     FlagCycle,
-    FlagModel,
     QuadricGeometry,
     SparseCycle,
     UnionCycle,
@@ -59,7 +65,6 @@ from quadchow.weyl import RangeError, SignedPermutation
 
 __all__ = [
     "MixedCycle",
-    "symbol_class",
     "flag_cycle_to_quad",
     "incidence_class",
     "validate_incidence",
@@ -77,20 +82,6 @@ __all__ = [
 MixedKey = tuple[int, SignedPermutation, Mono]
 
 
-def symbol_class(
-    geometry: QuadricGeometry, model: FlagModel, s: Sym, p: int = 0
-) -> FlagCycle:
-    """The X-class of a quadric-power basis symbol, in `model` labels, under the
-    global orientation."""
-    kind, idx = s
-    if kind == "h":
-        return model.h_power(idx, p)
-    if kind == "l":
-        return geometry.global_l(model, idx, p)
-    (w,) = geometry.primary.lp_class().coeffs
-    return FlagCycle(model, [0], {w: 1}, p)
-
-
 def _x_window_table(geometry: QuadricGeometry) -> dict[tuple[int, ...], Sym]:
     """Window of each X-class's Schubert label -> its basis symbol, built once
     per geometry."""
@@ -98,7 +89,7 @@ def _x_window_table(geometry: QuadricGeometry) -> dict[tuple[int, ...], Sym]:
     if table is None:
         table = {}
         for s in basis_symbols(geometry.ctx):
-            (w,) = symbol_class(geometry, geometry.primary, s).coeffs
+            (w,) = geometry.x_class(geometry.primary, s).coeffs
             table[w.window] = s
         geometry.bridge_memo["x_windows"] = table
     return table
@@ -209,39 +200,37 @@ class MixedCycle(SparseCycle):
 
     # -- the two tensor legs ---------------------------------------------------
 
+    def _flag_cycle(self, parts) -> UnionCycle:
+        """The cycle on F(I) with coefficients {w: c} per sheet."""
+        sheets = self.geometry.sheets(self.I)
+        flags = (FlagCycle(M, self.I, part, self.p) for M, part in zip(sheets, parts))
+        return UnionCycle(self.geometry, self.I, tuple(flags))
+
+    def _map_flag(self, flag_map) -> "MixedCycle":
+        """Apply a QuadricGeometry map to the flag leg of every X-monomial group.
+
+        The map runs once on the zero cycle first, so a bad target raises
+        even on a zero cycle, and the zero image gives the new I.
+        """
+        I = flag_map(self.geometry.zero(self.I, self.p)).I
+        sheets = self.geometry.sheets(self.I)
+        groups: dict[Mono, list[dict[SignedPermutation, int]]] = {}
+        for (k, w, mono), c in self.coeffs.items():
+            groups.setdefault(mono, [{} for _ in sheets])[k][w] = c
+        out: dict[MixedKey, int] = {}
+        for mono, parts in groups.items():
+            for k, part in enumerate(flag_map(self._flag_cycle(parts)).parts):
+                for w, c in part.coeffs.items():
+                    out[(k, w, mono)] = c
+        return MixedCycle(self.geometry, I, self.arity, out, self.p)
+
     def pull_flag(self, target_I) -> "MixedCycle":
         """Pullback along the flag projection F(target_I) -> F(I)."""
-        geom = self.geometry
-        target_I = frozenset(target_I)
-        n_source, n_target = len(geom.sheets(self.I)), len(geom.sheets(target_I))
-        if n_source == n_target:
-            coeffs = self.coeffs
-        elif n_source == 1 and n_target == 2:
-            coeffs = {
-                (k, w, mono): c for (_, w, mono), c in self.coeffs.items() for k in (0, 1)
-            }
-        else:
-            raise ValueError("cannot pull back from a disconnected space")
-        # minimal representatives stay minimal for the bigger cut set
-        return MixedCycle(geom, target_I, self.arity, coeffs, self.p)
+        return self._map_flag(lambda x: self.geometry.pullback(target_I, x))
 
     def push_flag(self, target_J) -> "MixedCycle":
-        geom = self.geometry
-        target_J = frozenset(target_J)
-        sheets, targets = geom.sheets(self.I), geom.sheets(target_J)
-        by_mono: dict[tuple[int, Mono], dict[SignedPermutation, int]] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            by_mono.setdefault((k, mono), {})[w] = c
-        out: dict[MixedKey, int] = {}
-        for (k, mono), coeffs in by_mono.items():
-            model = sheets[k]
-            pushed = model.pushforward(target_J, FlagCycle(model, self.I, coeffs, self.p))
-            # a split target has the same sheets; a connected one adds them
-            tgt = k if len(targets) == 2 else 0
-            for w, c in pushed.coeffs.items():
-                key = (tgt, w, mono)
-                out[key] = out.get(key, 0) + c
-        return MixedCycle(geom, target_J, self.arity, out, self.p)
+        """Pushforward along the flag projection F(I) -> F(target_J)."""
+        return self._map_flag(lambda x: self.geometry.pushforward(target_J, x))
 
     def push_to_quad(self) -> QuadCycle:
         """Integrate the flag leg over F(I); sheets add.  The action_on_flag reference."""
@@ -279,10 +268,6 @@ class MixedCycle(SparseCycle):
         """Pushforward integrating the dropped X-slots."""
         return self._map_x(lambda q: q.push_proj(keep))
 
-    def permute_x(self, perm: Sequence[int]) -> "MixedCycle":
-        """Pushforward along the X-factor permutation sending slot t to perm[t]."""
-        return self._map_x(lambda q: q.permute(perm))
-
     # -- correspondence actions ---------------------------------------------------
 
     def _check_quad(self, x: QuadCycle, arity: int) -> None:
@@ -306,22 +291,11 @@ class MixedCycle(SparseCycle):
         return QuadCycle(geom.ctx, self.arity, out, self.p)
 
     def action_on_quad(self, x: QuadCycle) -> UnionCycle:
-        """View as a correspondence X^m -> F(I) and act on a quadric-power cycle."""
+        """View as a correspondence X^m -> F(I) and act on a quadric-power cycle:
+        id_times_action with no kept slots, split into sheets."""
         self._check_quad(x, self.arity)
-        geom = self.geometry
-        ctx = geom.ctx
-        sheets = geom.sheets(self.I)
-        outs: list[dict[SignedPermutation, int]] = [{} for _ in sheets]
-        for (k, w, mono), c in self.coeffs.items():
-            for xmono, cx in x.coeffs.items():
-                factor = _pairing(ctx, xmono, mono)
-                if factor:
-                    outs[k][w] = outs[k].get(w, 0) + c * cx * factor
-        return UnionCycle(
-            geom,
-            self.I,
-            tuple(FlagCycle(M, self.I, out, self.p) for M, out in zip(sheets, outs)),
-        )
+        parts = self.id_times_action(x).parts
+        return self._flag_cycle([{w: c for (w, _), c in part.items()} for part in parts])
 
     def id_times_action(self, x: QuadCycle) -> "MixedCycle":
         """Act on the last `arity` X-slots of x, keeping the leading slots.
@@ -329,18 +303,15 @@ class MixedCycle(SparseCycle):
         This is the operator (Id on X^{r}) x (this correspondence): the input
         lives on X^{r + arity}, the output on F(I) x X^{r}.
         """
-        ctx = self.geometry.ctx
         r = x.m - self.arity
         if r < 0:
             raise ValueError("arity mismatch")
         self._check_quad(x, x.m)
-        out: dict[MixedKey, int] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            for xmono, cx in x.coeffs.items():
-                factor = _pairing(ctx, xmono[r:], mono)
-                if factor:
-                    key = (k, w, xmono[:r])
-                    out[key] = out.get(key, 0) + c * cx * factor
+        out = contract(
+            self.geometry.ctx,
+            (((k, w), mono, c) for (k, w, mono), c in self.coeffs.items()),
+            [((m[:r],), m[r:], c) for m, c in x.coeffs.items()],
+        )
         return MixedCycle(self.geometry, self.I, r, out, self.p)
 
 
@@ -348,14 +319,11 @@ class MixedCycle(SparseCycle):
 
 
 def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
-    """The correspondence X -> G_i through F(0, i), sheet by sheet, on a cycle of X."""
-    parts = []
-    for model in geometry.sheets([i]):
-        fc = model.zero([0], x.p)
-        for (s,), c in x.coeffs.items():
-            fc = fc + symbol_class(geometry, model, s, x.p).scale(c)
-        parts.append(model.pullpush_x_to_g(i, fc))
-    return UnionCycle(geometry, [i], tuple(parts))
+    """The correspondence X -> G_i through F(0, i) on a cycle of X."""
+    fc = geometry.primary.zero([0], x.p)
+    for (s,), c in x.coeffs.items():
+        fc = fc + geometry.x_class(geometry.primary, s, x.p).scale(c)
+    return geometry.pushforward([i], geometry.pullback([0, i], geometry.from_primary(fc)))
 
 
 def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
@@ -452,25 +420,14 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
     and the incidence class (arity 2; X-slots are the two sources)."""
     if not 1 <= i <= geometry.d:
         raise RangeError("index out of range")
-    ctx = geometry.ctx
-    I = frozenset([0, i])
-    diag = delta_i(ctx, 1, p=2)
-    inc = incidence_class(geometry, i, p=2)
-    sheets = geometry.sheets(I)  # those of G_i, as 0 < i
-    out: dict[MixedKey, int] = {}
-    for (k, w_g, (b,)), c1 in inc.coeffs.items():
-        model = sheets[k]
-        # sigma_w pulled from G_i, times the pullback from X of the second
-        # diagonal slot; Kunneth X-slots are (first diagonal slot, b).
-        for (u, v), c2 in diag.coeffs.items():
-            vi = symbol_class(geometry, model, v, 2)
-            flag = model.pullback(I, vi) * model.pullback(
-                I, FlagCycle(model, [i], {w_g: 1}, 2)
-            )
-            for w, cf in flag.coeffs.items():
-                key = (k, w, (u, b))
-                out[key] = out.get(key, 0) + c1 * c2 * cf
-    return MixedCycle(geometry, I, 2, out, 2)
+    # the split diagonal with its second slot moved onto the flag leg of F(0) x X
+    diag: dict[MixedKey, int] = {}
+    for (u, v), c in delta_i(geometry.ctx, 1, p=2).coeffs.items():
+        (w,) = geometry.x_class(geometry.primary, v).coeffs
+        diag[(0, w, (u,))] = c
+    I = [0, i]
+    left = MixedCycle(geometry, [0], 1, diag, 2).pull_flag(I).pull_x(2, [0])
+    return left * incidence_class(geometry, i, 2).pull_flag(I).pull_x(2, [1])
 
 
 def eta_pushdown(geometry: QuadricGeometry, i: int, k: int) -> QuadCycle:

@@ -133,9 +133,10 @@ def square_from_json(data: dict) -> EDISquare:
         raise ValueError("n must be an integer")
     marks = data.get("marks", [])
     if not isinstance(marks, list) or any(
-        not isinstance(m, (list, tuple)) or len(m) != 2 for m in marks
+        not isinstance(m, (list, tuple)) or len(m) != 2 or any(not isinstance(v, int) for v in m)
+        for m in marks
     ):
-        raise ValueError("marks must be a list of [row, column] pairs")
+        raise ValueError("marks must be a list of [row, column] integer pairs")
     witt = data.get("witt_index")
     if witt is not None and not isinstance(witt, int):
         raise ValueError("witt_index must be an integer or null")

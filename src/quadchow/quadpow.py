@@ -20,6 +20,9 @@ the split-quadric rules:
 Everything downstream (symmetrization, projections, diagonals, correspondence
 composition) is induced factor-wise from these rules with exact integer
 coefficients; a parallel mod-2 lane reduces coefficients after each step.
+``_slot_products`` multiplies out one sum of classes per slot, and
+``contract`` pairs slots by degree for every correspondence composition and
+action, here and in ``quadchow.bridge``.
 
 n = 2 is admitted here (the basis rules make sense and provide edge cases for
 the diagonal identities) even though the flag-variety modules start at n = 3.
@@ -46,6 +49,7 @@ __all__ = [
     "l_cycle",
     "lp_cycle",
     "external",
+    "contract",
     "sym",
     "sym_h_chain",
     "alternating_sym",
@@ -149,6 +153,30 @@ def _pairing(ctx: QuadricContext, xs: Sequence[Sym], ys: Sequence[Sym]) -> int:
         if not factor:
             return 0
     return factor
+
+
+def contract(ctx: QuadricContext, left: Iterable[tuple], right: Sequence[tuple]) -> dict:
+    """The slot pairing behind every correspondence: over terms (kept key,
+    paired slots, coeff) of each side, sum c1 c2 deg(s1 . s2) on key k1 + k2."""
+    out: dict = {}
+    for k1, s1, c1 in left:
+        for k2, s2, c2 in right:
+            factor = _pairing(ctx, s1, s2)
+            if factor:
+                key = k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2 * factor
+    return out
+
+
+def _slot_products(c: int, slots: Iterable[Iterable[tuple[Sym, int]]]):
+    """Multiply out one sum of (symbol, coeff) terms per slot: yield (mono, c
+    times the picked coeffs) for each pick of one term per slot.  Distinct
+    picks give distinct monomials."""
+    for combo in itertools.product(*slots):
+        cv = c
+        for _, f in combo:
+            cv *= f
+        yield tuple(s for s, _ in combo), cv
 
 
 def dual1(ctx: QuadricContext, s: Sym) -> Sym:
@@ -259,11 +287,7 @@ class QuadCycle(SparseCycle):
                     for v, cv in mul1(self.ctx, u, s).items():
                         nxt[v] = nxt.get(v, 0) + cu * cv
                 acc[t] = nxt
-            for combo in itertools.product(*(a.items() for a in acc)):
-                mono2 = tuple(s for s, _ in combo)
-                c2 = c
-                for _, cv in combo:
-                    c2 *= cv
+            for mono2, c2 in _slot_products(c, (a.items() for a in acc)):
                 if c2:
                     out[mono2] = out.get(mono2, 0) + c2
         return QuadCycle(self.ctx, m_out, out, self.p)
@@ -273,15 +297,7 @@ class QuadCycle(SparseCycle):
 
 
 def _mul_mono(ctx: QuadricContext, m1: Mono, m2: Mono) -> dict[Mono, int]:
-    parts = [mul1(ctx, s, t) for s, t in zip(m1, m2)]
-    out: dict[Mono, int] = {}
-    for combo in itertools.product(*(p.items() for p in parts)):
-        mono = tuple(s for s, _ in combo)
-        c = 1
-        for _, cv in combo:
-            c *= cv
-        out[mono] = out.get(mono, 0) + c
-    return out
+    return dict(_slot_products(1, (mul1(ctx, s, t).items() for s, t in zip(m1, m2))))
 
 
 # -- constructors ----------------------------------------------------------------
@@ -445,17 +461,11 @@ def is_nonessential(x: QuadCycle) -> bool:
         # extended middle basis per slot: ("hd", d) := l_d + l_d' = h^d
         new: dict[Mono, int] = {}
         for mono, c in acc.items():
-            slots = []
-            for s in mono:
-                if s == ("lp", d):
-                    slots.append(((("hd", d), 1), (("l", d), -1)))
-                else:
-                    slots.append(((s, 1),))
-            for combo in itertools.product(*slots):
-                mono2 = tuple(s for s, _ in combo)
-                c2 = c
-                for _, cv in combo:
-                    c2 *= cv
+            slots = [
+                ((("hd", d), 1), (("l", d), -1)) if s == ("lp", d) else ((s, 1),)
+                for s in mono
+            ]
+            for mono2, c2 in _slot_products(c, slots):
                 new[mono2] = new.get(mono2, 0) + c2
         acc = new
     for mono, c in acc.items():
@@ -497,12 +507,6 @@ class Correspondence:
     def ctx(self) -> QuadricContext:
         return self.cycle.ctx
 
-    def transpose(self) -> "Correspondence":
-        a, b = self.source, self.target
-        # swap the slot blocks: source slots move to the end
-        moved = self.cycle.permute([(t + b) % (a + b) for t in range(a + b)])
-        return Correspondence(moved, b, a)
-
 
 def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     """beta after alpha: pull both to X^a x X^b x X^c, multiply, push out the middle."""
@@ -512,14 +516,11 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
         raise ValueError("arity mismatch")
     ctx = alpha.ctx
     a, b = alpha.source, alpha.target
-    out: dict[Mono, int] = {}
-    for m1, c1 in alpha.cycle.coeffs.items():
-        u, v = m1[:a], m1[a:]
-        for m2, c2 in beta.cycle.coeffs.items():
-            factor = _pairing(ctx, v, m2[:b])
-            if factor:
-                key = u + m2[b:]
-                out[key] = out.get(key, 0) + c1 * c2 * factor
+    out = contract(
+        ctx,
+        ((m[:a], m[a:], c) for m, c in alpha.cycle.coeffs.items()),
+        [(m[b:], m[:b], c) for m, c in beta.cycle.coeffs.items()],
+    )
     return Correspondence(
         QuadCycle(ctx, a + beta.target, out, alpha.cycle.p), a, beta.target
     )
@@ -531,16 +532,13 @@ def action(alpha: Correspondence, x: QuadCycle) -> QuadCycle:
         raise ValueError("context mismatch")
     if x.m != alpha.source:
         raise ValueError("arity mismatch")
-    ctx = alpha.ctx
     a = alpha.source
-    out: dict[Mono, int] = {}
-    for my, cy in x.coeffs.items():
-        for mc, cc in alpha.cycle.coeffs.items():
-            factor = _pairing(ctx, my, mc[:a])
-            if factor:
-                key = mc[a:]
-                out[key] = out.get(key, 0) + cy * cc * factor
-    return QuadCycle(ctx, alpha.target, out, x.p)
+    out = contract(
+        alpha.ctx,
+        (((), m, c) for m, c in x.coeffs.items()),
+        [(m[a:], m[:a], c) for m, c in alpha.cycle.coeffs.items()],
+    )
+    return QuadCycle(alpha.ctx, alpha.target, out, x.p)
 
 
 def rost(ctx: QuadricContext, p: int = 0) -> Correspondence:

@@ -596,7 +596,7 @@ class FlagModel:
         if not 0 <= j <= i + 1:
             raise RangeError("Chern index out of range")
         roots = self.taut_chern_roots(i)
-        poly = _elementary_symmetric(roots, j, self.group.rank)
+        poly = _symmetric_function(roots, j, self.group.rank)
         return self.expand(poly, [i], p)
 
     def chern_quot(self, i: int, j: int, p: int = 0) -> FlagCycle:
@@ -605,7 +605,7 @@ class FlagModel:
         if not 0 <= j <= rank_q:
             raise RangeError("Chern index out of range")
         negroots = [r.scale(-1) for r in self.taut_chern_roots(i)]
-        poly = _complete_homogeneous(negroots, j, self.group.rank)
+        poly = _symmetric_function(negroots, j, self.group.rank, complete=True)
         return self.expand(poly, [i], p)
 
     def class_O1(self, i: int, p: int = 0) -> FlagCycle:
@@ -673,29 +673,17 @@ def _rep_product(m: int, classes: list[FlagCycle]) -> Polynomial:
     return poly
 
 
-def _elementary_symmetric(roots: list[Polynomial], j: int, m: int) -> Polynomial:
-    if j == 0:
-        return constant(m, 1)
+def _symmetric_function(
+    roots: list[Polynomial], j: int, m: int, complete: bool = False
+) -> Polynomial:
+    """e_j of the roots, or h_j when `complete`: per root r, acc[k] += acc[k-1] * r
+    for k = j..1 (acc[k-1] lacks r, so r enters once) or k = 1..j (acc[k-1]
+    already holds every power of r)."""
     acc = [constant(m, 1)] + [Polynomial(m) for _ in range(j)]
+    ks = range(1, j + 1) if complete else range(j, 0, -1)
     for r in roots:
-        for k in range(min(j, len(roots)), 0, -1):
+        for k in ks:
             acc[k] = acc[k] + acc[k - 1] * r
-    return acc[j]
-
-
-def _complete_homogeneous(roots: list[Polynomial], j: int, m: int) -> Polynomial:
-    if j == 0:
-        return constant(m, 1)
-    acc = [constant(m, 1)] + [Polynomial(m) for _ in range(j)]
-    for r in roots:
-        powers = [constant(m, 1)]
-        for _ in range(j):
-            powers.append(powers[-1] * r)
-        new = [Polynomial(m) for _ in range(j + 1)]
-        for k in range(j + 1):
-            for a in range(k + 1):
-                new[k] = new[k] + powers[a] * acc[k - a]
-        acc = new
     return acc[j]
 
 
@@ -868,24 +856,20 @@ class QuadricGeometry:
         parts.extend(M.zero(I, p) for M in sheets[1:])
         return UnionCycle(self, I, tuple(parts))
 
-    def global_l(self, model: FlagModel, b: int, p: int = 0) -> FlagCycle:
-        """The class l_b on X in `model` labels, under the global orientation."""
-        if self.n % 2 == 0 and b == self.d:
-            (w,) = self.primary.l_class(self.d).coeffs
-            return FlagCycle(model, [0], {w: 1}, p)
-        return model.l_class(b, p)
-
-    def h_class(self, p: int = 0) -> UnionCycle:
-        return self.from_primary(self.primary.h_class(p))
+    def x_class(self, model: FlagModel, s: tuple[str, int], p: int = 0) -> FlagCycle:
+        """The X-class of a basis symbol ("h", a), ("l", b) or ("lp", d) in `model`
+        labels: X = F(0) is connected, so both models share its Schubert data,
+        and the primary model names the two middle classes globally."""
+        kind, idx = s
+        M = self.primary
+        if kind == "h":
+            x = M.h_power(idx, p)
+        else:
+            x = M.l_class(idx, p) if kind == "l" else M.lp_class(p)
+        return self.transfer(x, model)
 
     def h_power(self, k: int, p: int = 0) -> UnionCycle:
         return self.from_primary(self.primary.h_power(k, p))
-
-    def l_class(self, b: int, p: int = 0) -> UnionCycle:
-        return self.from_primary(self.global_l(self.primary, b, p))
-
-    def lp_class(self, p: int = 0) -> UnionCycle:
-        return self.from_primary(self.primary.lp_class(p))
 
     # -- functoriality ---------------------------------------------------------
 
@@ -952,7 +936,7 @@ class QuadricGeometry:
         if j > self.n - i:
             return self.zero([i], p)
         b = self.n - i - j
-        return self._per_sheet([i], lambda M: M.pullpush_x_to_g(i, self.global_l(M, b, p)))
+        return self._per_sheet([i], lambda M: M.pullpush_x_to_g(i, self.x_class(M, ("l", b), p)))
 
     def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
         return self._per_sheet([i], lambda M: M.class_W(i, j, p))

@@ -25,7 +25,6 @@ from quadchow.bridge import (
     eta_pushdown_expansion,
     action_via_pullpush,
     degree_congruence,
-    symbol_class,
     theta_action,
     theta_prime,
     validate_incidence,
@@ -462,7 +461,7 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for s in syms:
         for t in syms:
             quad = monomial_cycle(ctx, [s]) * monomial_cycle(ctx, [t])
-            flag = symbol_class(G, G.primary, s) * symbol_class(G, G.primary, t)
+            flag = G.x_class(G.primary, s) * G.x_class(G.primary, t)
             back = flag_cycle_to_quad(G, flag)
             yield _case(
                 "product",
@@ -483,10 +482,10 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for trial in range(20):
         triple = [rng.choice(syms) for _ in range(3)]
         quad = monomial_cycle(ctx, [triple[0]])
-        flag = symbol_class(G, G.primary, triple[0])
+        flag = G.x_class(G.primary, triple[0])
         for s in triple[1:]:
             quad = quad * monomial_cycle(ctx, [s])
-            flag = flag * symbol_class(G, G.primary, s)
+            flag = flag * G.x_class(G.primary, s)
         yield _case(
             "triple-product",
             {"n": n, "syms": [quadpow._format_symbol(s) for s in triple]},

@@ -17,7 +17,6 @@ from quadchow.bridge import (
     eta_pushdown_expansion,
     action_via_pullpush,
     degree_congruence,
-    symbol_class,
     theta,
     theta_action,
     theta_prime,
@@ -29,6 +28,7 @@ from quadchow.quadpow import (
     action,
     basis_symbols,
     codim1,
+    compose,
     diagonal_class,
     external,
     h_power_cycle,
@@ -41,6 +41,11 @@ from quadchow.quadpow import (
 )
 from quadchow.schubert import FlagCycle, QuadricGeometry, UnionCycle, build_geometry
 from quadchow.weyl import RangeError
+
+
+def permute_x(x: MixedCycle, perm) -> MixedCycle:
+    """Pushforward along the X-factor permutation sending slot t to perm[t]."""
+    return x._map_x(lambda q: q.permute(perm))
 
 
 def test_incidence_gate():
@@ -164,7 +169,7 @@ def test_incidence_kunneth_shape_mod2():
                 part = {}
 
                 def z_of(j, model=model):
-                    x = symbol_class(G, model, ("l", n - i - j), 2)
+                    x = G.x_class(model, ("l", n - i - j), 2)
                     return model.pullpush_x_to_g(i, x)
 
                 for m in range(0, d + 1):
@@ -195,7 +200,7 @@ def test_eta_theta_symmetry_and_codim():
             assert eta(G, i).arity == i
             # symmetric under permuting the X factors
             perm = list(range(1, i + 1)) + [0]
-            assert th.permute_x(perm) == th
+            assert permute_x(th, perm) == th
             # homogeneous of the incidence-variety codimension
             for part in th.parts:
                 for (w, mono), _ in part.items():
@@ -297,7 +302,7 @@ def test_mixed_slot_maps_reject_bad_slots():
     zero = th.scale(0)
     for x in (th, zero):
         with pytest.raises(ValueError, match="invalid factor"):
-            x.permute_x([0, 0])
+            permute_x(x, [0, 0])
         with pytest.raises(ValueError, match="invalid factor"):
             x.pull_x(1, [0])
         with pytest.raises(ValueError, match="invalid factor"):
@@ -314,27 +319,94 @@ def _random_quad_cycle(ctx, m, rng, p):
     return QuadCycle(ctx, m, coeffs, p)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_mixed_slot_maps_match_quad_cycle(n):
-    # [F(I)] (x) q and x (x) q for a flag class x: the X-leg maps act on q alone
+    # x (x) q for a flag cycle x and a quadric-power cycle q: each leg's maps
+    # act on its own factor alone
     G = build_geometry(n)
-    ctx, I = G.ctx, [G.d]
+    ctx, d = G.ctx, G.d
     rng = random.Random(n)
-    flags = [G.fundamental(I), G.class_W(G.d, 0) + G.class_Z(G.d, n - G.d)]
+
+    def lift(x, q):
+        return MixedCycle.from_flag(x, q.m) * MixedCycle.from_quad(G, x.I, q)
+
+    flags = [G.fundamental([d]), G.class_W(d, 0) + G.class_Z(d, n - d)]
     for seed_case in range(4):
         p = 2 if seed_case % 2 else 0
         q = _random_quad_cycle(ctx, 3, rng, p)
-        for x in flags:
+        for x in flags + [_random_flag_cycle(G, [d], rng, p)]:
             x = x.mod2() if p else x
+            mixed = lift(x, q)
+            assert mixed.pull_x(4, [2, 0, 3]) == lift(x, q.pull_proj(4, [2, 0, 3]))
+            assert mixed.push_x([2, 0]) == lift(x, q.push_proj([2, 0]))
+            assert mixed.push_x([]) == lift(x, q.push_proj([]))
+            assert permute_x(mixed, [1, 2, 0]) == lift(x, q.permute([1, 2, 0]))
+        # at even n, [0] and [1] are connected and every set holding d is split
+        for I, J in (([0], [0, d]), ([d], [d - 1, d]), ([1], [0, 1, d])):
+            x = _random_flag_cycle(G, I, rng, p)
+            assert lift(x, q).pull_flag(J) == lift(G.pullback(J, x), q), (I, J)
+        for I, J in (([0, d], [0]), ([d - 1, d], [d]), ([0, 1, d], [1])):
+            x = _random_flag_cycle(G, I, rng, p)
+            assert lift(x, q).push_flag(J) == lift(G.pushforward(J, x), q), (I, J)
 
-            def lift(y, x=x):
-                return MixedCycle.from_flag(x, y.m) * MixedCycle.from_quad(G, I, y)
 
-            mixed = lift(q)
-            assert mixed.pull_x(4, [2, 0, 3]) == lift(q.pull_proj(4, [2, 0, 3]))
-            assert mixed.push_x([2, 0]) == lift(q.push_proj([2, 0]))
-            assert mixed.push_x([]) == lift(q.push_proj([]))
-            assert mixed.permute_x([1, 2, 0]) == lift(q.permute([1, 2, 0]))
+def test_flag_leg_maps_check_their_target_on_a_zero_cycle():
+    G = build_geometry(6)
+    d = G.d
+    for p in (0, 2):
+        on_g, on_flag = MixedCycle(G, [d], 1, {}, p), MixedCycle(G, [0, d], 2, {}, p)
+        with pytest.raises(ValueError):
+            on_g.pull_flag([0])  # from the split G_d to a set without d
+        with pytest.raises(ValueError):
+            on_flag.push_flag([1])  # to a set that is not a subset
+        # the zero image still lands on the target
+        assert on_g.pull_flag([0, d]) == MixedCycle(G, [0, d], 1, {}, p)
+        assert on_flag.push_flag([0]) == MixedCycle(G, [0], 2, {}, p)
+
+
+def _product_action(a, x):
+    """action(a, x) by products: pull x to the source slots, multiply, push the target out."""
+    s, m = a.source, a.cycle.m
+    return (a.cycle * x.pull_proj(m, range(s))).push_proj(range(s, m))
+
+
+def _product_compose(b, a):
+    """compose(b, a) by products on X^{s+t+u}, integrating the middle block."""
+    s, t, m = a.source, a.target, a.cycle.m + b.target
+    ab = a.cycle.pull_proj(m, range(s + t)) * b.cycle.pull_proj(m, range(s, m))
+    return ab.push_proj(list(range(s)) + list(range(s + t, m)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_slot_pairings_agree_with_products(n):
+    # compose, action, id_times_action and action_on_quad all pair slots by one
+    # contract; each must equal its product-and-integrate definition
+    G = build_geometry(n)
+    ctx = G.ctx
+    rng = random.Random(1000 + n)
+    for p in (0, 2):
+        for s, t in ((1, 1), (2, 1), (1, 2), (2, 0)):
+            a = Correspondence(_random_quad_cycle(ctx, s + t, rng, p), s, t)
+            b = Correspondence(_random_quad_cycle(ctx, t + 1, rng, p), t, 1)
+            x = _random_quad_cycle(ctx, s, rng, p)
+            assert action(a, x) == compose(a, Correspondence(x, 0, s)).cycle
+            assert action(a, x) == _product_action(a, x)
+            assert compose(b, a).cycle == _product_compose(b, a)
+        for i in range(G.d + 1):
+            I = [i]
+            M = _random_mixed_cycle(G, I, 2, rng, p)
+            for r in (0, 1):
+                x = _random_quad_cycle(ctx, r + 2, rng, p)
+                kept = M.id_times_action(x)
+                oracle = M.pull_x(r + 2, [r, r + 1]) * MixedCycle.from_quad(G, I, x)
+                assert kept == oracle.push_x(range(r)), (p, i, r)
+            # action_on_quad is the sheet split of id_times_action with no kept slot
+            x = _random_quad_cycle(ctx, 2, rng, p)
+            split = tuple(
+                FlagCycle(model, I, {w: c for (w, _), c in part.items()}, p)
+                for model, part in zip(G.sheets(I), M.id_times_action(x).parts)
+            )
+            assert M.action_on_quad(x) == UnionCycle(G, I, split)
 
 
 def test_correspondence_actions_check_their_argument():

@@ -1,5 +1,6 @@
 """The command-line front end: spec'd outputs, exit codes, JSON reports."""
 
+import io
 import json
 
 from quadchow.cli import main
@@ -112,6 +113,15 @@ def test_edi_schema_violation(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "edi", "--input", str(path))
     assert code == 2
+
+
+def test_edi_malformed_marks_exit2(monkeypatch, capsys):
+    # a non-integer mark is a usage error, not a traceback with the "failed" code
+    for marks in ([["a", 1]], [[1.5, 0]]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 6, "marks": marks})))
+        code, out, err = run_cli(capsys, "edi")
+        assert code == 2 and not out
+        assert "integer pairs" in err
 
 
 def test_deterministic_output(capsys):

@@ -119,6 +119,9 @@ def test_schema_validation():
         square_from_json({"n": 5, "witt_index": "x"})
     with pytest.raises(ValueError, match="node out of range"):
         square_from_json({"n": 5, "marks": [[9, 0]]})
+    for bad in (["a", 1], [1.5, 0], [0, None], [[0], 1]):
+        with pytest.raises(ValueError, match="integer pairs"):
+            square_from_json({"n": 6, "marks": [bad]})
 
 
 def test_run_edi_json_pipeline():

@@ -1,14 +1,17 @@
 """Flag-variety Chow rings: basis sizes, functoriality, distinguished classes."""
 
+import itertools
 import json
 import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from quadchow.polyring import divided_difference_word
-from quadchow.schubert import FlagCycle, build_flag_model, build_geometry
+from quadchow.polyring import constant, divided_difference_word, variable
+from quadchow.schubert import FlagCycle, _symmetric_function, build_flag_model, build_geometry
 from quadchow.weyl import RangeError
 
 
@@ -580,3 +583,25 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
         old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
         assert M.expand(old, full).coeffs == {w: 1}, w
         assert M.expand(M.schubert_rep(w), full).coeffs == {w: 1}, w
+
+
+def _sum_of_products(m, groups):
+    return sum((reduce(mul, group, constant(m, 1)) for group in groups), constant(m, 0))
+
+
+def _random_linear_form(m, rng):
+    terms = (variable(m, v).scale(rng.randint(-3, 3)) for v in range(1, m + 1))
+    return sum(terms, constant(m, 0))
+
+
+def test_symmetric_functions_match_brute_force_sums():
+    # e_j sums products of distinct roots, h_j products with repetition
+    rng = random.Random(11)
+    m = 4
+    for n_roots in (1, 2, 3, 5):
+        roots = [_random_linear_form(m, rng) for _ in range(n_roots)]
+        for j in range(7):
+            e = _sum_of_products(m, itertools.combinations(roots, j))
+            h = _sum_of_products(m, itertools.combinations_with_replacement(roots, j))
+            assert _symmetric_function(roots, j, m) == e, (n_roots, j)
+            assert _symmetric_function(roots, j, m, complete=True) == h, (n_roots, j)
