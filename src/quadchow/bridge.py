@@ -9,7 +9,8 @@ pullback and pushforward act independently on the two tensor legs: the X leg
 by the ``QuadCycle`` slot maps, the flag leg by ``QuadricGeometry.pullback``
 and ``pushforward``, the one place that knows the sheet rules (a connected
 space duplicates into a split one, a split one adds into a connected one).
-The X-class of a basis symbol is ``QuadricGeometry.x_class``.
+The X-class of a basis symbol is read off the primary model's
+``FlagModel.x_windows``, whose naming of l_d is the global one.
 
 Flag-side correspondence actions p_*((x (x) 1) . M) read x on the Poincare
 duals of M's Schubert classes (``MixedCycle.action_on_flag``, no product on
@@ -43,7 +44,6 @@ from quadchow.quadpow import (
     Correspondence,
     Mono,
     QuadCycle,
-    Sym,
     basis_symbols,
     codim1,
     contract,
@@ -82,29 +82,14 @@ __all__ = [
 MixedKey = tuple[int, SignedPermutation, Mono]
 
 
-def _x_window_table(geometry: QuadricGeometry) -> dict[tuple[int, ...], Sym]:
-    """Window of each X-class's Schubert label -> its basis symbol, built once
-    per geometry."""
-    table = geometry.bridge_memo.get("x_windows")
-    if table is None:
-        table = {}
-        for s in basis_symbols(geometry.ctx):
-            (w,) = geometry.x_class(geometry.primary, s).coeffs
-            table[w.window] = s
-        geometry.bridge_memo["x_windows"] = table
-    return table
-
-
 def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
     """Translate a cycle on X = G_0 from Schubert to quadric-power coordinates."""
     if isinstance(x, UnionCycle):
         if x.I != frozenset([0]):
             raise ValueError("expected a cycle on X")
         x = x.parts[0]
-    table = _x_window_table(geometry)
-    out: dict[Mono, int] = {}
-    for w, c in x.coeffs.items():
-        out[(table[w.window],)] = c
+    names = {w: s for s, w in geometry.primary.x_windows.items()}
+    out = {(names[w],): c for w, c in x.coeffs.items()}
     return QuadCycle(geometry.ctx, 1, out, x.p)
 
 
@@ -320,10 +305,9 @@ class MixedCycle(SparseCycle):
 
 def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
     """The correspondence X -> G_i through F(0, i) on a cycle of X."""
-    fc = geometry.primary.zero([0], x.p)
-    for (s,), c in x.coeffs.items():
-        fc = fc + geometry.x_class(geometry.primary, s, x.p).scale(c)
-    return geometry.pushforward([i], geometry.pullback([0, i], geometry.from_primary(fc)))
+    M = geometry.primary
+    fc = FlagCycle(M, [0], {M.x_windows[s]: c for (s,), c in x.coeffs.items()}, x.p)
+    return geometry.pullpush(geometry.from_primary(fc), [i])
 
 
 def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
@@ -422,9 +406,9 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
         raise RangeError("index out of range")
     # the split diagonal with its second slot moved onto the flag leg of F(0) x X
     diag: dict[MixedKey, int] = {}
+    windows = geometry.primary.x_windows
     for (u, v), c in delta_i(geometry.ctx, 1, p=2).coeffs.items():
-        (w,) = geometry.x_class(geometry.primary, v).coeffs
-        diag[(0, w, (u,))] = c
+        diag[(0, windows[v], (u,))] = c
     I = [0, i]
     left = MixedCycle(geometry, [0], 1, diag, 2).pull_flag(I).pull_x(2, [0])
     return left * incidence_class(geometry, i, 2).pull_flag(I).pull_x(2, [1])

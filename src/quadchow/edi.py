@@ -122,6 +122,11 @@ def square_to_json(square: EDISquare) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: `true`/`false` load as bool, a subclass of int, and are refused."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def square_from_json(data: dict) -> EDISquare:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -129,19 +134,19 @@ def square_from_json(data: dict) -> EDISquare:
         n = data["n"]
     except KeyError:
         raise ValueError("missing field: n") from None
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("n must be an integer")
     marks = data.get("marks", [])
     if not isinstance(marks, list) or any(
-        not isinstance(m, (list, tuple)) or len(m) != 2 or any(not isinstance(v, int) for v in m)
+        not isinstance(m, (list, tuple)) or len(m) != 2 or not all(map(_is_int, m))
         for m in marks
     ):
         raise ValueError("marks must be a list of [row, column] integer pairs")
     witt = data.get("witt_index")
-    if witt is not None and not isinstance(witt, int):
+    if witt is not None and not _is_int(witt):
         raise ValueError("witt_index must be an integer or null")
     rho = data.get("rho", [])
-    if not isinstance(rho, list) or any(not isinstance(i, int) for i in rho):
+    if not isinstance(rho, list) or not all(map(_is_int, rho)):
         raise ValueError("rho must be a list of integers")
     return EDISquare(n, frozenset(tuple(m) for m in marks), frozenset(rho), witt)
 

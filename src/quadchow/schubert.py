@@ -37,7 +37,10 @@ denominator (see :mod:`quadchow.polyring`):
   two Schubert vectors are paired, so no product reaches the top degree;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
-  polynomial work is needed there.
+  polynomial work is needed there.  `pullpush` is every correspondence
+  F(I) <- F(I u J) -> F(J), such as X -> G_i for the Z- and W-classes;
+* `FlagModel.x_windows` names the Schubert class of each basis symbol of
+  X = G_0 (h^c, l_b, l_d'); `x_class`, `l_class` and the bridge read it.
 
 For n even the two rulings of maximal isotropic subspaces are both modeled:
 the `orientation` flag picks which component the model calls G_d, and the
@@ -250,38 +253,30 @@ class FlagModel:
         self._duals: dict = {}
         self._halves: dict = {}
         self._h_powers: dict[tuple[int, int], FlagCycle] = {}
-        self._x_middle: tuple[SignedPermutation, SignedPermutation] | None = None
         self._identify_quadric_basis()
         self.validate_conventions()
 
     # -- index bookkeeping ---------------------------------------------------
 
-    def cut_nodes(self, I: Iterable[int]) -> frozenset[int]:
-        """Simple-reflection indices removed from the parabolic for F(I)."""
-        return self._cut_and_parabolic(I)[0]
-
     def parabolic(self, I: Iterable[int]) -> frozenset[int]:
-        return self._cut_and_parabolic(I)[1]
-
-    def _cut_and_parabolic(self, I: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-        """(cut nodes, parabolic) of F(I), memoised per valid index set."""
+        """Simple-reflection indices of the parabolic for F(I): every node but
+        those each i in I cuts.  Memoised per valid index set."""
         I = frozenset(I)
         cached = self._index_sets.get(I)
         if cached is not None:
             return cached
         m = self.group.rank
-        nodes: set[int] = set()
+        cut: set[int] = set()
         for i in I:
             if not 0 <= i <= self.d:
                 raise RangeError("flag index out of range: %r" % (i,))
             if self.ctx.family == "B" or i <= self.d - 2:
-                nodes.add(i + 1)
+                cut.add(i + 1)
             elif i == self.d - 1:
-                nodes.update((m - 1, m))
+                cut.update((m - 1, m))
             else:  # i == d, type D: one ruling component, picked by orientation
-                nodes.add(m if self.ctx.orientation == 1 else m - 1)
-        cut = frozenset(nodes)
-        cached = self._index_sets[I] = (cut, frozenset(range(1, m + 1)) - cut)
+                cut.add(m if self.ctx.orientation == 1 else m - 1)
+        cached = self._index_sets[I] = frozenset(range(1, m + 1)) - cut
         return cached
 
     def basis(self, I: Iterable[int]) -> tuple[SignedPermutation, ...]:
@@ -388,8 +383,7 @@ class FlagModel:
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
-        if not self.cut_nodes(x.I) <= self.cut_nodes(target_I):
-            raise ValueError("pullback requires nested parabolics")
+        self.parabolic(target_I)  # range-checks the target's indices
         return FlagCycle(self, target_I, x.coeffs, x.p)
 
     def pushforward(self, target_J: Iterable[int], x: FlagCycle) -> FlagCycle:
@@ -403,23 +397,24 @@ class FlagModel:
         target_J = frozenset(target_J)
         if not target_J <= x.I:
             raise ValueError("pushforward requires J to be a subset of I")
-        if not self.cut_nodes(target_J) <= self.cut_nodes(x.I):
-            raise ValueError("pushforward requires nested parabolics")
         g = self.group
-        key = (frozenset(x.I), target_J)
+        par = self.parabolic(target_J)
+        key = (x.I, target_J)
         v = self._push_ops.get(key)
         if v is None:
-            v = g.parabolic_longest(self.parabolic(target_J)) * g.parabolic_longest(
-                self.parabolic(x.I)
-            )
+            v = g.parabolic_longest(par) * g.parabolic_longest(self.parabolic(x.I))
             self._push_ops[key] = v
-        par = self.parabolic(target_J)
         out: dict[SignedPermutation, int] = {}
         for w, c in x.coeffs.items():
             u, p = g.parabolic_decompose(w, par)
             if p == v:
                 out[u] = out.get(u, 0) + c
         return FlagCycle(self, target_J, out, x.p)
+
+    def pullpush(self, x: FlagCycle, J: Iterable[int]) -> FlagCycle:
+        """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
+        J = frozenset(J)
+        return self.pushforward(J, self.pullback(x.I | J, x))
 
     def deg(self, x: FlagCycle) -> int:
         """Degree homomorphism: coefficient of the point class in top codimension."""
@@ -485,37 +480,40 @@ class FlagModel:
     # -- the quadric inside the model -------------------------------------------
 
     def _identify_quadric_basis(self) -> None:
-        g = self.group
-        by_codim: dict[int, list[SignedPermutation]] = {}
+        """Build `x_windows`, the Schubert element of each basis symbol of X:
+        h^c below the middle codimension, l_{n-c} above it, and at even n the
+        two middle classes l_d and l_d' by ruling."""
+        n, d = self.n, self.d
+        self.x_windows: dict[tuple[str, int], SignedPermutation] = {}
+        mids = []
         for w in self.basis([0]):
-            by_codim.setdefault(g.length(w), []).append(w)
-        self._x_by_codim = by_codim
-        if self.n % 2 == 0:
-            mids = by_codim[self.d]
+            c = self.group.length(w)
+            if c == d and n % 2 == 0:
+                mids.append(w)
+            else:
+                self.x_windows[("h", c) if c <= d else ("l", n - c)] = w
+        if n % 2 == 0:
             if len(mids) != 2:
                 raise AssertionError("expected two middle classes on an even quadric")
             # Push the point class of the chosen G_d component down to X; that
             # is the middle class of the same ruling family as G_d.
-            pt = self.point_class([self.d])
-            same = self.pushforward([0], self.pullback([0, self.d], pt))
+            same = self.pullpush(self.point_class([d]), [0])
             if len(same.coeffs) != 1 or set(same.coeffs.values()) != {1}:
                 raise AssertionError("ruling identification failed")
             (w_same,) = same.coeffs
             (w_other,) = [w for w in mids if w != w_same]
             # l_d is the ruling a generic member of G_d meets in a point:
             # the same family iff the rank d+1 is odd, i.e. iff 4 | n.
-            if self.n % 4 == 0:
-                self._x_middle = (w_same, w_other)
-            else:
-                self._x_middle = (w_other, w_same)
-            total = self.expand(variable(g.rank, 1) ** self.d, [0])
+            if n % 4:
+                w_same, w_other = w_other, w_same
+            self.x_windows[("l", d)], self.x_windows[("lp", d)] = w_same, w_other
+            total = self.expand(variable(self.group.rank, 1) ** d, [0])
             if total.coeffs != {mids[0]: 1, mids[1]: 1}:
                 raise AssertionError("h^d should split as l_d + l_d'")
 
-    def h_class(self, p: int = 0) -> FlagCycle:
-        """The hyperplane class on X = G_0."""
-        (w,) = self._x_by_codim[1]
-        return FlagCycle(self, [0], {w: 1}, p)
+    def x_class(self, s: tuple[str, int], p: int = 0) -> FlagCycle:
+        """The class on X = G_0 of a basis symbol ("h", a), ("l", b) or ("lp", d)."""
+        return FlagCycle(self, [0], {self.x_windows[s]: 1}, p)
 
     def h_power(self, k: int, p: int = 0) -> FlagCycle:
         """h^k on X, for 0 <= k <= n (expanded in the Schubert basis, memoised)."""
@@ -531,25 +529,15 @@ class FlagModel:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
         if not 0 <= b <= self.d:
             raise RangeError("isotropic dimension out of range")
-        if self.n % 2 == 0 and b == self.d:
-            return FlagCycle(self, [0], {self._x_middle[0]: 1}, p)
-        (w,) = self._x_by_codim[self.n - b]
-        return FlagCycle(self, [0], {w: 1}, p)
+        return self.x_class(("l", b), p)
 
     def lp_class(self, p: int = 0) -> FlagCycle:
         """The other ruling class l_d' (n even only)."""
         if self.n % 2:
             raise ValueError("second ruling exists only for even n")
-        return FlagCycle(self, [0], {self._x_middle[1]: 1}, p)
+        return self.x_class(("lp", self.d), p)
 
     # -- distinguished classes ---------------------------------------------------
-
-    def pullpush_x_to_g(self, i: int, x: FlagCycle) -> FlagCycle:
-        """The correspondence X -> G_i through F(0, i) applied to a class on X.
-
-        At i = 0 both maps are identities on F(0), so the result equals x.
-        """
-        return self.pushforward([i], self.pullback([0, i], x))
 
     def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) and push down.
@@ -564,7 +552,8 @@ class FlagModel:
             return self.zero([i], p)
         if j < self.n - i - self.d:
             raise RangeError("Z index out of range")
-        return self.pullpush_x_to_g(i, self.l_class(self.n - i - j, p))
+        x = self.l_class(self.n - i - j, p)
+        return x if i == 0 else self.pullpush(x, [i])
 
     def class_W(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """W^i_j on G_i (and W^0_j = h^j); zero for negative j.
@@ -581,7 +570,7 @@ class FlagModel:
             return self.h_power(j, p)
         if j + i > self.n:
             raise RangeError("W index out of range")
-        return self.pullpush_x_to_g(i, self.h_power(j + i, p))
+        return self.pullpush(self.h_power(j + i, p), [i])
 
     def taut_chern_roots(self, i: int) -> list[Polynomial]:
         """Chern roots of the rank i+1 tautological subbundle on G_i."""
@@ -810,7 +799,7 @@ class QuadricGeometry:
             self.secondary = None
         # bridge memo, freed with this geometry: the incidence powers on
         # G_i x X^m by (i, m, p) (the incidence class is m = 1, eta_i is
-        # m = i, theta_i m = i + 1), and the X window table under "x_windows"
+        # m = i, theta_i m = i + 1)
         self.bridge_memo: dict = {}
         if self.secondary is not None:
             # the per-model gates cannot see the global naming of l_d
@@ -856,18 +845,6 @@ class QuadricGeometry:
         parts.extend(M.zero(I, p) for M in sheets[1:])
         return UnionCycle(self, I, tuple(parts))
 
-    def x_class(self, model: FlagModel, s: tuple[str, int], p: int = 0) -> FlagCycle:
-        """The X-class of a basis symbol ("h", a), ("l", b) or ("lp", d) in `model`
-        labels: X = F(0) is connected, so both models share its Schubert data,
-        and the primary model names the two middle classes globally."""
-        kind, idx = s
-        M = self.primary
-        if kind == "h":
-            x = M.h_power(idx, p)
-        else:
-            x = M.l_class(idx, p) if kind == "l" else M.lp_class(p)
-        return self.transfer(x, model)
-
     def h_power(self, k: int, p: int = 0) -> UnionCycle:
         return self.from_primary(self.primary.h_power(k, p))
 
@@ -882,12 +859,10 @@ class QuadricGeometry:
             parts = tuple(
                 M.pullback(target_I, px) for M, px in zip(targets, x.parts)
             )
-        elif len(x.parts) == 1 and len(targets) == 2:
+        else:  # a connected source (d not in J) duplicates into both sheets
             parts = tuple(
                 M.pullback(target_I, self.transfer(x.parts[0], M)) for M in targets
             )
-        else:
-            raise ValueError("cannot pull back from a disconnected space")
         return UnionCycle(self, target_I, parts)
 
     def pushforward(self, target_J, x: UnionCycle) -> UnionCycle:
@@ -900,13 +875,16 @@ class QuadricGeometry:
                 M.pushforward(target_J, px) for M, px in zip(targets, x.parts)
             )
             return UnionCycle(self, target_J, parts)
-        if len(x.parts) == 2 and len(targets) == 1:
-            # Disconnected source over a connected target: add the sheets.
-            total = self.primary.pushforward(target_J, x.parts[0])
-            other = x.parts[1].model.pushforward(target_J, x.parts[1])
-            total = total + self.transfer(other, self.primary)
-            return UnionCycle(self, target_J, (total,))
-        raise ValueError("inconsistent sheet data")
+        # a split source over a connected target (d not in J): the sheets add
+        total = self.primary.pushforward(target_J, x.parts[0])
+        other = x.parts[1].model.pushforward(target_J, x.parts[1])
+        total = total + self.transfer(other, self.primary)
+        return UnionCycle(self, target_J, (total,))
+
+    def pullpush(self, x: UnionCycle, J: Iterable[int]) -> UnionCycle:
+        """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
+        J = frozenset(J)
+        return self.pushforward(J, self.pullback(x.I | J, x))
 
     def deg(self, x: UnionCycle) -> int:
         total = sum(px.model.deg(px) for px in x.parts)
@@ -929,14 +907,11 @@ class QuadricGeometry:
     # -- distinguished classes ----------------------------------------------------
 
     def class_Z(self, i: int, j: int, p: int = 0) -> UnionCycle:
+        """Z^i_j: the primary model's l_{n-i-j} on X (its naming of l_d is
+        global), pulled through F(0, i) onto every sheet of G_i."""
         if not 0 <= i <= self.d:
             raise RangeError("grassmannian index out of range")
-        if j < self.n - i - self.d:
-            raise RangeError("Z index out of range")
-        if j > self.n - i:
-            return self.zero([i], p)
-        b = self.n - i - j
-        return self._per_sheet([i], lambda M: M.pullpush_x_to_g(i, self.x_class(M, ("l", b), p)))
+        return self.pullpush(self.from_primary(self.primary.class_Z(0, i + j, p)), [i])
 
     def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
         return self._per_sheet([i], lambda M: M.class_W(i, j, p))
@@ -951,17 +926,12 @@ class QuadricGeometry:
         # F(i-1, i) splits exactly when G_i does
         return self._per_sheet([i - 1, i], lambda M: M.class_O1(i, p))
 
-    def pullpush_through(self, i: int, x: UnionCycle) -> UnionCycle:
-        """pi_{(i-1,_i)*} o pi*_{(i-1,i_)}: CH(G_i) -> CH(F(i-1,i)) -> CH(G_{i-1})."""
-        up = self.pullback([i - 1, i], x)
-        return self.pushforward([i - 1], up)
-
     def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> UnionCycle:
         """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
         W^{i-1}_{t-j} . pi_* pi^*(Z^i_{n-2i+j})."""
         total = self.zero([i - 1], p)
         for j in js:
-            sigma = self.pullpush_through(i, self.class_Z(i, self.n - 2 * i + j, p))
+            sigma = self.pullpush(self.class_Z(i, self.n - 2 * i + j, p), [i - 1])
             total = total + self.class_W(i - 1, t - j, p) * sigma
         return total
 

@@ -149,9 +149,7 @@ def suite_lemma25(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseR
     for i in range(1, d + 1):
         for k in range(i, d + 1):
             for m in range(0, k + 1):
-                lhs = G.pullpush_through(
-                    i, G.class_W(i, k - i) * G.class_Z(i, n - i - m)
-                )
+                lhs = G.pullpush(G.class_W(i, k - i) * G.class_Z(i, n - i - m), [i - 1])
                 rhs = G.w_sigma_sum(i, k - m, range(max(i - m, 0), min(k - m, i) + 1))
                 yield _case("sum-identity", {"n": n, "i": i, "k": k, "m": m}, lhs, rhs)
 
@@ -164,7 +162,7 @@ def suite_lemma26(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseR
     for i in range(1, d + 1):
         for j in range(0, i + 1):
             lhs = G.chern_taut(i - 1, j, 2)
-            rhs = G.pullpush_through(i, G.class_Z(i, n - 2 * i + j, 2))
+            rhs = G.pullpush(G.class_Z(i, n - 2 * i + j, 2), [i - 1])
             yield _case("chern-pushdown", {"n": n, "i": i, "j": j}, lhs, rhs)
         for j in range(1, i + 1):
             # the Whitney truncation mod 2
@@ -175,14 +173,12 @@ def suite_lemma26(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseR
             yield _case("whitney-truncation", {"n": n, "i": i, "j": j}, lhs, rhs)
         for j in range(1, d + 1):
             # the summation-identity instance the induction uses (integral)
-            lhs = G.pullpush_through(i, G.class_W(i, d - i) * G.class_Z(i, n - i - d + j))
+            lhs = G.pullpush(G.class_W(i, d - i) * G.class_Z(i, n - i - d + j), [i - 1])
             rhs = G.w_sigma_sum(i, j, range(max(j - d + i, 0), j + 1))
             yield _case("summation-instance", {"n": n, "i": i, "j": j}, lhs, rhs)
             # the top-W absorption mod 2
-            lhs = G.pullpush_through(
-                i, G.class_W(i, d - i, 2) * G.class_Z(i, n - i - d + j, 2)
-            )
-            prev = G.pullpush_through(i, G.class_Z(i, n - i - d + j - 1, 2))
+            lhs = G.pullpush(G.class_W(i, d - i, 2) * G.class_Z(i, n - i - d + j, 2), [i - 1])
+            prev = G.pullpush(G.class_Z(i, n - i - d + j - 1, 2), [i - 1])
             rhs = G.class_W(i - 1, d - i + 1, 2) * prev
             yield _case("top-absorption", {"n": n, "i": i, "j": j}, lhs, rhs)
         # the quotient-bundle facts the induction quotes
@@ -461,7 +457,7 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for s in syms:
         for t in syms:
             quad = monomial_cycle(ctx, [s]) * monomial_cycle(ctx, [t])
-            flag = G.x_class(G.primary, s) * G.x_class(G.primary, t)
+            flag = G.primary.x_class(s) * G.primary.x_class(t)
             back = flag_cycle_to_quad(G, flag)
             yield _case(
                 "product",
@@ -482,10 +478,10 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for trial in range(20):
         triple = [rng.choice(syms) for _ in range(3)]
         quad = monomial_cycle(ctx, [triple[0]])
-        flag = G.x_class(G.primary, triple[0])
+        flag = G.primary.x_class(triple[0])
         for s in triple[1:]:
             quad = quad * monomial_cycle(ctx, [s])
-            flag = flag * G.x_class(G.primary, s)
+            flag = flag * G.primary.x_class(s)
         yield _case(
             "triple-product",
             {"n": n, "syms": [quadpow._format_symbol(s) for s in triple]},

@@ -61,13 +61,14 @@ def test_incidence_cache_belongs_to_its_geometry():
     assert inc1 is not inc2
     assert inc1.geometry is G1 and inc2.geometry is G2
     assert incidence_class(G1, 1) is inc1
-    # the powers and the X window table sit in G1's memo; every power refers
-    # back to G1, so G1 can only be collected once no power is alive
+    # the powers sit in G1's memo; every power refers back to G1, so G1 can
+    # only be collected once no power is alive
     powers = [eta(G1, 2), theta(G1, 2, 2), alpha(G1, 1).cycle]
     assert G1.bridge_memo[(2, 2, 0)] is powers[0]
     assert G1.bridge_memo[(2, 3, 2)] is powers[1]
+    # the X window table belongs to the model, not to the memo
     flag_cycle_to_quad(G1, G1.class_Z(0, 4))
-    assert "x_windows" in G1.bridge_memo
+    assert all(len(key) == 3 for key in G1.bridge_memo)
     assert not G2.bridge_memo.keys() - {(1, 1, 0)}
     ref = weakref.ref(G1)
     del G1, inc1, powers
@@ -169,8 +170,8 @@ def test_incidence_kunneth_shape_mod2():
                 part = {}
 
                 def z_of(j, model=model):
-                    x = G.x_class(model, ("l", n - i - j), 2)
-                    return model.pullpush_x_to_g(i, x)
+                    x = G.transfer(G.primary.x_class(("l", n - i - j), 2), model)
+                    return model.pullpush(x, [i])
 
                 for m in range(0, d + 1):
                     zc = z_of(n - i - m)
@@ -253,7 +254,7 @@ def test_eta_pushdown_routes_agree_example():
         d = Gn.d
         for i in range(2, d + 1):
             w = Gn.class_W(i, d - i, 2)
-            assert Gn.pullpush_through(i, w * w).is_zero(), (n, i)
+            assert Gn.pullpush(w * w, [i - 1]).is_zero(), (n, i)
 
 
 def test_degree_congruence_examples():

@@ -88,7 +88,7 @@ def test_full_flag_divisors_follow_chevalley(n):
 def test_hyperplane_products_on_the_quadric_follow_chevalley(n):
     model = build_flag_model(n)
     group = model.group
-    (h,) = model.h_class().coeffs
+    (h,) = model.x_class(("h", 1)).coeffs
     assert h == group.simple_reflections[0]
     weight2 = _double_weights(group)[0]
     for w in model.basis([0]):

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from quadchow.cli import main
 
 
@@ -122,6 +124,23 @@ def test_edi_malformed_marks_exit2(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "edi")
         assert code == 2 and not out
         assert "integer pairs" in err
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"n": 6, "marks": [[True, 1]]},
+        {"n": 6, "witt_index": True},
+        {"n": 6, "rho": [False]},
+        {"n": True},
+    ],
+)
+def test_edi_refuses_json_booleans_as_integers(monkeypatch, capsys, request_):
+    # JSON true/false load as Python bools, which are ints; each is a usage error
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request_)))
+    code, out, err = run_cli(capsys, "edi")
+    assert code == 2 and not out
+    assert "integer" in err
 
 
 def test_deterministic_output(capsys):

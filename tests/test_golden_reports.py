@@ -4,8 +4,10 @@
 of ``python -m quadchow.cli verify all --n N --seed 0 --format json`` (with
 ``--deep`` for n >= 7).  Every case's parameters, status and printed sides
 enter the hash, so a refactor that changes any printed class, case order or
-case count fails here.  After an intended change to what the report prints,
-rewrite the file from the commands above.
+case count fails here.  ``tests/data/verify_golden_minus.json`` does the same
+for the opposite ruling, ``--orientation minus``, at n = 4, 6 and 8 (the n = 8
+report is a ``slow`` gate).  After an intended change to what the report
+prints, rewrite the files from the commands above.
 """
 
 import hashlib
@@ -21,14 +23,18 @@ from quadchow.schubert import MAX_N, MIN_N
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "verify_golden.json").read_text())
+GOLDEN_MINUS = json.loads(
+    (ROOT / "tests" / "data" / "verify_golden_minus.json").read_text()
+)
 
 
-def _report_sha256(n: int) -> str:
+def _report_sha256(n: int, orientation: str = "plus") -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     argv = ["verify", "all", "--n", str(n), "--seed", "0", "--format", "json"]
+    argv += ["--orientation", orientation]
     if n >= 7:
         argv.append("--deep")
     done = subprocess.run(
@@ -49,3 +55,8 @@ def test_golden_file_covers_every_supported_n():
 @pytest.mark.parametrize("n", range(MIN_N, MAX_N + 1))
 def test_verify_report_is_unchanged(n):
     assert _report_sha256(n) == GOLDEN[str(n)]
+
+
+@pytest.mark.parametrize("n", [4, 6, pytest.param(8, marks=pytest.mark.slow)])
+def test_minus_orientation_report_is_unchanged(n):
+    assert _report_sha256(n, "minus") == GOLDEN_MINUS[str(n)]

@@ -11,7 +11,14 @@ from operator import mul
 import pytest
 
 from quadchow.polyring import constant, divided_difference_word, variable
-from quadchow.schubert import FlagCycle, _symmetric_function, build_flag_model, build_geometry
+from quadchow.quadpow import basis_symbols, codim1
+from quadchow.schubert import (
+    FlagCycle,
+    UnionCycle,
+    _symmetric_function,
+    build_flag_model,
+    build_geometry,
+)
 from quadchow.weyl import RangeError
 
 
@@ -53,7 +60,7 @@ def test_poincare_ranks_match_length_generating_function():
 def test_quadric_basis_identification():
     for n in (3, 4, 5, 6):
         M = build_flag_model(n)
-        h = M.h_class()
+        h = M.x_class(("h", 1))
         assert h.codim() == 1
         assert M.deg(M.point_class([0])) == 1
         assert M.l_class(0) == M.point_class([0])
@@ -87,7 +94,7 @@ def test_product_ring_axioms():
 
 def test_pullback_is_ring_homomorphism():
     M = build_flag_model(5)
-    h = M.h_class()
+    h = M.x_class(("h", 1))
     hh = h * h
     ph = M.pullback([0, 1], h)
     assert ph * ph == M.pullback([0, 1], hh)
@@ -210,11 +217,11 @@ def test_chern_classes():
 def test_deg_and_mod2():
     M = build_flag_model(4)
     assert M.deg(M.point_class([0])) == 1
-    assert M.deg(M.h_class()) == 0
-    doubled = M.h_class().scale(2)
+    assert M.deg(M.x_class(("h", 1))) == 0
+    doubled = M.x_class(("h", 1)).scale(2)
     assert doubled.mod2().is_zero()
-    hh = M.h_class() * M.h_class()
-    assert (M.h_class().mod2() * M.h_class().mod2()) == hh.mod2()
+    hh = M.x_class(("h", 1)) * M.x_class(("h", 1))
+    assert (M.x_class(("h", 1)).mod2() * M.x_class(("h", 1)).mod2()) == hh.mod2()
 
 
 def test_geometry_union_layer():
@@ -297,13 +304,93 @@ def test_deg_product_checks_every_factor():
 
 def test_index_sets_are_memoised_only_when_valid():
     M = build_flag_model(6)
-    assert M.cut_nodes([0, 2]) is M.cut_nodes((2, 0))
+    assert M.parabolic([0, 2]) is M.parabolic((2, 0))
     assert M.parabolic([1]) is M.parabolic({1})
     for _ in range(2):
         with pytest.raises(RangeError, match="flag index out of range"):
             M.parabolic([M.d + 1])
         with pytest.raises(RangeError):
             M.basis([0, -1])
+
+
+# -- the X symbol table and the correspondence pullpush -----------------------
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_x_windows_name_each_schubert_class_of_x_once(n, orientation):
+    M = build_flag_model(n, orientation)
+    syms = basis_symbols(M.ctx)
+    assert set(M.x_windows) == set(syms) and len(M.x_windows) == len(syms)
+    windows = [w.window for w in M.x_windows.values()]
+    assert sorted(windows) == sorted(w.window for w in M.basis([0]))
+    for s, w in M.x_windows.items():
+        assert M.group.length(w) == codim1(M.ctx, s), s
+        if s[0] == "h":
+            # the expand route is the oracle for the h-powers below the middle
+            assert M.x_class(s) == M.h_power(s[1]), s
+
+
+def _cycle(space, I, step):
+    """A cycle on F(I) with distinct coefficients on every step-th basis element."""
+    parts = tuple(
+        FlagCycle(M, I, {w: k + 1 for k, w in enumerate(M.basis(I)[::step])})
+        for M in space.sheets(I)
+    )
+    return UnionCycle(space, I, parts)
+
+
+@pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
+def test_pullpush_is_pushforward_after_pullback(n, orientation):
+    G = build_geometry(n, orientation)
+    M = G.primary
+    subsets = [
+        frozenset(c) for r in (1, 2) for c in itertools.combinations(range(G.d + 1), r)
+    ]
+    for I in subsets:
+        x = _cycle(G, I, 3)
+        assert G.pullpush(x, I) == x
+        flat = x.parts[0]
+        assert M.pullpush(flat, I) == flat
+        for J in subsets:
+            assert G.pullpush(x, J) == G.pushforward(J, G.pullback(I | J, x)), (I, J)
+            assert M.pullpush(flat, J) == M.pushforward(J, M.pullback(I | J, flat))
+
+
+def _class_Z_per_sheet(G, i, j, p):
+    """Z^i_j as built before `pullpush`: on each sheet's model, the primary's
+    l_{n-i-j} moved onto it, pulled up to F(0, i) and pushed down to G_i."""
+    if j > G.n - i:
+        return G.zero([i], p)
+    x = G.primary.l_class(G.n - i - j, p)
+    parts = tuple(
+        M.pushforward([i], M.pullback([0, i], G.transfer(x, M))) for M in G.sheets([i])
+    )
+    return UnionCycle(G, [i], parts)
+
+
+@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
+def test_geometry_class_Z_names_l_d_by_the_primary_on_every_sheet(n, orientation):
+    G = build_geometry(n, orientation)
+    for i in range(G.d + 1):
+        for j in range(n - i - G.d, n - i + 2):
+            for p in (0, 2):
+                assert G.class_Z(i, j, p) == _class_Z_per_sheet(G, i, j, p), (i, j, p)
+        with pytest.raises(RangeError, match="Z index out of range"):
+            G.class_Z(i, n - i - G.d - 1)
+    with pytest.raises(RangeError, match="grassmannian index out of range"):
+        G.class_Z(G.d + 1, 0)
+
+
+def test_pullback_range_checks_the_target():
+    M = build_flag_model(6)
+    x = M.fundamental([0])
+    for bad in ([0, M.d + 1], [0, -1]):
+        with pytest.raises(RangeError, match="flag index out of range"):
+            M.pullback(bad, x)
+    G = build_geometry(6)
+    with pytest.raises(RangeError, match="flag index out of range"):
+        G.pullback([0, G.d + 1], G.fundamental([0]))
 
 
 # -- degrees by Poincare duality against independent oracles ------------------
