@@ -6,7 +6,8 @@ grassmannians G_0 = X, G_1, ..., G_d and the partial flag varieties F(I),
 I a subset of {0..d}, are homogeneous spaces for a group with Weyl group
 B_{d+1} (n odd) or D_{d+1} (n even).  Their Chow rings are computed inside
 the coinvariant algebra, with integer polynomials over one common
-denominator (see :mod:`quadchow.polyring`):
+denominator (see :mod:`quadchow.polyring`), and their Schubert products at
+the torus-fixed points:
 
 * the point class of the full flag variety is represented by one monomial,
   m! x^rho over the denominator |W|, with rho = (2m-1, ..., 3, 1) for B_m and
@@ -25,16 +26,27 @@ denominator (see :mod:`quadchow.polyring`):
   |W|^k, and the division by it happens once, at extraction.  Every
   extracted coefficient must be an integer (these varieties have
   torsion-free Chow groups), and a remainder raises immediately since it
-  can only come from a convention bug.  `deg_product` memoises the
-  expansions of its two halves on the model;
-* representatives and two-class products belong to the Weyl group: both
-  rulings share one memo of each, and a product of two W^P classes, pulled
-  back from G/B, is memoised per pair whichever F(I) asked for it;
+  can only come from a convention bug.  `expand` serves the Chern-class,
+  h-power and c_1(O(1)) polynomials, and is the independent check of the
+  products below;
+* products of Schubert classes never multiply polynomials.  The class of x
+  restricted to the fixed point y is an integer xi_x(y) at the regular point
+  t = (m, ..., 1), by Billey's formula (Billey, Kostant polynomials and the
+  cohomology ring for G/B, Duke Math. J. 96, 1999): one pass along a reduced
+  word of y gives the whole row xi_.(y).  A product is known by its values
+  at the fixed points, and the GKM triangular solve (Goresky-Kottwitz-
+  MacPherson, Invent. Math. 131, 1998) reads its Schubert coefficients off
+  them, one exact division per basis element;
+* representatives, restriction rows and two-class products belong to the
+  Weyl group: both rulings share one memo of each, and a product of two W^P
+  classes, pulled back from G/B, is memoised per pair whichever F(I) asked
+  for it;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
-  of near-equal codimension, each half is multiplied and expanded, and the
-  two Schubert vectors are paired, so no product reaches the top degree;
+  of near-equal codimension, each half's product is solved from its values
+  at the fixed points (memoised on the model), and the two Schubert vectors
+  are paired, so no product reaches the top degree;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
   polynomial work is needed there.  `pullpush` is every correspondence
@@ -245,7 +257,7 @@ class FlagModel:
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
-        self.point_rep, self._reps, self._pair_products = _group_memos(
+        self.point_rep, self._reps, self._pair_products, self._rows = _group_memos(
             self.ctx.family, self.ctx.rank
         )
         self._index_sets: dict = {}
@@ -361,20 +373,90 @@ class FlagModel:
         return FlagCycle(self, I, out, p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
-        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)."""
+        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v).
+
+        Its value at y is xi_u(y) xi_v(y), and its coefficients lie between
+        lengths max(l(u), l(v)) and l(u) + l(v).
+        """
         if u.window > v.window:
             u, v = v, u
         key = (u.window, v.window)
         cached = self._pair_products.get(key)
         if cached is None:
             g = self.group
-            if g.length(u) + g.length(v) > self.dim_flag(I):
+            lu, lv = g.length(u), g.length(v)
+            if lu + lv > self.dim_flag(I):
                 cached = {}
             else:
-                poly = self.schubert_rep(u) * self.schubert_rep(v)
-                cached = self.expand(poly, I).coeffs
+                a, b = u.window, v.window
+                cached = self._localized_expansion(
+                    I, lambda row: row.get(a, 0) * row.get(b, 0), max(lu, lv), lu + lv
+                )
             self._pair_products[key] = cached
         return cached
+
+    def _restriction_row(self, par: frozenset, y: SignedPermutation) -> dict:
+        """xi_x(y) for every x in basis(I), par = parabolic(I), keyed by x's
+        window: the Schubert class of x restricted to the torus-fixed point y,
+        at t = (m, ..., 1).
+
+        Billey's formula: for a reduced word y = s_a1 ... s_al, put
+        r_j = <s_a1 ... s_a(j-1)(alpha_aj), t>; xi_x(y) sums, over the subwords
+        that are reduced words of x, the product of their r_j.  One pass along
+        the word carries every partial subword product z with its weight.  t is
+        dominant regular for B_m and D_m, so every r_j is a positive integer
+        and xi_x(y) != 0 exactly when x <= y.  Memoised per (parabolic, y) for
+        the whole group, and trimmed to basis(I).
+        """
+        key = (par, y.window)
+        row = self._rows.get(key)
+        if row is None:
+            g = self.group
+            up, roots = _localization_tables(g.family, g.rank)
+            t = g.rank + 1  # t_j = m + 1 - j; w(e_j) = sign(w(j)) e_|w(j)|
+            prefix = g.identity.window
+            states = {prefix: 1}
+            for a in g.reduced_word(y):
+                r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(roots[a - 1], prefix))
+                for z, c in list(states.items()):
+                    zs = up[z][a - 1]
+                    if zs is not None:
+                        states[zs] = states.get(zs, 0) + c * r
+                prefix = up[prefix][a - 1]
+            keep = _basis_windows(g.family, g.rank, par)
+            row = self._rows[key] = {x: c for x, c in states.items() if x in keep}
+        return row
+
+    def _localized_expansion(self, I, value, lo: int, k: int) -> dict:
+        """The codimension-k Schubert coefficients on F(I) of the class whose
+        restriction to each fixed point w is value(row of w).
+
+        The GKM triangular solve (Goresky-Kottwitz-MacPherson, 1998): walk
+        basis(I) in length order from lo, where the first coefficient can be
+        nonzero, to k; c^w = (value(w) - sum_x c^x xi_x(w)) / xi_w(w) over the
+        x already solved.  Every division is exact, since the equivariant
+        coefficients are integer polynomials in t; a remainder raises.
+        """
+        g = self.group
+        par = self.parabolic(I)
+        solved: dict[tuple[int, ...], int] = {}
+        out: dict[SignedPermutation, int] = {}
+        for w in self.basis(I):
+            lw = g.length(w)
+            if lw < lo:
+                continue
+            if lw > k:
+                break
+            row = self._restriction_row(par, w)
+            c = value(row) - sum(cx * row.get(x, 0) for x, cx in solved.items())
+            cw, rem = divmod(c, row[w.window])
+            if rem:
+                raise ArithmeticError("inexact localization division at %r" % (w.window,))
+            if cw:
+                solved[w.window] = cw
+                if lw == k:
+                    out[w] = cw
+        return out
 
     # -- functoriality ---------------------------------------------------------
 
@@ -438,10 +520,10 @@ class FlagModel:
         """deg of a product, by Poincare duality.
 
         The factors are split greedily (largest codimension first) into two
-        halves of near-equal codimension; each half's representatives are
-        multiplied and expanded on F(I), and the two Schubert vectors A, B are
-        paired: deg = sum_u A_u B_{dual(u)}.  Both expansions check that every
-        coefficient is integral.
+        halves of near-equal codimension; each half's product is expanded on
+        F(I) from its values at the fixed points, and the two Schubert vectors
+        A, B are paired: deg = sum_u A_u B_{dual(u)}.  Both solves check that
+        every division is exact.
         """
         if not classes:
             raise ValueError("empty product")
@@ -466,6 +548,8 @@ class FlagModel:
     def _half_expansion(self, I: frozenset, half: list[FlagCycle]) -> dict:
         """Schubert coefficients of the product of one half of deg_product's
         factors, memoised per model by (I, multiset of the factors' coefficients).
+        The product's value at y is the product of the factors' values
+        sum_u c_u xi_u(y); its coefficients start at the largest factor codim.
 
         The ring p does not enter the key: the expansion is integral, and
         deg_product reduces mod 2 after pairing.
@@ -473,8 +557,18 @@ class FlagModel:
         key = (I, frozenset(Counter(frozenset(x.coeffs.items()) for x in half).items()))
         cached = self._halves.get(key)
         if cached is None:
-            poly = _rep_product(self.group.rank, half)
-            cached = self._halves[key] = self.expand(poly, I).coeffs
+            factors = [[(u.window, c) for u, c in x.coeffs.items()] for x in half]
+
+            def value(row: dict) -> int:
+                prod = 1
+                for terms in factors:
+                    prod *= sum(c * row.get(u, 0) for u, c in terms)
+                return prod
+
+            codims = [x.codim() for x in half]
+            cached = self._halves[key] = self._localized_expansion(
+                I, value, max(codims, default=0), sum(codims)
+            )
         return cached
 
     # -- the quadric inside the model -------------------------------------------
@@ -512,8 +606,17 @@ class FlagModel:
                 raise AssertionError("h^d should split as l_d + l_d'")
 
     def x_class(self, s: tuple[str, int], p: int = 0) -> FlagCycle:
-        """The class on X = G_0 of a basis symbol ("h", a), ("l", b) or ("lp", d)."""
-        return FlagCycle(self, [0], {self.x_windows[s]: 1}, p)
+        """The class on X = G_0 of a basis symbol ("h", a), ("l", b) or ("lp", d).
+
+        A known kind with an index that names no basis class raises
+        RangeError; any other symbol raises ValueError.
+        """
+        w = self.x_windows.get(s)
+        if w is None:
+            if any(s[:1] == (kind,) for kind, _ in self.x_windows):
+                raise RangeError("X-class index out of range: %r" % (s,))
+            raise ValueError("no X-class symbol %r at n = %d" % (s, self.n))
+        return FlagCycle(self, [0], {w: 1}, p)
 
     def h_power(self, k: int, p: int = 0) -> FlagCycle:
         """h^k on X, for 0 <= k <= n (expanded in the Schubert basis, memoised)."""
@@ -652,16 +755,6 @@ def _check_ladder(space, indices: Iterable[int]) -> None:
                 )
 
 
-def _rep_product(m: int, classes: list[FlagCycle]) -> Polynomial:
-    """The product of the classes' polynomial representatives (1 if none)."""
-    if not classes:
-        return constant(m, 1)
-    poly = classes[0].rep()
-    for x in classes[1:]:
-        poly = poly * x.rep()
-    return poly
-
-
 def _symmetric_function(
     roots: list[Polynomial], j: int, m: int, complete: bool = False
 ) -> Polynomial:
@@ -677,8 +770,9 @@ def _symmetric_function(
 
 
 @lru_cache(maxsize=None)
-def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict]:
-    """(point representative, representative memo, pair-product memo) of one group.
+def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict, dict]:
+    """(point representative, representative memo, pair-product memo,
+    restriction-row memo) of one group.
 
     The point class is the single monomial m! x^rho / |W|, with rho =
     (2m-1, ..., 3, 1) for B_m and (2m-2, ..., 2, 0) for D_m: div_{w_0} sends
@@ -691,7 +785,39 @@ def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict]:
     g = make_group(family, rank)
     rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
     point = Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
-    return point, {g.longest_element.window: point}, {}
+    return point, {g.longest_element.window: point}, {}, {}
+
+
+@lru_cache(maxsize=None)
+def _localization_tables(family: str, rank: int) -> tuple[dict, tuple]:
+    """(ascents, simple roots) of one group.  ascents maps each window to the
+    windows of w s_1, ..., w s_m, with None where s_i is a right descent of w;
+    the simple roots are integer vectors, numbered as in :mod:`quadchow.weyl`."""
+    g = make_group(family, rank)
+    length = g.length
+    ascents = {
+        w.window: tuple(
+            ws.window if length(ws) > length(w) else None for ws in g.right_multiples(w)
+        )
+        for w in g.elements
+    }
+    roots = []
+    for a in range(1, rank + 1):
+        root = [0] * rank
+        if a < rank:
+            root[a - 1], root[a] = 1, -1
+        elif family == "B":
+            root[a - 1] = 1
+        else:
+            root[a - 2] = root[a - 1] = 1
+        roots.append(tuple(root))
+    return ascents, tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def _basis_windows(family: str, rank: int, par: frozenset) -> frozenset:
+    """The windows of the minimal coset representatives of W_P."""
+    return frozenset(w.window for w in make_group(family, rank).min_coset_reps(par))
 
 
 @lru_cache(maxsize=None)

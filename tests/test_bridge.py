@@ -465,6 +465,7 @@ def test_schubert_memos_belong_to_the_group(n):
     G = build_geometry(n)
     A, B = G.primary, G.secondary
     assert A._reps is B._reps and A._pair_products is B._pair_products
+    assert A._rows is B._rows
     assert not any(isinstance(k, frozenset) for key in A._pair_products for k in key)
     for w in A.group.elements[::7]:
         assert A.schubert_rep(w) is B.schubert_rep(w)

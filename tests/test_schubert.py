@@ -276,12 +276,14 @@ def test_nonintegral_extraction_raises(monkeypatch):
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
-    I = [0]
-    reps = {w: M.schubert_rep(w) for w in (M.top_element(I), M.group.identity)}
-    monkeypatch.setattr(M, "schubert_rep", lambda w: reps[w].scale(Fraction(1, 2)))
-    # deg_product expands each half of the product, so the expansion raises
-    with pytest.raises(ArithmeticError, match="nonintegral Schubert coefficient 1/2"):
-        M.deg_product([M.point_class(I), M.fundamental(I)])
+    # deg_product solves the half h.h from restriction rows; at n = 3, h^2 = 2 l_1,
+    # so a diagonal value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
+    h, w = M.x_class(("h", 1)), M.x_windows[("l", 1)]
+    par = M.parabolic([0])
+    row = M._restriction_row(par, w)
+    monkeypatch.setitem(M._rows, (par, w.window), {**row, w.window: 7 * row[w.window]})
+    with pytest.raises(ArithmeticError, match=r"inexact localization division at \(-2, 1\)"):
+        M.deg_product([h, h, h])
 
 
 def test_deg_product_checks_every_factor():
@@ -329,6 +331,17 @@ def test_x_windows_name_each_schubert_class_of_x_once(n, orientation):
         if s[0] == "h":
             # the expand route is the oracle for the h-powers below the middle
             assert M.x_class(s) == M.h_power(s[1]), s
+
+
+def test_x_class_names_a_bad_symbol_with_a_typed_error():
+    with pytest.raises(RangeError, match=r"X-class index out of range: \('h', 3\)"):
+        build_flag_model(6).x_class(("h", 3))  # h^3 = l_3 + l_3' is no basis class
+    with pytest.raises(RangeError, match=r"\('lp', 2\)"):
+        build_flag_model(6).x_class(("lp", 2))
+    for s in (("lp", 2), ("q", 1)):
+        with pytest.raises(ValueError, match=r"no X-class symbol \('%s', \d\) at n = 5" % s[0]) as e:
+            build_flag_model(5).x_class(s)
+        assert not isinstance(e.value, RangeError)
 
 
 def _cycle(space, I, step):
@@ -610,20 +623,21 @@ def test_expand_rejects_a_polynomial_of_another_rank():
 # -- the deg_product half memo --------------------------------------------------
 
 
-def test_deg_product_halves_are_memoised_per_model(monkeypatch):
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_deg_product_halves_are_memoised_per_model(monkeypatch, n):
     from quadchow.schubert import FlagModel
 
-    M, other = FlagModel(5), FlagModel(5)
+    M, other = FlagModel(n), FlagModel(n)
     assert M._halves is not other._halves
     calls = []
-    expand = M.expand
+    solve = M._localized_expansion
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return expand(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(M, "expand", counting)
-    rng = random.Random(316)
+    monkeypatch.setattr(M, "_localized_expansion", counting)
+    rng = random.Random(316 + n)
     for _ in range(30):
         classes = _random_product(rng, M)
         want = _deg_by_top_extraction(M, classes)
@@ -636,6 +650,98 @@ def test_deg_product_halves_are_memoised_per_model(monkeypatch):
         # over Z/2 the degree is the integer pairing reduced mod 2
         assert M.deg_product([x.mod2() for x in classes]) == want % 2
     assert M._halves and not other._halves
+
+
+# -- products by localization against the polynomial route ---------------------
+
+
+def _inversion_value(g, y):
+    # prod <beta, t> over the positive roots beta that y^-1 sends negative,
+    # at t = (m, ..., 1); a root is positive when its first nonzero entry is
+    m = g.rank
+    yi = g.inverse(y)
+    value = 1
+    for beta in g.positive_roots:
+        image = [0] * m
+        for j, c in enumerate(beta, start=1):
+            k = yi(j)
+            image[abs(k) - 1] += c if k > 0 else -c
+        if next(c for c in image if c) < 0:
+            value *= sum(c * (m - j) for j, c in enumerate(beta))
+    return value
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
+    from quadchow.polyring import Polynomial, simple_root
+    from quadchow.schubert import _localization_tables
+
+    M = build_flag_model(n)
+    g = M.group
+    _, roots = _localization_tables(g.family, g.rank)
+    for a, root in enumerate(roots, start=1):
+        unit = [tuple(int(k == j) for k in range(g.rank)) for j in range(g.rank)]
+        assert Polynomial(g.rank, {unit[j]: c for j, c in enumerate(root)}) == simple_root(g, a)
+    full = M.parabolic(range(M.d + 1))
+    ys = g.elements if n <= 6 else random.Random(n).sample(g.elements, 60)
+    for y in ys:
+        row = M._restriction_row(full, y)
+        assert row[y.window] == _inversion_value(g, y), y
+        assert row[g.identity.window] == 1, y
+    # a row on F(I) is the full-flag row cut down to basis(I)
+    for I in ([0], [1, M.d]):
+        par = M.parabolic(I)
+        keep = {w.window for w in M.basis(I)}
+        for y in M.basis(I)[::3]:
+            whole = M._restriction_row(full, y)
+            assert M._restriction_row(par, y) == {x: c for x, c in whole.items() if x in keep}
+
+
+def _polynomial_product(M, I, u, v):
+    # the former route: multiply the two representatives and expand on F(I)
+    return M.expand(M.schubert_rep(u) * M.schubert_rep(v), I).coeffs
+
+
+def _product_cases():
+    cases = [(7, None, I) for I in ([0], [1], [3], [0, 1], [2, 3], [0, 1, 2, 3])]
+    cases += [(8, o, I) for o in (1, -1) for I in ([0], [4], [1, 4], [3, 4], [0, 2])]
+    sign = {1: "+", -1: "-", None: ""}
+    return [
+        pytest.param(n, o, I, id="%d%s-F%s" % (n, sign[o], "".join(map(str, I))))
+        for n, o, I in cases
+    ]
+
+
+@pytest.mark.parametrize("n,orientation,I", _product_cases())
+def test_basis_product_matches_the_polynomial_route(n, orientation, I):
+    M = build_flag_model(n, orientation)
+    g = M.group
+    rng = random.Random(f"{n} {orientation} {I}")
+    basis, dim = M.basis(I), M.dim_flag(I)
+    checked = nonzero = 0
+    while checked < 12:
+        u, v = rng.choice(basis), rng.choice(basis)
+        if g.length(u) + g.length(v) <= dim:
+            got = M.basis_product(I, u, v)
+            assert got == _polynomial_product(M, I, u, v), (u, v)
+            checked += 1
+            nonzero += bool(got)
+    assert nonzero >= 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n,orientation", [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1)]
+)
+def test_full_flag_products_match_the_polynomial_route(n, orientation):
+    M = build_flag_model(n, orientation)
+    g = M.group
+    full = range(M.d + 1)
+    basis, dim = M.basis(full), M.dim_flag(full)
+    for a, u in enumerate(basis):
+        for v in basis[a:]:
+            if g.length(u) + g.length(v) <= dim:
+                assert M.basis_product(full, u, v) == _polynomial_product(M, full, u, v)
 
 
 # -- the one-monomial point class against the product of the positive roots ----
