@@ -19,7 +19,9 @@ and the largest key has the largest degree.  Every field stays below
 degree; a constructor argument, product or power whose degree would pass it
 raises ``OverflowError`` before any field could carry into its neighbour.
 ``coeffs`` decodes the keys back to exponent tuples, for display and for
-callers that read monomials.
+callers that read monomials.  ``homogeneous_parts`` splits a polynomial by
+degree and ``numerator_at`` evaluates a numerator at integer points, for the
+fixed-point solve of ``FlagModel.expand``, so the keys stay in this module.
 
 The Weyl group acts by permuting the variables and negating the signed ones;
 the divided difference for the i-th simple root ``a_i`` is
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Mapping
+from math import gcd, lcm, prod
+from operator import getitem
+from typing import Callable, Iterable, Mapping, Sequence
 
 from quadchow.weyl import RangeError, SignedPermutation, WeylGroup
 
@@ -194,6 +197,28 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(0, 0), self.den)
 
+    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
+        """The part of each degree, keyed by degree, over the same denominator."""
+        shift = BITS * self.nvars
+        parts: dict[int, dict[int, int]] = {}
+        for k, c in self.terms.items():
+            parts.setdefault(k >> shift, {})[k] = c
+        return {deg: _make(self.nvars, terms, self.den) for deg, terms in parts.items()}
+
+    def numerator_at(self) -> Callable[[Sequence[int]], int]:
+        """The numerator as a function of an integer point, sum(c * point^e);
+        the exponents are unpacked once, for evaluation at many points."""
+        m, top = self.nvars, self.degree()
+        terms = [(c, [k >> (BITS * j) & MASK for j in range(m)]) for k, c in self.terms.items()]
+
+        def value(point: Sequence[int]) -> int:
+            if len(point) != m:
+                raise ValueError("point of length %d in %d variables" % (len(point), m))
+            powers = [_powers(v, top) for v in point]
+            return sum(c * prod(map(getitem, powers, e)) for c, e in terms)
+
+        return value
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial) or self.nvars != other.nvars:
             return False
@@ -221,6 +246,11 @@ class Polynomial:
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(parts)
+
+
+@lru_cache(maxsize=None)  # shared between points: their coordinates take few values
+def _powers(v: int, top: int) -> tuple[int, ...]:
+    return tuple(v**e for e in range(top + 1))
 
 
 def _combine(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
@@ -351,8 +381,8 @@ def divided_difference_word(
 
     For a reduced word of ``w`` the result depends only on ``w`` (the braid
     relations hold for these operators); this is exercised by the test suite,
-    not assumed here.  ``FlagModel.expand`` shares divided differences between
-    the words of one call instead; this one-word-per-element form is the
+    not assumed here.  ``FlagModel.expand`` solves from values at the fixed
+    points instead; applied to one word per basis element, this form is the
     reference its tests compare against.
     """
     for i in reversed(tuple(word)):

@@ -4,49 +4,42 @@ split quadric.
 For a split quadric X of dimension n, put d = n // 2.  The orthogonal
 grassmannians G_0 = X, G_1, ..., G_d and the partial flag varieties F(I),
 I a subset of {0..d}, are homogeneous spaces for a group with Weyl group
-B_{d+1} (n odd) or D_{d+1} (n even).  Their Chow rings are computed inside
-the coinvariant algebra, with integer polynomials over one common
-denominator (see :mod:`quadchow.polyring`), and their Schubert products at
-the torus-fixed points:
+B_{d+1} (n odd) or D_{d+1} (n even).  Every class on them is read off as a
+Schubert expansion from its values at the torus-fixed points, by one solve:
 
-* the point class of the full flag variety is represented by one monomial,
-  m! x^rho over the denominator |W|, with rho = (2m-1, ..., 3, 1) for B_m and
-  (2m-2, ..., 2, 0) for D_m.  The top degree of the coinvariant algebra is
-  one-dimensional, so this agrees with the product of the positive roots over
-  |W| modulo the ideal J of positive-degree invariants; every representative
-  derived from it changes only modulo J, which no expansion sees;
-* the Schubert class attached to w is obtained from it by the divided
-  difference of w^{-1} w_0, and classes on F(I) are the Schubert classes of
-  minimal coset representatives; divided differences keep the denominator,
-  since every simple root is monic in its main variable;
-* a polynomial f is expanded on F(I) by reading the coefficient of s_w off
-  the constant term of div_w(f).  One expansion applies at most one divided
-  difference per basis element: div_v(f) is memoised for the call and
-  shared by every w = u v with lengths adding.  A k-fold product carries
-  |W|^k, and the division by it happens once, at extraction.  Every
-  extracted coefficient must be an integer (these varieties have
-  torsion-free Chow groups), and a remainder raises immediately since it
-  can only come from a convention bug.  `expand` serves the Chern-class,
-  h-power and c_1(O(1)) polynomials, and is the independent check of the
-  products below;
-* products of Schubert classes never multiply polynomials.  The class of x
-  restricted to the fixed point y is an integer xi_x(y) at the regular point
-  t = (m, ..., 1), by Billey's formula (Billey, Kostant polynomials and the
-  cohomology ring for G/B, Duke Math. J. 96, 1999): one pass along a reduced
-  word of y gives the whole row xi_.(y).  A product is known by its values
-  at the fixed points, and the GKM triangular solve (Goresky-Kottwitz-
-  MacPherson, Invent. Math. 131, 1998) reads its Schubert coefficients off
+* the class of x restricted to the fixed point y is an integer xi_x(y) at
+  the regular point t = (m, ..., 1), by Billey's formula (Billey, Kostant
+  polynomials and the cohomology ring for G/B, Duke Math. J. 96, 1999): one
+  pass along a reduced word of y gives the whole row xi_.(y).  A class is
+  known by its values at the fixed points, and the GKM triangular solve
+  (Goresky-Kottwitz-MacPherson, Invent. Math. 131, 1998),
+  `FlagModel._localized_expansion`, reads its Schubert coefficients off
   them, one exact division per basis element;
-* representatives, restriction rows and two-class products belong to the
-  Weyl group: both rulings share one memo of each, and a product of two W^P
-  classes, pulled back from G/B, is memoised per pair whichever F(I) asked
-  for it;
+* products of Schubert classes never multiply polynomials: the value of
+  s_u s_v at y is xi_u(y) xi_v(y);
+* `expand` takes the Chern-class, h-power and c_1(O(1)) polynomials, with
+  integer numerators over one common denominator (see
+  :mod:`quadchow.polyring`): x_j restricts to y as the j-th entry of
+  -y^{-1}.t.  The polynomial must be a class on F(I), invariant under the
+  parabolic W_P, or its values would depend on more than the coset of y.
+  Every coefficient must be an integer (these varieties have torsion-free
+  Chow groups), and a remainder raises, since it can only come from a
+  convention bug;
+* restriction rows and two-class products belong to the Weyl group: both
+  rulings share one memo of each, and a product of two W^P classes, pulled
+  back from G/B, is memoised per pair whichever F(I) asked for it;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
-  of near-equal codimension, each half's product is solved from its values
-  at the fixed points (memoised on the model), and the two Schubert vectors
-  are paired, so no product reaches the top degree;
+  of near-equal codimension, each half is multiplied out with the memoised
+  two-class products, and the two Schubert vectors are paired, so no product
+  reaches the top degree;
+* `schubert_rep` keeps the divided-difference representatives, which no
+  computation here uses: the point class of the full flag variety is one
+  monomial, m! x^rho over |W|, with rho = (2m-1, ..., 3, 1) for B_m and
+  (2m-2, ..., 2, 0) for D_m, and the class of w is its divided difference
+  of w^{-1} w_0.  They are the tests' independent reference for the solve,
+  and the benchmark wraps them;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
   polynomial work is needed there.  `pullpush` is every correspondence
@@ -69,14 +62,15 @@ pullback identities relating Z- and W-classes on consecutive grassmannians;
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Iterable, Mapping
 
 from quadchow.polyring import (
     Polynomial,
+    act,
     constant,
     divided_difference,
     variable,
@@ -231,12 +225,6 @@ class FlagCycle(SparseCycle):
                     out[w] = out.get(w, 0) + cu * cv * c
         return FlagCycle(self.model, self.I, out, self.p)
 
-    def rep(self) -> Polynomial:
-        poly = constant(self.model.group.rank, 0)
-        for w, c in self.coeffs.items():
-            poly = poly + self.model.schubert_rep(w).scale(c)
-        return poly
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -263,7 +251,6 @@ class FlagModel:
         self._index_sets: dict = {}
         self._push_ops: dict = {}
         self._duals: dict = {}
-        self._halves: dict = {}
         self._h_powers: dict[tuple[int, int], FlagCycle] = {}
         self._identify_quadric_basis()
         self.validate_conventions()
@@ -329,47 +316,42 @@ class FlagModel:
     def expand(self, poly: Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I).
 
-        The coefficient of s_w, for l(w) a degree of poly, is the constant
-        term of div_w(poly).  Each div_v(poly) is computed once per call and
-        shared between candidates: with a reduced word w = s_i1 ... s_ik,
-        div_w = div_i1 o div_v for v = s_i2 ... s_ik, and v is again in
-        basis(I), so the memo is keyed by basis elements.
-
-        Every coefficient must come out integral; a fractional coefficient is a
-        hard error (it means the class does not live on F(I), or a convention
-        broke).  A polynomial whose number of variables is not the group's
-        rank raises ValueError.
+        Each homogeneous part of degree k <= dim F(I) is solved from its values
+        at the fixed points, where x_j restricts to y as (-y^{-1}.t)_j; the
+        codimension-k coefficients of the solve are the non-equivariant ones.
+        A part not fixed by W_P, the parabolic of F(I), is no class on F(I)
+        and raises ValueError, as does a polynomial in the wrong number of
+        variables.  A fractional coefficient is a hard error (a convention
+        broke).
         """
         I = frozenset(I)
         g = self.group
         if poly.nvars != g.rank:
             raise ValueError("rank mismatch")
-        out: dict[SignedPermutation, int] = {}
         dim = self.dim_flag(I)
-        degrees = {k for k in poly.degrees() if k <= dim}
-        diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
-        for w in self.basis(I):
-            if g.length(w) not in degrees:
-                continue
-            # climb the suffixes of w's word to the longest one already known
-            word = g.reduced_word(w)
-            pending = []
-            v = w
-            while (r := diffs.get(v.window)) is None:
-                pending.append(v.window)
-                v = g.from_word(word[len(pending) :])
-            for j in reversed(range(len(pending))):
-                if not r.is_zero():
-                    r = divided_difference(g, word[j], r)
-                diffs[pending[j]] = r
-            c = r.terms.get(0, 0)  # the constant term's numerator
-            if c:
-                if c % r.den:
+        par = sorted(self.parabolic(I))
+        t = g.rank + 1  # t_j = m + 1 - j, so (-y^{-1}.t)_j = y(j) - sign(y(j)) (m + 1)
+        out: dict[SignedPermutation, int] = {}
+        for k, part in sorted(poly.homogeneous_parts().items()):
+            if k > dim:
+                break
+            moved = [i for i in par if act(g.simple_reflections[i - 1], part) != part]
+            if moved:
+                raise ValueError(
+                    "the degree-%d part is no class on F(%s): s_%d moves it"
+                    % (k, ",".join(map(str, sorted(I))), moved[0])
+                )
+
+            def value(y: SignedPermutation, row: dict, at=part.numerator_at()) -> int:
+                return at([v - t if v > 0 else v + t for v in y.window])
+
+            for w, c in self._localized_expansion(I, value, 0, k).items():
+                if c % part.den:
                     raise ArithmeticError(
                         "nonintegral Schubert coefficient %s at %r"
-                        % (r.constant_term(), w.window)
+                        % (Fraction(c, part.den), w.window)
                     )
-                out[w] = c // r.den
+                out[w] = c // part.den
         return FlagCycle(self, I, out, p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
@@ -390,7 +372,7 @@ class FlagModel:
             else:
                 a, b = u.window, v.window
                 cached = self._localized_expansion(
-                    I, lambda row: row.get(a, 0) * row.get(b, 0), max(lu, lv), lu + lv
+                    I, lambda y, row: row.get(a, 0) * row.get(b, 0), max(lu, lv), lu + lv
                 )
             self._pair_products[key] = cached
         return cached
@@ -429,12 +411,12 @@ class FlagModel:
 
     def _localized_expansion(self, I, value, lo: int, k: int) -> dict:
         """The codimension-k Schubert coefficients on F(I) of the class whose
-        restriction to each fixed point w is value(row of w).
+        restriction to each fixed point w is value(w, row of w).
 
         The GKM triangular solve (Goresky-Kottwitz-MacPherson, 1998): walk
         basis(I) in length order from lo, where the first coefficient can be
-        nonzero, to k; c^w = (value(w) - sum_x c^x xi_x(w)) / xi_w(w) over the
-        x already solved.  Every division is exact, since the equivariant
+        nonzero, to k; c^w = (value(w, row) - sum_x c^x xi_x(w)) / xi_w(w) over
+        the x already solved.  Every division is exact, since the equivariant
         coefficients are integer polynomials in t; a remainder raises.
         """
         g = self.group
@@ -448,7 +430,9 @@ class FlagModel:
             if lw > k:
                 break
             row = self._restriction_row(par, w)
-            c = value(row) - sum(cx * row.get(x, 0) for x, cx in solved.items())
+            # the sum runs over the shorter of the solved set and the row
+            small, large = (solved, row) if len(solved) < len(row) else (row, solved)
+            c = value(w, row) - sum(cx * large.get(x, 0) for x, cx in small.items())
             cw, rem = divmod(c, row[w.window])
             if rem:
                 raise ArithmeticError("inexact localization division at %r" % (w.window,))
@@ -520,10 +504,9 @@ class FlagModel:
         """deg of a product, by Poincare duality.
 
         The factors are split greedily (largest codimension first) into two
-        halves of near-equal codimension; each half's product is expanded on
-        F(I) from its values at the fixed points, and the two Schubert vectors
-        A, B are paired: deg = sum_u A_u B_{dual(u)}.  Both solves check that
-        every division is exact.
+        halves of near-equal codimension; each half is multiplied out as
+        FlagCycles (an empty half is the fundamental class), and the two
+        Schubert vectors A, B are paired: deg = sum_u A_u B_{dual(u)}.
         """
         if not classes:
             raise ValueError("empty product")
@@ -540,36 +523,13 @@ class FlagModel:
             k = 0 if weight[0] <= weight[1] else 1
             halves[k].append(x)
             weight[k] += c
-        a, b = (self._half_expansion(I, h) for h in halves)
+        a, b = (
+            reduce(FlagCycle.__mul__, h).coeffs if h else {self.group.identity: 1}
+            for h in halves
+        )
         dual = self.poincare_dual(I)
         total = sum(c * b.get(dual[u], 0) for u, c in a.items())
         return total % 2 if first.p == 2 else total
-
-    def _half_expansion(self, I: frozenset, half: list[FlagCycle]) -> dict:
-        """Schubert coefficients of the product of one half of deg_product's
-        factors, memoised per model by (I, multiset of the factors' coefficients).
-        The product's value at y is the product of the factors' values
-        sum_u c_u xi_u(y); its coefficients start at the largest factor codim.
-
-        The ring p does not enter the key: the expansion is integral, and
-        deg_product reduces mod 2 after pairing.
-        """
-        key = (I, frozenset(Counter(frozenset(x.coeffs.items()) for x in half).items()))
-        cached = self._halves.get(key)
-        if cached is None:
-            factors = [[(u.window, c) for u, c in x.coeffs.items()] for x in half]
-
-            def value(row: dict) -> int:
-                prod = 1
-                for terms in factors:
-                    prod *= sum(c * row.get(u, 0) for u, c in terms)
-                return prod
-
-            codims = [x.codim() for x in half]
-            cached = self._halves[key] = self._localized_expansion(
-                I, value, max(codims, default=0), sum(codims)
-            )
-        return cached
 
     # -- the quadric inside the model -------------------------------------------
 

@@ -91,7 +91,8 @@ class SignedPermutation:
         )
 
     def __hash__(self) -> int:
-        return hash((self.group.family, self.group.rank, self.window))
+        # __eq__ requires the same group, so the window alone decides
+        return hash(self.window)
 
     def __repr__(self) -> str:
         return f"SignedPermutation{self.window}"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -330,3 +331,28 @@ def test_repr_is_unchanged():
     # terms run in decreasing exponent-tuple order, not by degree
     f = Polynomial(2, {(0, MASK): 1, (1, 0): -2, (0, 3): 1})
     assert repr(f) == "-2*x1 + 1*x2^255 + 1*x2^3"
+
+
+def test_homogeneous_parts_and_numerator_evaluation():
+    # the parts add back up to f, each of one degree; the numerator at a point
+    # is the value times den, against the evaluation of coeffs in Fractions
+    rng = random.Random(14)
+    for m in (2, 3, 5):
+        for _ in range(20):
+            f = rand_poly(m, rng, terms=7, deg=4).scale(Fraction(1, rng.randint(1, 6)))
+            parts = f.homogeneous_parts()
+            assert sum(parts.values(), Polynomial(m)) == f
+            for k, part in parts.items():
+                assert part.degrees() == {k} and part.den == f.den
+            at = f.numerator_at()
+            for _ in range(5):
+                point = [rng.randint(-5, 5) for _ in range(m)]
+                value = sum(
+                    Fraction(c, f.den) * Fraction(prod(v**p for v, p in zip(point, e)))
+                    for e, c in f.coeffs.items()
+                )
+                assert Fraction(at(point), f.den) == value
+    assert Polynomial(3).homogeneous_parts() == {}
+    assert Polynomial(3).numerator_at()([1, 2, 3]) == 0
+    with pytest.raises(ValueError, match="point of length 2 in 3 variables"):
+        variable(3, 1).numerator_at()([1, 2])

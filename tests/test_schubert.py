@@ -10,7 +10,14 @@ from operator import mul
 
 import pytest
 
-from quadchow.polyring import constant, divided_difference_word, variable
+from quadchow.polyring import (
+    Polynomial,
+    act,
+    constant,
+    divided_difference,
+    divided_difference_word,
+    variable,
+)
 from quadchow.quadpow import basis_symbols, codim1
 from quadchow.schubert import (
     FlagCycle,
@@ -276,11 +283,13 @@ def test_nonintegral_extraction_raises(monkeypatch):
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
-    # deg_product solves the half h.h from restriction rows; at n = 3, h^2 = 2 l_1,
-    # so a diagonal value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
+    # deg_product multiplies out the half h.h, solved from restriction rows (a
+    # fresh pair memo, since the group's may hold it); at n = 3, h^2 = 2 l_1, so
+    # a diagonal value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
     h, w = M.x_class(("h", 1)), M.x_windows[("l", 1)]
     par = M.parabolic([0])
     row = M._restriction_row(par, w)
+    monkeypatch.setattr(M, "_pair_products", {})
     monkeypatch.setitem(M._rows, (par, w.window), {**row, w.window: 7 * row[w.window]})
     with pytest.raises(ArithmeticError, match=r"inexact localization division at \(-2, 1\)"):
         M.deg_product([h, h, h])
@@ -442,13 +451,22 @@ def test_duality_pairing_matches_frozen_top_coefficients():
                     assert M.deg_product(pair[::-1]) == got, (entry["n"], I, v, u)
 
 
+def _rep(x):
+    # the polynomial representative of a flag cycle: its Schubert representatives
+    # weighted by its coefficients
+    poly = constant(x.model.group.rank, 0)
+    for w, c in x.coeffs.items():
+        poly = poly + x.model.schubert_rep(w).scale(c)
+    return poly
+
+
 def _deg_by_top_extraction(M, classes):
     # The former route: one product of the whole representatives, then the
     # divided-difference word of the longest minimal coset representative.
     g = M.group
-    poly = classes[0].rep()
+    poly = _rep(classes[0])
     for x in classes[1:]:
-        poly = poly * x.rep()
+        poly = poly * _rep(x)
     r = divided_difference_word(g, g.reduced_word(M.top_element(classes[0].I)), poly)
     c = r.coeffs.get((0,) * g.rank, 0)
     assert c % r.den == 0
@@ -506,7 +524,7 @@ def test_orientation_is_normalised_before_caching():
                     build(n, bad)
 
 
-# -- the shared expansion against one whole word per candidate ------------------
+# -- expand by localization against the divided-difference routes ---------------
 
 
 def _expand_by_words(M, poly, I):
@@ -524,6 +542,51 @@ def _expand_by_words(M, poly, I):
         if c:
             out[w] = c // r.den
     return out
+
+
+def _expand_by_divided_differences(M, poly, I):
+    # The former FlagModel.expand: the coefficient of s_w is the constant term of
+    # div_w(poly), with div_v(poly) memoised for the call and shared along the
+    # suffixes of w's reduced word, so it is cheaper than one word per candidate.
+    g = M.group
+    dim = M.dim_flag(I)
+    degrees = {k for k in poly.degrees() if k <= dim}
+    diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
+    out = {}
+    for w in M.basis(I):
+        if g.length(w) not in degrees:
+            continue
+        word = g.reduced_word(w)
+        pending = []
+        v = w
+        while (r := diffs.get(v.window)) is None:
+            pending.append(v.window)
+            v = g.from_word(word[len(pending) :])
+        for j in reversed(range(len(pending))):
+            if not r.is_zero():
+                r = divided_difference(g, word[j], r)
+            diffs[pending[j]] = r
+        c = r.coeffs.get((0,) * g.rank, 0)
+        assert c % r.den == 0, (I, w)
+        if c:
+            out[w] = c // r.den
+    return out
+
+
+def _is_class_on(M, poly, I):
+    # every part that expand solves, of degree at most dim F(I), is fixed by the
+    # simple reflections of the parabolic of F(I)
+    g = M.group
+    parts = {}
+    for e, c in poly.coeffs.items():
+        parts.setdefault(sum(e), {})[e] = c
+    return all(
+        act(g.simple_reflections[i - 1], part) == part
+        for k, terms in parts.items()
+        if k <= M.dim_flag(I)
+        for part in [Polynomial(g.rank, terms)]
+        for i in M.parabolic(I)
+    )
 
 
 def _index_sets(d):
@@ -575,40 +638,30 @@ def test_expand_matches_one_word_per_candidate(n, orientation, I):
     # at n >= 7 short factors keep the one-word-per-candidate reference cheap
     max_length = M.dim_flag(I) // 2 if n <= 6 else 5
     for kind, poly in _oracle_inputs(rng, M, I, max_length):
-        got = M.expand(poly, I)
-        assert got.coeffs == _expand_by_words(M, poly, I), (kind, repr(got))
-
-
-def test_expand_computes_each_divided_difference_once(monkeypatch):
-    import quadchow.polyring as polyring
-    import quadchow.schubert as schubert
-
-    M = build_flag_model(6, -1)
-    g = M.group
-    calls = []
-    original = polyring.divided_difference
-
-    def counting(group, i, f):
-        calls.append(i)
-        return original(group, i, f)
-
-    # the reference path reaches the polyring name through divided_difference_word
-    monkeypatch.setattr(schubert, "divided_difference", counting)
-    monkeypatch.setattr(polyring, "divided_difference", counting)
-    rng = random.Random(86)
-    saved = 0
-    for I in ([0], [1, 2], [0, 1, 2, 3]):
-        for kind, poly in _oracle_inputs(rng, M, I, M.dim_flag(I) // 2):
-            degrees = [k for k in map(sum, poly.coeffs) if k <= M.dim_flag(I)]
-            bound = sum(1 for w in M.basis(I) if g.length(w) <= max(degrees, default=-1))
-            del calls[:]
+        if _is_class_on(M, poly, I):
             got = M.expand(poly, I)
-            assert len(calls) <= bound, (I, kind)
-            shared = len(calls)
-            del calls[:]
-            assert got.coeffs == _expand_by_words(M, poly, I)
-            saved += len(calls) - shared
-    assert saved > 0  # one word per candidate repeats work the memo shares
+            assert got.coeffs == _expand_by_words(M, poly, I), (kind, repr(got))
+        else:
+            # a factor outside basis(I), or a power of a variable that W_P moves
+            assert kind in ("outside-basis", "linear-power"), kind
+            with pytest.raises(ValueError, match=r"is no class on F\("):
+                M.expand(poly, I)
+
+
+def test_expand_rejects_a_polynomial_that_is_no_class_on_the_flag_variety():
+    # x1^2 + x1 x2 + x2^2 is moved by s_2 (x2 <-> x3), so it is no class on
+    # X = F(0) at n = 5: its values at the fixed points y depend on more than
+    # the coset y W_P.  A solve that trusted them returned -3 s_(3,1,2) where
+    # the divided differences give 0.
+    M = build_flag_model(5)
+    x1, x2 = variable(3, 1), variable(3, 2)
+    poly = x1 * x1 + x1 * x2 + x2 * x2
+    assert _expand_by_words(M, poly, [0]) == {}
+    with pytest.raises(ValueError, match=r"the degree-2 part is no class on F\(0\): s_2 moves it"):
+        M.expand(poly, [0])
+    # the same part on the full flag, where W_P is trivial, is a class
+    full = range(M.d + 1)
+    assert M.expand(poly, full).coeffs == _expand_by_words(M, poly, full)
 
 
 def test_expand_rejects_a_polynomial_of_another_rank():
@@ -620,36 +673,22 @@ def test_expand_rejects_a_polynomial_of_another_rank():
             M.expand(poly, [0])
 
 
-# -- the deg_product half memo --------------------------------------------------
+# -- deg_product against the top-degree extraction ------------------------------
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_deg_product_halves_are_memoised_per_model(monkeypatch, n):
-    from quadchow.schubert import FlagModel
-
-    M, other = FlagModel(n), FlagModel(n)
-    assert M._halves is not other._halves
-    calls = []
-    solve = M._localized_expansion
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(M, "_localized_expansion", counting)
+def test_deg_product_is_independent_of_factor_order_and_ring(n):
+    M = build_flag_model(n)
     rng = random.Random(316 + n)
     for _ in range(30):
         classes = _random_product(rng, M)
         want = _deg_by_top_extraction(M, classes)
         assert M.deg_product(classes) == want
-        del calls[:]
         assert M.deg_product(classes) == want
-        assert not calls  # both halves came from the memo
         for _ in range(3):
             assert M.deg_product(rng.sample(classes, len(classes))) == want
         # over Z/2 the degree is the integer pairing reduced mod 2
         assert M.deg_product([x.mod2() for x in classes]) == want % 2
-    assert M._halves and not other._halves
 
 
 # -- products by localization against the polynomial route ---------------------
@@ -698,8 +737,9 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
 
 
 def _polynomial_product(M, I, u, v):
-    # the former route: multiply the two representatives and expand on F(I)
-    return M.expand(M.schubert_rep(u) * M.schubert_rep(v), I).coeffs
+    # the former route: multiply the two representatives and expand on F(I) by
+    # divided differences, which share nothing with the localized solve
+    return _expand_by_divided_differences(M, M.schubert_rep(u) * M.schubert_rep(v), I)
 
 
 def _product_cases():
@@ -774,8 +814,27 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
     w0 = G.longest_element
     for w in G.elements:
         old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
-        assert M.expand(old, full).coeffs == {w: 1}, w
-        assert M.expand(M.schubert_rep(w), full).coeffs == {w: 1}, w
+        assert _expand_by_divided_differences(M, old, full) == {w: 1}, w
+        assert _expand_by_divided_differences(M, M.schubert_rep(w), full) == {w: 1}, w
+
+
+@pytest.mark.parametrize(
+    "n,orientation",
+    [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1), (7, None), (8, 1), (8, -1)],
+)
+def test_expand_reads_back_every_schubert_representative(n, orientation):
+    # rep(w) for w in basis(I) is fixed by W_P, and the solve must read it back
+    # as s_w on F(I); at n >= 7 a seeded sample of short w keeps this cheap
+    M = build_flag_model(n, orientation)
+    g = M.group
+    rng = random.Random(f"reps {n} {orientation}")
+    for I in _index_sets(M.d):
+        basis = M.basis(I)
+        if n >= 7:
+            short = [w for w in basis if g.length(w) <= 6]
+            basis = rng.sample(short, min(len(short), 4))
+        for w in basis:
+            assert M.expand(M.schubert_rep(w), I).coeffs == {w: 1}, (I, w)
 
 
 def _sum_of_products(m, groups):
