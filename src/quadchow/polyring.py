@@ -47,7 +47,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
 from quadchow.weyl import RangeError, SignedPermutation, WeylGroup
@@ -208,14 +207,13 @@ class Polynomial:
     def numerator_at(self) -> Callable[[Sequence[int]], int]:
         """The numerator as a function of an integer point, sum(c * point^e);
         the exponents are unpacked once, for evaluation at many points."""
-        m, top = self.nvars, self.degree()
+        m = self.nvars
         terms = [(c, [k >> (BITS * j) & MASK for j in range(m)]) for k, c in self.terms.items()]
 
         def value(point: Sequence[int]) -> int:
             if len(point) != m:
                 raise ValueError("point of length %d in %d variables" % (len(point), m))
-            powers = [_powers(v, top) for v in point]
-            return sum(c * prod(map(getitem, powers, e)) for c, e in terms)
+            return sum(c * prod(map(pow, point, e)) for c, e in terms)
 
         return value
 
@@ -246,11 +244,6 @@ class Polynomial:
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(parts)
-
-
-@lru_cache(maxsize=None)  # shared between points: their coordinates take few values
-def _powers(v: int, top: int) -> tuple[int, ...]:
-    return tuple(v**e for e in range(top + 1))
 
 
 def _combine(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:

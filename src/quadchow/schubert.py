@@ -430,9 +430,7 @@ class FlagModel:
             if lw > k:
                 break
             row = self._restriction_row(par, w)
-            # the sum runs over the shorter of the solved set and the row
-            small, large = (solved, row) if len(solved) < len(row) else (row, solved)
-            c = value(w, row) - sum(cx * large.get(x, 0) for x, cx in small.items())
+            c = value(w, row) - sum(cx * row.get(x, 0) for x, cx in solved.items())
             cw, rem = divmod(c, row[w.window])
             if rem:
                 raise ArithmeticError("inexact localization division at %r" % (w.window,))

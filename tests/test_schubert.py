@@ -812,10 +812,18 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
     full = range(M.d + 1)
     old_point = _positive_root_point(G)
     w0 = G.longest_element
+
+    def read(poly):
+        # the solve reads every representative back at n <= 7; at n = 8 its
+        # 1920 whole-flag solves take minutes, so the reference reads them
+        if n <= 7:
+            return M.expand(poly, full).coeffs
+        return _expand_by_divided_differences(M, poly, full)
+
     for w in G.elements:
         old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
-        assert _expand_by_divided_differences(M, old, full) == {w: 1}, w
-        assert _expand_by_divided_differences(M, M.schubert_rep(w), full) == {w: 1}, w
+        assert read(old) == {w: 1}, w
+        assert read(M.schubert_rep(w)) == {w: 1}, w
 
 
 @pytest.mark.parametrize(
