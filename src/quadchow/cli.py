@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 
 from quadchow import bridge, edi, quadpow, suites
@@ -234,7 +234,12 @@ def cmd_verify(args) -> int:
                 {
                     "suite": name,
                     "n": cfg.n,
-                    "cases": [asdict(c) for c in results],
+                    # not dataclasses.asdict, which deep-copies every params dict
+                    "cases": [
+                        {"id": c.id, "params": c.params, "status": c.status,
+                         "lhs": c.lhs, "rhs": c.rhs}
+                        for c in results
+                    ],
                 }
             )
         else:

@@ -28,6 +28,10 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
 * restriction rows and two-class products belong to the Weyl group: both
   rulings share one memo of each, and a product of two W^P classes, pulled
   back from G/B, is memoised per pair whichever F(I) asked for it;
+* the distinguished classes (Z, W, the Chern classes, c_1(O(1)) and h^k)
+  are memoised on the model or geometry that built them, one dict per
+  object keyed by (constructor, indices, p), and freed with it; a call that
+  raises stores nothing;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -124,7 +128,9 @@ class QuadricContext:
 class SparseCycle:
     """Integer (p = 0) or mod-2 (p = 2) coefficients on a basis, stored sparsely.
 
-    A subclass names its ambient space by ``_space()``, the leading
+    Cycles are immutable: every operation builds a new one, and memoised
+    results are shared between callers, so nothing may change ``coeffs`` in
+    place.  A subclass names its ambient space by ``_space()``, the leading
     constructor arguments (they must agree for ``+`` and ``==``), and the
     codimension of one basis key by ``_key_codim``.  Results are built as
     ``type(self)(*self._space(), coeffs, p)``.
@@ -200,6 +206,27 @@ class SparseCycle:
         return degs.pop() if degs else -1
 
 
+def _memoised(method):
+    """Memoise a distinguished-class constructor f(self, *indices, p=0) in
+    its object's ``_classes`` dict, keyed by (name, *indices, p), so the memo
+    is freed with its model or geometry.  A call that raises stores nothing,
+    so a range error raises every time.  Callers share the cached cycle."""
+    name = method.__name__
+    arity = method.__code__.co_argcount - 1  # the indices and p
+
+    @wraps(method)
+    def cached(self, *args, p: int = 0):
+        if len(args) == arity - 1:
+            args += (p,)
+        key = (name, *args)
+        out = self._classes.get(key)
+        if out is None:
+            out = self._classes[key] = method(self, *args)
+        return out
+
+    return cached
+
+
 class FlagCycle(SparseCycle):
     """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients."""
 
@@ -251,7 +278,7 @@ class FlagModel:
         self._index_sets: dict = {}
         self._push_ops: dict = {}
         self._duals: dict = {}
-        self._h_powers: dict[tuple[int, int], FlagCycle] = {}
+        self._classes: dict = {}  # see _memoised
         self._identify_quadric_basis()
         self.validate_conventions()
 
@@ -576,15 +603,12 @@ class FlagModel:
             raise ValueError("no X-class symbol %r at n = %d" % (s, self.n))
         return FlagCycle(self, [0], {w: 1}, p)
 
+    @_memoised
     def h_power(self, k: int, p: int = 0) -> FlagCycle:
-        """h^k on X, for 0 <= k <= n (expanded in the Schubert basis, memoised)."""
+        """h^k on X, for 0 <= k <= n (expanded in the Schubert basis)."""
         if not 0 <= k <= self.n:
             raise RangeError("hyperplane power out of range")
-        cached = self._h_powers.get((k, p))
-        if cached is None:
-            cached = self.expand(variable(self.group.rank, 1) ** k, [0], p)
-            self._h_powers[(k, p)] = cached
-        return cached
+        return self.expand(variable(self.group.rank, 1) ** k, [0], p)
 
     def l_class(self, b: int, p: int = 0) -> FlagCycle:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
@@ -600,6 +624,7 @@ class FlagModel:
 
     # -- distinguished classes ---------------------------------------------------
 
+    @_memoised
     def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) and push down.
 
@@ -616,6 +641,7 @@ class FlagModel:
         x = self.l_class(self.n - i - j, p)
         return x if i == 0 else self.pullpush(x, [i])
 
+    @_memoised
     def class_W(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """W^i_j on G_i (and W^0_j = h^j); zero for negative j.
 
@@ -641,6 +667,7 @@ class FlagModel:
             roots[-1] = variable(m, m)
         return roots
 
+    @_memoised
     def chern_taut(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """c_j of the tautological bundle on G_i."""
         if not 0 <= j <= i + 1:
@@ -649,6 +676,7 @@ class FlagModel:
         poly = _symmetric_function(roots, j, self.group.rank)
         return self.expand(poly, [i], p)
 
+    @_memoised
     def chern_quot(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """c_j of the quotient of the trivial bundle by the tautological one."""
         rank_q = self.n + 2 - (i + 1)
@@ -658,6 +686,7 @@ class FlagModel:
         poly = _symmetric_function(negroots, j, self.group.rank, complete=True)
         return self.expand(poly, [i], p)
 
+    @_memoised
     def class_O1(self, i: int, p: int = 0) -> FlagCycle:
         """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i."""
         if not 1 <= i <= self.d:
@@ -796,7 +825,8 @@ class UnionCycle:
     isotropic subspaces contributes both ruling components, and the cycle
     carries one FlagCycle per sheet (sheet 0 on the primary-orientation model,
     sheet 1 on the opposite one).  Degrees and pushforwards to connected
-    targets sum over the sheets.
+    targets sum over the sheets.  Like its parts, a UnionCycle is immutable
+    and may be shared (the geometry memoises its distinguished classes).
     """
 
     __slots__ = ("geometry", "I", "parts")
@@ -885,6 +915,7 @@ class QuadricGeometry:
         # G_i x X^m by (i, m, p) (the incidence class is m = 1, eta_i is
         # m = i, theta_i m = i + 1)
         self.bridge_memo: dict = {}
+        self._classes: dict = {}  # see _memoised
         if self.secondary is not None:
             # the per-model gates cannot see the global naming of l_d
             _check_ladder(self, [self.d])
@@ -929,6 +960,7 @@ class QuadricGeometry:
         parts.extend(M.zero(I, p) for M in sheets[1:])
         return UnionCycle(self, I, tuple(parts))
 
+    @_memoised
     def h_power(self, k: int, p: int = 0) -> UnionCycle:
         return self.from_primary(self.primary.h_power(k, p))
 
@@ -990,6 +1022,7 @@ class QuadricGeometry:
 
     # -- distinguished classes ----------------------------------------------------
 
+    @_memoised
     def class_Z(self, i: int, j: int, p: int = 0) -> UnionCycle:
         """Z^i_j: the primary model's l_{n-i-j} on X (its naming of l_d is
         global), pulled through F(0, i) onto every sheet of G_i."""
@@ -997,15 +1030,19 @@ class QuadricGeometry:
             raise RangeError("grassmannian index out of range")
         return self.pullpush(self.from_primary(self.primary.class_Z(0, i + j, p)), [i])
 
+    @_memoised
     def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
         return self._per_sheet([i], lambda M: M.class_W(i, j, p))
 
+    @_memoised
     def chern_taut(self, i: int, j: int, p: int = 0) -> UnionCycle:
         return self._per_sheet([i], lambda M: M.chern_taut(i, j, p))
 
+    @_memoised
     def chern_quot(self, i: int, j: int, p: int = 0) -> UnionCycle:
         return self._per_sheet([i], lambda M: M.chern_quot(i, j, p))
 
+    @_memoised
     def class_O1(self, i: int, p: int = 0) -> UnionCycle:
         # F(i-1, i) splits exactly when G_i does
         return self._per_sheet([i - 1, i], lambda M: M.class_O1(i, p))

@@ -21,6 +21,8 @@ from quadchow.polyring import (
 from quadchow.quadpow import basis_symbols, codim1
 from quadchow.schubert import (
     FlagCycle,
+    FlagModel,
+    QuadricGeometry,
     UnionCycle,
     _symmetric_function,
     build_flag_model,
@@ -254,23 +256,153 @@ def test_geometry_odd_single_sheet():
     assert len(G.sheets([G.d])) == 1
 
 
-def test_hyperplane_powers_are_memoised(monkeypatch):
-    from quadchow.schubert import FlagModel
+# -- the per-object memo of distinguished classes -------------------------------
 
-    M = FlagModel(5)
+SPACES = [(n, o) for n in range(3, 9) for o in ((1, -1) if n % 2 == 0 else (None,))]
+
+
+def _class_calls(space):
+    """Every valid (constructor, indices, p) on a FlagModel or QuadricGeometry,
+    in forward index order, including the natural zeros past the top."""
+    n, d = space.n, space.d
+    calls = [("h_power", (k,)) for k in range(n + 1)]
+    for i in range(d + 1):
+        calls += [("class_Z", (i, j)) for j in range(n - i - d, n - i + 2)]
+        calls += [("class_W", (i, j)) for j in range(-1, n - i + 1)]
+        calls += [("chern_taut", (i, j)) for j in range(i + 2)]
+        calls += [("chern_quot", (i, j)) for j in range(n + 2 - i)]
+        calls += [("class_O1", (i,))] if i else []
+    return [(f, idx, p) for f, idx in calls for p in (0, 2)]
+
+
+def _call(space, call):
+    f, idx, p = call
+    return getattr(space, f)(*idx, p)
+
+
+def _parts(x):
+    return x.parts if isinstance(x, UnionCycle) else (x,)
+
+
+def _content(x):
+    """(I, per-part (p, coefficients)): comparable across models and geometries."""
+    return x.I, tuple((part.p, dict(part.coeffs)) for part in _parts(x))
+
+
+def _owned_by(x, space):
+    if isinstance(x, UnionCycle):
+        return x.geometry is space and all(
+            part.model is M for part, M in zip(x.parts, space.sheets(x.I))
+        )
+    return x.model is space
+
+
+@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
+@pytest.mark.parametrize("n,orientation", SPACES)
+def test_memoised_classes_do_not_depend_on_the_order_asked(kind, n, orientation):
+    a, b = kind(n, orientation), kind(n, orientation)
+    calls = _class_calls(a)
+    forward = {c: _call(a, c) for c in calls}
+    backward = {c: _call(b, c) for c in reversed(calls)}
+    for c in calls:
+        f, idx, p = c
+        x = forward[c]
+        assert _content(x) == _content(backward[c]), c
+        assert _owned_by(x, a) and _owned_by(backward[c], b), c
+        assert {part.p for part in _parts(x)} == {p}, c
+        assert _call(a, c) is x
+        if p == 0:
+            assert getattr(a, f)(*idx) is x
+
+
+@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
+@pytest.mark.parametrize("n,orientation", SPACES)
+def test_memoised_classes_are_unchanged_by_use(kind, n, orientation):
+    space = kind(n, orientation)
+    classes = [_call(space, c) for c in _class_calls(space)]
+    before = [_content(x) for x in classes]
+    for x in classes:
+        x + x, x - x, x * x, x.scale(3), x.mod2(), space.pullpush(x, [0])
+        space.deg_product([x, x])
+        dim = _parts(x)[0].model.dim_flag(x.I)
+        dual = [
+            y for y in classes
+            if _content(y)[0] == x.I and _parts(y)[0].p == _parts(x)[0].p
+            and x.codim() + y.codim() == dim
+        ]
+        if dual:
+            space.deg_product([x, dual[0]])
+    assert [_content(x) for x in classes] == before
+
+
+@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
+@pytest.mark.parametrize("n,orientation", SPACES)
+def test_out_of_range_classes_raise_every_time_and_store_nothing(kind, n, orientation):
+    space = kind(n, orientation)
+    d = space.d
+    bad = [
+        ("h_power", (-1,)), ("h_power", (n + 1,)),
+        ("class_Z", (d + 1, 0)), ("class_Z", (1, n - 1 - d - 1)),
+        ("class_W", (d + 1, 0)), ("class_W", (1, n)),
+        ("chern_taut", (0, -1)), ("chern_taut", (1, 3)), ("chern_quot", (0, n + 2)),
+        ("class_O1", (0,)), ("class_O1", (d + 1,)),
+    ]
+    stored = set(space._classes)
+    for f, idx in bad:
+        for p in (0, 2):
+            for _ in range(2):
+                with pytest.raises(RangeError):
+                    getattr(space, f)(*idx, p)
+    assert set(space._classes) == stored
+
+
+def _count_calls(monkeypatch, obj, name):
     calls = []
-    expand = M.expand
+    inner = getattr(obj, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return expand(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(M, "expand", counting)
+    monkeypatch.setattr(obj, name, counting)
+    return calls
+
+
+def test_each_distinguished_class_is_built_once(monkeypatch):
+    M = FlagModel(5)
+    expands = _count_calls(monkeypatch, M, "expand")
     first = M.class_W(1, 1, 2)  # pull-push of h^2 mod 2: one expansion
-    assert len(calls) == 1
-    assert M.class_W(1, 1, 2) == first
+    assert len(expands) == 1
+    assert M.class_W(1, 1, 2) is first
     assert M.h_power(2, 2) is M.h_power(2, 2)
-    assert len(calls) == 1
+    assert len(expands) == 1
+    # no Chern class takes part in the build gate: one expansion each
+    cherns = [
+        (f, i, j, p)
+        for i in range(M.d + 1)
+        for f, top in (("chern_taut", i + 1), ("chern_quot", M.n + 1 - i))
+        for j in range(top + 1)
+        for p in (0, 2)
+    ]
+    for _ in range(2):
+        for f, i, j, p in cherns:
+            getattr(M, f)(i, j, p)
+    assert len(expands) == 1 + len(cherns)
+    # one pullpush per distinct Z-class the geometry has not built yet
+    for n, orientation in ((5, None), (6, 1), (6, -1)):
+        G = QuadricGeometry(n, orientation)
+        built = set(G._classes)
+        pullpushes = _count_calls(monkeypatch, G, "pullpush")
+        zs = [
+            ("class_Z", i, j, p)
+            for i in range(G.d + 1)
+            for j in range(n - i - G.d, n - i + 2)
+            for p in (0, 2)
+        ]
+        for _ in range(2):
+            for _, i, j, p in zs:
+                G.class_Z(i, j, p)
+        assert len(pullpushes) == len(set(zs) - built) > 0
 
 
 def test_nonintegral_extraction_raises(monkeypatch):
