@@ -332,13 +332,11 @@ class FlagModel:
         if cached is not None:
             return cached
         g = self.group
-        lw = g.length(w)
-        for i, ws in enumerate(g.right_multiples(w), start=1):
-            if g.length(ws) > lw:
-                rep = divided_difference(g, i, self.schubert_rep(ws))
-                self._reps[w.window] = rep
-                return rep
-        raise AssertionError("unreachable: every non-longest element has an ascent")
+        descents, row = g._right[w.window]
+        ascents = ~descents & ((1 << g.rank) - 1)
+        i = (ascents & -ascents).bit_length()  # the longest element is cached
+        rep = self._reps[w.window] = divided_difference(g, i, self.schubert_rep(row[i - 1]))
+        return rep
 
     def expand(self, poly: Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I).
@@ -421,18 +419,20 @@ class FlagModel:
         row = self._rows.get(key)
         if row is None:
             g = self.group
-            up, roots = _localization_tables(g.family, g.rank)
+            right, roots = g._right, g.simple_roots
             t = g.rank + 1  # t_j = m + 1 - j; w(e_j) = sign(w(j)) e_|w(j)|
             prefix = g.identity.window
             states = {prefix: 1}
             for a in g.reduced_word(y):
                 r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(roots[a - 1], prefix))
+                bit = 1 << (a - 1)
                 for z, c in list(states.items()):
-                    zs = up[z][a - 1]
-                    if zs is not None:
+                    descents, z_row = right[z]
+                    if not descents & bit:
+                        zs = z_row[a - 1].window
                         states[zs] = states.get(zs, 0) + c * r
-                prefix = up[prefix][a - 1]
-            keep = _basis_windows(g.family, g.rank, par)
+                prefix = right[prefix][1][a - 1].window
+            keep = g.coset_windows(par)
             row = self._rows[key] = {x: c for x, c in states.items() if x in keep}
         return row
 
@@ -773,38 +773,6 @@ def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict, dict]:
     rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
     point = Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
     return point, {g.longest_element.window: point}, {}, {}
-
-
-@lru_cache(maxsize=None)
-def _localization_tables(family: str, rank: int) -> tuple[dict, tuple]:
-    """(ascents, simple roots) of one group.  ascents maps each window to the
-    windows of w s_1, ..., w s_m, with None where s_i is a right descent of w;
-    the simple roots are integer vectors, numbered as in :mod:`quadchow.weyl`."""
-    g = make_group(family, rank)
-    length = g.length
-    ascents = {
-        w.window: tuple(
-            ws.window if length(ws) > length(w) else None for ws in g.right_multiples(w)
-        )
-        for w in g.elements
-    }
-    roots = []
-    for a in range(1, rank + 1):
-        root = [0] * rank
-        if a < rank:
-            root[a - 1], root[a] = 1, -1
-        elif family == "B":
-            root[a - 1] = 1
-        else:
-            root[a - 2] = root[a - 1] = 1
-        roots.append(tuple(root))
-    return ascents, tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def _basis_windows(family: str, rank: int, par: frozenset) -> frozenset:
-    """The windows of the minimal coset representatives of W_P."""
-    return frozenset(w.window for w in make_group(family, rank).min_coset_reps(par))
 
 
 @lru_cache(maxsize=None)

@@ -21,12 +21,17 @@ negates the last two (D) -- so the table needs no generic product.  The
 length of w is its distance from the identity in the Cayley graph of the
 simple reflections, so one breadth-first walk of the table from the identity
 gives every length (the test suite checks it against the count of positive
-roots sent to negative ones).  Reduced words, descents, coset representatives
-and parabolic factorisations walk this table and the length table one simple
-reflection at a time.  The longest element w_0(P) of a parabolic subgroup W_P
-is the unique element of W_P whose right descents are all of P, so an ascent
-from the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, 2.4).
+roots sent to negative ones).  The same walk stores each element's right
+descents as one bitmask beside its row of the table: bit i - 1 is set when
+l(w s_i) < l(w), which holds exactly when w s_i was reached at a lower
+level.  Every descent or ascent question reads that integer: a minimal coset
+representative of W_P is an element with no right descent in P, and reduced
+words, parabolic factorisations and w_0(P) walk the table by the lowest set
+bit of the descents (or ascents) inside a mask of indices.  The longest
+element w_0(P) of a parabolic subgroup W_P is the unique element of W_P
+whose right descents are all of P, so an ascent from the identity inside W_P
+reaches it in l(w_0(P)) steps (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, 2.4).
 """
 
 from __future__ import annotations
@@ -115,18 +120,22 @@ class WeylGroup:
         self.rank = rank
         self._indices = frozenset(range(1, rank + 1))
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
+        self.simple_roots: tuple[Root, ...] = self._simple_roots()
         self.identity = SignedPermutation(self, tuple(range(1, rank + 1)))
         self.simple_reflections: tuple[SignedPermutation, ...] = tuple(
             self._simple_reflection(i) for i in range(1, rank + 1)
         )
-        self.elements: tuple[SignedPermutation, ...] = tuple(self._enumerate())
-        self._right: dict[tuple[int, ...], tuple[SignedPermutation, ...]] = (
-            self._right_table()
-        )
+        canonical = {w.window: w for w in self._enumerate()}
+        self.elements: tuple[SignedPermutation, ...] = tuple(canonical.values())
+        # window -> (right-descent mask, (w * s_1, ..., w * s_m))
+        self._right: dict[tuple[int, ...], tuple] = self._right_table(canonical)
         self._lengths: dict[tuple[int, ...], int] = self._length_table()
-        self.longest_element = max(self.elements, key=lambda w: self._lengths[w.window])
+        # every element, sorted by (length, window)
+        self._by_length = tuple(map(canonical.__getitem__, self._lengths))
+        self.longest_element = self._by_length[-1]
         self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
         self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
+        self._coset_windows: dict[frozenset[int], frozenset[tuple[int, ...]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -145,6 +154,13 @@ class WeylGroup:
                 r[i] = 1
                 roots.append(tuple(r))
         return tuple(roots)
+
+    def _simple_roots(self) -> tuple[Root, ...]:
+        """alpha_1, ..., alpha_m as integer vectors: x_i - x_(i+1) for i < m,
+        then x_m (B) or x_(m-1) + x_m (D)."""
+        m, d = self.rank, self.family == "D"
+        roots = [tuple((j == a) - (j == a + 1) for j in range(m)) for a in range(m - 1)]
+        return (*roots, tuple(int(j == m - 1 or d and j == m - 2) for j in range(m)))
 
     def _simple_reflection(self, i: int) -> SignedPermutation:
         m = self.rank
@@ -165,9 +181,10 @@ class WeylGroup:
                     continue
                 yield SignedPermutation(self, tuple(s * p for s, p in zip(signs, perm)))
 
-    def _right_table(self) -> dict[tuple[int, ...], tuple[SignedPermutation, ...]]:
+    def _right_table(
+        self, canonical: dict[tuple[int, ...], SignedPermutation]
+    ) -> dict[tuple[int, ...], tuple[SignedPermutation, ...]]:
         """``(w * s_1, ..., w * s_m)`` for every element, by window edits."""
-        canonical = {w.window: w for w in self.elements}
         last_b = self.family == "B"
         table = {}
         for win in canonical:
@@ -183,18 +200,25 @@ class WeylGroup:
         return table
 
     def _length_table(self) -> dict[tuple[int, ...], int]:
-        """Every element's length, by a breadth-first walk of the table."""
-        lengths = {self.identity.window: 0}
-        frontier = [self.identity.window]
+        """Every element's length, by a breadth-first walk of the table, each
+        level in window order; the walk also puts each element's right-descent
+        mask beside its row.  w s_i lies one level above or below w; s_i is a
+        right descent exactly when w s_i lies in the level below, and sets
+        bit i - 1."""
+        bits = [1 << i for i in range(self.rank)]
+        lengths, right = {}, self._right
+        level, below, frontier = 0, set(), {self.identity.window}
         while frontier:
-            nxt = []
-            for win in frontier:
-                step = lengths[win] + 1
-                for ws in self._right[win]:
-                    if ws.window not in lengths:
-                        lengths[ws.window] = step
-                        nxt.append(ws.window)
-            frontier = nxt
+            above = set()
+            for win in sorted(frontier):
+                row, mask = right[win], 0
+                for bit, ws in zip(bits, row):
+                    if ws.window in below:
+                        mask |= bit
+                    else:
+                        above.add(ws.window)
+                lengths[win], right[win] = level, (mask, row)
+            level, below, frontier = level + 1, frontier, above
         return lengths
 
     # -- the group interface ----------------------------------------------
@@ -231,14 +255,14 @@ class WeylGroup:
         """``(w * s_1, ..., w * s_m)``, read from the table."""
         if w.group is not self:
             raise ValueError("group mismatch")
-        return self._right[w.window]
+        return self._right[w.window][1]
 
     def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
         """A reduced word for ``w``, found by greedy right-descent removal.
 
         The returned indices multiply left to right: ``w = s[i1] * ... * s[ik]``.
         """
-        _, letters = self._walk(w, range(1, self.rank + 1), -1)
+        _, letters = self._walk(w, (1 << self.rank) - 1, -1)
         return tuple(reversed(letters))
 
     def from_word(self, word: Iterable[int]) -> SignedPermutation:
@@ -246,30 +270,27 @@ class WeylGroup:
         self._check_indices(word, "word letter")
         w = self.identity
         for i in word:
-            w = self._right[w.window][i - 1]
+            w = self._right[w.window][1][i - 1]
         return w
 
     def _walk(
-        self, u: SignedPermutation, indices: Iterable[int], step: int
+        self, u: SignedPermutation, mask: int, step: int
     ) -> tuple[SignedPermutation, list[int]]:
-        """Move u along the table while some s_i, i in indices, changes its
-        length by step (-1 descends, +1 ascends), trying the indices in order.
+        """Move u along the table by the lowest s_i, bit i - 1 set in mask,
+        that is a right descent (step -1) or ascent (step +1), while one is.
 
         Returns where the walk stops and the letters it multiplied by.
         """
-        lengths, right = self._lengths, self._right
-        lu = self.length(u)
+        right = self._right
         letters = []
         while True:
-            row = right[u.window]
-            for i in indices:
-                us = row[i - 1]
-                if lengths[us.window] == lu + step:
-                    letters.append(i)
-                    u, lu = us, lu + step
-                    break
-            else:
+            d, row = right[u.window]
+            free = (d if step < 0 else ~d) & mask
+            if not free:
                 return u, letters
+            i = (free & -free).bit_length()
+            letters.append(i)
+            u = row[i - 1]
 
     # -- parabolic combinatorics --------------------------------------------
 
@@ -284,30 +305,37 @@ class WeylGroup:
         self._check_indices(key, "parabolic index")
         return key
 
+    @staticmethod
+    def _mask(key: frozenset[int]) -> int:
+        return sum(1 << (i - 1) for i in key)
+
     def min_coset_reps(self, parabolic: Iterable[int]) -> tuple[SignedPermutation, ...]:
         """Minimal-length representatives of the cosets ``w W_P``.
 
         ``parabolic`` lists the simple-reflection indices generating ``W_P``.
         A representative is exactly an element with no right descent in the
-        parabolic set.
+        parabolic set.  Sorted by (length, window).
         """
         key = self._parabolic(parabolic)
         if key not in self._coset_reps:
-            lengths, right = self._lengths, self._right
-            reps = []
-            for w in self.elements:
-                lw, row = lengths[w.window], right[w.window]
-                if all(lengths[row[i - 1].window] > lw for i in key):
-                    reps.append(w)
-            reps.sort(key=lambda w: (lengths[w.window], w.window))
-            self._coset_reps[key] = tuple(reps)
+            right, mask = self._right, self._mask(key)
+            self._coset_reps[key] = tuple(
+                w for w in self._by_length if not right[w.window][0] & mask
+            )
         return self._coset_reps[key]
+
+    def coset_windows(self, parabolic: Iterable[int]) -> frozenset[tuple[int, ...]]:
+        """The windows of :meth:`min_coset_reps`, as a set."""
+        key = self._parabolic(parabolic)
+        if key not in self._coset_windows:
+            self._coset_windows[key] = frozenset(w.window for w in self.min_coset_reps(key))
+        return self._coset_windows[key]
 
     def parabolic_decompose(
         self, w: SignedPermutation, parabolic: Iterable[int]
     ) -> tuple[SignedPermutation, SignedPermutation]:
         """Factor ``w = w_min * w_par`` with lengths adding."""
-        u, letters = self._walk(w, self._parabolic(parabolic), -1)
+        u, letters = self._walk(w, self._mask(self._parabolic(parabolic)), -1)
         # w = u * s[ik] * ... * s[i1] for the letters i1..ik removed
         return u, self.from_word(reversed(letters))
 
@@ -319,7 +347,7 @@ class WeylGroup:
         """
         key = self._parabolic(parabolic)
         if key not in self._parabolic_longest:
-            self._parabolic_longest[key] = self._walk(self.identity, key, 1)[0]
+            self._parabolic_longest[key] = self._walk(self.identity, self._mask(key), 1)[0]
         return self._parabolic_longest[key]
 
 

@@ -213,6 +213,73 @@ def test_lengths_match_root_count(family, rank):
         assert G.length(w) == _root_count(G, w), w
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_lengths(family, rank):
+    # window -> _root_count, over every element: no table involved
+    G = make_group(family, rank)
+    return {w.window: _root_count(G, w) for w in G.elements}
+
+
+def _oracle_descents(G, w, lengths):
+    # bit i - 1 set iff l(w s_i) < l(w), by generic products
+    return sum(
+        1 << i
+        for i, s in enumerate(G.simple_reflections)
+        if lengths[(w * s).window] < lengths[w.window]
+    )
+
+
+def _greedy_word(G, w, lengths):
+    # the former _walk route of reduced_word: strip the lowest-index right
+    # descent until none is left, with lengths from the root-count oracle
+    letters = []
+    while True:
+        for i, s in enumerate(G.simple_reflections, start=1):
+            ws = w * s
+            if lengths[ws.window] < lengths[w.window]:
+                letters.append(i)
+                w = ws
+                break
+        else:
+            return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_descent_masks_match_root_count(family, rank):
+    G = make_group(family, rank)
+    lengths = _oracle_lengths(family, rank)
+    for w in G.elements:
+        assert G._right[w.window][0] == _oracle_descents(G, w, lengths), w
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_min_coset_reps_match_descent_filter(family, rank):
+    # every parabolic at rank <= 4, eight seeded ones at rank 5
+    G = make_group(family, rank)
+    lengths = _oracle_lengths(family, rank)
+    masks = {w.window: _oracle_descents(G, w, lengths) for w in G.elements}
+    subsets = [
+        P for r in range(rank + 1) for P in itertools.combinations(range(1, rank + 1), r)
+    ]
+    if rank == 5:
+        subsets = random.Random(5).sample(subsets, 8)
+    for P in subsets:
+        mask = sum(1 << (i - 1) for i in P)
+        expected = sorted(
+            (w for w in G.elements if not masks[w.window] & mask),
+            key=lambda w: (lengths[w.window], w.window),
+        )
+        assert G.min_coset_reps(P) == tuple(expected), P
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_reduced_words_match_greedy_route(family, rank):
+    G = make_group(family, rank)
+    lengths = _oracle_lengths(family, rank)
+    for w in G.elements:
+        assert G.reduced_word(w) == _greedy_word(G, w, lengths), w
+
+
 def test_parabolic_longest_matches_generated_subgroup():
     for family, rank in [("B", r) for r in range(1, 5)] + [("D", r) for r in (2, 3, 4)]:
         G = make_group(family, rank)
