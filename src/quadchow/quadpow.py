@@ -659,4 +659,6 @@ def parse_cycle(ctx: QuadricContext, text: str) -> QuadCycle:
         total = term_cycle if total is None else total + term_cycle
     if total is None:
         raise ValueError("empty expression")
+    if not terms[-1].strip():
+        raise ValueError("expression ends in a sign")
     return total

@@ -413,7 +413,8 @@ class FlagModel:
         the word carries every partial subword product z with its weight.  t is
         dominant regular for B_m and D_m, so every r_j is a positive integer
         and xi_x(y) != 0 exactly when x <= y.  Memoised per (parabolic, y) for
-        the whole group, and trimmed to basis(I).
+        the whole group, and trimmed to basis(I) by the descent mask: x is kept
+        when it has no right descent in par.
         """
         key = (par, y.window)
         row = self._rows.get(key)
@@ -432,8 +433,8 @@ class FlagModel:
                         zs = z_row[a - 1].window
                         states[zs] = states.get(zs, 0) + c * r
                 prefix = right[prefix][1][a - 1].window
-            keep = g.coset_windows(par)
-            row = self._rows[key] = {x: c for x, c in states.items() if x in keep}
+            mask = g._mask(par)
+            row = self._rows[key] = {x: c for x, c in states.items() if not right[x][0] & mask}
         return row
 
     def _localized_expansion(self, I, value, lo: int, k: int) -> dict:

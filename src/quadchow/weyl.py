@@ -10,33 +10,31 @@ transpositions and the last node is the special one: for B_m the sign change
 on the *last* coordinate (simple root ``x_m``), for D_m the signed swap of the
 last two coordinates (simple root ``x_{m-1} + x_m``).
 
-Groups of rank <= 5 are fully enumerated and cached at construction; larger
-ranks are rejected (the geometry downstream never needs more at desk scale).
+Groups of rank <= 5 are supported; larger ranks are rejected (the geometry
+downstream never needs more at desk scale).
 
-Construction also builds a right-multiplication table: for every element w
-and every simple reflection s_i it stores the canonical element ``w * s_i``.
-Right multiplication by s_i is an edit of the window -- for i < m it swaps
-entries i and i + 1; the last node negates the last entry (B) or swaps and
-negates the last two (D) -- so the table needs no generic product.  The
-length of w is its distance from the identity in the Cayley graph of the
-simple reflections, so one breadth-first walk of the table from the identity
-gives every length (the test suite checks it against the count of positive
-roots sent to negative ones).  The same walk stores each element's right
-descents as one bitmask beside its row of the table: bit i - 1 is set when
-l(w s_i) < l(w), which holds exactly when w s_i was reached at a lower
-level.  Every descent or ascent question reads that integer: a minimal coset
-representative of W_P is an element with no right descent in P, and reduced
-words, parabolic factorisations and w_0(P) walk the table by the lowest set
-bit of the descents (or ascents) inside a mask of indices.  The longest
-element w_0(P) of a parabolic subgroup W_P is the unique element of W_P
-whose right descents are all of P, so an ascent from the identity inside W_P
-reaches it in l(w_0(P)) steps (Bjorner-Brenti, Combinatorics of Coxeter
-Groups, 2.4).
+Construction is one breadth-first walk of the Cayley graph of the simple
+reflections from the identity, each level taken in window order.  Right
+multiplication by s_i is an edit of the window -- for i < m it swaps entries
+i and i + 1; the last node negates the last entry (B) or swaps and negates the
+last two (D) -- so the walk needs no generic product.  It lists every element
+sorted by (length, window), since the length of w is its distance from the
+identity (the test suite checks it against the count of positive roots sent
+to negative ones), and it stores for each element the row of canonical
+elements ``w * s_1, ..., w * s_m`` and its right descents as one bitmask:
+bit i - 1 is set when l(w s_i) < l(w), which holds exactly when w s_i was
+reached at the level below.  Every descent or ascent question reads that
+integer: a minimal coset representative of W_P is an element with no right
+descent in P, and reduced words, parabolic factorisations and w_0(P) walk the
+table by the lowest set bit of the descents (or ascents) inside a mask of
+indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
+unique element of W_P whose right descents are all of P, so an ascent from
+the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 2.4).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -104,7 +102,12 @@ class SignedPermutation:
 
 
 class WeylGroup:
-    """Weyl group of type B_m or D_m, fully enumerated.
+    """Weyl group of type B_m or D_m, built by one walk from the identity.
+
+    ``elements`` lists every element sorted by (length, window), so it starts
+    with ``identity`` and ends with ``longest_element``; ``simple_reflections``
+    is the identity's row of the right-multiplication table.  Each window has
+    one canonical element object.
 
     Do not instantiate directly; use :func:`make_group`, which caches one
     group object per (family, rank) so elements of equal provenance share
@@ -122,20 +125,15 @@ class WeylGroup:
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
         self.simple_roots: tuple[Root, ...] = self._simple_roots()
         self.identity = SignedPermutation(self, tuple(range(1, rank + 1)))
-        self.simple_reflections: tuple[SignedPermutation, ...] = tuple(
-            self._simple_reflection(i) for i in range(1, rank + 1)
-        )
-        canonical = {w.window: w for w in self._enumerate()}
-        self.elements: tuple[SignedPermutation, ...] = tuple(canonical.values())
         # window -> (right-descent mask, (w * s_1, ..., w * s_m))
-        self._right: dict[tuple[int, ...], tuple] = self._right_table(canonical)
-        self._lengths: dict[tuple[int, ...], int] = self._length_table()
-        # every element, sorted by (length, window)
-        self._by_length = tuple(map(canonical.__getitem__, self._lengths))
-        self.longest_element = self._by_length[-1]
+        self._right: dict[tuple[int, ...], tuple] = {}
+        # window -> length, in (length, window) order
+        self._lengths: dict[tuple[int, ...], int] = {}
+        self.elements: tuple[SignedPermutation, ...] = self._walk_from_identity()
+        self.simple_reflections = self._right[self.identity.window][1]
+        self.longest_element = self.elements[-1]
         self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
         self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
-        self._coset_windows: dict[frozenset[int], frozenset[tuple[int, ...]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -162,64 +160,40 @@ class WeylGroup:
         roots = [tuple((j == a) - (j == a + 1) for j in range(m)) for a in range(m - 1)]
         return (*roots, tuple(int(j == m - 1 or d and j == m - 2) for j in range(m)))
 
-    def _simple_reflection(self, i: int) -> SignedPermutation:
-        m = self.rank
-        win = list(range(1, m + 1))
-        if i < m:
-            win[i - 1], win[i] = i + 1, i
-        elif self.family == "B":
-            win[m - 1] = -m
-        else:
-            win[m - 2], win[m - 1] = -m, -(m - 1)
-        return SignedPermutation(self, tuple(win))
+    def _walk_from_identity(self) -> tuple[SignedPermutation, ...]:
+        """Every element, sorted by (length, window), by a breadth-first walk
+        from the identity that fills ``_right`` and ``_lengths``.
 
-    def _enumerate(self) -> Iterator[SignedPermutation]:
-        m = self.rank
-        for perm in itertools.permutations(range(1, m + 1)):
-            for signs in itertools.product((1, -1), repeat=m):
-                if self.family == "D" and signs.count(-1) % 2 != 0:
-                    continue
-                yield SignedPermutation(self, tuple(s * p for s, p in zip(signs, perm)))
-
-    def _right_table(
-        self, canonical: dict[tuple[int, ...], SignedPermutation]
-    ) -> dict[tuple[int, ...], tuple[SignedPermutation, ...]]:
-        """``(w * s_1, ..., w * s_m)`` for every element, by window edits."""
-        last_b = self.family == "B"
-        table = {}
-        for win in canonical:
-            row = [
-                canonical[win[:i] + (win[i + 1], win[i]) + win[i + 2 :]]
-                for i in range(self.rank - 1)
-            ]
-            if last_b:
-                row.append(canonical[win[:-1] + (-win[-1],)])
-            else:
-                row.append(canonical[win[:-2] + (-win[-1], -win[-2])])
-            table[win] = tuple(row)
-        return table
-
-    def _length_table(self) -> dict[tuple[int, ...], int]:
-        """Every element's length, by a breadth-first walk of the table, each
-        level in window order; the walk also puts each element's right-descent
-        mask beside its row.  w s_i lies one level above or below w; s_i is a
-        right descent exactly when w s_i lies in the level below, and sets
-        bit i - 1."""
-        bits = [1 << i for i in range(self.rank)]
-        lengths, right = {}, self._right
-        level, below, frontier = 0, set(), {self.identity.window}
+        Each level is taken in window order, and each row is built from the
+        m window edits.  w s_i lies one level above or below w; s_i is a right
+        descent exactly when w s_i lies in the level below, and sets bit
+        i - 1.  A window first met in the level above gets its one element.
+        """
+        m, last_b = self.rank, self.family == "B"
+        bits = [1 << i for i in range(m)]
+        elements: list[SignedPermutation] = []
+        level, below, frontier = 0, {}, {self.identity.window: self.identity}
         while frontier:
-            above = set()
+            above: dict[tuple[int, ...], SignedPermutation] = {}
             for win in sorted(frontier):
-                row, mask = right[win], 0
-                for bit, ws in zip(bits, row):
-                    if ws.window in below:
+                edits = [win[:i] + (win[i + 1], win[i]) + win[i + 2 :] for i in range(m - 1)]
+                if last_b:
+                    edits.append(win[:-1] + (-win[-1],))
+                else:
+                    edits.append(win[:-2] + (-win[-1], -win[-2]))
+                row, mask = [], 0
+                for bit, ws in zip(bits, edits):
+                    if ws in below:
                         mask |= bit
+                        row.append(below[ws])
                     else:
-                        above.add(ws.window)
-                lengths[win], right[win] = level, (mask, row)
+                        if ws not in above:
+                            above[ws] = SignedPermutation(self, ws)
+                        row.append(above[ws])
+                self._right[win], self._lengths[win] = (mask, tuple(row)), level
+                elements.append(frontier[win])
             level, below, frontier = level + 1, frontier, above
-        return lengths
+        return tuple(elements)
 
     # -- the group interface ----------------------------------------------
 
@@ -320,16 +294,9 @@ class WeylGroup:
         if key not in self._coset_reps:
             right, mask = self._right, self._mask(key)
             self._coset_reps[key] = tuple(
-                w for w in self._by_length if not right[w.window][0] & mask
+                w for w in self.elements if not right[w.window][0] & mask
             )
         return self._coset_reps[key]
-
-    def coset_windows(self, parabolic: Iterable[int]) -> frozenset[tuple[int, ...]]:
-        """The windows of :meth:`min_coset_reps`, as a set."""
-        key = self._parabolic(parabolic)
-        if key not in self._coset_windows:
-            self._coset_windows[key] = frozenset(w.window for w in self.min_coset_reps(key))
-        return self._coset_windows[key]
 
     def parabolic_decompose(
         self, w: SignedPermutation, parabolic: Iterable[int]

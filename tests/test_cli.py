@@ -49,6 +49,9 @@ def test_compute_parse_error_exit2(capsys):
     code, _, err = run_cli(capsys, "compute", "--n", "3", "nonsense word")
     assert code == 2
     assert "parse" in err
+    code, out, err = run_cli(capsys, "compute", "--n", "6", "h -")
+    assert (code, out) == (2, "")
+    assert "ends in a sign" in err
 
 
 def test_compute_range_error_exit3(capsys):

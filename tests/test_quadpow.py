@@ -308,6 +308,12 @@ def test_parse_internal_product_and_errors():
     ctx4 = quad_context(4)
     assert parse_cycle(ctx4, "ld'") == lp_cycle(ctx4)
     assert parse_cycle(ctx4, "l2'") == lp_cycle(ctx4)
+    # a sign run inside an expression folds; a trailing one is an error
+    h = h_power_cycle(ctx, 1)
+    assert parse_cycle(ctx, "h - - h") == h.scale(2)
+    for text in ("h -", "h +", "h - -", "h + -", "h*h - l1 +"):
+        with pytest.raises(ValueError, match="ends in a sign"):
+            parse_cycle(ctx, text)
 
 
 def test_strict_codim_errors_on_mixed_degrees():

@@ -857,13 +857,26 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
         row = M._restriction_row(full, y)
         assert row[y.window] == _inversion_value(g, y), y
         assert row[g.identity.window] == 1, y
-    # a row on F(I) is the full-flag row cut down to basis(I)
-    for I in ([0], [1, M.d]):
+    # a row on F(I) is the full-flag row cut down to basis(I): every I and
+    # every y at n <= 6, with both rulings at even n
+    if n <= 6:
+        subsets = [I for r in range(1, M.d + 2) for I in itertools.combinations(range(M.d + 1), r)]
+        models, step = ((M, FlagModel(n, -1)) if n % 2 == 0 else (M,)), 1
+    else:
+        subsets, models, step = ([0], [1, M.d]), (M,), 3
+    for model in models:
+        _assert_rows_cut_to_basis(model, subsets, step)
+
+
+def _assert_rows_cut_to_basis(M, subsets, step):
+    full = M.parabolic(range(M.d + 1))
+    for I in subsets:
         par = M.parabolic(I)
         keep = {w.window for w in M.basis(I)}
-        for y in M.basis(I)[::3]:
+        for y in M.basis(I)[::step]:
             whole = M._restriction_row(full, y)
-            assert M._restriction_row(par, y) == {x: c for x, c in whole.items() if x in keep}
+            cut = {x: c for x, c in whole.items() if x in keep}
+            assert M._restriction_row(par, y) == cut, (M.ctx.orientation, I, y)
 
 
 def _polynomial_product(M, I, u, v):

@@ -11,15 +11,15 @@ from quadchow.schubert import build_flag_model
 from quadchow.weyl import RangeError, make_group
 
 
-def brute_force_order(family: str, rank: int) -> int:
+def brute_force_windows(family: str, rank: int) -> set[tuple[int, ...]]:
     # Independent enumeration: signed permutations, with the D parity cut.
-    count = 0
+    windows = set()
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
             if family == "D" and signs.count(-1) % 2:
                 continue
-            count += 1
-    return count
+            windows.add(tuple(s * p for s, p in zip(signs, perm)))
+    return windows
 
 
 @pytest.mark.parametrize(
@@ -29,7 +29,7 @@ def brute_force_order(family: str, rank: int) -> int:
 def test_group_orders(family, rank, order):
     G = make_group(family, rank)
     assert len(G) == order
-    assert order == brute_force_order(family, rank)
+    assert order == len(brute_force_windows(family, rank))
 
 
 def test_order_formula():
@@ -180,6 +180,35 @@ def _generated_longest(G, P):
         frontier -= subgroup
         subgroup |= frontier
     return max(subgroup, key=G.length)
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_walk_lists_every_element_once_by_length(family, rank):
+    G = make_group(family, rank)
+    assert {w.window for w in G.elements} == brute_force_windows(family, rank)
+    keys = [(G.length(w), w.window) for w in G.elements]
+    assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_simple_reflections_and_longest_element_windows(family, rank):
+    G = make_group(family, rank)
+    m = rank
+    expected = []
+    for i in range(1, m):
+        win = list(range(1, m + 1))
+        win[i - 1], win[i] = i + 1, i
+        expected.append(tuple(win))
+    if family == "B":
+        expected.append((*range(1, m), -m))
+    else:
+        expected.append((*range(1, m - 1), -m, -(m - 1)))
+    assert [s.window for s in G.simple_reflections] == expected
+    # w_0 = -1 on every coordinate, except the last one for D_m with m odd
+    w0 = [-j for j in range(1, m + 1)]
+    if family == "D" and m % 2:
+        w0[-1] = m
+    assert G.longest_element.window == tuple(w0)
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
