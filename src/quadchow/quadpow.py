@@ -634,8 +634,6 @@ def parse_cycle(ctx: QuadricContext, text: str) -> QuadCycle:
             continue  # a sign run like "+ -": keep folding into the sign
         sign, pending = pending, 1
         tokens = term.split()
-        if not tokens:
-            raise ValueError("empty term")
         coeff = sign
         # A leading integer is a coefficient unless it opens the monomial
         # itself ("1 x l0" starts with the class 1, not the number one).

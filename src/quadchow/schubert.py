@@ -17,14 +17,13 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   them, one exact division per basis element;
 * products of Schubert classes never multiply polynomials: the value of
   s_u s_v at y is xi_u(y) xi_v(y);
-* `expand` takes the Chern-class, h-power and c_1(O(1)) polynomials, with
-  integer numerators over one common denominator (see
-  :mod:`quadchow.polyring`): x_j restricts to y as the j-th entry of
-  -y^{-1}.t.  The polynomial must be a class on F(I), invariant under the
-  parabolic W_P, or its values would depend on more than the coset of y.
-  Every coefficient must be an integer (these varieties have torsion-free
-  Chow groups), and a remainder raises, since it can only come from a
-  convention bug;
+* x_j restricts to y as the j-th entry of the integer point -y^{-1}.t
+  (`_fixed_point`), so a class given by a polynomial is read off its
+  values there, and no polynomial is built: `from_values` solves h^k =
+  x_1^k, the Chern classes (e_j, or h_j, of the tautological roots) and
+  c_1(O(1)) (one root) from integer functions of that point.  Each is
+  invariant under the parabolic W_P of its F(I), so its values depend
+  only on the coset of y;
 * restriction rows and two-class products belong to the Weyl group: both
   rulings share one memo of each, and a product of two W^P classes, pulled
   back from G/B, is memoised per pair whichever F(I) asked for it;
@@ -38,12 +37,12 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   of near-equal codimension, each half is multiplied out with the memoised
   two-class products, and the two Schubert vectors are paired, so no product
   reaches the top degree;
-* `schubert_rep` keeps the divided-difference representatives, which no
-  computation here uses: the point class of the full flag variety is one
-  monomial, m! x^rho over |W|, with rho = (2m-1, ..., 3, 1) for B_m and
-  (2m-2, ..., 2, 0) for D_m, and the class of w is its divided difference
-  of w^{-1} w_0.  They are the tests' independent reference for the solve,
-  and the benchmark wraps them;
+* `schubert_rep` and `expand` keep the polynomial route, which no computation
+  here uses: the point class of the full flag variety is the monomial
+  m! x^rho / |W|, rho = (2m-1, ..., 3, 1) for B_m and (2m-2, ..., 2, 0) for
+  D_m, the class of w is its divided difference of w^{-1} w_0, and `expand`
+  solves a W_P-invariant polynomial from its values.  They are the tests'
+  reference for the solve and the value-defined classes; the benchmark wraps them;
 * pushforward along F(I) -> F(J) is the divided difference of
   w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
   polynomial work is needed there.  `pullpush` is every correspondence
@@ -72,13 +71,8 @@ from functools import lru_cache, reduce, wraps
 from math import factorial
 from typing import Iterable, Mapping
 
-from quadchow.polyring import (
-    Polynomial,
-    act,
-    constant,
-    divided_difference,
-    variable,
-)
+from quadchow import polyring
+from quadchow.polyring import divided_difference
 from quadchow.weyl import RangeError, SignedPermutation, WeylGroup, make_group
 
 __all__ = [
@@ -326,7 +320,7 @@ class FlagModel:
 
     # -- Schubert representatives and expansion -------------------------------
 
-    def schubert_rep(self, w: SignedPermutation) -> Polynomial:
+    def schubert_rep(self, w: SignedPermutation) -> polyring.Polynomial:
         """Polynomial representative of the Schubert class of w (codim = length)."""
         cached = self._reps.get(w.window)
         if cached is not None:
@@ -338,16 +332,15 @@ class FlagModel:
         rep = self._reps[w.window] = divided_difference(g, i, self.schubert_rep(row[i - 1]))
         return rep
 
-    def expand(self, poly: Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
+    def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I).
 
-        Each homogeneous part of degree k <= dim F(I) is solved from its values
-        at the fixed points, where x_j restricts to y as (-y^{-1}.t)_j; the
-        codimension-k coefficients of the solve are the non-equivariant ones.
-        A part not fixed by W_P, the parabolic of F(I), is no class on F(I)
-        and raises ValueError, as does a polynomial in the wrong number of
-        variables.  A fractional coefficient is a hard error (a convention
-        broke).
+        Each homogeneous part of degree k <= dim F(I) is solved by
+        `from_values`; the codimension-k coefficients of the solve are the
+        non-equivariant ones.  A part not fixed by W_P, the parabolic of F(I),
+        is no class on F(I) and raises ValueError, as does a polynomial in the
+        wrong number of variables.  A fractional coefficient is a hard error
+        (a convention broke).
         """
         I = frozenset(I)
         g = self.group
@@ -355,22 +348,17 @@ class FlagModel:
             raise ValueError("rank mismatch")
         dim = self.dim_flag(I)
         par = sorted(self.parabolic(I))
-        t = g.rank + 1  # t_j = m + 1 - j, so (-y^{-1}.t)_j = y(j) - sign(y(j)) (m + 1)
         out: dict[SignedPermutation, int] = {}
         for k, part in sorted(poly.homogeneous_parts().items()):
             if k > dim:
                 break
-            moved = [i for i in par if act(g.simple_reflections[i - 1], part) != part]
+            moved = [i for i in par if polyring.act(g.simple_reflections[i - 1], part) != part]
             if moved:
                 raise ValueError(
                     "the degree-%d part is no class on F(%s): s_%d moves it"
                     % (k, ",".join(map(str, sorted(I))), moved[0])
                 )
-
-            def value(y: SignedPermutation, row: dict, at=part.numerator_at()) -> int:
-                return at([v - t if v > 0 else v + t for v in y.window])
-
-            for w, c in self._localized_expansion(I, value, 0, k).items():
+            for w, c in self.from_values(I, k, part.numerator_at()).coeffs.items():
                 if c % part.den:
                     raise ArithmeticError(
                         "nonintegral Schubert coefficient %s at %r"
@@ -378,6 +366,13 @@ class FlagModel:
                     )
                 out[w] = c // part.den
         return FlagCycle(self, I, out, p)
+
+    def from_values(self, I: Iterable[int], k: int, f, p: int = 0) -> FlagCycle:
+        """The codimension-k class on F(I) whose value at each fixed point y is
+        the integer f(x), x = -y^{-1}.t (`_fixed_point`); f must evaluate a
+        W_P-invariant polynomial of degree k in x_1, ..., x_m."""
+        value = lambda y, row: f(_fixed_point(y))  # noqa: E731
+        return FlagCycle(self, I, self._localized_expansion(I, value, 0, k), p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
         """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v).
@@ -587,7 +582,7 @@ class FlagModel:
             if n % 4:
                 w_same, w_other = w_other, w_same
             self.x_windows[("l", d)], self.x_windows[("lp", d)] = w_same, w_other
-            total = self.expand(variable(self.group.rank, 1) ** d, [0])
+            total = self.h_power(d)
             if total.coeffs != {mids[0]: 1, mids[1]: 1}:
                 raise AssertionError("h^d should split as l_d + l_d'")
 
@@ -609,7 +604,7 @@ class FlagModel:
         """h^k on X, for 0 <= k <= n (expanded in the Schubert basis)."""
         if not 0 <= k <= self.n:
             raise RangeError("hyperplane power out of range")
-        return self.expand(variable(self.group.rank, 1) ** k, [0], p)
+        return self.from_values([0], k, lambda x: x[0] ** k, p)
 
     def l_class(self, b: int, p: int = 0) -> FlagCycle:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
@@ -660,43 +655,41 @@ class FlagModel:
             raise RangeError("W index out of range")
         return self.pullpush(self.h_power(j + i, p), [i])
 
-    def taut_chern_roots(self, i: int) -> list[Polynomial]:
-        """Chern roots of the rank i+1 tautological subbundle on G_i."""
-        m = self.group.rank
-        roots = [variable(m, j).scale(-1) for j in range(1, i + 2)]
+    def _taut_roots(self, i: int, x: list[int]) -> list[int]:
+        """Chern roots of the rank i+1 tautological subbundle on G_i at the
+        fixed point x: -x_1, ..., -x_(i+1), the last one +x_m on the minus
+        D-ruling at i = d."""
+        roots = [-v for v in x[: i + 1]]
         if self.ctx.family == "D" and i == self.d and self.ctx.orientation == -1:
-            roots[-1] = variable(m, m)
+            roots[-1] = x[-1]
         return roots
 
     @_memoised
     def chern_taut(self, i: int, j: int, p: int = 0) -> FlagCycle:
-        """c_j of the tautological bundle on G_i."""
+        """c_j of the tautological bundle on G_i: e_j of its roots."""
         if not 0 <= j <= i + 1:
             raise RangeError("Chern index out of range")
-        roots = self.taut_chern_roots(i)
-        poly = _symmetric_function(roots, j, self.group.rank)
-        return self.expand(poly, [i], p)
+        return self.from_values(
+            [i], j, lambda x: _symmetric_function(self._taut_roots(i, x), j), p
+        )
 
     @_memoised
     def chern_quot(self, i: int, j: int, p: int = 0) -> FlagCycle:
-        """c_j of the quotient of the trivial bundle by the tautological one."""
+        """c_j of the quotient of the trivial bundle by the tautological one:
+        h_j of the negated tautological roots."""
         rank_q = self.n + 2 - (i + 1)
         if not 0 <= j <= rank_q:
             raise RangeError("Chern index out of range")
-        negroots = [r.scale(-1) for r in self.taut_chern_roots(i)]
-        poly = _symmetric_function(negroots, j, self.group.rank, complete=True)
-        return self.expand(poly, [i], p)
+        negated = lambda x: [-r for r in self._taut_roots(i, x)]  # noqa: E731
+        return self.from_values([i], j, lambda x: _symmetric_function(negated(x), j, True), p)
 
     @_memoised
     def class_O1(self, i: int, p: int = 0) -> FlagCycle:
-        """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i."""
+        """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i: the last
+        tautological root of G_i."""
         if not 1 <= i <= self.d:
             raise RangeError("bundle index out of range")
-        m = self.group.rank
-        poly = variable(m, i + 1).scale(-1)
-        if self.ctx.family == "D" and i == self.d and self.ctx.orientation == -1:
-            poly = variable(m, m)
-        return self.expand(poly, [i - 1, i], p)
+        return self.from_values([i - 1, i], 1, lambda x: self._taut_roots(i, x)[-1], p)
 
     # -- convention gate -----------------------------------------------------------
 
@@ -743,22 +736,27 @@ def _check_ladder(space, indices: Iterable[int]) -> None:
                 )
 
 
-def _symmetric_function(
-    roots: list[Polynomial], j: int, m: int, complete: bool = False
-) -> Polynomial:
+def _fixed_point(y: SignedPermutation) -> list[int]:
+    """x = -y^{-1}.t at t = (m, ..., 1): x_j is the value of the variable x_j
+    at the fixed point y.  t_j = m + 1 - j, so x_j = y(j) - sign(y(j)) (m + 1)."""
+    t = len(y.window) + 1
+    return [v - t if v > 0 else v + t for v in y.window]
+
+
+def _symmetric_function(roots: list[int], j: int, complete: bool = False) -> int:
     """e_j of the roots, or h_j when `complete`: per root r, acc[k] += acc[k-1] * r
     for k = j..1 (acc[k-1] lacks r, so r enters once) or k = 1..j (acc[k-1]
     already holds every power of r)."""
-    acc = [constant(m, 1)] + [Polynomial(m) for _ in range(j)]
+    acc = [1] + [0] * j
     ks = range(1, j + 1) if complete else range(j, 0, -1)
     for r in roots:
         for k in ks:
-            acc[k] = acc[k] + acc[k - 1] * r
+            acc[k] += acc[k - 1] * r
     return acc[j]
 
 
 @lru_cache(maxsize=None)
-def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict, dict]:
+def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict, dict, dict]:
     """(point representative, representative memo, pair-product memo,
     restriction-row memo) of one group.
 
@@ -772,7 +770,7 @@ def _group_memos(family: str, rank: int) -> tuple[Polynomial, dict, dict, dict]:
     """
     g = make_group(family, rank)
     rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
-    point = Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
+    point = polyring.Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
     return point, {g.longest_element.window: point}, {}, {}
 
 

@@ -35,6 +35,7 @@ from quadchow.quadpow import (
     sym_h_chain,
 )
 from quadchow.quadpow import _sum_permuted
+from quadchow.suites import _symmetric_check
 
 
 def rand_cycle(ctx, m, rng, p=0, terms=4):
@@ -279,6 +280,25 @@ def test_sym_is_linear_and_symmetric(n, data):
     assert sym(x + y) == sym(x) + sym(y)
     s = sym(x)
     assert s.permute([1, 0]) == s
+
+
+def test_adjacent_transpositions_decide_symmetry_as_every_permutation_does():
+    # cor315's check tries the m - 1 adjacent transpositions, which generate S_m
+    rng = random.Random(19)
+    for n in (3, 4, 6):
+        ctx = quad_context(n)
+        halves = monomial_cycle(ctx, [("h", 1), ("h", 1), ("l", 0)])
+        assert halves.permute([1, 0, 2]) == halves  # symmetric in slots 0 and 1 only
+        cases = [halves]
+        for m in (1, 2, 3, 4):
+            x = rand_cycle(ctx, m, rng)
+            cases += [x, sym(x), x + x.permute(list(reversed(range(m))))]
+        verdicts = [_symmetric_check(x) for x in cases]
+        assert verdicts == [
+            all(x.permute(perm) == x for perm in itertools.permutations(range(x.m)))
+            for x in cases
+        ]
+        assert verdicts[0] is False and True in verdicts and False in verdicts[1:]
 
 
 def test_parse_print_round_trip():

@@ -1,14 +1,19 @@
 """Flag-variety Chow rings: basis sizes, functoriality, distinguished classes."""
 
+import io
 import itertools
 import json
 import pathlib
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from math import prod
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadchow.polyring import (
     Polynomial,
@@ -370,13 +375,13 @@ def _count_calls(monkeypatch, obj, name):
 
 def test_each_distinguished_class_is_built_once(monkeypatch):
     M = FlagModel(5)
-    expands = _count_calls(monkeypatch, M, "expand")
-    first = M.class_W(1, 1, 2)  # pull-push of h^2 mod 2: one expansion
-    assert len(expands) == 1
+    solves = _count_calls(monkeypatch, M, "from_values")
+    first = M.class_W(1, 1, 2)  # pull-push of h^2 mod 2: one solve
+    assert len(solves) == 1
     assert M.class_W(1, 1, 2) is first
     assert M.h_power(2, 2) is M.h_power(2, 2)
-    assert len(expands) == 1
-    # no Chern class takes part in the build gate: one expansion each
+    assert len(solves) == 1
+    # no Chern class takes part in the build gate: one solve each
     cherns = [
         (f, i, j, p)
         for i in range(M.d + 1)
@@ -387,7 +392,7 @@ def test_each_distinguished_class_is_built_once(monkeypatch):
     for _ in range(2):
         for f, i, j, p in cherns:
             getattr(M, f)(i, j, p)
-    assert len(expands) == 1 + len(cherns)
+    assert len(solves) == 1 + len(cherns)
     # one pullpush per distinct Z-class the geometry has not built yet
     for n, orientation in ((5, None), (6, 1), (6, -1)):
         G = QuadricGeometry(n, orientation)
@@ -988,23 +993,95 @@ def test_expand_reads_back_every_schubert_representative(n, orientation):
             assert M.expand(M.schubert_rep(w), I).coeffs == {w: 1}, (I, w)
 
 
+def test_symmetric_functions_match_brute_force_sums():
+    # e_j sums products of distinct roots, h_j products with repetition
+    rng = random.Random(11)
+    for n_roots in (0, 1, 2, 3, 5):
+        roots = [rng.randint(-9, 9) for _ in range(n_roots)]
+        for j in range(7):
+            e = sum(map(prod, itertools.combinations(roots, j)))
+            h = sum(map(prod, itertools.combinations_with_replacement(roots, j)))
+            assert _symmetric_function(roots, j) == e, (roots, j)
+            assert _symmetric_function(roots, j, complete=True) == h, (roots, j)
+
+
+# -- the value-defined classes against expand of their polynomials ----------------
+
+
 def _sum_of_products(m, groups):
     return sum((reduce(mul, group, constant(m, 1)) for group in groups), constant(m, 0))
 
 
-def _random_linear_form(m, rng):
-    terms = (variable(m, v).scale(rng.randint(-3, 3)) for v in range(1, m + 1))
-    return sum(terms, constant(m, 0))
+def _taut_root_polynomials(M, i):
+    """The tautological roots of G_i: -x_1, ..., -x_(i+1), the last one +x_m
+    on the minus D-ruling at i = d."""
+    m = M.group.rank
+    roots = [variable(m, j).scale(-1) for j in range(1, i + 2)]
+    if M.ctx.family == "D" and i == M.d and M.ctx.orientation == -1:
+        roots[-1] = variable(m, m)
+    return roots
 
 
-def test_symmetric_functions_match_brute_force_sums():
-    # e_j sums products of distinct roots, h_j products with repetition
-    rng = random.Random(11)
-    m = 4
-    for n_roots in (1, 2, 3, 5):
-        roots = [_random_linear_form(m, rng) for _ in range(n_roots)]
-        for j in range(7):
+def _value_defined_classes(M):
+    """(call, class, I, polynomial) for every h-power, tautological and
+    quotient Chern class and c_1(O(1)) of M."""
+    m, n = M.group.rank, M.n
+    for k in range(n + 1):
+        yield ("h_power", k), M.h_power(k), [0], variable(m, 1) ** k
+    for i in range(M.d + 1):
+        roots = _taut_root_polynomials(M, i)
+        for j in range(i + 2):
             e = _sum_of_products(m, itertools.combinations(roots, j))
-            h = _sum_of_products(m, itertools.combinations_with_replacement(roots, j))
-            assert _symmetric_function(roots, j, m) == e, (n_roots, j)
-            assert _symmetric_function(roots, j, m, complete=True) == h, (n_roots, j)
+            yield ("chern_taut", i, j), M.chern_taut(i, j), [i], e
+        negated = [r.scale(-1) for r in roots]
+        for j in range(n + 2 - i):
+            h = _sum_of_products(m, itertools.combinations_with_replacement(negated, j))
+            yield ("chern_quot", i, j), M.chern_quot(i, j), [i], h
+        if i:
+            yield ("class_O1", i), M.class_O1(i), [i - 1, i], roots[-1]
+
+
+@pytest.mark.parametrize("n,orientation", SPACES)
+def test_value_defined_classes_match_expand_of_their_polynomials(n, orientation):
+    M = FlagModel(n, orientation)
+    for call, x, I, poly in _value_defined_classes(M):
+        assert x == M.expand(poly, I), call
+
+
+def test_no_build_or_verify_path_goes_through_polynomials(monkeypatch):
+    # cold builds: fresh model and geometry caches, restored after the test
+    from quadchow import cli, schubert
+
+    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
+    calls = [
+        _count_calls(monkeypatch, FlagModel, "expand"),
+        _count_calls(monkeypatch, FlagModel, "schubert_rep"),
+        _count_calls(monkeypatch, Polynomial, "__mul__"),
+    ]
+    for n, orientation in SPACES:
+        build_geometry(n, orientation)
+    for n in range(3, 7):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
+    assert calls == [[], [], []]
+
+
+# -- ring axioms of FlagCycle products ----------------------------------------------
+
+
+def _draw_flag_cycle(data, M, I, p):
+    terms = st.dictionaries(st.sampled_from(M.basis(I)), st.integers(-3, 3), max_size=3)
+    return FlagCycle(M, I, data.draw(terms), p)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flag_cycle_products_commute_and_associate(data):
+    n, orientation = data.draw(st.sampled_from([s for s in SPACES if s[0] <= 6]))
+    M = build_flag_model(n, orientation)
+    I = data.draw(st.sampled_from(_index_sets(M.d)))
+    p = data.draw(st.sampled_from([0, 2]))
+    a, b, c = (_draw_flag_cycle(data, M, I, p) for _ in range(3))
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
