@@ -3,12 +3,14 @@ built from the point-subspace incidence.
 
 A mixed cycle on F(I) x X^m is stored in the Kunneth basis: coefficients are
 indexed by triples (sheet, Schubert representative on F(I), basis monomial on
-X^m), where the sheet numbers the connected components of F(I) (two sheets
-when n is even and d is in I, else one).  Because both factors are cellular,
-pullback and pushforward act independently on the two tensor legs: the X leg
-by the ``QuadCycle`` slot maps, the flag leg by ``QuadricGeometry.pullback``
-and ``pushforward``, the one place that knows the sheet rules (a connected
-space duplicates into a split one, a split one adds into a connected one).
+X^m), whose first two entries are the (sheet, w) key of a ``UnionCycle`` on
+F(I) (two sheets when n is even and d is in I, else one).  Because both
+factors are cellular, pullback and pushforward act independently on the two
+tensor legs: the X leg by the ``QuadCycle`` slot maps, the flag leg by
+``QuadricGeometry.pullback`` and ``pushforward`` on the (sheet, w) keys of
+each X-monomial group; those two hold the sheet rules (a connected space is
+copied onto both sheets of a split one, a split one adds into sheet 0 of a
+connected one).
 The X-class of a basis symbol is read off the primary model's
 ``FlagModel.x_windows``, whose naming of l_d is the global one.
 
@@ -55,12 +57,7 @@ from quadchow.quadpow import (
     rho_i,
 )
 from quadchow.quadpow import _mul_mono
-from quadchow.schubert import (
-    FlagCycle,
-    QuadricGeometry,
-    SparseCycle,
-    UnionCycle,
-)
+from quadchow.schubert import QuadricGeometry, SparseCycle, UnionCycle
 from quadchow.weyl import RangeError, SignedPermutation
 
 __all__ = [
@@ -83,13 +80,15 @@ MixedKey = tuple[int, SignedPermutation, Mono]
 
 
 def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
-    """Translate a cycle on X = G_0 from Schubert to quadric-power coordinates."""
-    if isinstance(x, UnionCycle):
-        if x.I != frozenset([0]):
-            raise ValueError("expected a cycle on X")
-        x = x.parts[0]
+    """Translate a cycle on X = G_0, a UnionCycle or a FlagCycle, from
+    Schubert to quadric-power coordinates."""
+    if x.I != frozenset([0]):
+        raise ValueError("expected a cycle on X")
     names = {w: s for s, w in geometry.primary.x_windows.items()}
-    out = {(names[w],): c for w, c in x.coeffs.items()}
+    if isinstance(x, UnionCycle):
+        out = {(names[w],): c for (_, w), c in x.coeffs.items()}
+    else:
+        out = {(names[w],): c for w, c in x.coeffs.items()}
     return QuadCycle(geometry.ctx, 1, out, x.p)
 
 
@@ -163,12 +162,8 @@ class MixedCycle(SparseCycle):
     def from_flag(cls, x: UnionCycle, arity: int) -> "MixedCycle":
         """x (x) [X^arity]."""
         unit = (("h", 0),) * arity
-        coeffs = {
-            (k, w, unit): c
-            for k, part in enumerate(x.parts)
-            for w, c in part.coeffs.items()
-        }
-        return cls(x.geometry, x.I, arity, coeffs, x.parts[0].p)
+        coeffs = {(k, w, unit): c for (k, w), c in x.coeffs.items()}
+        return cls(x.geometry, x.I, arity, coeffs, x.p)
 
     @classmethod
     def from_quad(
@@ -185,28 +180,21 @@ class MixedCycle(SparseCycle):
 
     # -- the two tensor legs ---------------------------------------------------
 
-    def _flag_cycle(self, parts) -> UnionCycle:
-        """The cycle on F(I) with coefficients {w: c} per sheet."""
-        sheets = self.geometry.sheets(self.I)
-        flags = (FlagCycle(M, self.I, part, self.p) for M, part in zip(sheets, parts))
-        return UnionCycle(self.geometry, self.I, tuple(flags))
-
     def _map_flag(self, flag_map) -> "MixedCycle":
         """Apply a QuadricGeometry map to the flag leg of every X-monomial group.
 
         The map runs once on the zero cycle first, so a bad target raises
         even on a zero cycle, and the zero image gives the new I.
         """
-        I = flag_map(self.geometry.zero(self.I, self.p)).I
-        sheets = self.geometry.sheets(self.I)
-        groups: dict[Mono, list[dict[SignedPermutation, int]]] = {}
+        geom = self.geometry
+        I = flag_map(geom.zero(self.I, self.p)).I
+        groups: dict[Mono, dict[tuple[int, SignedPermutation], int]] = {}
         for (k, w, mono), c in self.coeffs.items():
-            groups.setdefault(mono, [{} for _ in sheets])[k][w] = c
+            groups.setdefault(mono, {})[(k, w)] = c
         out: dict[MixedKey, int] = {}
-        for mono, parts in groups.items():
-            for k, part in enumerate(flag_map(self._flag_cycle(parts)).parts):
-                for w, c in part.coeffs.items():
-                    out[(k, w, mono)] = c
+        for mono, coeffs in groups.items():
+            for (k, w), c in flag_map(UnionCycle(geom, self.I, coeffs, self.p)).coeffs.items():
+                out[(k, w, mono)] = c
         return MixedCycle(self.geometry, I, self.arity, out, self.p)
 
     def pull_flag(self, target_I) -> "MixedCycle":
@@ -265,12 +253,11 @@ class MixedCycle(SparseCycle):
         deg(x . s_w) is the coefficient of x on the Poincare dual of w.
         """
         geom = self.geometry
-        if x.geometry is not geom or x.I != self.I or any(px.p != self.p for px in x.parts):
-            raise ValueError("space/ring mismatch")
+        UnionCycle(geom, self.I, {}, self.p)._check(x)
         duals = [model.poincare_dual(self.I) for model in geom.sheets(self.I)]
         out: dict[Mono, int] = {}
         for (k, w, mono), c in self.coeffs.items():
-            d = x.parts[k].coeffs.get(duals[k][w], 0)
+            d = x.coeffs.get((k, duals[k][w]), 0)
             if d:
                 out[mono] = out.get(mono, 0) + c * d
         return QuadCycle(geom.ctx, self.arity, out, self.p)
@@ -279,8 +266,8 @@ class MixedCycle(SparseCycle):
         """View as a correspondence X^m -> F(I) and act on a quadric-power cycle:
         id_times_action with no kept slots, split into sheets."""
         self._check_quad(x, self.arity)
-        parts = self.id_times_action(x).parts
-        return self._flag_cycle([{w: c for (w, _), c in part.items()} for part in parts])
+        coeffs = {(k, w): c for (k, w, _), c in self.id_times_action(x).coeffs.items()}
+        return UnionCycle(self.geometry, self.I, coeffs, self.p)
 
     def id_times_action(self, x: QuadCycle) -> "MixedCycle":
         """Act on the last `arity` X-slots of x, keeping the leading slots.
@@ -305,9 +292,9 @@ class MixedCycle(SparseCycle):
 
 def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
     """The correspondence X -> G_i through F(0, i) on a cycle of X."""
-    M = geometry.primary
-    fc = FlagCycle(M, [0], {M.x_windows[s]: c for (s,), c in x.coeffs.items()}, x.p)
-    return geometry.pullpush(geometry.from_primary(fc), [i])
+    windows = geometry.primary.x_windows
+    fc = UnionCycle(geometry, [0], {(0, windows[s]): c for (s,), c in x.coeffs.items()}, x.p)
+    return geometry.pullpush(fc, [i])
 
 
 def incidence_class(geometry: QuadricGeometry, i: int, p: int = 0) -> MixedCycle:
@@ -351,9 +338,8 @@ def _power(geometry: QuadricGeometry, i: int, m: int, p: int) -> MixedCycle:
         coeffs: dict[MixedKey, int] = {}
         for s in basis_symbols(ctx):
             z = _pullpush_to_g(geometry, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
-            for k, part in enumerate(z.parts):
-                for w, c in part.coeffs.items():
-                    coeffs[(k, w, (s,))] = c
+            for (k, w), c in z.coeffs.items():
+                coeffs[(k, w, (s,))] = c
         out = MixedCycle(geometry, [i], 1, coeffs, p)
     else:
         prev = _power(geometry, i, m - 1, p).pull_x(m, range(m - 1))

@@ -104,7 +104,7 @@ def _format_union(x: UnionCycle, fmt: str):
                 )
                 for part in x.parts
             ],
-            "mod": 2 if x.parts[0].p == 2 else 0,
+            "mod": 2 if x.p == 2 else 0,
         }
     return repr(x)
 

@@ -55,7 +55,13 @@ the `orientation` flag picks which component the model calls G_d, and the
 middle class l_d on X is wired to it so that a generic member of G_d meets
 the subspace representing l_d in exactly one point (this is the choice that
 makes deg(z^d_0) = 1, and it flips between the same and the opposite family
-according to n mod 4).
+according to n mod 4).  `QuadricGeometry` holds one model per ruling and
+keys every cycle on F(I) by (sheet, w) (`UnionCycle`): F(I) has two sheets,
+its components over the two rulings, when n is even and d is in I, and one
+otherwise; sheet 0 is read on the primary model and sheet 1 on the opposite
+one.  Pullback from a connected F(J) to a split F(I) copies each key onto
+both sheets, and pushforward to a connected F(J) adds the sheets into
+sheet 0, so degrees sum over the sheets.
 
 Sign conventions not forced by the mathematics (the Chern roots of the
 tautological bundles and c_1(O(1)) on F(i-1,i)) are pinned by the classical
@@ -784,78 +790,60 @@ def build_flag_model(n: int, orientation: int | None = None) -> FlagModel:
     return _cached_model(n, QuadricContext(n, orientation).orientation)
 
 
-class UnionCycle:
-    """A cycle on F(I), with one part per connected component.
+class UnionCycle(SparseCycle):
+    """A cycle on F(I) of a QuadricGeometry, keyed (sheet, w).
 
-    For n odd, or when d is not in I, F(I) is connected and there is a single
-    part on the primary model.  For n even with d in I the variety of maximal
-    isotropic subspaces contributes both ruling components, and the cycle
-    carries one FlagCycle per sheet (sheet 0 on the primary-orientation model,
-    sheet 1 on the opposite one).  Degrees and pushforwards to connected
-    targets sum over the sheets.  Like its parts, a UnionCycle is immutable
-    and may be shared (the geometry memoises its distinguished classes).
+    The sheets are the connected components of F(I): one for n odd or d not
+    in I, on the primary model; two for n even with d in I, where the
+    maximal isotropic subspaces form both ruling components (sheet 0 on the
+    primary-orientation model, sheet 1 on the opposite one).  w runs over the
+    Schubert basis of F(I) on its sheet's model.  `parts` views the cycle as
+    one FlagCycle per sheet.
     """
 
-    __slots__ = ("geometry", "I", "parts")
+    __slots__ = ("geometry", "I", "_parts")
 
-    def __init__(self, geometry: "QuadricGeometry", I, parts: tuple[FlagCycle, ...]):
+    def __init__(self, geometry: "QuadricGeometry", I, coeffs: Mapping, p: int = 0):
         self.geometry = geometry
         self.I = frozenset(I)
-        self.parts = tuple(parts)
-        if len(self.parts) != len(geometry.sheets(self.I)):
-            raise ValueError("wrong number of sheet parts")
+        self._parts: tuple[FlagCycle, ...] | None = None
+        SparseCycle.__init__(self, coeffs, p)
 
-    def _check(self, other: "UnionCycle") -> None:
-        if self.geometry is not other.geometry or self.I != other.I:
-            raise ValueError("model/I mismatch")
+    def _space(self) -> tuple:
+        return (self.geometry, self.I)
 
-    def __add__(self, other: "UnionCycle") -> "UnionCycle":
-        self._check(other)
-        return UnionCycle(
-            self.geometry, self.I, tuple(a + b for a, b in zip(self.parts, other.parts))
-        )
+    def _key_codim(self, key: tuple[int, SignedPermutation]) -> int:
+        return self.geometry.group.length(key[1])
 
-    def __sub__(self, other: "UnionCycle") -> "UnionCycle":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "UnionCycle":
-        return UnionCycle(self.geometry, self.I, tuple(x.scale(c) for x in self.parts))
+    @property
+    def parts(self) -> tuple[FlagCycle, ...]:
+        """One FlagCycle per sheet, on that sheet's model; built once."""
+        if self._parts is None:
+            sheets = self.geometry.sheets(self.I)
+            split: list[dict] = [{} for _ in sheets]
+            for (k, w), c in self.coeffs.items():
+                split[k][w] = c
+            self._parts = tuple(
+                FlagCycle(M, self.I, part, self.p) for M, part in zip(sheets, split)
+            )
+        return self._parts
 
     def __mul__(self, other: "UnionCycle") -> "UnionCycle":
         self._check(other)
-        return UnionCycle(
-            self.geometry, self.I, tuple(a * b for a, b in zip(self.parts, other.parts))
-        )
-
-    def mod2(self) -> "UnionCycle":
-        return UnionCycle(self.geometry, self.I, tuple(x.mod2() for x in self.parts))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UnionCycle)
-            and self.geometry is other.geometry
-            and self.I == other.I
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.geometry), self.I, self.parts))
-
-    def codim(self) -> int:
-        degs = set()
-        for x in self.parts:
-            if not x.is_zero():
-                degs.add(x.codim())
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous cycle")
-        return degs.pop() if degs else -1
+        sheets = self.geometry.sheets(self.I)
+        right: list[list] = [[] for _ in sheets]
+        for (k, v), c in other.coeffs.items():
+            right[k].append((v, c))
+        out: dict = {}
+        for (k, u), cu in self.coeffs.items():
+            model = sheets[k]
+            for v, cv in right[k]:
+                for w, c in model.basis_product(self.I, u, v).items():
+                    key = (k, w)
+                    out[key] = out.get(key, 0) + cu * cv * c
+        return UnionCycle(self.geometry, self.I, out, self.p)
 
     def __repr__(self) -> str:
-        if len(self.parts) == 1:
-            return repr(self.parts[0])
         return " (+) ".join(repr(x) for x in self.parts)
 
 
@@ -897,35 +885,35 @@ class QuadricGeometry:
             return (self.primary, self.secondary)
         return (self.primary,)
 
+    def from_parts(self, I: Iterable[int], parts: Iterable[FlagCycle]) -> UnionCycle:
+        """The cycle on F(I) whose part on sheet k is the FlagCycle parts[k]."""
+        parts = tuple(parts)
+        if len(parts) != len(self.sheets(I)):
+            raise ValueError("wrong number of sheet parts")
+        coeffs = {(k, w): c for k, x in enumerate(parts) for w, c in x.coeffs.items()}
+        return UnionCycle(self, I, coeffs, parts[0].p)
+
     def from_primary(self, x: FlagCycle) -> UnionCycle:
         """Lift a cycle on a connected F(I) (computed on the primary model)."""
         if self.split(x.I):
             raise ValueError("F(I) is disconnected; supply both sheet parts")
-        return UnionCycle(self, x.I, (x,))
-
-    def transfer(self, x: FlagCycle, model: FlagModel) -> FlagCycle:
-        # Shared connected spaces have literally the same Schubert data in
-        # both models (same Weyl group object, same representatives).
-        return FlagCycle(model, x.I, x.coeffs, x.p)
+        return self.from_parts(x.I, [x])
 
     # -- basic classes -------------------------------------------------------
 
     def _per_sheet(self, I, make) -> UnionCycle:
         """The cycle on F(I) whose part on each sheet's model M is make(M)."""
-        return UnionCycle(self, I, tuple(make(M) for M in self.sheets(I)))
+        return self.from_parts(I, [make(M) for M in self.sheets(I)])
 
     def zero(self, I, p: int = 0) -> UnionCycle:
-        return self._per_sheet(I, lambda M: M.zero(I, p))
+        return UnionCycle(self, I, {}, p)
 
     def fundamental(self, I, p: int = 0) -> UnionCycle:
         return self._per_sheet(I, lambda M: M.fundamental(I, p))
 
     def point_class(self, I, p: int = 0) -> UnionCycle:
         # On a disconnected variety this is the point of the primary sheet.
-        sheets = self.sheets(I)
-        parts = [sheets[0].point_class(I, p)]
-        parts.extend(M.zero(I, p) for M in sheets[1:])
-        return UnionCycle(self, I, tuple(parts))
+        return UnionCycle(self, I, {(0, self.primary.top_element(I)): 1}, p)
 
     @_memoised
     def h_power(self, k: int, p: int = 0) -> UnionCycle:
@@ -934,35 +922,31 @@ class QuadricGeometry:
     # -- functoriality ---------------------------------------------------------
 
     def pullback(self, target_I, x: UnionCycle) -> UnionCycle:
+        """Pullback along F(target_I) -> F(J): every key keeps its Schubert
+        element, and a connected source (d not in J) is copied onto each sheet
+        of a split target."""
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
-        targets = self.sheets(target_I)
-        if len(x.parts) == len(targets):
-            parts = tuple(
-                M.pullback(target_I, px) for M, px in zip(targets, x.parts)
-            )
-        else:  # a connected source (d not in J) duplicates into both sheets
-            parts = tuple(
-                M.pullback(target_I, self.transfer(x.parts[0], M)) for M in targets
-            )
-        return UnionCycle(self, target_I, parts)
+        self.primary.parabolic(target_I)  # range-checks the target's indices
+        coeffs = x.coeffs
+        if self.split(target_I) and not self.split(x.I):
+            coeffs = {(k, w): c for (_, w), c in coeffs.items() for k in (0, 1)}
+        return UnionCycle(self, target_I, coeffs, x.p)
 
     def pushforward(self, target_J, x: UnionCycle) -> UnionCycle:
+        """Pushforward along F(I) -> F(target_J), sheet by sheet on its model;
+        over a connected target (d not in target_J) the sheets add into sheet 0."""
         target_J = frozenset(target_J)
         if not target_J <= x.I:
             raise ValueError("pushforward requires J to be a subset of I")
-        targets = self.sheets(target_J)
-        if len(x.parts) == len(targets):
-            parts = tuple(
-                M.pushforward(target_J, px) for M, px in zip(targets, x.parts)
-            )
-            return UnionCycle(self, target_J, parts)
-        # a split source over a connected target (d not in J): the sheets add
-        total = self.primary.pushforward(target_J, x.parts[0])
-        other = x.parts[1].model.pushforward(target_J, x.parts[1])
-        total = total + self.transfer(other, self.primary)
-        return UnionCycle(self, target_J, (total,))
+        split = self.split(target_J)
+        out: dict = {}
+        for k, part in enumerate(x.parts):
+            for u, c in part.model.pushforward(target_J, part).coeffs.items():
+                key = (k if split else 0, u)
+                out[key] = out.get(key, 0) + c
+        return UnionCycle(self, target_J, out, x.p)
 
     def pullpush(self, x: UnionCycle, J: Iterable[int]) -> UnionCycle:
         """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
@@ -970,22 +954,22 @@ class QuadricGeometry:
         return self.pushforward(J, self.pullback(x.I | J, x))
 
     def deg(self, x: UnionCycle) -> int:
-        total = sum(px.model.deg(px) for px in x.parts)
-        return total % 2 if any(px.p == 2 for px in x.parts) else total
+        """The sum over the sheets of the coefficient of each sheet's point class."""
+        sheets = self.sheets(x.I)
+        total = sum(x.coeffs.get((k, M.top_element(x.I)), 0) for k, M in enumerate(sheets))
+        return total % 2 if x.p == 2 else total
 
     def deg_product(self, classes: list[UnionCycle]) -> int:
+        """deg of a product: the sum over the sheets of `FlagModel.deg_product`."""
         if not classes:
             raise ValueError("empty product")
-        I = classes[0].I
-        if any(x.I != I for x in classes):
+        first = classes[0]
+        if any(x.I != first.I for x in classes):
             raise ValueError("model/I mismatch")
-        total = 0
-        p = 0
-        for sheet in range(len(classes[0].parts)):
-            parts = [x.parts[sheet] for x in classes]
-            p = parts[0].p
-            total += parts[0].model.deg_product(parts)
-        return total % 2 if p == 2 else total
+        # each sheet's FlagModel.deg_product checks its parts' model and ring
+        sheet_parts = zip(*(x.parts for x in classes))
+        total = sum(parts[0].model.deg_product(list(parts)) for parts in sheet_parts)
+        return total % 2 if first.p == 2 else total
 
     # -- distinguished classes ----------------------------------------------------
 

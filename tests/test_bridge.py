@@ -39,7 +39,7 @@ from quadchow.quadpow import (
     rho_i,
     sym_h_chain,
 )
-from quadchow.schubert import FlagCycle, QuadricGeometry, UnionCycle, build_geometry
+from quadchow.schubert import FlagCycle, QuadricGeometry, build_geometry
 from quadchow.weyl import RangeError
 
 
@@ -145,6 +145,12 @@ def test_incidence_zero_is_diagonal():
             ((sym0,),) = q.coeffs.keys()
             got[(sym0, mono[0])] = c
         assert got == dict(diagonal_class(G.ctx).coeffs)
+    # a cycle on any other F(I), as a FlagCycle or a UnionCycle, is refused
+    G = build_geometry(5)
+    M = G.primary
+    for x in (M.fundamental([1]), M.point_class([1]), M.zero([0, 1]), G.class_Z(1, 3)):
+        with pytest.raises(ValueError, match="expected a cycle on X"):
+            flag_cycle_to_quad(G, x)
 
 
 def test_incidence_action_anchors():
@@ -170,8 +176,8 @@ def test_incidence_kunneth_shape_mod2():
                 part = {}
 
                 def z_of(j, model=model):
-                    x = G.transfer(G.primary.x_class(("l", n - i - j), 2), model)
-                    return model.pullpush(x, [i])
+                    x = G.primary.x_class(("l", n - i - j), 2)
+                    return model.pullpush(FlagCycle(model, [0], x.coeffs, 2), [i])
 
                 for m in range(0, d + 1):
                     zc = z_of(n - i - m)
@@ -407,7 +413,7 @@ def test_slot_pairings_agree_with_products(n):
                 FlagCycle(model, I, {w: c for (w, _), c in part.items()}, p)
                 for model, part in zip(G.sheets(I), M.id_times_action(x).parts)
             )
-            assert M.action_on_quad(x) == UnionCycle(G, I, split)
+            assert M.action_on_quad(x) == G.from_parts(I, split)
 
 
 def test_correspondence_actions_check_their_argument():
@@ -443,7 +449,7 @@ def _random_flag_cycle(G, I, rng, p):
         basis = M.basis(I)
         coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
         parts.append(FlagCycle(M, I, coeffs, p))
-    return UnionCycle(G, I, tuple(parts))
+    return G.from_parts(I, parts)
 
 
 @pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1), (7, 1)])

@@ -496,7 +496,7 @@ def _cycle(space, I, step):
         FlagCycle(M, I, {w: k + 1 for k, w in enumerate(M.basis(I)[::step])})
         for M in space.sheets(I)
     )
-    return UnionCycle(space, I, parts)
+    return space.from_parts(I, parts)
 
 
 @pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
@@ -516,16 +516,94 @@ def test_pullpush_is_pushforward_after_pullback(n, orientation):
             assert M.pullpush(flat, J) == M.pushforward(J, M.pullback(I | J, flat))
 
 
+def _sheet_parts(G, I, rng, p, c=None):
+    """Seeded FlagCycles on F(I), one per sheet on its model; of codimension c
+    on every sheet when c is given."""
+    parts = []
+    for M in G.sheets(I):
+        basis = [w for w in M.basis(I) if c is None or M.group.length(w) == c]
+        coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+        parts.append(FlagCycle(M, I, coeffs, p))
+    return parts
+
+
+def _codim_by_parts(parts):
+    degs = {x.codim() for x in parts if not x.is_zero()}
+    if len(degs) > 1:
+        raise ValueError("inhomogeneous cycle")
+    return degs.pop() if degs else -1
+
+
+@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
+def test_sheet_keyed_operations_match_part_by_part_flag_model_operations(n, orientation):
+    G = build_geometry(n, orientation)
+    d, A = G.d, G.primary
+    rng = random.Random(7 * n + orientation)
+    connected, split = ([0], [1], [0, 1]), ([d], [d - 1, d], [0, d])
+    for p in (0, 2):
+        for I in connected + split:
+            dim = A.dim_flag(I)
+            for _ in range(3):
+                a, b = (_sheet_parts(G, I, rng, p, rng.choice([None, rng.randint(0, dim)]))
+                        for _ in range(2))
+                x, y = G.from_parts(I, a), G.from_parts(I, b)
+                assert x.parts == tuple(a)
+                each = lambda f: G.from_parts(I, map(f, a, b))  # noqa: E731
+                assert x + y == each(lambda u, v: u + v)
+                assert x - y == each(lambda u, v: u - v)
+                assert x * y == each(lambda u, v: u * v)
+                assert x.scale(3) == G.from_parts(I, [u.scale(3) for u in a])
+                assert x.mod2() == G.from_parts(I, [u.mod2() for u in a])
+                assert (x == y) == (a == b) and x == G.from_parts(I, a)
+                assert hash(x) == hash(G.from_parts(I, a))
+                for z, parts in ((x, a), (x + y, [u + v for u, v in zip(a, b)])):
+                    try:
+                        expected = _codim_by_parts(parts)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="inhomogeneous"):
+                            z.codim()
+                    else:
+                        assert z.codim() == expected
+                degs = sum(M.deg(u) for M, u in zip(G.sheets(I), a))
+                assert G.deg(x) == (degs % 2 if p == 2 else degs)
+                c1 = rng.randint(0, dim)
+                c2 = rng.randint(0, dim - c1)
+                factors = [_sheet_parts(G, I, rng, p, c) for c in (c1, c2, dim - c1 - c2)]
+                degs = sum(
+                    M.deg(reduce(FlagCycle.__mul__, fs))
+                    for M, fs in zip(G.sheets(I), zip(*factors))
+                )
+                got = G.deg_product([G.from_parts(I, fs) for fs in factors])
+                assert got == (degs % 2 if p == 2 else degs), (I, p)
+            point = [M.zero(I, p) for M in G.sheets(I)]
+            point[0] = A.point_class(I, p)
+            assert G.point_class(I, p) == G.from_parts(I, point)
+            assert G.deg(G.point_class(I, p)) == 1
+        for I in connected:
+            (u,) = _sheet_parts(G, I, rng, p)
+            J = frozenset(I) | {d}
+            pulled = [M.pullback(J, FlagCycle(M, I, u.coeffs, p)) for M in G.sheets(J)]
+            assert G.pullback(J, G.from_parts(I, [u])) == G.from_parts(J, pulled), (I, p)
+        for I in split[1:]:
+            a = _sheet_parts(G, I, rng, p)
+            J = frozenset(I) - {d}
+            total = A.zero(J, p)
+            for M, u in zip(G.sheets(I), a):
+                total = total + FlagCycle(A, J, M.pushforward(J, u).coeffs, p)
+            assert G.pushforward(J, G.from_parts(I, a)) == G.from_parts(J, [total]), (I, p)
+
+
 def _class_Z_per_sheet(G, i, j, p):
     """Z^i_j as built before `pullpush`: on each sheet's model, the primary's
     l_{n-i-j} moved onto it, pulled up to F(0, i) and pushed down to G_i."""
     if j > G.n - i:
         return G.zero([i], p)
     x = G.primary.l_class(G.n - i - j, p)
-    parts = tuple(
-        M.pushforward([i], M.pullback([0, i], G.transfer(x, M))) for M in G.sheets([i])
-    )
-    return UnionCycle(G, [i], parts)
+    parts = [
+        M.pushforward([i], M.pullback([0, i], FlagCycle(M, [0], x.coeffs, p)))
+        for M in G.sheets([i])
+    ]
+    return G.from_parts([i], parts)
 
 
 @pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
