@@ -110,6 +110,7 @@ def _format_union(x: UnionCycle, fmt: str):
 
 
 def _format_mixed(x, fmt: str):
+    names = quadpow._symbol_names(mono for _, _, mono in x.coeffs)
     if fmt == "json":
         return {
             "sheets": [
@@ -118,7 +119,7 @@ def _format_mixed(x, fmt: str):
                         {
                             "coeff": c,
                             "window": list(w.window),
-                            "monomial": [quadpow._format_symbol(s) for s in mono],
+                            "monomial": [names[s] for s in mono],
                         }
                         for (w, mono), c in part.items()
                     ],
@@ -128,25 +129,22 @@ def _format_mixed(x, fmt: str):
             ],
             "mod": 2 if x.p == 2 else 0,
         }
-    lines = []
-    for k, part in enumerate(x.parts):
-        for (w, mono), c in sorted(
-            part.items(), key=lambda t: (t[0][0].window, t[0][1])
-        ):
-            body = " x ".join(quadpow._format_symbol(s) for s in mono)
-            lines.append("sheet%d: %d S%s (x) %s" % (k, c, w.window, body))
+    lines = [
+        "sheet%d: %d S%s (x) %s" % (k, c, w.window, " x ".join([names[s] for s in mono]))
+        for (k, w, mono), c in sorted(
+            x.coeffs.items(), key=lambda t: (t[0][0], t[0][1].window, t[0][2])
+        )
+    ]
     return "\n".join(lines) if lines else "0"
 
 
 def _format_quad(x: QuadCycle, fmt: str):
     if fmt == "json":
+        names = quadpow._symbol_names(x.coeffs)
         return {
             "terms": sorted(
                 [
-                    {
-                        "coeff": c,
-                        "monomial": [quadpow._format_symbol(s) for s in mono],
-                    }
+                    {"coeff": c, "monomial": [names[s] for s in mono]}
                     for mono, c in x.coeffs.items()
                 ],
                 key=lambda t: t["monomial"],

@@ -578,17 +578,19 @@ def _format_symbol(s: Sym) -> str:
     return "l%d'" % idx
 
 
+def _symbol_names(monos: Iterable[Mono]) -> dict[Sym, str]:
+    """The text of each symbol in the monomials, rendered once per call."""
+    return {s: _format_symbol(s) for s in set().union(*monos)}
+
+
 def format_cycle(x: QuadCycle) -> str:
     """Deterministic text form; parse_cycle inverts it bit-exactly."""
     if not x.coeffs:
         return "0"
-    parts = []
-    for mono in sorted(x.coeffs):
-        c = x.coeffs[mono]
-        body = " x ".join(_format_symbol(s) for s in mono)
-        parts.append((c, body))
+    names = _symbol_names(x.coeffs)
     pieces = []
-    for k, (c, body) in enumerate(parts):
+    for k, mono in enumerate(sorted(x.coeffs)):
+        c, body = x.coeffs[mono], " x ".join([names[s] for s in mono])
         mag, neg = abs(c), c < 0
         term = body if mag == 1 else "%d %s" % (mag, body)
         if k == 0:

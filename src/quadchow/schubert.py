@@ -9,14 +9,17 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
 
 * the class of x restricted to the fixed point y is an integer xi_x(y) at
   the regular point t = (m, ..., 1), by Billey's formula (Billey, Kostant
-  polynomials and the cohomology ring for G/B, Duke Math. J. 96, 1999): one
-  pass along a reduced word of y gives the whole row xi_.(y).  A class is
-  known by its values at the fixed points, and the GKM triangular solve
-  (Goresky-Kottwitz-MacPherson, Invent. Math. 131, 1998),
+  polynomials and the cohomology ring for G/B, Duke Math. J. 96, 1999).  The
+  whole row xi_.(y) is the row of the parent y s_a, a the lowest right
+  descent of y, plus one step of the formula, so rows are built by that
+  recursion, keyed by the index of each element in the group's `elements`.
+  A class is known by its values at the fixed points, and the GKM
+  triangular solve (Goresky-Kottwitz-MacPherson, Invent. Math. 131, 1998),
   `FlagModel._localized_expansion`, reads its Schubert coefficients off
   them, one exact division per basis element;
 * products of Schubert classes never multiply polynomials: the value of
-  s_u s_v at y is xi_u(y) xi_v(y);
+  s_u s_v at y is xi_u(y) xi_v(y), and where it is 0 the coefficient at y
+  is 0 too, so the product's solve skips y;
 * x_j restricts to y as the j-th entry of the integer point -y^{-1}.t
   (`_fixed_point`), so a class given by a polynomial is read off its
   values there, and no polynomial is built: `from_values` solves h^k =
@@ -24,9 +27,10 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   c_1(O(1)) (one root) from integer functions of that point.  Each is
   invariant under the parabolic W_P of its F(I), so its values depend
   only on the coset of y;
-* restriction rows and two-class products belong to the Weyl group: both
-  rulings share one memo of each, and a product of two W^P classes, pulled
-  back from G/B, is memoised per pair whichever F(I) asked for it;
+* restriction rows and two-class products are memoised on the
+  `WeylGroup`, which both rulings share: the full row of each element, for
+  every F(I), and a product of two W^P classes, pulled back from G/B, per
+  pair of indices whichever F(I) asked for it;
 * the distinguished classes (Z, W, the Chern classes, c_1(O(1)) and h^k)
   are memoised on the model or geometry that built them, one dict per
   object keyed by (constructor, indices, p), and freed with it; a call that
@@ -272,9 +276,7 @@ class FlagModel:
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
-        self.point_rep, self._reps, self._pair_products, self._rows = _group_memos(
-            self.ctx.family, self.ctx.rank
-        )
+        self.point_rep, self._reps = _group_memos(self.ctx.family, self.ctx.rank)
         self._index_sets: dict = {}
         self._push_ops: dict = {}
         self._duals: dict = {}
@@ -332,10 +334,11 @@ class FlagModel:
         if cached is not None:
             return cached
         g = self.group
-        descents, row = g._right[w.window]
-        ascents = ~descents & ((1 << g.rank) - 1)
+        y = g._index[w.window]
+        ascents = ~g._descents[y] & ((1 << g.rank) - 1)
         i = (ascents & -ascents).bit_length()  # the longest element is cached
-        rep = self._reps[w.window] = divided_difference(g, i, self.schubert_rep(row[i - 1]))
+        above = g.elements[g._right[y][i - 1]]
+        rep = self._reps[w.window] = divided_difference(g, i, self.schubert_rep(above))
         return rep
 
     def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
@@ -377,96 +380,107 @@ class FlagModel:
         """The codimension-k class on F(I) whose value at each fixed point y is
         the integer f(x), x = -y^{-1}.t (`_fixed_point`); f must evaluate a
         W_P-invariant polynomial of degree k in x_1, ..., x_m."""
-        value = lambda y, row: f(_fixed_point(y))  # noqa: E731
+        elements = self.group.elements
+        value = lambda y, row: f(_fixed_point(elements[y]))  # noqa: E731
         return FlagCycle(self, I, self._localized_expansion(I, value, 0, k), p)
 
     def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
-        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v).
+        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)
+        on the group.
 
         Its value at y is xi_u(y) xi_v(y), and its coefficients lie between
-        lengths max(l(u), l(v)) and l(u) + l(v).
+        lengths max(l(u), l(v)) and l(u) + l(v).  Every x with a nonzero
+        coefficient lies above both u and v, so where that value is 0 (u or v
+        is not below y) no such x is below y either, and the solve skips y.
         """
-        if u.window > v.window:
-            u, v = v, u
-        key = (u.window, v.window)
-        cached = self._pair_products.get(key)
+        g = self.group
+        a, b = sorted((g._index[u.window], g._index[v.window]))
+        cached = g.pair_products.get((a, b))
         if cached is None:
-            g = self.group
-            lu, lv = g.length(u), g.length(v)
-            if lu + lv > self.dim_flag(I):
+            la, lb = g._lengths[a], g._lengths[b]
+            if la + lb > self.dim_flag(I):
                 cached = {}
             else:
-                a, b = u.window, v.window
-                cached = self._localized_expansion(
-                    I, lambda y, row: row.get(a, 0) * row.get(b, 0), max(lu, lv), lu + lv
-                )
-            self._pair_products[key] = cached
+                value = lambda y, row: row.get(a, 0) * row.get(b, 0)  # noqa: E731
+                cached = self._localized_expansion(I, value, lb, la + lb, skip_zeros=True)
+            g.pair_products[a, b] = cached
         return cached
 
-    def _restriction_row(self, par: frozenset, y: SignedPermutation) -> dict:
-        """xi_x(y) for every x in basis(I), par = parabolic(I), keyed by x's
-        window: the Schubert class of x restricted to the torus-fixed point y,
-        at t = (m, ..., 1).
+    def _restriction_row(self, y: int) -> dict[int, int]:
+        """xi_x(y) for every x <= y, keyed by the index of x in the group's
+        `elements`: the Schubert class of x restricted to the torus-fixed
+        point elements[y], at t = (m, ..., 1).
 
         Billey's formula: for a reduced word y = s_a1 ... s_al, put
         r_j = <s_a1 ... s_a(j-1)(alpha_aj), t>; xi_x(y) sums, over the subwords
-        that are reduced words of x, the product of their r_j.  One pass along
-        the word carries every partial subword product z with its weight.  t is
-        dominant regular for B_m and D_m, so every r_j is a positive integer
-        and xi_x(y) != 0 exactly when x <= y.  Memoised per (parabolic, y) for
-        the whole group, and trimmed to basis(I) by the descent mask: x is kept
-        when it has no right descent in par.
+        that are reduced words of x, the product of their r_j.  t is dominant
+        regular for B_m and D_m, so every r_j is a positive integer and
+        xi_x(y) != 0 exactly when x <= y.  Take the word ending in y's lowest
+        right descent a, after a word of its parent p = y s_a: a subword either
+        skips the last letter or ends with it, so row(y) = row(p) plus
+        r = <p(alpha_a), t> times row(p) moved by s_a, which adds r xi_z(p) at
+        z s_a for each z with no descent a.  Every row is memoised per y on the
+        group, for all F(I) and both rulings, and built up from the nearest
+        memoised ancestor; the solve reads only its basis(I) entries.
         """
-        key = (par, y.window)
-        row = self._rows.get(key)
-        if row is None:
-            g = self.group
-            right, roots = g._right, g.simple_roots
-            t = g.rank + 1  # t_j = m + 1 - j; w(e_j) = sign(w(j)) e_|w(j)|
-            prefix = g.identity.window
-            states = {prefix: 1}
-            for a in g.reduced_word(y):
-                r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(roots[a - 1], prefix))
-                bit = 1 << (a - 1)
-                for z, c in list(states.items()):
-                    descents, z_row = right[z]
-                    if not descents & bit:
-                        zs = z_row[a - 1].window
-                        states[zs] = states.get(zs, 0) + c * r
-                prefix = right[prefix][1][a - 1].window
-            mask = g._mask(par)
-            row = self._rows[key] = {x: c for x, c in states.items() if not right[x][0] & mask}
+        g = self.group
+        rows = g.restriction_rows
+        if y in rows:
+            return rows[y]
+        descents, right, elements = g._descents, g._right, g.elements
+        chain = []
+        while y and y not in rows:
+            d = descents[y]
+            a = (d & -d).bit_length() - 1
+            chain.append((y, a))
+            y = right[y][a]
+        row = rows[y] if y else {0: 1}
+        t = g.rank + 1  # t_j = m + 1 - j; w(e_j) = sign(w(j)) e_|w(j)|
+        for y, a in reversed(chain):
+            p = elements[right[y][a]].window
+            r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(g.simple_roots[a], p))
+            bit, parent = 1 << a, row
+            row = rows[y] = dict(parent)
+            for z, c in parent.items():
+                if not descents[z] & bit:
+                    zs = right[z][a]
+                    row[zs] = row.get(zs, 0) + c * r
         return row
 
-    def _localized_expansion(self, I, value, lo: int, k: int) -> dict:
+    def _localized_expansion(self, I, value, lo: int, k: int, skip_zeros: bool = False) -> dict:
         """The codimension-k Schubert coefficients on F(I) of the class whose
-        restriction to each fixed point w is value(w, row of w).
+        restriction to each fixed point w is value(w, row of w), w an index.
 
         The GKM triangular solve (Goresky-Kottwitz-MacPherson, 1998): walk
         basis(I) in length order from lo, where the first coefficient can be
         nonzero, to k; c^w = (value(w, row) - sum_x c^x xi_x(w)) / xi_w(w) over
-        the x already solved.  Every division is exact, since the equivariant
-        coefficients are integer polynomials in t; a remainder raises.
+        the x already solved, read from the full row of w by index.  Every
+        division is exact, since the equivariant coefficients are integer
+        polynomials in t; a remainder raises.  With skip_zeros, a zero value
+        is taken to force c^w = 0 (`basis_product` says when it does).
         """
         g = self.group
-        par = self.parabolic(I)
-        solved: dict[tuple[int, ...], int] = {}
+        lengths, elements = g._lengths, g.elements
+        solved: dict[int, int] = {}
         out: dict[SignedPermutation, int] = {}
-        for w in self.basis(I):
-            lw = g.length(w)
+        for w in g.coset_indices(self.parabolic(I)):
+            lw = lengths[w]
             if lw < lo:
                 continue
             if lw > k:
                 break
-            row = self._restriction_row(par, w)
-            c = value(w, row) - sum(cx * row.get(x, 0) for x, cx in solved.items())
-            cw, rem = divmod(c, row[w.window])
+            row = self._restriction_row(w)
+            c = value(w, row)
+            if skip_zeros and not c:
+                continue
+            c -= sum(cx * row.get(x, 0) for x, cx in solved.items())
+            cw, rem = divmod(c, row[w])
             if rem:
-                raise ArithmeticError("inexact localization division at %r" % (w.window,))
+                raise ArithmeticError("inexact localization division at %r" % (elements[w].window,))
             if cw:
-                solved[w.window] = cw
+                solved[w] = cw
                 if lw == k:
-                    out[w] = cw
+                    out[elements[w]] = cw
         return out
 
     # -- functoriality ---------------------------------------------------------
@@ -762,9 +776,9 @@ def _symmetric_function(roots: list[int], j: int, complete: bool = False) -> int
 
 
 @lru_cache(maxsize=None)
-def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict, dict, dict]:
-    """(point representative, representative memo, pair-product memo,
-    restriction-row memo) of one group.
+def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict]:
+    """(point representative, representative memo) of one group, the pieces
+    of the polynomial reference route.
 
     The point class is the single monomial m! x^rho / |W|, with rho =
     (2m-1, ..., 3, 1) for B_m and (2m-2, ..., 2, 0) for D_m: div_{w_0} sends
@@ -777,7 +791,7 @@ def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict, dic
     g = make_group(family, rank)
     rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
     point = polyring.Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
-    return point, {g.longest_element.window: point}, {}, {}
+    return point, {g.longest_element.window: point}
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,9 @@ i and i + 1; the last node negates the last entry (B) or swaps and negates the
 last two (D) -- so the walk needs no generic product.  It lists every element
 sorted by (length, window), since the length of w is its distance from the
 identity (the test suite checks it against the count of positive roots sent
-to negative ones), and it stores for each element the row of canonical
-elements ``w * s_1, ..., w * s_m`` and its right descents as one bitmask:
+to negative ones).  Inside the engine an element is named by its index, its
+position in that list, and the tables hold per index the indices of
+``w * s_1, ..., w * s_m``, the length, and the right descents as one bitmask:
 bit i - 1 is set when l(w s_i) < l(w), which holds exactly when w s_i was
 reached at the level below.  Every descent or ascent question reads that
 integer: a minimal coset representative of W_P is an element with no right
@@ -107,7 +108,9 @@ class WeylGroup:
     ``elements`` lists every element sorted by (length, window), so it starts
     with ``identity`` and ends with ``longest_element``; ``simple_reflections``
     is the identity's row of the right-multiplication table.  Each window has
-    one canonical element object.
+    one canonical element object.  The group also carries the Schubert
+    layer's memos that every model on it shares, `restriction_rows` and
+    `pair_products`, keyed by index.
 
     Do not instantiate directly; use :func:`make_group`, which caches one
     group object per (family, rank) so elements of equal provenance share
@@ -125,15 +128,22 @@ class WeylGroup:
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
         self.simple_roots: tuple[Root, ...] = self._simple_roots()
         self.identity = SignedPermutation(self, tuple(range(1, rank + 1)))
-        # window -> (right-descent mask, (w * s_1, ..., w * s_m))
-        self._right: dict[tuple[int, ...], tuple] = {}
-        # window -> length, in (length, window) order
-        self._lengths: dict[tuple[int, ...], int] = {}
+        # window -> index; then per index: right-descent mask, length, and the
+        # indices of w * s_1, ..., w * s_m
+        self._index: dict[tuple[int, ...], int] = {}
+        self._descents: list[int] = []
+        self._lengths: list[int] = []
+        self._right: list[tuple[int, ...]] = []
         self.elements: tuple[SignedPermutation, ...] = self._walk_from_identity()
-        self.simple_reflections = self._right[self.identity.window][1]
+        self.simple_reflections = tuple(self.elements[j] for j in self._right[0])
         self.longest_element = self.elements[-1]
         self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
+        self._coset_indices: dict[frozenset[int], tuple[int, ...]] = {}
         self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
+        # memos of the Schubert layer, shared by every model on this group:
+        # the restriction row of each element by index, and two-class products
+        self.restriction_rows: dict[int, dict[int, int]] = {}
+        self.pair_products: dict[tuple[int, int], dict] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -162,38 +172,38 @@ class WeylGroup:
 
     def _walk_from_identity(self) -> tuple[SignedPermutation, ...]:
         """Every element, sorted by (length, window), by a breadth-first walk
-        from the identity that fills ``_right`` and ``_lengths``.
+        from the identity that fills the index tables.
 
         Each level is taken in window order, and each row is built from the
         m window edits.  w s_i lies one level above or below w; s_i is a right
-        descent exactly when w s_i lies in the level below, and sets bit
-        i - 1.  A window first met in the level above gets its one element.
+        descent exactly when w s_i lies in the level below, which is already
+        indexed, and sets bit i - 1.  The rows name windows until the walk ends.
         """
         m, last_b = self.rank, self.family == "B"
         bits = [1 << i for i in range(m)]
-        elements: list[SignedPermutation] = []
-        level, below, frontier = 0, {}, {self.identity.window: self.identity}
+        index, rows = self._index, []
+        level, frontier = 0, [self.identity.window]
         while frontier:
-            above: dict[tuple[int, ...], SignedPermutation] = {}
-            for win in sorted(frontier):
+            above: set[tuple[int, ...]] = set()
+            for win in frontier:
+                index[win] = len(index)
                 edits = [win[:i] + (win[i + 1], win[i]) + win[i + 2 :] for i in range(m - 1)]
                 if last_b:
                     edits.append(win[:-1] + (-win[-1],))
                 else:
                     edits.append(win[:-2] + (-win[-1], -win[-2]))
-                row, mask = [], 0
+                mask = 0
                 for bit, ws in zip(bits, edits):
-                    if ws in below:
+                    if ws in index:
                         mask |= bit
-                        row.append(below[ws])
                     else:
-                        if ws not in above:
-                            above[ws] = SignedPermutation(self, ws)
-                        row.append(above[ws])
-                self._right[win], self._lengths[win] = (mask, tuple(row)), level
-                elements.append(frontier[win])
-            level, below, frontier = level + 1, frontier, above
-        return tuple(elements)
+                        above.add(ws)
+                rows.append(edits)
+                self._descents.append(mask)
+                self._lengths.append(level)
+            level, frontier = level + 1, sorted(above)
+        self._right.extend([tuple(map(index.__getitem__, row)) for row in rows])
+        return (self.identity, *(SignedPermutation(self, win) for win in list(index)[1:]))
 
     # -- the group interface ----------------------------------------------
 
@@ -223,13 +233,13 @@ class WeylGroup:
     def length(self, w: SignedPermutation) -> int:
         if w.group is not self:
             raise ValueError("group mismatch")
-        return self._lengths[w.window]
+        return self._lengths[self._index[w.window]]
 
     def right_multiples(self, w: SignedPermutation) -> tuple[SignedPermutation, ...]:
         """``(w * s_1, ..., w * s_m)``, read from the table."""
         if w.group is not self:
             raise ValueError("group mismatch")
-        return self._right[w.window][1]
+        return tuple(self.elements[j] for j in self._right[self._index[w.window]])
 
     def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
         """A reduced word for ``w``, found by greedy right-descent removal.
@@ -242,10 +252,10 @@ class WeylGroup:
     def from_word(self, word: Iterable[int]) -> SignedPermutation:
         word = tuple(word)
         self._check_indices(word, "word letter")
-        w = self.identity
+        w = 0
         for i in word:
-            w = self._right[w.window][1][i - 1]
-        return w
+            w = self._right[w][i - 1]
+        return self.elements[w]
 
     def _walk(
         self, u: SignedPermutation, mask: int, step: int
@@ -255,16 +265,16 @@ class WeylGroup:
 
         Returns where the walk stops and the letters it multiplied by.
         """
-        right = self._right
+        descents, right = self._descents, self._right
         letters = []
+        w = self._index[u.window]
         while True:
-            d, row = right[u.window]
-            free = (d if step < 0 else ~d) & mask
+            free = (descents[w] if step < 0 else ~descents[w]) & mask
             if not free:
-                return u, letters
+                return self.elements[w], letters
             i = (free & -free).bit_length()
             letters.append(i)
-            u = row[i - 1]
+            w = right[w][i - 1]
 
     # -- parabolic combinatorics --------------------------------------------
 
@@ -292,11 +302,18 @@ class WeylGroup:
         """
         key = self._parabolic(parabolic)
         if key not in self._coset_reps:
-            right, mask = self._right, self._mask(key)
-            self._coset_reps[key] = tuple(
-                w for w in self.elements if not right[w.window][0] & mask
-            )
+            self._coset_reps[key] = tuple(self.elements[i] for i in self.coset_indices(key))
         return self._coset_reps[key]
+
+    def coset_indices(self, parabolic: Iterable[int]) -> tuple[int, ...]:
+        """The positions in `elements` of `min_coset_reps(parabolic)`, in order."""
+        key = self._parabolic(parabolic)
+        if key not in self._coset_indices:
+            mask = self._mask(key)
+            self._coset_indices[key] = tuple(
+                i for i, d in enumerate(self._descents) if not d & mask
+            )
+        return self._coset_indices[key]
 
     def parabolic_decompose(
         self, w: SignedPermutation, parabolic: Iterable[int]

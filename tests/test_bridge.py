@@ -470,14 +470,18 @@ def test_action_on_flag_matches_product_oracle(n, orientation):
 def test_schubert_memos_belong_to_the_group(n):
     G = build_geometry(n)
     A, B = G.primary, G.secondary
-    assert A._reps is B._reps and A._pair_products is B._pair_products
-    assert A._rows is B._rows
-    assert not any(isinstance(k, frozenset) for key in A._pair_products for k in key)
+    # the row store and the pair memo hang on the group both rulings share,
+    # keyed by element index alone, with no parabolic in a key
+    assert A._reps is B._reps and A.group is B.group
+    g = A.group
+    assert all(type(k) is int for key in g.pair_products for k in key)
+    assert all(type(y) is int for y in g.restriction_rows)
     for w in A.group.elements[::7]:
         assert A.schubert_rep(w) is B.schubert_rep(w)
     u, v = A.basis([0])[1], A.basis([0])[2]
     prod = A.basis_product([0], u, v)
     assert prod
+    assert g.pair_products[tuple(sorted(g._index[w.window] for w in (u, v)))] is prod
     assert A.basis_product([0, 1], v, u) is prod
     assert B.basis_product([0, 1, G.d], u, v) is prod
 

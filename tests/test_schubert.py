@@ -27,13 +27,14 @@ from quadchow.quadpow import basis_symbols, codim1
 from quadchow.schubert import (
     FlagCycle,
     FlagModel,
+    QuadricContext,
     QuadricGeometry,
     UnionCycle,
     _symmetric_function,
     build_flag_model,
     build_geometry,
 )
-from quadchow.weyl import RangeError
+from quadchow.weyl import RangeError, make_group
 
 
 def test_model_sizes():
@@ -420,14 +421,16 @@ def test_nonintegral_extraction_raises(monkeypatch):
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
-    # deg_product multiplies out the half h.h, solved from restriction rows (a
-    # fresh pair memo, since the group's may hold it); at n = 3, h^2 = 2 l_1, so
-    # a diagonal value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
+    # deg_product multiplies out the half h.h, solved from restriction rows
+    # (fresh group memos: the pair memo may hold h.h, and no row built from the
+    # corrupted one may outlive the test); at n = 3, h^2 = 2 l_1, so a diagonal
+    # value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
     h, w = M.x_class(("h", 1)), M.x_windows[("l", 1)]
-    par = M.parabolic([0])
-    row = M._restriction_row(par, w)
-    monkeypatch.setattr(M, "_pair_products", {})
-    monkeypatch.setitem(M._rows, (par, w.window), {**row, w.window: 7 * row[w.window]})
+    g, y = M.group, M.group._index[w.window]
+    monkeypatch.setattr(g, "pair_products", {})
+    monkeypatch.setattr(g, "restriction_rows", {})
+    row = M._restriction_row(y)
+    g.restriction_rows[y] = {**row, y: 7 * row[y]}
     with pytest.raises(ArithmeticError, match=r"inexact localization division at \(-2, 1\)"):
         M.deg_product([h, h, h])
 
@@ -925,6 +928,24 @@ def _inversion_value(g, y):
     return value
 
 
+def _billey_row(g, y):
+    # Billey's formula by one pass along the greedy reduced word of y, with no
+    # parent recursion: it carries every partial subword product z with its
+    # weight, keyed by window, and multiplies generically
+    t = g.rank + 1
+    prefix, states = g.identity, {g.identity: 1}
+    for a in g.reduced_word(y):
+        s = g.simple_reflections[a - 1]
+        root = g.simple_roots[a - 1]
+        r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(root, prefix.window))
+        for z, c in list(states.items()):
+            zs = z * s
+            if g.length(zs) > g.length(z):
+                states[zs] = states.get(zs, 0) + c * r
+        prefix = prefix * s
+    return {z.window: c for z, c in states.items()}
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     from quadchow.polyring import Polynomial, simple_root
@@ -934,32 +955,32 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     for a, root in enumerate(g.simple_roots, start=1):
         unit = [tuple(int(k == j) for k in range(g.rank)) for j in range(g.rank)]
         assert Polynomial(g.rank, {unit[j]: c for j, c in enumerate(root)}) == simple_root(g, a)
-    full = M.parabolic(range(M.d + 1))
-    ys = g.elements if n <= 6 else random.Random(n).sample(g.elements, 60)
+    rng = random.Random(n)
+    ys = g.elements if n <= 6 else rng.sample(g.elements, 60)
     for y in ys:
-        row = M._restriction_row(full, y)
-        assert row[y.window] == _inversion_value(g, y), y
-        assert row[g.identity.window] == 1, y
-    # a row on F(I) is the full-flag row cut down to basis(I): every I and
-    # every y at n <= 6, with both rulings at even n
-    if n <= 6:
-        subsets = [I for r in range(1, M.d + 2) for I in itertools.combinations(range(M.d + 1), r)]
-        models, step = ((M, FlagModel(n, -1)) if n % 2 == 0 else (M,)), 1
-    else:
-        subsets, models, step = ([0], [1, M.d]), (M,), 3
+        row = M._restriction_row(g._index[y.window])
+        assert row[g._index[y.window]] == _inversion_value(g, y), y
+        assert row[0] == 1, y
+    # on basis(I), each row of the recursion is Billey's pass along a reduced
+    # word: every I and every y at n <= 6 with both rulings at even n, and at
+    # n = 7, 8 seeded samples of 4 index sets and 6 elements of each basis
+    subsets = [I for r in range(1, M.d + 2) for I in itertools.combinations(range(M.d + 1), r)]
+    models = (M, FlagModel(n, -1)) if n % 2 == 0 else (M,)
+    if n > 6:
+        subsets, models = rng.sample(subsets, 4), models[:1]
+    billey = {}
     for model in models:
-        _assert_rows_cut_to_basis(model, subsets, step)
-
-
-def _assert_rows_cut_to_basis(M, subsets, step):
-    full = M.parabolic(range(M.d + 1))
-    for I in subsets:
-        par = M.parabolic(I)
-        keep = {w.window for w in M.basis(I)}
-        for y in M.basis(I)[::step]:
-            whole = M._restriction_row(full, y)
-            cut = {x: c for x, c in whole.items() if x in keep}
-            assert M._restriction_row(par, y) == cut, (M.ctx.orientation, I, y)
+        for I in subsets:
+            basis = model.basis(I)
+            keep = {w.window for w in basis}
+            for y in basis if n <= 6 else rng.sample(basis, min(6, len(basis))):
+                if y.window not in billey:
+                    billey[y.window] = _billey_row(g, y)
+                want = {x: c for x, c in billey[y.window].items() if x in keep}
+                row = model._restriction_row(g._index[y.window])
+                got = {g.elements[x].window: c for x, c in row.items()}
+                got = {x: c for x, c in got.items() if x in keep}
+                assert got == want, (model.ctx.orientation, I, y)
 
 
 def _polynomial_product(M, I, u, v):
@@ -993,6 +1014,26 @@ def test_basis_product_matches_the_polynomial_route(n, orientation, I):
             checked += 1
             nonzero += bool(got)
     assert nonzero >= 4
+
+
+@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, None)])
+def test_basis_products_on_cold_memos_match_the_polynomial_route(monkeypatch, n, orientation):
+    # every pair of every F(I), each F(I) solved on an empty pair memo and the
+    # whole test on an empty row store, so the zero skip runs on every F(I)
+    # against rows the recursion builds in the solve's own order
+    M = build_flag_model(n, orientation)
+    g = M.group
+    monkeypatch.setattr(g, "restriction_rows", {})
+    zeros = 0
+    for I in _index_sets(M.d):
+        monkeypatch.setattr(g, "pair_products", {})
+        basis, dim = M.basis(I), M.dim_flag(I)
+        for u, v in itertools.combinations_with_replacement(basis, 2):
+            if g.length(u) + g.length(v) <= dim:
+                got = M.basis_product(I, u, v)
+                assert got == _polynomial_product(M, I, u, v), (I, u, v)
+                zeros += not got
+    assert zeros > 0
 
 
 @pytest.mark.slow
@@ -1143,6 +1184,28 @@ def test_no_build_or_verify_path_goes_through_polynomials(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
     assert calls == [[], [], []]
+
+
+# restriction-row entries held after a cold `verify all --deep --seed 0`,
+# recorded when the rows became full rows memoised once per element; rows
+# cost memory, so building rows no solve reads would show here
+ROW_STORE_ENTRIES = {7: 22496, 8: 282612}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(monkeypatch, n):
+    from quadchow import cli, schubert
+
+    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
+    ctx = QuadricContext(n)
+    g = make_group(ctx.family, ctx.rank)
+    monkeypatch.setattr(g, "restriction_rows", {})
+    monkeypatch.setattr(g, "pair_products", {})
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all", "--n", str(n), "--deep", "--seed", "0"]) == 0
+    entries = sum(map(len, g.restriction_rows.values()))
+    assert 0 < entries <= 1.1 * ROW_STORE_ENTRIES[n], entries
 
 
 # -- ring axioms of FlagCycle products ----------------------------------------------

@@ -278,7 +278,7 @@ def test_descent_masks_match_root_count(family, rank):
     G = make_group(family, rank)
     lengths = _oracle_lengths(family, rank)
     for w in G.elements:
-        assert G._right[w.window][0] == _oracle_descents(G, w, lengths), w
+        assert G._descents[G._index[w.window]] == _oracle_descents(G, w, lengths), w
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
