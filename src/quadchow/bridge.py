@@ -2,9 +2,10 @@
 built from the point-subspace incidence.
 
 A mixed cycle on F(I) x X^m is stored in the Kunneth basis: coefficients are
-indexed by triples (sheet, Schubert representative on F(I), basis monomial on
-X^m), whose first two entries are the (sheet, w) key of a ``UnionCycle`` on
-F(I) (two sheets when n is even and d is in I, else one).  Because both
+indexed by triples (sheet, w, basis monomial on X^m).  The first two entries
+are the (sheet, w) key of a ``UnionCycle`` on F(I) (two sheets when n is even
+and d is in I, else one): w is the index of a Schubert basis element of F(I)
+in the group's ``elements``, as everywhere in the engine.  Because both
 factors are cellular, pullback and pushforward act independently on the two
 tensor legs: the X leg by the ``QuadCycle`` slot maps, the flag leg by
 ``QuadricGeometry.pullback`` and ``pushforward`` on the (sheet, w) keys of
@@ -12,7 +13,7 @@ each X-monomial group; those two hold the sheet rules (a connected space is
 copied onto both sheets of a split one, a split one adds into sheet 0 of a
 connected one).
 The X-class of a basis symbol is read off the primary model's
-``FlagModel.x_windows``, whose naming of l_d is the global one.
+``FlagModel.x_basis``, whose naming of l_d is the global one.
 
 Flag-side correspondence actions p_*((x (x) 1) . M) read x on the Poincare
 duals of M's Schubert classes (``MixedCycle.action_on_flag``, no product on
@@ -57,8 +58,8 @@ from quadchow.quadpow import (
     rho_i,
 )
 from quadchow.quadpow import _mul_mono
-from quadchow.schubert import QuadricGeometry, SparseCycle, UnionCycle
-from quadchow.weyl import RangeError, SignedPermutation
+from quadchow.schubert import QuadricGeometry, SparseCycle, UnionCycle, _own
+from quadchow.weyl import RangeError
 
 __all__ = [
     "MixedCycle",
@@ -76,7 +77,7 @@ __all__ = [
     "degree_congruence",
 ]
 
-MixedKey = tuple[int, SignedPermutation, Mono]
+MixedKey = tuple[int, int, Mono]
 
 
 def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
@@ -84,7 +85,8 @@ def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
     Schubert to quadric-power coordinates."""
     if x.I != frozenset([0]):
         raise ValueError("expected a cycle on X")
-    names = {w: s for s, w in geometry.primary.x_windows.items()}
+    _own(geometry if isinstance(x, UnionCycle) else geometry.primary, x)
+    names = {w: s for s, w in geometry.primary.x_basis.items()}
     if isinstance(x, UnionCycle):
         out = {(names[w],): c for (_, w), c in x.coeffs.items()}
     else:
@@ -115,7 +117,7 @@ class MixedCycle(SparseCycle):
 
     def _key_codim(self, key: MixedKey) -> int:
         _, w, mono = key
-        return self.geometry.group.length(w) + sum(
+        return self.geometry.group._lengths[w] + sum(
             codim1(self.geometry.ctx, s) for s in mono
         )
 
@@ -170,9 +172,8 @@ class MixedCycle(SparseCycle):
         cls, geometry: QuadricGeometry, I, x: QuadCycle
     ) -> "MixedCycle":
         """[F(I)] (x) x."""
-        ident = geometry.group.identity
         coeffs = {
-            (k, ident, mono): c
+            (k, 0, mono): c
             for k in range(len(geometry.sheets(I)))
             for mono, c in x.coeffs.items()
         }
@@ -188,7 +189,7 @@ class MixedCycle(SparseCycle):
         """
         geom = self.geometry
         I = flag_map(geom.zero(self.I, self.p)).I
-        groups: dict[Mono, dict[tuple[int, SignedPermutation], int]] = {}
+        groups: dict[Mono, dict[tuple[int, int], int]] = {}
         for (k, w, mono), c in self.coeffs.items():
             groups.setdefault(mono, {})[(k, w)] = c
         out: dict[MixedKey, int] = {}
@@ -223,7 +224,7 @@ class MixedCycle(SparseCycle):
         """
         ctx = self.geometry.ctx
         arity = quad_map(QuadCycle(ctx, self.arity, {}, self.p)).m
-        groups: dict[tuple[int, SignedPermutation], dict[Mono, int]] = {}
+        groups: dict[tuple[int, int], dict[Mono, int]] = {}
         for (k, w, mono), c in self.coeffs.items():
             groups.setdefault((k, w), {})[mono] = c
         out: dict[MixedKey, int] = {}
@@ -292,8 +293,8 @@ class MixedCycle(SparseCycle):
 
 def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
     """The correspondence X -> G_i through F(0, i) on a cycle of X."""
-    windows = geometry.primary.x_windows
-    fc = UnionCycle(geometry, [0], {(0, windows[s]): c for (s,), c in x.coeffs.items()}, x.p)
+    basis = geometry.primary.x_basis
+    fc = UnionCycle(geometry, [0], {(0, basis[s]): c for (s,), c in x.coeffs.items()}, x.p)
     return geometry.pullpush(fc, [i])
 
 
@@ -392,9 +393,9 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
         raise RangeError("index out of range")
     # the split diagonal with its second slot moved onto the flag leg of F(0) x X
     diag: dict[MixedKey, int] = {}
-    windows = geometry.primary.x_windows
+    basis = geometry.primary.x_basis
     for (u, v), c in delta_i(geometry.ctx, 1, p=2).coeffs.items():
-        diag[(0, windows[v], (u,))] = c
+        diag[(0, basis[v], (u,))] = c
     I = [0, i]
     left = MixedCycle(geometry, [0], 1, diag, 2).pull_flag(I).pull_x(2, [0])
     return left * incidence_class(geometry, i, 2).pull_flag(I).pull_x(2, [1])

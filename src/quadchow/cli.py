@@ -96,10 +96,14 @@ BUILTIN_HEADS = {"delta", "rho", "rost", "z", "w", "theta", "alpha"}
 
 def _format_union(x: UnionCycle, fmt: str):
     if fmt == "json":
+        elements = x.geometry.group.elements
         return {
             "sheets": [
                 sorted(
-                    [{"coeff": c, "window": list(w.window)} for w, c in part.coeffs.items()],
+                    [
+                        {"coeff": c, "window": list(elements[w].window)}
+                        for w, c in part.coeffs.items()
+                    ],
                     key=lambda t: t["window"],
                 )
                 for part in x.parts
@@ -111,6 +115,7 @@ def _format_union(x: UnionCycle, fmt: str):
 
 def _format_mixed(x, fmt: str):
     names = quadpow._symbol_names(mono for _, _, mono in x.coeffs)
+    elements = x.geometry.group.elements
     if fmt == "json":
         return {
             "sheets": [
@@ -118,7 +123,7 @@ def _format_mixed(x, fmt: str):
                     [
                         {
                             "coeff": c,
-                            "window": list(w.window),
+                            "window": list(elements[w].window),
                             "monomial": [names[s] for s in mono],
                         }
                         for (w, mono), c in part.items()
@@ -130,9 +135,9 @@ def _format_mixed(x, fmt: str):
             "mod": 2 if x.p == 2 else 0,
         }
     lines = [
-        "sheet%d: %d S%s (x) %s" % (k, c, w.window, " x ".join([names[s] for s in mono]))
-        for (k, w, mono), c in sorted(
-            x.coeffs.items(), key=lambda t: (t[0][0], t[0][1].window, t[0][2])
+        "sheet%d: %d S%s (x) %s" % (k, c, window, " x ".join([names[s] for s in mono]))
+        for (k, window, mono), c in sorted(
+            ((k, elements[w].window, mono), c) for (k, w, mono), c in x.coeffs.items()
         )
     ]
     return "\n".join(lines) if lines else "0"

@@ -234,7 +234,9 @@ class QuadCycle(SparseCycle):
         """Pushforward along the factor permutation sending slot t to perm[t]."""
         if sorted(perm) != list(range(self.m)):
             raise ValueError("invalid factor permutation")
-        return _sum_permuted(self, [perm])
+        # slot j of the image holds slot inv[j] of the source
+        inv = sorted(range(self.m), key=perm.__getitem__)
+        return _sum_images(self, lambda mono: [tuple([mono[t] for t in inv])])
 
     def push_proj(self, keep: Sequence[int]) -> "QuadCycle":
         """Pushforward along the projection keeping the listed slots (in order).
@@ -385,20 +387,6 @@ def _sum_images(x: QuadCycle, images) -> QuadCycle:
     out: dict[Mono, int] = {}
     for mono, c in x.coeffs.items():
         for key in images(mono):
-            out[key] = out.get(key, 0) + c
-    return QuadCycle(x.ctx, x.m, out, x.p)
-
-
-def _sum_permuted(x: QuadCycle, perms: Iterable[Sequence[int]]) -> QuadCycle:
-    """The sum of x.permute(perm) over perms, accumulated in one dict."""
-    out: dict[Mono, int] = {}
-    for perm in perms:
-        # slot j of the image holds slot inv[j] of the source
-        inv = [0] * x.m
-        for t, j in enumerate(perm):
-            inv[j] = t
-        for mono, c in x.coeffs.items():
-            key = tuple([mono[t] for t in inv])
             out[key] = out.get(key, 0) + c
     return QuadCycle(x.ctx, x.m, out, x.p)
 

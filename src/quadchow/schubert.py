@@ -7,12 +7,16 @@ I a subset of {0..d}, are homogeneous spaces for a group with Weyl group
 B_{d+1} (n odd) or D_{d+1} (n even).  Every class on them is read off as a
 Schubert expansion from its values at the torus-fixed points, by one solve:
 
+* a Weyl element is named by its index in the group's `elements`, which are
+  sorted by (length, window): the keys of every cycle, row, memo and table
+  here are indices, and a window is read only to print a cycle or an error
+  and by `_fixed_point`;
 * the class of x restricted to the fixed point y is an integer xi_x(y) at
   the regular point t = (m, ..., 1), by Billey's formula (Billey, Kostant
   polynomials and the cohomology ring for G/B, Duke Math. J. 96, 1999).  The
   whole row xi_.(y) is the row of the parent y s_a, a the lowest right
   descent of y, plus one step of the formula, so rows are built by that
-  recursion, keyed by the index of each element in the group's `elements`.
+  recursion.
   A class is known by its values at the fixed points, and the GKM
   triangular solve (Goresky-Kottwitz-MacPherson, Invent. Math. 131, 1998),
   `FlagModel._localized_expansion`, reads its Schubert coefficients off
@@ -48,10 +52,11 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   solves a W_P-invariant polynomial from its values.  They are the tests'
   reference for the solve and the value-defined classes; the benchmark wraps them;
 * pushforward along F(I) -> F(J) is the divided difference of
-  w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially, so no
-  polynomial work is needed there.  `pullpush` is every correspondence
+  w_0(P_J) w_0(P_I), which acts on the Schubert basis combinatorially: a
+  table per (I, J) sends u w_0(P_J) w_0(P_I) to u for each u in basis(J),
+  and kills every other class.  `pullpush` is every correspondence
   F(I) <- F(I u J) -> F(J), such as X -> G_i for the Z- and W-classes;
-* `FlagModel.x_windows` names the Schubert class of each basis symbol of
+* `FlagModel.x_basis` names the Schubert class of each basis symbol of
   X = G_0 (h^c, l_b, l_d'); `x_class`, `l_class` and the bridge read it.
 
 For n even the two rulings of maximal isotropic subspaces are both modeled:
@@ -60,12 +65,13 @@ middle class l_d on X is wired to it so that a generic member of G_d meets
 the subspace representing l_d in exactly one point (this is the choice that
 makes deg(z^d_0) = 1, and it flips between the same and the opposite family
 according to n mod 4).  `QuadricGeometry` holds one model per ruling and
-keys every cycle on F(I) by (sheet, w) (`UnionCycle`): F(I) has two sheets,
-its components over the two rulings, when n is even and d is in I, and one
-otherwise; sheet 0 is read on the primary model and sheet 1 on the opposite
-one.  Pullback from a connected F(J) to a split F(I) copies each key onto
-both sheets, and pushforward to a connected F(J) adds the sheets into
-sheet 0, so degrees sum over the sheets.
+keys every cycle on F(I) by (sheet, w), w an index (`UnionCycle`): F(I) has
+two sheets, its components over the two rulings, when n is even and d is in
+I, and one otherwise; sheet 0 is read on the primary model and sheet 1 on the
+opposite one.  Products are taken sheet by sheet, on each sheet's model.
+Pullback from a connected F(J) to a split F(I) copies each key onto both
+sheets, and pushforward to a connected F(J) adds the sheets into sheet 0, so
+degrees sum over the sheets.
 
 Sign conventions not forced by the mathematics (the Chern roots of the
 tautological bundles and c_1(O(1)) on F(i-1,i)) are pinned by the classical
@@ -232,7 +238,8 @@ def _memoised(method):
 
 
 class FlagCycle(SparseCycle):
-    """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients."""
+    """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients,
+    keyed by the index of each basis element in the group's `elements`."""
 
     __slots__ = ("model", "I")
 
@@ -244,8 +251,8 @@ class FlagCycle(SparseCycle):
     def _space(self) -> tuple:
         return (self.model, self.I)
 
-    def _key_codim(self, w: SignedPermutation) -> int:
-        return self.model.group.length(w)
+    def _key_codim(self, w: int) -> int:
+        return self.model.group._lengths[w]
 
     def __mul__(self, other: "FlagCycle") -> "FlagCycle":
         self._check(other)
@@ -259,9 +266,8 @@ class FlagCycle(SparseCycle):
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for w in sorted(self.coeffs, key=lambda u: (self.model.group.length(u), u.window)):
-            parts.append(f"{self.coeffs[w]}*S{w.window}")
+        elements = self.model.group.elements
+        parts = [f"{c}*S{elements[w].window}" for w, c in sorted(self.coeffs.items())]
         tag = " (mod 2)" if self.p == 2 else ""
         return " + ".join(parts) + tag
 
@@ -278,7 +284,7 @@ class FlagModel:
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
         self.point_rep, self._reps = _group_memos(self.ctx.family, self.ctx.rank)
         self._index_sets: dict = {}
-        self._push_ops: dict = {}
+        self._pushes: dict = {}
         self._duals: dict = {}
         self._classes: dict = {}  # see _memoised
         self._identify_quadric_basis()
@@ -307,13 +313,14 @@ class FlagModel:
         cached = self._index_sets[I] = frozenset(range(1, m + 1)) - cut
         return cached
 
-    def basis(self, I: Iterable[int]) -> tuple[SignedPermutation, ...]:
-        return self.group.min_coset_reps(self.parabolic(I))
+    def basis(self, I: Iterable[int]) -> tuple[int, ...]:
+        """The indices of the minimal coset representatives of W_P, in order."""
+        return self.group.coset_indices(self.parabolic(I))
 
     def dim_flag(self, I: Iterable[int]) -> int:
-        return self.group.length(self.top_element(I))
+        return self.group._lengths[self.top_element(I)]
 
-    def top_element(self, I: Iterable[int]) -> SignedPermutation:
+    def top_element(self, I: Iterable[int]) -> int:
         """The longest minimal coset representative, w_0 * w_0(P_I)."""
         return self.basis(I)[-1]
 
@@ -321,24 +328,23 @@ class FlagModel:
         return FlagCycle(self, I, {}, p)
 
     def fundamental(self, I: Iterable[int], p: int = 0) -> FlagCycle:
-        return FlagCycle(self, I, {self.group.identity: 1}, p)
+        return FlagCycle(self, I, {0: 1}, p)
 
     def point_class(self, I: Iterable[int], p: int = 0) -> FlagCycle:
         return FlagCycle(self, I, {self.top_element(I): 1}, p)
 
     # -- Schubert representatives and expansion -------------------------------
 
-    def schubert_rep(self, w: SignedPermutation) -> polyring.Polynomial:
-        """Polynomial representative of the Schubert class of w (codim = length)."""
-        cached = self._reps.get(w.window)
+    def schubert_rep(self, w: int) -> polyring.Polynomial:
+        """Polynomial representative of the Schubert class of the element of
+        index w (codim = length)."""
+        cached = self._reps.get(w)
         if cached is not None:
             return cached
         g = self.group
-        y = g._index[w.window]
-        ascents = ~g._descents[y] & ((1 << g.rank) - 1)
+        ascents = ~g._descents[w] & ((1 << g.rank) - 1)
         i = (ascents & -ascents).bit_length()  # the longest element is cached
-        above = g.elements[g._right[y][i - 1]]
-        rep = self._reps[w.window] = divided_difference(g, i, self.schubert_rep(above))
+        rep = self._reps[w] = divided_difference(g, i, self.schubert_rep(g._right[w][i - 1]))
         return rep
 
     def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
@@ -357,7 +363,7 @@ class FlagModel:
             raise ValueError("rank mismatch")
         dim = self.dim_flag(I)
         par = sorted(self.parabolic(I))
-        out: dict[SignedPermutation, int] = {}
+        out: dict[int, int] = {}
         for k, part in sorted(poly.homogeneous_parts().items()):
             if k > dim:
                 break
@@ -371,7 +377,7 @@ class FlagModel:
                 if c % part.den:
                     raise ArithmeticError(
                         "nonintegral Schubert coefficient %s at %r"
-                        % (Fraction(c, part.den), w.window)
+                        % (Fraction(c, part.den), g.elements[w].window)
                     )
                 out[w] = c // part.den
         return FlagCycle(self, I, out, p)
@@ -384,7 +390,7 @@ class FlagModel:
         value = lambda y, row: f(_fixed_point(elements[y]))  # noqa: E731
         return FlagCycle(self, I, self._localized_expansion(I, value, 0, k), p)
 
-    def basis_product(self, I, u: SignedPermutation, v: SignedPermutation) -> dict:
+    def basis_product(self, I, u: int, v: int) -> dict[int, int]:
         """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)
         on the group.
 
@@ -394,7 +400,7 @@ class FlagModel:
         is not below y) no such x is below y either, and the solve skips y.
         """
         g = self.group
-        a, b = sorted((g._index[u.window], g._index[v.window]))
+        a, b = sorted((u, v))
         cached = g.pair_products.get((a, b))
         if cached is None:
             la, lb = g._lengths[a], g._lengths[b]
@@ -435,10 +441,10 @@ class FlagModel:
             chain.append((y, a))
             y = right[y][a]
         row = rows[y] if y else {0: 1}
-        t = g.rank + 1  # t_j = m + 1 - j; w(e_j) = sign(w(j)) e_|w(j)|
         for y, a in reversed(chain):
-            p = elements[right[y][a]].window
-            r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(g.simple_roots[a], p))
+            # <p(e_j), t> = -x_j at the fixed point x of the parent p
+            p = _fixed_point(elements[right[y][a]])
+            r = -sum(c * x for c, x in zip(g.simple_roots[a], p))
             bit, parent = 1 << a, row
             row = rows[y] = dict(parent)
             for z, c in parent.items():
@@ -460,9 +466,9 @@ class FlagModel:
         is taken to force c^w = 0 (`basis_product` says when it does).
         """
         g = self.group
-        lengths, elements = g._lengths, g.elements
+        lengths = g._lengths
         solved: dict[int, int] = {}
-        out: dict[SignedPermutation, int] = {}
+        out: dict[int, int] = {}
         for w in g.coset_indices(self.parabolic(I)):
             lw = lengths[w]
             if lw < lo:
@@ -476,17 +482,19 @@ class FlagModel:
             c -= sum(cx * row.get(x, 0) for x, cx in solved.items())
             cw, rem = divmod(c, row[w])
             if rem:
-                raise ArithmeticError("inexact localization division at %r" % (elements[w].window,))
+                window = g.elements[w].window
+                raise ArithmeticError("inexact localization division at %r" % (window,))
             if cw:
                 solved[w] = cw
                 if lw == k:
-                    out[elements[w]] = cw
+                    out[w] = cw
         return out
 
     # -- functoriality ---------------------------------------------------------
 
     def pullback(self, target_I: Iterable[int], x: FlagCycle) -> FlagCycle:
         """Pullback along F(target_I) -> F(J); requires J contained in target_I."""
+        _own(self, x)
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
@@ -496,25 +504,25 @@ class FlagModel:
     def pushforward(self, target_J: Iterable[int], x: FlagCycle) -> FlagCycle:
         """Pushforward along F(I) -> F(J) for J contained in I.
 
-        On the Schubert basis this is combinatorial: decompose w over the
-        target parabolic as w = u * p; the class survives exactly when p is
-        the longest element of W_{P_J} with no descent in P_I, in which case
-        it maps to the Schubert class of u.
+        On the Schubert basis this is combinatorial: s_w maps to s_u when
+        w = u v, u in basis(J) and v = w_0(P_J) w_0(P_I), and to 0 otherwise.
+        The table is built once per (I, J): v is w_0(P_J), reached by ascent,
+        walked down by P_I, and each u is followed along a word of v.
         """
+        _own(self, x)
         target_J = frozenset(target_J)
         if not target_J <= x.I:
             raise ValueError("pushforward requires J to be a subset of I")
-        g = self.group
-        par = self.parabolic(target_J)
-        key = (x.I, target_J)
-        v = self._push_ops.get(key)
-        if v is None:
-            v = g.parabolic_longest(par) * g.parabolic_longest(self.parabolic(x.I))
-            self._push_ops[key] = v
-        out: dict[SignedPermutation, int] = {}
+        table = self._pushes.get((x.I, target_J))
+        if table is None:
+            g = self.group
+            top = g._walk(0, g._mask(self.parabolic(target_J)), 1)[0]
+            v = g._word(g._walk(top, g._mask(self.parabolic(x.I)), -1)[0])
+            table = self._pushes[x.I, target_J] = {g._follow(u, v): u for u in self.basis(target_J)}
+        out: dict[int, int] = {}
         for w, c in x.coeffs.items():
-            u, p = g.parabolic_decompose(w, par)
-            if p == v:
+            u = table.get(w)
+            if u is not None:
                 out[u] = out.get(u, 0) + c
         return FlagCycle(self, target_J, out, x.p)
 
@@ -525,20 +533,22 @@ class FlagModel:
 
     def deg(self, x: FlagCycle) -> int:
         """Degree homomorphism: coefficient of the point class in top codimension."""
-        top = self.top_element(x.I)
-        return x.coeffs.get(top, 0)
+        _own(self, x)
+        return x.coeffs.get(self.top_element(x.I), 0)
 
-    def poincare_dual(self, I: Iterable[int]) -> dict[SignedPermutation, SignedPermutation]:
+    def poincare_dual(self, I: Iterable[int]) -> dict[int, int]:
         """The involution u -> w_0 u w_0(P_I) of basis(I), memoised per I.
 
         deg(s_u s_v) on F(I) is 1 when v is the dual of u and 0 otherwise.
+        u w_0(P_I) is the top of the coset u W_P, reached by ascent.
         """
         I = frozenset(I)
         dual = self._duals.get(I)
         if dual is None:
             g = self.group
-            w0, w0p = g.longest_element, g.parabolic_longest(self.parabolic(I))
-            dual = self._duals[I] = {u: w0 * u * w0p for u in self.basis(I)}
+            w0, mask = len(g) - 1, g._mask(self.parabolic(I))
+            tops = {u: g._walk(u, mask, 1)[0] for u in self.basis(I)}
+            dual = self._duals[I] = {u: g._follow(w0, g._word(top)) for u, top in tops.items()}
         return dual
 
     def deg_product(self, classes: list[FlagCycle]) -> int:
@@ -551,9 +561,8 @@ class FlagModel:
         """
         if not classes:
             raise ValueError("empty product")
+        _own(self, *classes)
         first = classes[0]
-        for x in classes[1:]:
-            first._check(x)
         I = first.I
         codims = [x.codim() for x in classes]
         if sum(codims) != self.dim_flag(I):
@@ -564,10 +573,7 @@ class FlagModel:
             k = 0 if weight[0] <= weight[1] else 1
             halves[k].append(x)
             weight[k] += c
-        a, b = (
-            reduce(FlagCycle.__mul__, h).coeffs if h else {self.group.identity: 1}
-            for h in halves
-        )
+        a, b = (reduce(FlagCycle.__mul__, h).coeffs if h else {0: 1} for h in halves)
         dual = self.poincare_dual(I)
         total = sum(c * b.get(dual[u], 0) for u, c in a.items())
         return total % 2 if first.p == 2 else total
@@ -575,18 +581,18 @@ class FlagModel:
     # -- the quadric inside the model -------------------------------------------
 
     def _identify_quadric_basis(self) -> None:
-        """Build `x_windows`, the Schubert element of each basis symbol of X:
+        """Build `x_basis`, the Schubert basis index of each basis symbol of X:
         h^c below the middle codimension, l_{n-c} above it, and at even n the
         two middle classes l_d and l_d' by ruling."""
         n, d = self.n, self.d
-        self.x_windows: dict[tuple[str, int], SignedPermutation] = {}
+        self.x_basis: dict[tuple[str, int], int] = {}
         mids = []
         for w in self.basis([0]):
-            c = self.group.length(w)
+            c = self.group._lengths[w]
             if c == d and n % 2 == 0:
                 mids.append(w)
             else:
-                self.x_windows[("h", c) if c <= d else ("l", n - c)] = w
+                self.x_basis[("h", c) if c <= d else ("l", n - c)] = w
         if n % 2 == 0:
             if len(mids) != 2:
                 raise AssertionError("expected two middle classes on an even quadric")
@@ -601,7 +607,7 @@ class FlagModel:
             # the same family iff the rank d+1 is odd, i.e. iff 4 | n.
             if n % 4:
                 w_same, w_other = w_other, w_same
-            self.x_windows[("l", d)], self.x_windows[("lp", d)] = w_same, w_other
+            self.x_basis[("l", d)], self.x_basis[("lp", d)] = w_same, w_other
             total = self.h_power(d)
             if total.coeffs != {mids[0]: 1, mids[1]: 1}:
                 raise AssertionError("h^d should split as l_d + l_d'")
@@ -612,9 +618,9 @@ class FlagModel:
         A known kind with an index that names no basis class raises
         RangeError; any other symbol raises ValueError.
         """
-        w = self.x_windows.get(s)
+        w = self.x_basis.get(s)
         if w is None:
-            if any(s[:1] == (kind,) for kind, _ in self.x_windows):
+            if any(s[:1] == (kind,) for kind, _ in self.x_basis):
                 raise RangeError("X-class index out of range: %r" % (s,))
             raise ValueError("no X-class symbol %r at n = %d" % (s, self.n))
         return FlagCycle(self, [0], {w: 1}, p)
@@ -756,6 +762,16 @@ def _check_ladder(space, indices: Iterable[int]) -> None:
                 )
 
 
+def _own(space, *cycles) -> None:
+    """Raise ValueError unless the cycles lie on one F(I) of `space`, a
+    FlagModel or a QuadricGeometry, over one ring."""
+    first = cycles[0]
+    for x in cycles[1:]:
+        first._check(x)
+    if first._space()[0] is not space:
+        raise ValueError("space/ring mismatch")
+
+
 def _fixed_point(y: SignedPermutation) -> list[int]:
     """x = -y^{-1}.t at t = (m, ..., 1): x_j is the value of the variable x_j
     at the fixed point y.  t_j = m + 1 - j, so x_j = y(j) - sign(y(j)) (m + 1)."""
@@ -791,7 +807,7 @@ def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict]:
     g = make_group(family, rank)
     rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
     point = polyring.Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
-    return point, {g.longest_element.window: point}
+    return point, {len(g) - 1: point}
 
 
 @lru_cache(maxsize=None)
@@ -805,7 +821,7 @@ def build_flag_model(n: int, orientation: int | None = None) -> FlagModel:
 
 
 class UnionCycle(SparseCycle):
-    """A cycle on F(I) of a QuadricGeometry, keyed (sheet, w).
+    """A cycle on F(I) of a QuadricGeometry, keyed (sheet, w), w an index.
 
     The sheets are the connected components of F(I): one for n odd or d not
     in I, on the primary model; two for n even with d in I, where the
@@ -826,8 +842,8 @@ class UnionCycle(SparseCycle):
     def _space(self) -> tuple:
         return (self.geometry, self.I)
 
-    def _key_codim(self, key: tuple[int, SignedPermutation]) -> int:
-        return self.geometry.group.length(key[1])
+    def _key_codim(self, key: tuple[int, int]) -> int:
+        return self.geometry.group._lengths[key[1]]
 
     @property
     def parts(self) -> tuple[FlagCycle, ...]:
@@ -844,18 +860,7 @@ class UnionCycle(SparseCycle):
 
     def __mul__(self, other: "UnionCycle") -> "UnionCycle":
         self._check(other)
-        sheets = self.geometry.sheets(self.I)
-        right: list[list] = [[] for _ in sheets]
-        for (k, v), c in other.coeffs.items():
-            right[k].append((v, c))
-        out: dict = {}
-        for (k, u), cu in self.coeffs.items():
-            model = sheets[k]
-            for v, cv in right[k]:
-                for w, c in model.basis_product(self.I, u, v).items():
-                    key = (k, w)
-                    out[key] = out.get(key, 0) + cu * cv * c
-        return UnionCycle(self.geometry, self.I, out, self.p)
+        return self.geometry.from_parts(self.I, [a * b for a, b in zip(self.parts, other.parts)])
 
     def __repr__(self) -> str:
         return " (+) ".join(repr(x) for x in self.parts)
@@ -939,6 +944,7 @@ class QuadricGeometry:
         """Pullback along F(target_I) -> F(J): every key keeps its Schubert
         element, and a connected source (d not in J) is copied onto each sheet
         of a split target."""
+        _own(self, x)
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
@@ -951,6 +957,7 @@ class QuadricGeometry:
     def pushforward(self, target_J, x: UnionCycle) -> UnionCycle:
         """Pushforward along F(I) -> F(target_J), sheet by sheet on its model;
         over a connected target (d not in target_J) the sheets add into sheet 0."""
+        _own(self, x)
         target_J = frozenset(target_J)
         if not target_J <= x.I:
             raise ValueError("pushforward requires J to be a subset of I")
@@ -969,6 +976,7 @@ class QuadricGeometry:
 
     def deg(self, x: UnionCycle) -> int:
         """The sum over the sheets of the coefficient of each sheet's point class."""
+        _own(self, x)
         sheets = self.sheets(x.I)
         total = sum(x.coeffs.get((k, M.top_element(x.I)), 0) for k, M in enumerate(sheets))
         return total % 2 if x.p == 2 else total
@@ -977,13 +985,10 @@ class QuadricGeometry:
         """deg of a product: the sum over the sheets of `FlagModel.deg_product`."""
         if not classes:
             raise ValueError("empty product")
-        first = classes[0]
-        if any(x.I != first.I for x in classes):
-            raise ValueError("model/I mismatch")
-        # each sheet's FlagModel.deg_product checks its parts' model and ring
+        _own(self, *classes)
         sheet_parts = zip(*(x.parts for x in classes))
         total = sum(parts[0].model.deg_product(list(parts)) for parts in sheet_parts)
-        return total % 2 if first.p == 2 else total
+        return total % 2 if classes[0].p == 2 else total
 
     # -- distinguished classes ----------------------------------------------------
 

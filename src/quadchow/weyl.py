@@ -31,7 +31,8 @@ table by the lowest set bit of the descents (or ascents) inside a mask of
 indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
 unique element of W_P whose right descents are all of P, so an ascent from
 the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, 2.4).
+Combinatorics of Coxeter Groups, 2.4).  The walks run on indices; the public
+methods take and return elements and convert once at their boundary.
 """
 
 from __future__ import annotations
@@ -137,9 +138,7 @@ class WeylGroup:
         self.elements: tuple[SignedPermutation, ...] = self._walk_from_identity()
         self.simple_reflections = tuple(self.elements[j] for j in self._right[0])
         self.longest_element = self.elements[-1]
-        self._parabolic_longest: dict[frozenset[int], SignedPermutation] = {}
         self._coset_indices: dict[frozenset[int], tuple[int, ...]] = {}
-        self._coset_reps: dict[frozenset[int], tuple[SignedPermutation, ...]] = {}
         # memos of the Schubert layer, shared by every model on this group:
         # the restriction row of each element by index, and two-class products
         self.restriction_rows: dict[int, dict[int, int]] = {}
@@ -230,48 +229,54 @@ class WeylGroup:
     def inverse(self, w: SignedPermutation) -> SignedPermutation:
         return w.inverse()
 
-    def length(self, w: SignedPermutation) -> int:
+    def _position(self, w: SignedPermutation) -> int:
+        """The index of w, an element of this group."""
         if w.group is not self:
             raise ValueError("group mismatch")
-        return self._lengths[self._index[w.window]]
+        return self._index[w.window]
+
+    def length(self, w: SignedPermutation) -> int:
+        return self._lengths[self._position(w)]
 
     def right_multiples(self, w: SignedPermutation) -> tuple[SignedPermutation, ...]:
         """``(w * s_1, ..., w * s_m)``, read from the table."""
-        if w.group is not self:
-            raise ValueError("group mismatch")
-        return tuple(self.elements[j] for j in self._right[self._index[w.window]])
+        return tuple(self.elements[j] for j in self._right[self._position(w)])
 
     def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
         """A reduced word for ``w``, found by greedy right-descent removal.
 
         The returned indices multiply left to right: ``w = s[i1] * ... * s[ik]``.
         """
-        _, letters = self._walk(w, (1 << self.rank) - 1, -1)
-        return tuple(reversed(letters))
+        return tuple(self._word(self._position(w)))
 
     def from_word(self, word: Iterable[int]) -> SignedPermutation:
         word = tuple(word)
         self._check_indices(word, "word letter")
-        w = 0
-        for i in word:
-            w = self._right[w][i - 1]
-        return self.elements[w]
+        return self.elements[self._follow(0, word)]
 
-    def _walk(
-        self, u: SignedPermutation, mask: int, step: int
-    ) -> tuple[SignedPermutation, list[int]]:
-        """Move u along the table by the lowest s_i, bit i - 1 set in mask,
-        that is a right descent (step -1) or ascent (step +1), while one is.
+    def _follow(self, w: int, word: Iterable[int]) -> int:
+        """The index of elements[w] * s[i1] * ... * s[ik], word = i1, ..., ik."""
+        right = self._right
+        for i in word:
+            w = right[w][i - 1]
+        return w
+
+    def _word(self, w: int) -> list[int]:
+        """A reduced word of elements[w]: its greedy descent to the identity, reversed."""
+        return self._walk(w, (1 << self.rank) - 1, -1)[1][::-1]
+
+    def _walk(self, w: int, mask: int, step: int) -> tuple[int, list[int]]:
+        """Move the index w along the table by the lowest s_i, bit i - 1 set in
+        mask, that is a right descent (step -1) or ascent (step +1), while one is.
 
         Returns where the walk stops and the letters it multiplied by.
         """
         descents, right = self._descents, self._right
         letters = []
-        w = self._index[u.window]
         while True:
             free = (descents[w] if step < 0 else ~descents[w]) & mask
             if not free:
-                return self.elements[w], letters
+                return w, letters
             i = (free & -free).bit_length()
             letters.append(i)
             w = right[w][i - 1]
@@ -300,10 +305,7 @@ class WeylGroup:
         A representative is exactly an element with no right descent in the
         parabolic set.  Sorted by (length, window).
         """
-        key = self._parabolic(parabolic)
-        if key not in self._coset_reps:
-            self._coset_reps[key] = tuple(self.elements[i] for i in self.coset_indices(key))
-        return self._coset_reps[key]
+        return tuple(self.elements[i] for i in self.coset_indices(parabolic))
 
     def coset_indices(self, parabolic: Iterable[int]) -> tuple[int, ...]:
         """The positions in `elements` of `min_coset_reps(parabolic)`, in order."""
@@ -319,9 +321,10 @@ class WeylGroup:
         self, w: SignedPermutation, parabolic: Iterable[int]
     ) -> tuple[SignedPermutation, SignedPermutation]:
         """Factor ``w = w_min * w_par`` with lengths adding."""
-        u, letters = self._walk(w, self._mask(self._parabolic(parabolic)), -1)
+        mask = self._mask(self._parabolic(parabolic))
+        u, letters = self._walk(self._position(w), mask, -1)
         # w = u * s[ik] * ... * s[i1] for the letters i1..ik removed
-        return u, self.from_word(reversed(letters))
+        return self.elements[u], self.from_word(reversed(letters))
 
     def parabolic_longest(self, parabolic: Iterable[int]) -> SignedPermutation:
         """Longest element of the parabolic subgroup ``W_P``.
@@ -329,10 +332,7 @@ class WeylGroup:
         Found by ascent: climb from the identity by any s_i, i in P, that
         lengthens, until every s_i in P is a right descent.
         """
-        key = self._parabolic(parabolic)
-        if key not in self._parabolic_longest:
-            self._parabolic_longest[key] = self._walk(self.identity, self._mask(key), 1)[0]
-        return self._parabolic_longest[key]
+        return self.elements[self._walk(0, self._mask(self._parabolic(parabolic)), 1)[0]]
 
 
 @lru_cache(maxsize=None)

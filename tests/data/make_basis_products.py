@@ -38,13 +38,14 @@ def orientations(n: int) -> list[int | None]:
 
 def table(model: FlagModel, I: tuple[int, ...]) -> list:
     basis = model.basis(I)
+    window = lambda w: list(model.group.elements[w].window)  # noqa: E731
     rows = []
     for a, u in enumerate(basis):
         for v in basis[a:]:
             prod = model.basis_product(I, u, v)
             if prod:
-                terms = sorted([list(w.window), c] for w, c in prod.items())
-                rows.append([list(u.window), list(v.window), terms])
+                terms = sorted([window(w), c] for w, c in prod.items())
+                rows.append([window(u), window(v), terms])
     return rows
 
 

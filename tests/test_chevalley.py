@@ -58,6 +58,11 @@ def _chevalley(group, weight2, w):
     return out
 
 
+def _windows(group, coeffs):
+    """Schubert coefficients keyed by the window of each index."""
+    return {group.elements[v].window: c for v, c in coeffs.items()}
+
+
 def test_weights_are_dual_to_simple_coroots():
     for n in range(3, 9):
         group = build_flag_model(n).group
@@ -80,8 +85,8 @@ def test_full_flag_divisors_follow_chevalley(n):
     assert not model.parabolic(I)
     for s, weight2 in zip(group.simple_reflections, _double_weights(group)):
         for w in model.basis(I):
-            got = {v.window: c for v, c in model.basis_product(I, s, w).items()}
-            assert got == _chevalley(group, weight2, w), (s.window, w.window)
+            got = _windows(group, model.basis_product(I, group._index[s.window], w))
+            assert got == _chevalley(group, weight2, group.elements[w]), (s.window, w)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -89,33 +94,31 @@ def test_hyperplane_products_on_the_quadric_follow_chevalley(n):
     model = build_flag_model(n)
     group = model.group
     (h,) = model.x_class(("h", 1)).coeffs
-    assert h == group.simple_reflections[0]
+    assert group.elements[h] == group.simple_reflections[0]
     weight2 = _double_weights(group)[0]
     for w in model.basis([0]):
-        got = {v.window: c for v, c in model.basis_product([0], h, w).items()}
-        assert got == _chevalley(group, weight2, w), w.window
+        got = _windows(group, model.basis_product([0], h, w))
+        assert got == _chevalley(group, weight2, group.elements[w]), w
 
 
 def _check_tautological_divisor(n, orientation):
     model = build_flag_model(n, orientation)
     group = model.group
-    simple = {s: j for j, s in enumerate(group.simple_reflections)}
+    simple = {group._index[s.window]: j for j, s in enumerate(group.simple_reflections)}
     weights = _double_weights(group)
     for i in range(1, model.d + 1):
         I = [i - 1, i]
         xi = model.class_O1(i)
         assert set(xi.coeffs) <= set(simple), xi
-        reps = {w.window for w in model.basis(I)}
+        reps = {group.elements[w].window for w in model.basis(I)}
         for w in model.basis(I):
             want = {}
             for s, a in xi.coeffs.items():
-                for v, c in _chevalley(group, weights[simple[s]], w).items():
+                for v, c in _chevalley(group, weights[simple[s]], group.elements[w]).items():
                     if v in reps:
                         want[v] = want.get(v, 0) + a * c
             got = xi * FlagCycle(model, I, {w: 1})
-            assert {v.window: c for v, c in got.coeffs.items()} == {
-                v: c for v, c in want.items() if c
-            }, (i, w.window)
+            assert _windows(group, got.coeffs) == {v: c for v, c in want.items() if c}, (i, w)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ of ``python -m quadchow.cli verify all --n N --seed 0 --format json`` (with
 ``--deep`` for n >= 7).  Every case's parameters, status and printed sides
 enter the hash, so a refactor that changes any printed class, case order or
 case count fails here.  ``tests/data/verify_golden_minus.json`` does the same
-for the opposite ruling, ``--orientation minus``, at n = 4, 6 and 8 (the n = 8
-report is a ``slow`` gate).  After an intended change to what the report
-prints, rewrite the files from the commands above.
+for the opposite ruling, ``--orientation minus``, at n = 4, 6 and 8.  After an
+intended change to what the report prints, rewrite the files from the
+commands above.
 """
 
 import hashlib
@@ -57,6 +57,6 @@ def test_verify_report_is_unchanged(n):
     assert _report_sha256(n) == GOLDEN[str(n)]
 
 
-@pytest.mark.parametrize("n", [4, 6, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [4, 6, 8])
 def test_minus_orientation_report_is_unchanged(n):
     assert _report_sha256(n, "minus") == GOLDEN_MINUS[str(n)]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadchow.bridge import flag_cycle_to_quad
 from quadchow.polyring import (
     Polynomial,
     act,
@@ -29,12 +30,13 @@ from quadchow.schubert import (
     FlagModel,
     QuadricContext,
     QuadricGeometry,
+    SparseCycle,
     UnionCycle,
     _symmetric_function,
     build_flag_model,
     build_geometry,
 )
-from quadchow.weyl import RangeError, make_group
+from quadchow.weyl import RangeError, SignedPermutation, make_group
 
 
 def test_model_sizes():
@@ -63,7 +65,7 @@ def test_poincare_ranks_match_length_generating_function():
         I = list(range(M.d + 1))
         by_len = {}
         for w in M.basis(I):
-            by_len[G.length(w)] = by_len.get(G.length(w), 0) + 1
+            by_len[G._lengths[w]] = by_len.get(G._lengths[w], 0) + 1
         # oracle: count all Weyl elements by length and divide by |W_P| graded?
         # here P is trivial (full flag), so compare against the raw count
         full = {}
@@ -133,7 +135,7 @@ def test_projection_formula_exhaustive_small():
                     xcls = FlagCycle(M, I, {x: 1})
                     lhs = M.pushforward([i], pull_y * xcls)
                     rhs = ycls * M.pushforward([i], xcls)
-                    assert lhs == rhs, (n, i, y.window, x.window)
+                    assert lhs == rhs, (n, i, y, x)
 
 
 def test_pushforward_degree_drop():
@@ -425,8 +427,7 @@ def test_nonintegral_extraction_raises(monkeypatch):
     # (fresh group memos: the pair memo may hold h.h, and no row built from the
     # corrupted one may outlive the test); at n = 3, h^2 = 2 l_1, so a diagonal
     # value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
-    h, w = M.x_class(("h", 1)), M.x_windows[("l", 1)]
-    g, y = M.group, M.group._index[w.window]
+    h, y, g = M.x_class(("h", 1)), M.x_basis[("l", 1)], M.group
     monkeypatch.setattr(g, "pair_products", {})
     monkeypatch.setattr(g, "restriction_rows", {})
     row = M._restriction_row(y)
@@ -453,6 +454,43 @@ def test_deg_product_checks_every_factor():
         build_geometry(4).deg_product([])
 
 
+def _foreign_cycle_calls():
+    """(function, *arguments) by name: each hands a space a cycle of another
+    model or geometry, on a quadric of another dimension or the other ruling."""
+    M5, M7, Mp, Mm = (build_flag_model(n, o) for n, o in ((5, 1), (7, 1), (6, 1), (6, -1)))
+    G5, G7, Gp, Gm = (build_geometry(n, o) for n, o in ((5, 1), (7, 1), (6, 1), (6, -1)))
+    return {
+        "model-pullback": (M7.pullback, [0, 1], M5.class_Z(0, 3)),
+        "model-pushforward": (M7.pushforward, [1], M5.pullback([0, 1], M5.class_Z(0, 3))),
+        "model-deg": (M7.deg, M5.point_class([0])),
+        "model-deg_product": (M7.deg_product, [M5.h_power(1)] * 5),
+        "model-deg_product-ruling": (Mp.deg_product, [Mm.l_class(3)] * 2),
+        "geometry-pullback": (G7.pullback, [0, 1], G5.class_Z(0, 3)),
+        "geometry-pushforward": (G7.pushforward, [1], G5.pullback([0, 1], G5.class_Z(0, 3))),
+        "geometry-deg": (G7.deg, G5.point_class([0])),
+        "geometry-deg_product": (G7.deg_product, [G5.h_power(1)] * 5),
+        "to-quad": (flag_cycle_to_quad, G7, G5.class_Z(0, 3)),
+        "to-quad-flag-cycle": (flag_cycle_to_quad, G7, M5.class_Z(0, 3)),
+        "to-quad-ruling": (flag_cycle_to_quad, Gp, Gm.class_Z(0, 3)),
+    }
+
+
+FOREIGN_CYCLE_CALLS = [
+    "model-pullback", "model-pushforward", "model-deg", "model-deg_product",
+    "model-deg_product-ruling", "geometry-pullback", "geometry-pushforward",
+    "geometry-deg", "geometry-deg_product", "to-quad", "to-quad-flag-cycle", "to-quad-ruling",
+]
+
+
+@pytest.mark.parametrize("call", FOREIGN_CYCLE_CALLS)
+def test_a_cycle_of_another_model_or_geometry_raises(call):
+    calls = _foreign_cycle_calls()
+    assert sorted(calls) == sorted(FOREIGN_CYCLE_CALLS)
+    f, *args = calls[call]
+    with pytest.raises(ValueError, match="space/ring mismatch"):
+        f(*args)
+
+
 def test_index_sets_are_memoised_only_when_valid():
     M = build_flag_model(6)
     assert M.parabolic([0, 2]) is M.parabolic((2, 0))
@@ -469,14 +507,13 @@ def test_index_sets_are_memoised_only_when_valid():
 
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("orientation", [1, -1])
-def test_x_windows_name_each_schubert_class_of_x_once(n, orientation):
+def test_x_basis_names_each_schubert_class_of_x_once(n, orientation):
     M = build_flag_model(n, orientation)
     syms = basis_symbols(M.ctx)
-    assert set(M.x_windows) == set(syms) and len(M.x_windows) == len(syms)
-    windows = [w.window for w in M.x_windows.values()]
-    assert sorted(windows) == sorted(w.window for w in M.basis([0]))
-    for s, w in M.x_windows.items():
-        assert M.group.length(w) == codim1(M.ctx, s), s
+    assert set(M.x_basis) == set(syms) and len(M.x_basis) == len(syms)
+    assert sorted(M.x_basis.values()) == list(M.basis([0]))
+    for s, w in M.x_basis.items():
+        assert M.group._lengths[w] == codim1(M.ctx, s), s
         if s[0] == "h":
             # the expand route is the oracle for the h-powers below the middle
             assert M.x_class(s) == M.h_power(s[1]), s
@@ -524,7 +561,7 @@ def _sheet_parts(G, I, rng, p, c=None):
     on every sheet when c is given."""
     parts = []
     for M in G.sheets(I):
-        basis = [w for w in M.basis(I) if c is None or M.group.length(w) == c]
+        basis = [w for w in M.basis(I) if c is None or M.group._lengths[w] == c]
         coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
         parts.append(FlagCycle(M, I, coeffs, p))
     return parts
@@ -656,14 +693,16 @@ def test_duality_pairing_matches_frozen_top_coefficients():
         top, dim = M.top_element(I), M.dim_flag(I)
         dual = M.poincare_dual(I)
         basis = M.basis(I)
+        lengths = M.group._lengths
+        window = lambda w: M.group.elements[w].window  # noqa: E731
         assert set(dual) == set(dual.values()) == set(basis)
         for a, u in enumerate(basis):
             assert dual[dual[u]] == u
-            assert M.group.length(dual[u]) == dim - M.group.length(u)
+            assert lengths[dual[u]] == dim - lengths[u]
             for v in basis[a:]:
-                got = products.get((u.window, v.window), {}).get(top.window, 0)
+                got = products.get((window(u), window(v)), {}).get(window(top), 0)
                 assert got == (1 if dual[u] == v else 0), (entry["n"], I, u, v)
-                if M.group.length(u) + M.group.length(v) == dim:
+                if lengths[u] + lengths[v] == dim:
                     pair = [FlagCycle(M, I, {u: 1}), FlagCycle(M, I, {v: 1})]
                     assert M.deg_product(pair) == got, (entry["n"], I, u, v)
                     assert M.deg_product(pair[::-1]) == got, (entry["n"], I, v, u)
@@ -685,7 +724,8 @@ def _deg_by_top_extraction(M, classes):
     poly = _rep(classes[0])
     for x in classes[1:]:
         poly = poly * _rep(x)
-    r = divided_difference_word(g, g.reduced_word(M.top_element(classes[0].I)), poly)
+    top = g.elements[M.top_element(classes[0].I)]
+    r = divided_difference_word(g, g.reduced_word(top), poly)
     c = r.coeffs.get((0,) * g.rank, 0)
     assert c % r.den == 0
     c //= r.den
@@ -698,7 +738,7 @@ def _random_product(rng, M):
     dim = M.dim_flag(I)
     by_length = {}
     for w in M.basis(I):
-        by_length.setdefault(M.group.length(w), []).append(w)
+        by_length.setdefault(M.group._lengths[w], []).append(w)
     k = rng.randint(2, 5)
     cuts = sorted(rng.randint(0, dim) for _ in range(k - 1))
     codims = [b - a for a, b in zip([0] + cuts, cuts + [dim])]
@@ -752,9 +792,9 @@ def _expand_by_words(M, poly, I):
     degrees = {sum(e) for e in poly.coeffs}
     out = {}
     for w in M.basis(I):
-        if g.length(w) not in degrees:
+        if g._lengths[w] not in degrees:
             continue
-        r = divided_difference_word(g, g.reduced_word(w), poly)
+        r = divided_difference_word(g, g.reduced_word(g.elements[w]), poly)
         c = r.coeffs.get((0,) * g.rank, 0)
         assert c % r.den == 0, (I, w)
         if c:
@@ -772,11 +812,11 @@ def _expand_by_divided_differences(M, poly, I):
     diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
     out = {}
     for w in M.basis(I):
-        if g.length(w) not in degrees:
+        if g._lengths[w] not in degrees:
             continue
-        word = g.reduced_word(w)
+        v = g.elements[w]
+        word = g.reduced_word(v)
         pending = []
-        v = w
         while (r := diffs.get(v.window)) is None:
             pending.append(v.window)
             v = g.from_word(word[len(pending) :])
@@ -820,10 +860,10 @@ def _oracle_inputs(rng, M, I, max_length):
 
     g = M.group
     basis = M.basis(I)
-    low = [w for w in basis if g.length(w) <= max_length]
+    low = [w for w in basis if g._lengths[w] <= max_length]
     rep = M.schubert_rep
     u, v, a, b, c = (rng.choice(low) for _ in range(5))
-    outside = rng.choice([w for w in g.elements if g.length(w) <= max_length])
+    outside = rng.choice([w for w in range(len(g)) if g._lengths[w] <= max_length])
     x = [variable(g.rank, j) for j in range(1, g.rank + 1)]
     invariant = x[0] ** 2  # the sum of squares is W-invariant in B and D
     for xj in x[1:]:
@@ -972,12 +1012,12 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     for model in models:
         for I in subsets:
             basis = model.basis(I)
-            keep = {w.window for w in basis}
+            keep = {g.elements[w].window for w in basis}
             for y in basis if n <= 6 else rng.sample(basis, min(6, len(basis))):
-                if y.window not in billey:
-                    billey[y.window] = _billey_row(g, y)
-                want = {x: c for x, c in billey[y.window].items() if x in keep}
-                row = model._restriction_row(g._index[y.window])
+                if y not in billey:
+                    billey[y] = _billey_row(g, g.elements[y])
+                want = {x: c for x, c in billey[y].items() if x in keep}
+                row = model._restriction_row(y)
                 got = {g.elements[x].window: c for x, c in row.items()}
                 got = {x: c for x, c in got.items() if x in keep}
                 assert got == want, (model.ctx.orientation, I, y)
@@ -1008,7 +1048,7 @@ def test_basis_product_matches_the_polynomial_route(n, orientation, I):
     checked = nonzero = 0
     while checked < 12:
         u, v = rng.choice(basis), rng.choice(basis)
-        if g.length(u) + g.length(v) <= dim:
+        if g._lengths[u] + g._lengths[v] <= dim:
             got = M.basis_product(I, u, v)
             assert got == _polynomial_product(M, I, u, v), (u, v)
             checked += 1
@@ -1029,7 +1069,7 @@ def test_basis_products_on_cold_memos_match_the_polynomial_route(monkeypatch, n,
         monkeypatch.setattr(g, "pair_products", {})
         basis, dim = M.basis(I), M.dim_flag(I)
         for u, v in itertools.combinations_with_replacement(basis, 2):
-            if g.length(u) + g.length(v) <= dim:
+            if g._lengths[u] + g._lengths[v] <= dim:
                 got = M.basis_product(I, u, v)
                 assert got == _polynomial_product(M, I, u, v), (I, u, v)
                 zeros += not got
@@ -1047,7 +1087,7 @@ def test_full_flag_products_match_the_polynomial_route(n, orientation):
     basis, dim = M.basis(full), M.dim_flag(full)
     for a, u in enumerate(basis):
         for v in basis[a:]:
-            if g.length(u) + g.length(v) <= dim:
+            if g._lengths[u] + g._lengths[v] <= dim:
                 assert M.basis_product(full, u, v) == _polynomial_product(M, full, u, v)
 
 
@@ -1087,10 +1127,10 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
             return M.expand(poly, full).coeffs
         return _expand_by_divided_differences(M, poly, full)
 
-    for w in G.elements:
+    for i, w in enumerate(G.elements):
         old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
-        assert read(old) == {w: 1}, w
-        assert read(M.schubert_rep(w)) == {w: 1}, w
+        assert read(old) == {i: 1}, w
+        assert read(M.schubert_rep(i)) == {i: 1}, w
 
 
 @pytest.mark.parametrize(
@@ -1106,7 +1146,7 @@ def test_expand_reads_back_every_schubert_representative(n, orientation):
     for I in _index_sets(M.d):
         basis = M.basis(I)
         if n >= 7:
-            short = [w for w in basis if g.length(w) <= 6]
+            short = [w for w in basis if g._lengths[w] <= 6]
             basis = rng.sample(short, min(len(short), 4))
         for w in basis:
             assert M.expand(M.schubert_rep(w), I).coeffs == {w: 1}, (I, w)
@@ -1184,6 +1224,52 @@ def test_no_build_or_verify_path_goes_through_polynomials(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
     assert calls == [[], [], []]
+
+
+def _elements_in(obj):
+    """Every SignedPermutation in the keys and values of obj, through dicts,
+    tuples, sets and cycle coefficients."""
+    if isinstance(obj, SignedPermutation):
+        yield obj
+    elif isinstance(obj, SparseCycle):
+        yield from _elements_in(obj.coeffs)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _elements_in(key)
+            yield from _elements_in(value)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for x in obj:
+            yield from _elements_in(x)
+
+
+def test_no_cycle_memo_or_table_names_an_element_by_window(monkeypatch):
+    # cold builds and verify runs at n = 5 and both rulings at n = 6, on fresh
+    # model, geometry and group memos, restored after the test
+    from quadchow import cli, schubert
+
+    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
+    spaces = [(5, None, "plus"), (6, 1, "plus"), (6, -1, "minus")]
+    for n in (5, 6):
+        ctx = QuadricContext(n)
+        g = make_group(ctx.family, ctx.rank)
+        monkeypatch.setattr(g, "pair_products", {})
+        monkeypatch.setattr(g, "restriction_rows", {})
+    for n, orientation, name in spaces:
+        build_geometry(n, orientation)
+        with redirect_stdout(io.StringIO()):
+            argv = ["verify", "all", "--n", str(n), "--orientation", name, "--seed", "0"]
+            assert cli.main(argv) == 0
+    tables = {}
+    for n, orientation, _ in spaces:
+        G = build_geometry(n, orientation)
+        tables[n, orientation, "geometry"] = [G._classes, G.bridge_memo]
+        for M in G.sheets([G.d]):
+            tables[n, M.ctx.orientation, "model"] = [M._classes, M._duals, M._pushes]
+        tables[n, "group"] = [G.group.pair_products, G.group.restriction_rows]
+    for key, memos in tables.items():
+        assert all(memos), key  # the runs filled every memo
+        assert not any(_elements_in(memos)), key
 
 
 # restriction-row entries held after a cold `verify all --deep --seed 0`,

@@ -58,6 +58,11 @@ def test_group_mismatch():
     v = D3.identity
     with pytest.raises(ValueError, match="group mismatch"):
         B3.multiply(w, v)
+    # a D_m window is also a B_m window: the group, not the window, decides
+    decompose = lambda u: B3.parabolic_decompose(u, [1])  # noqa: E731
+    for call in (B3.length, B3.right_multiples, B3.reduced_word, decompose):
+        with pytest.raises(ValueError, match="group mismatch"):
+            call(D3.longest_element)
 
 
 def test_d_parity_enforced():
