@@ -3,8 +3,8 @@ and operate the invariant-square tool.
 
 Exit codes encode the failure class so CI can tell them apart: 0 success,
 1 at least one identity check failed, 2 usage/parse/schema error, 3 range
-error.  Heavy flag-variety suites (n >= 7) sit behind --deep, which also
-turns on per-case progress reporting on stderr.
+error.  ``verify`` runs every supported n; its --deep flag turns on
+per-case progress reporting on stderr (text format).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from quadchow import bridge, edi, quadpow, suites
@@ -25,25 +24,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 
-DEEP_THRESHOLD = 7
+ORIENTATIONS = {"plus": 1, "minus": -1}
 
-
-@dataclass
-class RunConfig:
-    n: int
-    coeff: str = "z"
-    orientation: int = 1
-    fmt: str = "text"
-    deep: bool = False
-    seed: int = 0
-
-    @property
-    def p(self) -> int:
-        return 2 if self.coeff == "z2" else 0
-
-
-class UsageError(Exception):
-    pass
+# the named constructors of `compute`, each with the number of integer indices it takes
+BUILTINS = {"delta": 1, "rho": 1, "rost": 0, "z": 2, "w": 2, "theta": 1, "alpha": 1}
 
 
 def _classify_value_error(exc: ValueError) -> int:
@@ -53,63 +37,60 @@ def _classify_value_error(exc: ValueError) -> int:
 # -- compute -----------------------------------------------------------------------
 
 
-def _builtin_cycle(expr: str, cfg: RunConfig):
-    """Named constructors: delta i, rho i, rost, Z i j, W i j, theta i, alpha i."""
-    tokens = expr.split()
-    name = tokens[0].lower()
-    args = tokens[1:]
-    if name in ("delta", "rho", "theta", "alpha") and len(args) != 1:
-        raise UsageError("%s takes one index" % name)
-    if name in ("z", "w") and len(args) != 2:
-        raise UsageError("%s takes two indices" % name.upper())
-    if name == "rost" and args:
-        raise UsageError("rost takes no arguments")
+def _signature(name: str) -> str:
+    """How a builtin is written: its name, then one letter per index."""
+    return " ".join([name, *"ij"[: BUILTINS[name]]])
+
+
+def _builtin_cycle(name: str, args: list[str], n: int, orientation: int, p: int):
+    """The class the builtin ``name`` gives for the indices ``args``."""
+    if len(args) != BUILTINS[name]:
+        raise ValueError("wrong number of indices (expected: %s)" % _signature(name))
     try:
         idx = [int(a) for a in args]
     except ValueError:
-        raise UsageError("indices must be integers") from None
-    ctx = quad_context(cfg.n, cfg.orientation)
+        raise ValueError("indices must be integers") from None
+    ctx = quad_context(n, orientation)
     if name == "delta":
-        return quadpow.delta_i(ctx, idx[0], cfg.p)
+        return quadpow.delta_i(ctx, idx[0], p)
     if name == "rho":
-        return quadpow.rho_i(ctx, idx[0], cfg.p)
+        return quadpow.rho_i(ctx, idx[0], p)
     if name == "rost":
-        return quadpow.rost(ctx, cfg.p).cycle
-    geometry = build_geometry(cfg.n, cfg.orientation)
-    if name == "z":
-        out = geometry.class_Z(idx[0], idx[1], cfg.p)
-    elif name == "w":
-        out = geometry.class_W(idx[0], idx[1], cfg.p)
-    elif name == "theta":
-        return bridge.theta(geometry, idx[0], cfg.p)
-    elif name == "alpha":
-        return bridge.alpha(geometry, idx[0], cfg.p).cycle
-    else:
-        raise UsageError("unknown builtin %r" % name)
+        return quadpow.rost(ctx, p).cycle
+    geometry = build_geometry(n, orientation)
+    if name == "theta":
+        return bridge.theta(geometry, idx[0], p)
+    if name == "alpha":
+        return bridge.alpha(geometry, idx[0], p).cycle
+    out = (geometry.class_Z if name == "z" else geometry.class_W)(idx[0], idx[1], p)
     if out.I == frozenset([0]):
         return bridge.flag_cycle_to_quad(geometry, out)
     return out
 
 
-BUILTIN_HEADS = {"delta", "rho", "rost", "z", "w", "theta", "alpha"}
+def _sheets_json(x, terms) -> dict:
+    """The JSON form of a class on F(I) or on F(I) x X^m: the (sheet, term)
+    pairs of ``terms`` listed per sheet, sorted by window and then monomial."""
+    sheets: list[list] = [[] for _ in x.geometry.sheets(x.I)]
+    for k, term in terms:
+        sheets[k].append(term)
+    return {
+        "sheets": [
+            sorted(part, key=lambda t: (t["window"], t.get("monomial", [])))
+            for part in sheets
+        ],
+        "mod": 2 if x.p == 2 else 0,
+    }
 
 
 def _format_union(x: UnionCycle, fmt: str):
     if fmt == "json":
         elements = x.geometry.group.elements
-        return {
-            "sheets": [
-                sorted(
-                    [
-                        {"coeff": c, "window": list(elements[w].window)}
-                        for w, c in part.coeffs.items()
-                    ],
-                    key=lambda t: t["window"],
-                )
-                for part in x.parts
-            ],
-            "mod": 2 if x.p == 2 else 0,
-        }
+        return _sheets_json(
+            x,
+            ((k, {"coeff": c, "window": list(elements[w].window)})
+             for (k, w), c in x.coeffs.items()),
+        )
     return repr(x)
 
 
@@ -117,23 +98,12 @@ def _format_mixed(x, fmt: str):
     names = quadpow._symbol_names(mono for _, _, mono in x.coeffs)
     elements = x.geometry.group.elements
     if fmt == "json":
-        return {
-            "sheets": [
-                sorted(
-                    [
-                        {
-                            "coeff": c,
-                            "window": list(elements[w].window),
-                            "monomial": [names[s] for s in mono],
-                        }
-                        for (w, mono), c in part.items()
-                    ],
-                    key=lambda t: (t["window"], t["monomial"]),
-                )
-                for part in x.parts
-            ],
-            "mod": 2 if x.p == 2 else 0,
-        }
+        return _sheets_json(
+            x,
+            ((k, {"coeff": c, "window": list(elements[w].window),
+                  "monomial": [names[s] for s in mono]})
+             for (k, w, mono), c in x.coeffs.items()),
+        )
     lines = [
         "sheet%d: %d S%s (x) %s" % (k, c, window, " x ".join([names[s] for s in mono]))
         for (k, window, mono), c in sorted(
@@ -160,30 +130,27 @@ def _format_quad(x: QuadCycle, fmt: str):
 
 
 def cmd_compute(args) -> int:
-    cfg = _config(args)
-    expr = args.expr.strip()
+    orientation = ORIENTATIONS[args.orientation]
+    p = 2 if args.coeff == "z2" else 0
+    tokens = args.expr.split()
+    head = tokens[0].lower() if tokens else ""
     try:
-        head = expr.split()[0].lower() if expr.split() else ""
-        if head in BUILTIN_HEADS:
-            out = _builtin_cycle(expr, cfg)
+        if head in BUILTINS:
+            out = _builtin_cycle(head, tokens[1:], args.n, orientation, p)
         else:
-            ctx = quad_context(cfg.n, cfg.orientation)
-            out = parse_cycle(ctx, expr)
-            if cfg.p == 2:
+            out = parse_cycle(quad_context(args.n, orientation), args.expr.strip())
+            if p == 2:
                 out = out.mod2()
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _classify_value_error(exc)
     if isinstance(out, QuadCycle):
-        rendered = _format_quad(out, cfg.fmt)
+        rendered = _format_quad(out, args.format)
     elif isinstance(out, UnionCycle):
-        rendered = _format_union(out, cfg.fmt)
+        rendered = _format_union(out, args.format)
     else:
-        rendered = _format_mixed(out, cfg.fmt)
-    if cfg.fmt == "json":
+        rendered = _format_mixed(out, args.format)
+    if args.format == "json":
         print(json.dumps(rendered, sort_keys=True))
     else:
         print(rendered)
@@ -193,37 +160,30 @@ def cmd_compute(args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
-def _run_one_suite(name: str, cfg: RunConfig):
-    progress = None
-    if cfg.deep and cfg.fmt == "text":
-
-        def progress(case):
-            print(
-                "  .. %s %s %s" % (case.status.upper(), case.id, case.params),
-                file=sys.stderr,
-                flush=True,
-            )
-
-    return suites.run_suite(name, cfg.n, cfg.orientation, cfg.seed, progress=progress)
+def _print_progress(case) -> None:
+    print(
+        "  .. %s %s %s" % (case.status.upper(), case.id, case.params),
+        file=sys.stderr,
+        flush=True,
+    )
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    names = suites.suite_names() if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in suites.SUITES:
-            print("error: unknown suite %r (try: %s, all)" % (
-                name, ", ".join(suites.suite_names())), file=sys.stderr)
-            return EXIT_USAGE
-    heavy = [s for s in names if s not in suites.QUADPOW_ONLY]
-    if cfg.n >= DEEP_THRESHOLD and heavy and not cfg.deep:
-        print(
-            "error: n >= %d runs of flag-variety suites need --deep" % DEEP_THRESHOLD,
-            file=sys.stderr,
-        )
+    if args.suite == "all":
+        names = suites.suite_names()
+    elif args.suite in suites.SUITES:
+        names = [args.suite]
+    else:
+        print("error: unknown suite %r (try: %s, all)" % (
+            args.suite, ", ".join(suites.suite_names())), file=sys.stderr)
         return EXIT_USAGE
+    orientation = ORIENTATIONS[args.orientation]
+    progress = _print_progress if args.deep and args.format == "text" else None
     try:
-        outcomes = [(name, _run_one_suite(name, cfg)) for name in names]
+        outcomes = [
+            (name, suites.run_suite(name, args.n, orientation, args.seed, progress=progress))
+            for name in names
+        ]
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _classify_value_error(exc)
@@ -232,11 +192,11 @@ def cmd_verify(args) -> int:
     for name, results in outcomes:
         ok = all(c.ok for c in results)
         all_ok = all_ok and ok
-        if cfg.fmt == "json":
+        if args.format == "json":
             reports.append(
                 {
                     "suite": name,
-                    "n": cfg.n,
+                    "n": args.n,
                     # not dataclasses.asdict, which deep-copies every params dict
                     "cases": [
                         {"id": c.id, "params": c.params, "status": c.status,
@@ -252,7 +212,7 @@ def cmd_verify(args) -> int:
                 "suite %s: %d/%d cases passed"
                 % (name, sum(c.ok for c in results), len(results))
             )
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = reports[0] if len(reports) == 1 else reports
         print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if all_ok else EXIT_FAIL
@@ -293,17 +253,6 @@ def cmd_edi(args) -> int:
 # -- wiring -------------------------------------------------------------------------
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        coeff=args.coeff,
-        orientation=1 if args.orientation == "plus" else -1,
-        fmt=args.format,
-        deep=args.deep,
-        seed=args.seed,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadchow",
@@ -311,21 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def quadric_options(p):
         p.add_argument("--n", type=int, required=True, help="quadric dimension")
-        p.add_argument("--coeff", choices=["z", "z2"], default="z")
-        p.add_argument("--orientation", choices=["plus", "minus"], default="plus")
+        p.add_argument("--orientation", choices=ORIENTATIONS, default="plus")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--deep", action="store_true", help="allow n >= 7 suites")
-        p.add_argument("--seed", type=int, default=0)
 
     pc = sub.add_parser("compute", help="evaluate a cycle expression or builtin")
-    common(pc)
-    pc.add_argument("expr", help="cycle grammar or builtin (delta i, rho i, rost, Z i j, W i j, theta i, alpha i)")
+    quadric_options(pc)
+    pc.add_argument("--coeff", choices=["z", "z2"], default="z")
+    pc.add_argument("expr", help="cycle grammar or builtin (%s)" % ", ".join(
+        map(_signature, BUILTINS)))
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv)
+    quadric_options(pv)
+    pv.add_argument("--deep", action="store_true",
+                    help="print each case's status on stderr as it runs (text format)")
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("suite", help="suite name or 'all' (%s)" % ", ".join(suites.suite_names()))
     pv.set_defaults(func=cmd_verify)
 

@@ -27,10 +27,13 @@ from dataclasses import dataclass
 
 from quadchow.weyl import RangeError
 
-__all__ = ["EDISquare", "WittReport", "propagate", "check_witt_consistency",
+__all__ = ["MAX_N", "EDISquare", "WittReport", "propagate", "check_witt_consistency",
            "render_ascii", "square_from_json", "square_to_json", "run_edi_json"]
 
 Node = tuple[int, int]
+
+# the largest n a square is built for: its (d+1) x (d+1) grid grows with n^2
+MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class EDISquare:
     witt_index: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise RangeError("n out of range")
+        if not 2 <= self.n <= MAX_N:
+            raise RangeError("n out of range (2..%d)" % MAX_N)
         object.__setattr__(self, "marks", frozenset(tuple(m) for m in self.marks))
         object.__setattr__(self, "rho", frozenset(self.rho))
         d = self.d

@@ -231,12 +231,9 @@ class QuadCycle(SparseCycle):
     # -- pushing and pulling ---------------------------------------------------
 
     def permute(self, perm: Sequence[int]) -> "QuadCycle":
-        """Pushforward along the factor permutation sending slot t to perm[t]."""
-        if sorted(perm) != list(range(self.m)):
-            raise ValueError("invalid factor permutation")
-        # slot j of the image holds slot inv[j] of the source
-        inv = sorted(range(self.m), key=perm.__getitem__)
-        return _sum_images(self, lambda mono: [tuple([mono[t] for t in inv])])
+        """Pushforward along the factor permutation sending slot t to perm[t],
+        which is the pullback along its inverse."""
+        return self.pull_proj(self.m, perm)
 
     def push_proj(self, keep: Sequence[int]) -> "QuadCycle":
         """Pushforward along the projection keeping the listed slots (in order).

@@ -52,14 +52,7 @@ from quadchow.quadpow import (
     sym,
     sym_h_chain,
 )
-from quadchow.schubert import (
-    MAX_N,
-    MIN_N,
-    QuadricGeometry,
-    build_geometry,
-    pullback_ladder,
-)
-from quadchow.weyl import RangeError
+from quadchow.schubert import QuadricGeometry, build_geometry, pullback_ladder
 
 __all__ = ["CaseResult", "SUITES", "run_suite", "suite_names"]
 
@@ -508,8 +501,6 @@ SUITES: dict[str, Callable[..., Iterator[CaseResult]]] = {
     "cross-model": suite_cross_model,
 }
 
-QUADPOW_ONLY = {"lemma21", "lemma42"}
-
 
 def suite_names() -> list[str]:
     return sorted(SUITES)
@@ -522,15 +513,10 @@ def run_suite(
     seed: int = 0,
     progress: Callable[[CaseResult], None] | None = None,
 ) -> list[CaseResult]:
+    """Every case of one suite, in order.  An n outside the suite's range
+    raises RangeError from the suite's first step, before any case."""
     if name not in SUITES:
         raise KeyError("unknown suite: %r" % (name,))
-    if name in QUADPOW_ONLY:
-        if n < 2:
-            raise RangeError("n out of range")
-    elif not MIN_N <= n <= MAX_N:
-        raise RangeError(
-            "n out of range for flag-variety suites (%d..%d)" % (MIN_N, MAX_N)
-        )
     results = []
     for case in SUITES[name](n, orientation, seed):
         results.append(case)

@@ -122,15 +122,8 @@ def _check_tautological_divisor(n, orientation):
 
 
 @pytest.mark.parametrize(
-    "n,orientation", [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1)]
+    "n,orientation",
+    [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1), (7, None), (8, 1)],
 )
 def test_tautological_divisor_on_incidence_flags_follows_chevalley(n, orientation):
-    _check_tautological_divisor(n, orientation)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("n,orientation", [(7, None), (8, 1)])
-def test_tautological_divisor_on_incidence_flags_follows_chevalley_slow(
-    n, orientation
-):
     _check_tautological_divisor(n, orientation)

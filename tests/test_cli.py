@@ -84,12 +84,45 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_deep_guard(capsys):
-    code, _, err = run_cli(capsys, "verify", "lemma24", "--n", "7")
-    assert code == 2
-    assert "--deep" in err
-    code, out, _ = run_cli(capsys, "verify", "lemma21", "--n", "7")
-    assert code == 0  # quadric-power-only suites do not need the flag
+def test_verify_runs_every_supported_n_without_deep(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lemma24", "--n", "7")
+    assert code == 0 and "suite lemma24:" in out
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "8", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 12
+    # past the flag models' range the first flag-variety suite raises a range error
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "9")
+    assert (code, out) == (3, "")
+    assert "range" in err
+
+
+def test_verify_deep_prints_progress_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma24", "--n", "3", "--deep")
+    assert code == 0
+    assert err.count("  .. PASS ") == out.count("PASS lemma24 ") > 0
+    code, out, err = run_cli(capsys, "verify", "lemma24", "--n", "3", "--deep", "--format", "json")
+    assert code == 0 and not err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--n", "3", "--seed", "1", "h*h"),
+        ("compute", "--n", "3", "--deep", "h*h"),
+        ("verify", "lemma24", "--n", "3", "--coeff", "z2"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_builtin_with_the_wrong_number_of_indices_exit2(capsys):
+    code, out, err = run_cli(capsys, "compute", "--n", "5", "Z 1")
+    assert (code, out) == (2, "")
+    assert "expected: z i j" in err
+    code, out, err = run_cli(capsys, "compute", "--n", "5", "rost 1")
+    assert (code, out) == (2, "")
 
 
 def test_verify_all(capsys):
@@ -127,6 +160,20 @@ def test_edi_malformed_marks_exit2(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "edi")
         assert code == 2 and not out
         assert "integer pairs" in err
+
+
+def test_edi_bounds_the_square_size(monkeypatch, capsys):
+    from quadchow.edi import MAX_N
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": MAX_N})))
+    code, out, _ = run_cli(capsys, "edi")
+    assert code == 0
+    assert len(json.loads(out)["ascii"].splitlines()) == MAX_N // 2 + 1
+    # one past the bound is a range error, before any grid is drawn
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": MAX_N + 1})))
+    code, out, err = run_cli(capsys, "edi")
+    assert (code, out) == (3, "")
+    assert "n out of range" in err
 
 
 @pytest.mark.parametrize(
@@ -189,13 +236,14 @@ def test_one_process_serves_mixed_requests_alike(tmp_path, capsys, monkeypatch):
         ("bogus",),  # usage error: unknown command
         ("compute", "--n", "5", "--coeff", "z2", "--format", "json", "W 1 0"),
         ("edi", "--input", str(square)),
-        ("verify", "lemma24", "--n", "7"),  # usage error: needs --deep
+        ("verify", "lemma24", "--n", "7"),
+        ("compute", "--n", "3", "--deep", "h*h"),  # usage error: compute has no --deep
         ("compute", "--n", "3", "h*h"),
     ]
     first = [run_cli(capsys, *argv) for argv in requests]
-    assert [code for code, _, _ in first] == [0, 2, 3, 0, 2, 0, 0, 2, 0]
+    assert [code for code, _, _ in first] == [0, 2, 3, 0, 2, 0, 0, 0, 2, 0]
     assert first[0][1].strip() == "1 x l0 + l0 x 1"
-    assert first[8][1].strip() == "2 l1"
+    assert first[9][1].strip() == "2 l1"
     assert "range" in first[2][2]
     # the same requests again, in reverse order, give the same results
     again = [run_cli(capsys, *argv) for argv in reversed(requests)]

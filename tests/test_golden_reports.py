@@ -1,8 +1,8 @@
 """The full JSON verification report is byte-identical to its recorded hash.
 
 ``tests/data/verify_golden.json`` maps n to the sha256 of the standard output
-of ``python -m quadchow.cli verify all --n N --seed 0 --format json`` (with
-``--deep`` for n >= 7).  Every case's parameters, status and printed sides
+of ``python -m quadchow.cli verify all --n N --seed 0 --format json``.
+Every case's parameters, status and printed sides
 enter the hash, so a refactor that changes any printed class, case order or
 case count fails here.  ``tests/data/verify_golden_minus.json`` does the same
 for the opposite ruling, ``--orientation minus``, at n = 4, 6 and 8.  After an
@@ -35,8 +35,6 @@ def _report_sha256(n: int, orientation: str = "plus") -> str:
     )
     argv = ["verify", "all", "--n", str(n), "--seed", "0", "--format", "json"]
     argv += ["--orientation", orientation]
-    if n >= 7:
-        argv.append("--deep")
     done = subprocess.run(
         [sys.executable, "-m", "quadchow.cli", *argv],
         cwd=ROOT,

@@ -1272,7 +1272,7 @@ def test_no_cycle_memo_or_table_names_an_element_by_window(monkeypatch):
         assert not any(_elements_in(memos)), key
 
 
-# restriction-row entries held after a cold `verify all --deep --seed 0`,
+# restriction-row entries held after a cold `verify all --seed 0`,
 # recorded when the rows became full rows memoised once per element; rows
 # cost memory, so building rows no solve reads would show here
 ROW_STORE_ENTRIES = {7: 22496, 8: 282612}
@@ -1289,7 +1289,7 @@ def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(monkeypatch,
     monkeypatch.setattr(g, "restriction_rows", {})
     monkeypatch.setattr(g, "pair_products", {})
     with redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "all", "--n", str(n), "--deep", "--seed", "0"]) == 0
+        assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
     entries = sum(map(len, g.restriction_rows.values()))
     assert 0 < entries <= 1.1 * ROW_STORE_ENTRIES[n], entries
 
