@@ -14,8 +14,8 @@ print(f"n = {n}, d = {d}; flag models over the Weyl group {G.group.family}_{G.gr
 
 # Ranks of the Chow groups of each grassmannian, straight from the Schubert basis.
 for i in range(d + 1):
-    basis = G.primary.basis([i])
-    print(f"G_{i}: dim = {G.primary.dim_flag([i])}, Chow rank = {len(basis)}")
+    basis = G.model.basis([i])
+    print(f"G_{i}: dim = {G.model.dim_flag([i])}, Chow rank = {len(basis)}")
 
 # The distinguished classes: Z^i_j is the pull-push of a subspace class
 # through the incidence flag F(0, i); W^i_j comes from a hyperplane power.
@@ -34,8 +34,9 @@ for a in [(0, 1, 2), (0, 0, 2), (1, 1, 1)]:
     print(f"deg prod Z^d_(n-d-a) for a = {a}:", G.deg_product(classes))
 
 # For an even-dimensional quadric the top grassmannian is disconnected; the
-# engine carries one Schubert model per ruling component.
+# second ruling component is the first's image under the diagram automorphism
+# of D_m, so the engine reads both components (sheets) on one Schubert model.
 G4 = build_geometry(4)
-print("n = 4 sheets over G_d:", len(G4.sheets([G4.d])))
+print("n = 4 sheets over G_d:", G4.sheets([G4.d]))
 print("W^2_0 (both components):", G4.class_W(2, 0))
 print("z^2_0 (marks one component):", G4.class_Z(2, 0))

@@ -10,10 +10,10 @@ factors are cellular, pullback and pushforward act independently on the two
 tensor legs: the X leg by the ``QuadCycle`` slot maps, the flag leg by
 ``QuadricGeometry.pullback`` and ``pushforward`` on the (sheet, w) keys of
 each X-monomial group; those two hold the sheet rules (a connected space is
-copied onto both sheets of a split one, a split one adds into sheet 0 of a
-connected one).
-The X-class of a basis symbol is read off the primary model's
-``FlagModel.x_basis``, whose naming of l_d is the global one.
+copied onto both sheets of a split one, and a split one adds into sheet 0 of
+a connected one, sheet 1 through sigma).  Both sheets are read on the
+geometry's one model, so products, tops and Poincare duals are one per F(I),
+and its ``FlagModel.x_basis`` names the X-class of each basis symbol.
 
 Flag-side correspondence actions p_*((x (x) 1) . M) read x on the Poincare
 duals of M's Schubert classes (``MixedCycle.action_on_flag``, no product on
@@ -85,13 +85,12 @@ def flag_cycle_to_quad(geometry: QuadricGeometry, x) -> QuadCycle:
     Schubert to quadric-power coordinates."""
     if x.I != frozenset([0]):
         raise ValueError("expected a cycle on X")
-    _own(geometry if isinstance(x, UnionCycle) else geometry.primary, x)
-    names = {w: s for s, w in geometry.primary.x_basis.items()}
     if isinstance(x, UnionCycle):
-        out = {(names[w],): c for (_, w), c in x.coeffs.items()}
-    else:
-        out = {(names[w],): c for w, c in x.coeffs.items()}
-    return QuadCycle(geometry.ctx, 1, out, x.p)
+        _own(geometry, x)
+        (x,) = x.parts  # X is connected
+    _own(geometry.model, x)
+    names = {w: s for s, w in geometry.model.x_basis.items()}
+    return QuadCycle(geometry.ctx, 1, {(names[w],): c for w, c in x.coeffs.items()}, x.p)
 
 
 class MixedCycle(SparseCycle):
@@ -124,21 +123,19 @@ class MixedCycle(SparseCycle):
     @property
     def parts(self) -> tuple[dict, ...]:
         """The coefficients per sheet, keyed (w, mono)."""
-        out = tuple({} for _ in self.geometry.sheets(self.I))
+        out = tuple({} for _ in range(self.geometry.sheets(self.I)))
         for (k, w, mono), c in self.coeffs.items():
             out[k][(w, mono)] = c
         return out
 
     def __mul__(self, other: "MixedCycle") -> "MixedCycle":
         self._check(other)
-        ctx = self.geometry.ctx
-        sheets = self.geometry.sheets(self.I)
-        right: list[list] = [[] for _ in sheets]
+        ctx, model = self.geometry.ctx, self.geometry.model
+        right: list[list] = [[] for _ in range(self.geometry.sheets(self.I))]
         for (k, w, mono), c in other.coeffs.items():
             right[k].append((w, mono, c))
         out: dict[MixedKey, int] = {}
         for (k, w1, m1), c1 in self.coeffs.items():
-            model = sheets[k]
             for w2, m2, c2 in right[k]:
                 flag = model.basis_product(self.I, w1, w2)
                 if not flag:
@@ -174,7 +171,7 @@ class MixedCycle(SparseCycle):
         """[F(I)] (x) x."""
         coeffs = {
             (k, 0, mono): c
-            for k in range(len(geometry.sheets(I)))
+            for k in range(geometry.sheets(I))
             for mono, c in x.coeffs.items()
         }
         return cls(geometry, I, x.m, coeffs, x.p)
@@ -209,10 +206,10 @@ class MixedCycle(SparseCycle):
     def push_to_quad(self) -> QuadCycle:
         """Integrate the flag leg over F(I); sheets add.  The action_on_flag reference."""
         geom = self.geometry
-        tops = [model.top_element(self.I) for model in geom.sheets(self.I)]
+        top = geom.model.top_element(self.I)
         out: dict[Mono, int] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            if w == tops[k]:
+        for (_, w, mono), c in self.coeffs.items():
+            if w == top:
                 out[mono] = out.get(mono, 0) + c
         return QuadCycle(geom.ctx, self.arity, out, self.p)
 
@@ -255,10 +252,10 @@ class MixedCycle(SparseCycle):
         """
         geom = self.geometry
         UnionCycle(geom, self.I, {}, self.p)._check(x)
-        duals = [model.poincare_dual(self.I) for model in geom.sheets(self.I)]
+        dual = geom.model.poincare_dual(self.I)
         out: dict[Mono, int] = {}
         for (k, w, mono), c in self.coeffs.items():
-            d = x.coeffs.get((k, duals[k][w]), 0)
+            d = x.coeffs.get((k, dual[w]), 0)
             if d:
                 out[mono] = out.get(mono, 0) + c * d
         return QuadCycle(geom.ctx, self.arity, out, self.p)
@@ -293,7 +290,7 @@ class MixedCycle(SparseCycle):
 
 def _pullpush_to_g(geometry: QuadricGeometry, i: int, x: QuadCycle) -> UnionCycle:
     """The correspondence X -> G_i through F(0, i) on a cycle of X."""
-    basis = geometry.primary.x_basis
+    basis = geometry.model.x_basis
     fc = UnionCycle(geometry, [0], {(0, basis[s]): c for (s,), c in x.coeffs.items()}, x.p)
     return geometry.pullpush(fc, [i])
 
@@ -393,7 +390,7 @@ def theta_prime(geometry: QuadricGeometry, i: int) -> MixedCycle:
         raise RangeError("index out of range")
     # the split diagonal with its second slot moved onto the flag leg of F(0) x X
     diag: dict[MixedKey, int] = {}
-    basis = geometry.primary.x_basis
+    basis = geometry.model.x_basis
     for (u, v), c in delta_i(geometry.ctx, 1, p=2).coeffs.items():
         diag[(0, basis[v], (u,))] = c
     I = [0, i]

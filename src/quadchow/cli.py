@@ -50,7 +50,7 @@ def _builtin_cycle(name: str, args: list[str], n: int, orientation: int, p: int)
         idx = [int(a) for a in args]
     except ValueError:
         raise ValueError("indices must be integers") from None
-    ctx = quad_context(n, orientation)
+    ctx = quad_context(n)
     if name == "delta":
         return quadpow.delta_i(ctx, idx[0], p)
     if name == "rho":
@@ -71,7 +71,7 @@ def _builtin_cycle(name: str, args: list[str], n: int, orientation: int, p: int)
 def _sheets_json(x, terms) -> dict:
     """The JSON form of a class on F(I) or on F(I) x X^m: the (sheet, term)
     pairs of ``terms`` listed per sheet, sorted by window and then monomial."""
-    sheets: list[list] = [[] for _ in x.geometry.sheets(x.I)]
+    sheets: list[list] = [[] for _ in range(x.geometry.sheets(x.I))]
     for k, term in terms:
         sheets[k].append(term)
     return {
@@ -89,7 +89,7 @@ def _format_union(x: UnionCycle, fmt: str):
         return _sheets_json(
             x,
             ((k, {"coeff": c, "window": list(elements[w].window)})
-             for (k, w), c in x.coeffs.items()),
+             for (k, w), c in x.geometry.printed(x.coeffs).items()),
         )
     return repr(x)
 
@@ -97,17 +97,18 @@ def _format_union(x: UnionCycle, fmt: str):
 def _format_mixed(x, fmt: str):
     names = quadpow._symbol_names(mono for _, _, mono in x.coeffs)
     elements = x.geometry.group.elements
+    coeffs = x.geometry.printed(x.coeffs)
     if fmt == "json":
         return _sheets_json(
             x,
             ((k, {"coeff": c, "window": list(elements[w].window),
                   "monomial": [names[s] for s in mono]})
-             for (k, w, mono), c in x.coeffs.items()),
+             for (k, w, mono), c in coeffs.items()),
         )
     lines = [
         "sheet%d: %d S%s (x) %s" % (k, c, window, " x ".join([names[s] for s in mono]))
         for (k, window, mono), c in sorted(
-            ((k, elements[w].window, mono), c) for (k, w, mono), c in x.coeffs.items()
+            ((k, elements[w].window, mono), c) for (k, w, mono), c in coeffs.items()
         )
     ]
     return "\n".join(lines) if lines else "0"
@@ -138,7 +139,7 @@ def cmd_compute(args) -> int:
         if head in BUILTINS:
             out = _builtin_cycle(head, tokens[1:], args.n, orientation, p)
         else:
-            out = parse_cycle(quad_context(args.n, orientation), args.expr.strip())
+            out = parse_cycle(quad_context(args.n), args.expr.strip())
             if p == 2:
                 out = out.mod2()
     except ValueError as exc:

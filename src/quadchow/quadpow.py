@@ -65,11 +65,15 @@ __all__ = [
 Sym = tuple[str, int]
 Mono = tuple[Sym, ...]
 
+# `sym` and `alternating_sym` list all m! reorderings of a monomial on X^m:
+# 8! = 40320 at this bound (`rho 7`), where one output is already 1.7 MB
+MAX_SYM_FACTORS = 8
 
-def quad_context(n: int, orientation: int = 1) -> QuadricContext:
+
+def quad_context(n: int) -> QuadricContext:
     if n < 2:
         raise RangeError("n out of range (quadric powers support n >= 2)")
-    return QuadricContext(n, orientation)
+    return QuadricContext(n)
 
 
 def basis_symbols(ctx: QuadricContext) -> list[Sym]:
@@ -366,6 +370,12 @@ def sym(x: QuadCycle) -> QuadCycle:
     return _sum_images(x, itertools.permutations)
 
 
+def check_sym_factors(m: int) -> None:
+    """Raise RangeError when a symmetrization over m factors is past the bound."""
+    if m > MAX_SYM_FACTORS:
+        raise RangeError(f"symmetrization over {m} factors (supported: at most {MAX_SYM_FACTORS})")
+
+
 def alternating_sym(x: QuadCycle) -> QuadCycle:
     """Sum of pushforwards over the alternating group only (closed under
     inverses, so the even reorderings of each monomial give the same sum)."""
@@ -381,6 +391,7 @@ def alternating_sym(x: QuadCycle) -> QuadCycle:
 def _sum_images(x: QuadCycle, images) -> QuadCycle:
     """The sum, over x's monomials, of each monomial ``images(mono)`` yields,
     with that monomial's coefficient."""
+    check_sym_factors(x.m)
     out: dict[Mono, int] = {}
     for mono, c in x.coeffs.items():
         for key in images(mono):

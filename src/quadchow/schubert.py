@@ -32,9 +32,9 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   invariant under the parabolic W_P of its F(I), so its values depend
   only on the coset of y;
 * restriction rows and two-class products are memoised on the
-  `WeylGroup`, which both rulings share: the full row of each element, for
-  every F(I), and a product of two W^P classes, pulled back from G/B, per
-  pair of indices whichever F(I) asked for it;
+  `WeylGroup`: the full row of each element, for every F(I), and a product of
+  two W^P classes, pulled back from G/B, per pair of indices whichever F(I)
+  asked for it;
 * the distinguished classes (Z, W, the Chern classes, c_1(O(1)) and h^k)
   are memoised on the model or geometry that built them, one dict per
   object keyed by (constructor, indices, p), and freed with it; a call that
@@ -59,19 +59,20 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
 * `FlagModel.x_basis` names the Schubert class of each basis symbol of
   X = G_0 (h^c, l_b, l_d'); `x_class`, `l_class` and the bridge read it.
 
-For n even the two rulings of maximal isotropic subspaces are both modeled:
-the `orientation` flag picks which component the model calls G_d, and the
-middle class l_d on X is wired to it so that a generic member of G_d meets
-the subspace representing l_d in exactly one point (this is the choice that
-makes deg(z^d_0) = 1, and it flips between the same and the opposite family
-according to n mod 4).  `QuadricGeometry` holds one model per ruling and
+For n even the model's G_d is the ruling component that cuts the last node of
+D_m, and the middle class l_d on X is named so that a generic member of G_d
+meets the subspace representing l_d in exactly one point (this makes
+deg(z^d_0) = 1, and flips between the same and the opposite family according
+to n mod 4).  The other component is its image under sigma, w -> c w c with c
+the sign change of the last coordinate (`WeylGroup.sigma`).  `QuadricGeometry`
 keys every cycle on F(I) by (sheet, w), w an index (`UnionCycle`): F(I) has
 two sheets, its components over the two rulings, when n is even and d is in
-I, and one otherwise; sheet 0 is read on the primary model and sheet 1 on the
-opposite one.  Products are taken sheet by sheet, on each sheet's model.
-Pullback from a connected F(J) to a split F(I) copies each key onto both
-sheets, and pushforward to a connected F(J) adds the sheets into sheet 0, so
-degrees sum over the sheets.
+I, and one otherwise.  Sheet 1 is stored as its sigma-transport, so every
+sheet is read on the one model, and sigma is applied only where a cycle
+crosses between sheet 1 and a connected F(J) (pullback, pushforward) and
+where a window is printed: under the orientation minus, G_d is the other
+component, and sheet 0 and the connected spaces print through sigma, not
+sheet 1.  Degrees sum over the sheets.
 
 Sign conventions not forced by the mathematics (the Chern roots of the
 tautological bundles and c_1(O(1)) on F(i-1,i)) are pinned by the classical
@@ -112,15 +113,6 @@ class QuadricContext:
     """Global parameters shared by every model attached to one quadric."""
 
     n: int
-    orientation: int | None = None
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1, None):
-            raise ValueError("orientation must be 1, -1 or None")
-        # even n: None means the default ruling; odd n has a single one
-        object.__setattr__(
-            self, "orientation", (self.orientation or 1) if self.n % 2 == 0 else None
-        )
 
     @property
     def d(self) -> int:
@@ -275,10 +267,10 @@ class FlagCycle(SparseCycle):
 class FlagModel:
     """All Chow-ring data for the flag varieties of one split quadric."""
 
-    def __init__(self, n: int, orientation: int | None = None):
+    def __init__(self, n: int):
         if not MIN_N <= n <= MAX_N:
             raise RangeError("n out of range (supported: %d..%d)" % (MIN_N, MAX_N))
-        self.ctx = QuadricContext(n, orientation)
+        self.ctx = QuadricContext(n)
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
@@ -308,8 +300,8 @@ class FlagModel:
                 cut.add(i + 1)
             elif i == self.d - 1:
                 cut.update((m - 1, m))
-            else:  # i == d, type D: one ruling component, picked by orientation
-                cut.add(m if self.ctx.orientation == 1 else m - 1)
+            else:  # i == d, type D: the ruling component that cuts the last node
+                cut.add(m)
         cached = self._index_sets[I] = frozenset(range(1, m + 1)) - cut
         return cached
 
@@ -426,7 +418,7 @@ class FlagModel:
         skips the last letter or ends with it, so row(y) = row(p) plus
         r = <p(alpha_a), t> times row(p) moved by s_a, which adds r xi_z(p) at
         z s_a for each z with no descent a.  Every row is memoised per y on the
-        group, for all F(I) and both rulings, and built up from the nearest
+        group, for every F(I) and sheet, and built up from the nearest
         memoised ancestor; the solve reads only its basis(I) entries.
         """
         g = self.group
@@ -634,15 +626,7 @@ class FlagModel:
 
     def l_class(self, b: int, p: int = 0) -> FlagCycle:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
-        if not 0 <= b <= self.d:
-            raise RangeError("isotropic dimension out of range")
         return self.x_class(("l", b), p)
-
-    def lp_class(self, p: int = 0) -> FlagCycle:
-        """The other ruling class l_d' (n even only)."""
-        if self.n % 2:
-            raise ValueError("second ruling exists only for even n")
-        return self.x_class(("lp", self.d), p)
 
     # -- distinguished classes ---------------------------------------------------
 
@@ -681,41 +665,31 @@ class FlagModel:
             raise RangeError("W index out of range")
         return self.pullpush(self.h_power(j + i, p), [i])
 
-    def _taut_roots(self, i: int, x: list[int]) -> list[int]:
-        """Chern roots of the rank i+1 tautological subbundle on G_i at the
-        fixed point x: -x_1, ..., -x_(i+1), the last one +x_m on the minus
-        D-ruling at i = d."""
-        roots = [-v for v in x[: i + 1]]
-        if self.ctx.family == "D" and i == self.d and self.ctx.orientation == -1:
-            roots[-1] = x[-1]
-        return roots
-
     @_memoised
     def chern_taut(self, i: int, j: int, p: int = 0) -> FlagCycle:
-        """c_j of the tautological bundle on G_i: e_j of its roots."""
+        """c_j of the tautological bundle on G_i: e_j of its Chern roots,
+        -x_1, ..., -x_(i+1) at the fixed point x."""
         if not 0 <= j <= i + 1:
             raise RangeError("Chern index out of range")
-        return self.from_values(
-            [i], j, lambda x: _symmetric_function(self._taut_roots(i, x), j), p
-        )
+        roots = lambda x: [-v for v in x[: i + 1]]  # noqa: E731
+        return self.from_values([i], j, lambda x: _symmetric_function(roots(x), j), p)
 
     @_memoised
     def chern_quot(self, i: int, j: int, p: int = 0) -> FlagCycle:
         """c_j of the quotient of the trivial bundle by the tautological one:
-        h_j of the negated tautological roots."""
+        h_j of the negated tautological roots, x_1, ..., x_(i+1)."""
         rank_q = self.n + 2 - (i + 1)
         if not 0 <= j <= rank_q:
             raise RangeError("Chern index out of range")
-        negated = lambda x: [-r for r in self._taut_roots(i, x)]  # noqa: E731
-        return self.from_values([i], j, lambda x: _symmetric_function(negated(x), j, True), p)
+        return self.from_values([i], j, lambda x: _symmetric_function(x[: i + 1], j, True), p)
 
     @_memoised
     def class_O1(self, i: int, p: int = 0) -> FlagCycle:
         """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i: the last
-        tautological root of G_i."""
+        tautological root of G_i, -x_i."""
         if not 1 <= i <= self.d:
             raise RangeError("bundle index out of range")
-        return self.from_values([i - 1, i], 1, lambda x: self._taut_roots(i, x)[-1], p)
+        return self.from_values([i - 1, i], 1, lambda x: -x[i], p)
 
     # -- convention gate -----------------------------------------------------------
 
@@ -811,24 +785,20 @@ def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict]:
 
 
 @lru_cache(maxsize=None)
-def _cached_model(n: int, orientation: int | None) -> FlagModel:
-    return FlagModel(n, orientation)
-
-
-def build_flag_model(n: int, orientation: int | None = None) -> FlagModel:
+def build_flag_model(n: int) -> FlagModel:
     """Build (and cache) the flag-variety model for the split quadric of dim n."""
-    return _cached_model(n, QuadricContext(n, orientation).orientation)
+    return FlagModel(n)
 
 
 class UnionCycle(SparseCycle):
     """A cycle on F(I) of a QuadricGeometry, keyed (sheet, w), w an index.
 
     The sheets are the connected components of F(I): one for n odd or d not
-    in I, on the primary model; two for n even with d in I, where the
-    maximal isotropic subspaces form both ruling components (sheet 0 on the
-    primary-orientation model, sheet 1 on the opposite one).  w runs over the
-    Schubert basis of F(I) on its sheet's model.  `parts` views the cycle as
-    one FlagCycle per sheet.
+    in I, and two for n even with d in I, where the maximal isotropic
+    subspaces form both ruling components.  Sheet 1 is stored as its
+    sigma-transport onto sheet 0, so w runs over the Schubert basis of F(I)
+    on the geometry's one model on either sheet.  `parts` views the cycle as
+    one FlagCycle per sheet, all on that model.
     """
 
     __slots__ = ("geometry", "I", "_parts")
@@ -847,15 +817,13 @@ class UnionCycle(SparseCycle):
 
     @property
     def parts(self) -> tuple[FlagCycle, ...]:
-        """One FlagCycle per sheet, on that sheet's model; built once."""
+        """One FlagCycle per sheet, on the geometry's model; built once."""
         if self._parts is None:
-            sheets = self.geometry.sheets(self.I)
-            split: list[dict] = [{} for _ in sheets]
+            split: list[dict] = [{} for _ in range(self.geometry.sheets(self.I))]
             for (k, w), c in self.coeffs.items():
                 split[k][w] = c
-            self._parts = tuple(
-                FlagCycle(M, self.I, part, self.p) for M, part in zip(sheets, split)
-            )
+            model = self.geometry.model
+            self._parts = tuple(FlagCycle(model, self.I, part, self.p) for part in split)
         return self._parts
 
     def __mul__(self, other: "UnionCycle") -> "UnionCycle":
@@ -863,111 +831,112 @@ class UnionCycle(SparseCycle):
         return self.geometry.from_parts(self.I, [a * b for a, b in zip(self.parts, other.parts)])
 
     def __repr__(self) -> str:
-        return " (+) ".join(repr(x) for x in self.parts)
+        g = self.geometry
+        shown = self if g.n % 2 else UnionCycle(g, self.I, g.printed(self.coeffs), self.p)
+        return " (+) ".join(repr(x) for x in shown.parts)
 
 
 class QuadricGeometry:
-    """Sheet-aware front end over the flag models of one split quadric.
+    """Sheet-aware front end over the flag model of one split quadric.
 
-    Holds the primary-orientation model and, for even n, the opposite one; the
-    global middle class l_d is the primary model's choice.  All Chow-ring
-    operations below take and return :class:`UnionCycle`, summing over the two
-    ruling components wherever the geometry is disconnected.
+    All Chow-ring operations below take and return :class:`UnionCycle`,
+    summing over the two ruling components wherever the geometry is
+    disconnected; the global middle class l_d is the model's.  `orientation`
+    (1 or -1, plus or minus) names the rulings in printed windows only.
     """
 
-    def __init__(self, n: int, orientation: int | None = 1):
+    def __init__(self, n: int, orientation: int = 1):
+        if orientation not in (1, -1):
+            raise ValueError("orientation must be 1 or -1")
         self.n = n
         self.d = n // 2
-        self.primary = build_flag_model(n, orientation)
-        self.ctx = self.primary.ctx
-        self.group = self.primary.group
-        if n % 2 == 0:
-            self.secondary: FlagModel | None = build_flag_model(n, -self.ctx.orientation)
-        else:
-            self.secondary = None
+        self.model = build_flag_model(n)
+        self.ctx = self.model.ctx
+        self.group = self.model.group
+        self.orientation = orientation if n % 2 == 0 else 1  # odd n: one ruling
         # bridge memo, freed with this geometry: the incidence powers on
         # G_i x X^m by (i, m, p) (the incidence class is m = 1, eta_i is
         # m = i, theta_i m = i + 1)
         self.bridge_memo: dict = {}
         self._classes: dict = {}  # see _memoised
-        if self.secondary is not None:
-            # the per-model gates cannot see the global naming of l_d
+        if n % 2 == 0:
+            # the model's gate cannot see sigma's wiring of sheet 1
             _check_ladder(self, [self.d])
 
     # -- sheets ------------------------------------------------------------
 
-    def split(self, I: Iterable[int]) -> bool:
-        return self.secondary is not None and self.d in frozenset(I)
+    def sheets(self, I: Iterable[int]) -> int:
+        """The number of connected components of F(I)."""
+        return 2 if self.n % 2 == 0 and self.d in frozenset(I) else 1
 
-    def sheets(self, I: Iterable[int]) -> tuple[FlagModel, ...]:
-        if self.split(I):
-            return (self.primary, self.secondary)
-        return (self.primary,)
+    def printed(self, coeffs: Mapping) -> Mapping:
+        """Keys (sheet, w, ...) with w as the orientation prints it: moved by
+        sigma on sheet 1 under plus, on sheet 0 and connected spaces under minus."""
+        if self.n % 2:
+            return coeffs
+        same, sigma = range(len(self.group)), self.group.sigma
+        tables = (same, sigma) if self.orientation == 1 else (sigma, same)
+        return {(k, tables[k][w], *r): c for (k, w, *r), c in coeffs.items()}
 
     def from_parts(self, I: Iterable[int], parts: Iterable[FlagCycle]) -> UnionCycle:
         """The cycle on F(I) whose part on sheet k is the FlagCycle parts[k]."""
         parts = tuple(parts)
-        if len(parts) != len(self.sheets(I)):
+        if len(parts) != self.sheets(I):
             raise ValueError("wrong number of sheet parts")
         coeffs = {(k, w): c for k, x in enumerate(parts) for w, c in x.coeffs.items()}
         return UnionCycle(self, I, coeffs, parts[0].p)
 
-    def from_primary(self, x: FlagCycle) -> UnionCycle:
-        """Lift a cycle on a connected F(I) (computed on the primary model)."""
-        if self.split(x.I):
-            raise ValueError("F(I) is disconnected; supply both sheet parts")
-        return self.from_parts(x.I, [x])
+    def from_model(self, x: FlagCycle) -> UnionCycle:
+        """The cycle on F(x.I) whose part on every sheet is x."""
+        return self.from_parts(x.I, [x] * self.sheets(x.I))
 
     # -- basic classes -------------------------------------------------------
-
-    def _per_sheet(self, I, make) -> UnionCycle:
-        """The cycle on F(I) whose part on each sheet's model M is make(M)."""
-        return self.from_parts(I, [make(M) for M in self.sheets(I)])
 
     def zero(self, I, p: int = 0) -> UnionCycle:
         return UnionCycle(self, I, {}, p)
 
     def fundamental(self, I, p: int = 0) -> UnionCycle:
-        return self._per_sheet(I, lambda M: M.fundamental(I, p))
+        return self.from_model(self.model.fundamental(I, p))
 
     def point_class(self, I, p: int = 0) -> UnionCycle:
-        # On a disconnected variety this is the point of the primary sheet.
-        return UnionCycle(self, I, {(0, self.primary.top_element(I)): 1}, p)
+        # On a disconnected variety this is the point of sheet 0.
+        return UnionCycle(self, I, {(0, self.model.top_element(I)): 1}, p)
 
     @_memoised
     def h_power(self, k: int, p: int = 0) -> UnionCycle:
-        return self.from_primary(self.primary.h_power(k, p))
+        return self.from_model(self.model.h_power(k, p))
 
     # -- functoriality ---------------------------------------------------------
 
     def pullback(self, target_I, x: UnionCycle) -> UnionCycle:
         """Pullback along F(target_I) -> F(J): every key keeps its Schubert
-        element, and a connected source (d not in J) is copied onto each sheet
-        of a split target."""
+        element, and a connected source (d not in J) is copied onto sheet 0
+        of a split target as is and onto sheet 1 through sigma."""
         _own(self, x)
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
-        self.primary.parabolic(target_I)  # range-checks the target's indices
+        self.model.parabolic(target_I)  # range-checks the target's indices
         coeffs = x.coeffs
-        if self.split(target_I) and not self.split(x.I):
-            coeffs = {(k, w): c for (_, w), c in coeffs.items() for k in (0, 1)}
+        if self.sheets(target_I) > self.sheets(x.I):
+            sigma = self.group.sigma
+            coeffs = {**coeffs, **{(1, sigma[w]): c for (_, w), c in coeffs.items()}}
         return UnionCycle(self, target_I, coeffs, x.p)
 
     def pushforward(self, target_J, x: UnionCycle) -> UnionCycle:
-        """Pushforward along F(I) -> F(target_J), sheet by sheet on its model;
-        over a connected target (d not in target_J) the sheets add into sheet 0."""
+        """Pushforward along F(I) -> F(target_J), sheet by sheet on the model;
+        over a connected target (d not in target_J) sheet 1 adds into sheet 0
+        through sigma."""
         _own(self, x)
         target_J = frozenset(target_J)
         if not target_J <= x.I:
             raise ValueError("pushforward requires J to be a subset of I")
-        split = self.split(target_J)
-        out: dict = {}
-        for k, part in enumerate(x.parts):
-            for u, c in part.model.pushforward(target_J, part).coeffs.items():
-                key = (k if split else 0, u)
-                out[key] = out.get(key, 0) + c
-        return UnionCycle(self, target_J, out, x.p)
+        parts = [self.model.pushforward(target_J, part) for part in x.parts]
+        if len(parts) > self.sheets(target_J):
+            sigma = self.group.sigma
+            moved = {sigma[u]: c for u, c in parts[1].coeffs.items()}
+            parts = [parts[0] + FlagCycle(self.model, target_J, moved, x.p)]
+        return self.from_parts(target_J, parts)
 
     def pullpush(self, x: UnionCycle, J: Iterable[int]) -> UnionCycle:
         """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
@@ -975,10 +944,10 @@ class QuadricGeometry:
         return self.pushforward(J, self.pullback(x.I | J, x))
 
     def deg(self, x: UnionCycle) -> int:
-        """The sum over the sheets of the coefficient of each sheet's point class."""
+        """The sum over the sheets of the coefficient of the point class."""
         _own(self, x)
-        sheets = self.sheets(x.I)
-        total = sum(x.coeffs.get((k, M.top_element(x.I)), 0) for k, M in enumerate(sheets))
+        top = self.model.top_element(x.I)
+        total = sum(x.coeffs.get((k, top), 0) for k in range(self.sheets(x.I)))
         return total % 2 if x.p == 2 else total
 
     def deg_product(self, classes: list[UnionCycle]) -> int:
@@ -987,35 +956,36 @@ class QuadricGeometry:
             raise ValueError("empty product")
         _own(self, *classes)
         sheet_parts = zip(*(x.parts for x in classes))
-        total = sum(parts[0].model.deg_product(list(parts)) for parts in sheet_parts)
+        total = sum(self.model.deg_product(list(parts)) for parts in sheet_parts)
         return total % 2 if classes[0].p == 2 else total
 
     # -- distinguished classes ----------------------------------------------------
 
     @_memoised
     def class_Z(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        """Z^i_j: the primary model's l_{n-i-j} on X (its naming of l_d is
-        global), pulled through F(0, i) onto every sheet of G_i."""
+        """Z^i_j: the model's l_{n-i-j} on X (its naming of l_d is global),
+        pulled through F(0, i) onto every sheet of G_i."""
         if not 0 <= i <= self.d:
             raise RangeError("grassmannian index out of range")
-        return self.pullpush(self.from_primary(self.primary.class_Z(0, i + j, p)), [i])
+        return self.pullpush(self.from_model(self.model.class_Z(0, i + j, p)), [i])
 
+    # sigma fixes W, the Chern classes and c_1(O(1)): sheet 1 holds the model's
     @_memoised
     def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self._per_sheet([i], lambda M: M.class_W(i, j, p))
+        return self.from_model(self.model.class_W(i, j, p))
 
     @_memoised
     def chern_taut(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self._per_sheet([i], lambda M: M.chern_taut(i, j, p))
+        return self.from_model(self.model.chern_taut(i, j, p))
 
     @_memoised
     def chern_quot(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self._per_sheet([i], lambda M: M.chern_quot(i, j, p))
+        return self.from_model(self.model.chern_quot(i, j, p))
 
     @_memoised
     def class_O1(self, i: int, p: int = 0) -> UnionCycle:
         # F(i-1, i) splits exactly when G_i does
-        return self._per_sheet([i - 1, i], lambda M: M.class_O1(i, p))
+        return self.from_model(self.model.class_O1(i, p))
 
     def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> UnionCycle:
         """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
@@ -1028,10 +998,11 @@ class QuadricGeometry:
 
 
 @lru_cache(maxsize=None)
-def _cached_geometry(n: int, orientation: int | None) -> QuadricGeometry:
+def _cached_geometry(n: int, orientation: int) -> QuadricGeometry:
     return QuadricGeometry(n, orientation)
 
 
-def build_geometry(n: int, orientation: int | None = 1) -> QuadricGeometry:
-    """Build (and cache) the sheet-aware geometry for the split quadric of dim n."""
-    return _cached_geometry(n, QuadricContext(n, orientation).orientation)
+def build_geometry(n: int, orientation: int = 1) -> QuadricGeometry:
+    """Build (and cache) the sheet-aware geometry for the split quadric of dim
+    n; at odd n, with one ruling, orientation -1 is the plus geometry."""
+    return _cached_geometry(n, 1 if n % 2 and orientation == -1 else orientation)

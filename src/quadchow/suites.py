@@ -90,8 +90,9 @@ def _case(cid: str, params: dict, lhs, rhs) -> CaseResult:
 
 def suite_lemma21(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseResult]:
     """The split-diagonal chain on powers of the quadric (quadric powers only)."""
-    ctx = quad_context(n, orientation)
+    ctx = quad_context(n)
     d = ctx.d
+    quadpow.check_sym_factors(d + 1)  # the top orbit sum, before any case
     # base: the mod-2 diagonal identity, under both ruling namings
     diag = diagonal_class(ctx, p=2)
     corr = delta_i(ctx, 1, p=2)
@@ -343,7 +344,7 @@ def suite_prop316(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseR
 
 def suite_lemma42(n: int, orientation: int = 1, seed: int = 0) -> Iterator[CaseResult]:
     """Composition against the 1-primordial shape, over every coefficient vector."""
-    ctx = quad_context(n, orientation)
+    ctx = quad_context(n)
     d = ctx.d
     for i1 in range(2, d + 1):
         bits_len = max(0, d - i1 + 2 - i1)
@@ -449,7 +450,7 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for s in syms:
         for t in syms:
             quad = monomial_cycle(ctx, [s]) * monomial_cycle(ctx, [t])
-            flag = G.primary.x_class(s) * G.primary.x_class(t)
+            flag = G.model.x_class(s) * G.model.x_class(t)
             back = flag_cycle_to_quad(G, flag)
             yield _case(
                 "product",
@@ -459,7 +460,7 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
             yield _case(
                 "degree",
                 {"n": n, "s": quadpow._format_symbol(s), "t": quadpow._format_symbol(t)},
-                quad.push_proj([]).coeffs.get((), 0), G.primary.deg(flag),
+                quad.push_proj([]).coeffs.get((), 0), G.model.deg(flag),
             )
             yield _case(
                 "mod2",
@@ -470,10 +471,10 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for trial in range(20):
         triple = [rng.choice(syms) for _ in range(3)]
         quad = monomial_cycle(ctx, [triple[0]])
-        flag = G.primary.x_class(triple[0])
+        flag = G.model.x_class(triple[0])
         for s in triple[1:]:
             quad = quad * monomial_cycle(ctx, [s])
-            flag = flag * G.primary.x_class(s)
+            flag = flag * G.model.x_class(s)
         yield _case(
             "triple-product",
             {"n": n, "syms": [quadpow._format_symbol(s) for s in triple]},
@@ -482,7 +483,7 @@ def suite_cross_model(n: int, orientation: int = 1, seed: int = 0) -> Iterator[C
     for k in range(0, n + 1):
         yield _case(
             "h-power", {"n": n, "k": k},
-            h_power_cycle(ctx, k), flag_cycle_to_quad(G, G.primary.h_power(k)),
+            h_power_cycle(ctx, k), flag_cycle_to_quad(G, G.model.h_power(k)),
         )
 
 

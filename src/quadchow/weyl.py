@@ -32,12 +32,14 @@ indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
 unique element of W_P whose right descents are all of P, so an ascent from
 the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, 2.4).  The walks run on indices; the public
-methods take and return elements and convert once at their boundary.
+methods take and return elements and convert once at their boundary.  The
+diagram automorphism of D_m, w -> c w c with c the sign change of the last
+coordinate, is the index table ``sigma``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["RangeError", "SignedPermutation", "WeylGroup", "make_group", "MAX_RANK"]
@@ -203,6 +205,21 @@ class WeylGroup:
             level, frontier = level + 1, sorted(above)
         self._right.extend([tuple(map(index.__getitem__, row)) for row in rows])
         return (self.identity, *(SignedPermutation(self, win) for win in list(index)[1:]))
+
+    @cached_property
+    def sigma(self) -> tuple[int, ...]:
+        """D_m only: the index of c w c per index w.  sigma swaps s_(m-1) and
+        s_m, so it sends w = p s_a, a the lowest right descent, to sigma(p)
+        s_sigma(a), and the parent p comes earlier in the list."""
+        if self.family != "D":
+            raise ValueError("the diagram automorphism is defined for type D only")
+        m, descents, right = self.rank, self._descents, self._right
+        letter = [*range(m - 2), m - 1, m - 2]
+        sigma = [0] * len(self.elements)
+        for w in range(1, len(sigma)):
+            a = (descents[w] & -descents[w]).bit_length() - 1
+            sigma[w] = right[sigma[right[w][a]]][letter[a]]
+        return tuple(sigma)
 
     # -- the group interface ----------------------------------------------
 

@@ -4,7 +4,10 @@ For n = 3..6 (both orientations at even n) and the flag varieties F({0}),
 each F({i}) and each F({i-1, i}), the file lists ``FlagModel.basis_product``
 for every pair u <= v (in basis order) with a nonzero product.  A pair that
 is not listed has product 0.  F(1, 2) at n = 6 is left out: its 4656 pairs
-cost too much for a tier-1 test.
+cost too much for a tier-1 test.  Orientation -1 is the other ruling, the
+image of the model's under sigma (`WeylGroup.sigma`): its basis is the
+sigma-image of the model's, and s_u s_v there is the sigma-image of
+s_sigma(u) s_sigma(v).
 
     PYTHONPATH=src python tests/data/make_basis_products.py [OUT]
 
@@ -18,7 +21,7 @@ import json
 import pathlib
 import sys
 
-from quadchow.schubert import FlagModel
+from quadchow.schubert import FlagModel, build_flag_model
 
 HERE = pathlib.Path(__file__).parent
 SKIP = {(6, (1, 2))}
@@ -36,13 +39,15 @@ def orientations(n: int) -> list[int | None]:
     return [1, -1] if n % 2 == 0 else [None]
 
 
-def table(model: FlagModel, I: tuple[int, ...]) -> list:
-    basis = model.basis(I)
+def table(model: FlagModel, I: tuple[int, ...], orientation: int | None) -> list:
+    # the identity on the model's ruling, sigma on the other one
+    move = model.group.sigma if orientation == -1 else range(len(model.group))
+    basis = sorted(move[w] for w in model.basis(I))
     window = lambda w: list(model.group.elements[w].window)  # noqa: E731
     rows = []
     for a, u in enumerate(basis):
         for v in basis[a:]:
-            prod = model.basis_product(I, u, v)
+            prod = {move[w]: c for w, c in model.basis_product(I, move[u], move[v]).items()}
             if prod:
                 terms = sorted([window(w), c] for w, c in prod.items())
                 rows.append([window(u), window(v), terms])
@@ -52,15 +57,15 @@ def table(model: FlagModel, I: tuple[int, ...]) -> list:
 def generate() -> list:
     entries = []
     for n in range(3, 7):
+        model = build_flag_model(n)
         for orientation in orientations(n):
-            model = FlagModel(n, orientation)
             for I in spaces(n):
                 entries.append(
                     {
                         "n": n,
                         "orientation": orientation,
                         "I": list(I),
-                        "products": table(model, I),
+                        "products": table(model, I, orientation),
                     }
                 )
     return entries

@@ -1,9 +1,12 @@
 """Schubert-basis products against tables frozen from the earlier engine.
 
 ``data/basis_products.json`` was written by ``data/make_basis_products.py``
-with the ``Fraction``-coefficient engine, before the integer one replaced it.
-Every pair u <= v in the basis of each listed F(I) is recomputed here: a
-listed pair must give exactly its stored product, an unlisted pair zero.
+with the ``Fraction``-coefficient engine, before the integer one replaced it,
+and when each ruling of an even quadric had a model of its own.  Every pair
+u <= v in the basis of each listed F(I) is recomputed here: a listed pair
+must give exactly its stored product, an unlisted pair zero.  The tables of
+the second ruling (orientation -1) are read on the sigma-image of the one
+model (`rulings.SigmaImage`).
 """
 
 import json
@@ -11,7 +14,7 @@ import pathlib
 
 import pytest
 
-from quadchow.schubert import build_flag_model
+from rulings import ruling
 
 DATA = pathlib.Path(__file__).parent / "data"
 TABLES = json.loads((DATA / "basis_products.json").read_text())
@@ -30,7 +33,7 @@ def test_fixture_covers_the_stated_range():
 
 @pytest.mark.parametrize("entry", TABLES, ids=_table_id)
 def test_basis_products_match_frozen_tables(entry):
-    model = build_flag_model(entry["n"], entry["orientation"])
+    model = ruling(entry["n"], entry["orientation"])
     I = entry["I"]
     expected = {
         (tuple(u), tuple(v)): {tuple(w): c for w, c in terms}

@@ -39,8 +39,9 @@ from quadchow.quadpow import (
     rho_i,
     sym_h_chain,
 )
-from quadchow.schubert import FlagCycle, QuadricGeometry, build_geometry
+from quadchow.schubert import FlagCycle, FlagModel, QuadricGeometry, build_geometry
 from quadchow.weyl import RangeError
+from rulings import SigmaImage
 
 
 def permute_x(x: MixedCycle, perm) -> MixedCycle:
@@ -141,13 +142,13 @@ def test_incidence_zero_is_diagonal():
         inc0 = incidence_class(G, 0)
         got = {}
         for (w, mono), c in inc0.parts[0].items():
-            q = flag_cycle_to_quad(G, FlagCycle(G.primary, [0], {w: 1}))
+            q = flag_cycle_to_quad(G, FlagCycle(G.model, [0], {w: 1}))
             ((sym0,),) = q.coeffs.keys()
             got[(sym0, mono[0])] = c
         assert got == dict(diagonal_class(G.ctx).coeffs)
     # a cycle on any other F(I), as a FlagCycle or a UnionCycle, is refused
     G = build_geometry(5)
-    M = G.primary
+    M = G.model
     for x in (M.fundamental([1]), M.point_class([1]), M.zero([0, 1]), G.class_Z(1, 3)):
         with pytest.raises(ValueError, match="expected a cycle on X"):
             flag_cycle_to_quad(G, x)
@@ -172,11 +173,14 @@ def test_incidence_kunneth_shape_mod2():
         for i in range(1, d + 1):
             inc = incidence_class(G, i, 2)
             expected_parts = []
-            for model in G.sheets([i]):
+            # sheet 1 is the other ruling, the sigma-image of the model, and
+            # is stored moved back onto the model
+            sheets = [G.model, SigmaImage(G.model)] if G.sheets([i]) == 2 else [G.model]
+            for model in sheets:
                 part = {}
 
                 def z_of(j, model=model):
-                    x = G.primary.x_class(("l", n - i - j), 2)
+                    x = G.model.x_class(("l", n - i - j), 2)
                     return model.pullpush(FlagCycle(model, [0], x.coeffs, 2), [i])
 
                 for m in range(0, d + 1):
@@ -194,6 +198,8 @@ def test_incidence_kunneth_shape_mod2():
                     for w, c in wcls.coeffs.items():
                         key = (w, (target,))
                         part[key] = (part.get(key, 0) + c) % 2
+                if model is not G.model:
+                    part = {(model.sigma[w], mono): c for (w, mono), c in part.items()}
                 expected_parts.append({k: v for k, v in part.items() if v})
             assert tuple(expected_parts) == inc.parts, (n, i)
 
@@ -410,8 +416,8 @@ def test_slot_pairings_agree_with_products(n):
             # action_on_quad is the sheet split of id_times_action with no kept slot
             x = _random_quad_cycle(ctx, 2, rng, p)
             split = tuple(
-                FlagCycle(model, I, {w: c for (w, _), c in part.items()}, p)
-                for model, part in zip(G.sheets(I), M.id_times_action(x).parts)
+                FlagCycle(G.model, I, {w: c for (w, _), c in part.items()}, p)
+                for part in M.id_times_action(x).parts
             )
             assert M.action_on_quad(x) == G.from_parts(I, split)
 
@@ -445,10 +451,10 @@ def test_correspondence_actions_check_their_argument():
 def _random_flag_cycle(G, I, rng, p):
     """A seeded, usually inhomogeneous cycle on F(I), with a part on every sheet."""
     parts = []
-    for M in G.sheets(I):
-        basis = M.basis(I)
+    basis = G.model.basis(I)
+    for _ in range(G.sheets(I)):
         coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
-        parts.append(FlagCycle(M, I, coeffs, p))
+        parts.append(FlagCycle(G.model, I, coeffs, p))
     return G.from_parts(I, parts)
 
 
@@ -469,9 +475,12 @@ def test_action_on_flag_matches_product_oracle(n, orientation):
 @pytest.mark.parametrize("n", [6, 8])
 def test_schubert_memos_belong_to_the_group(n):
     G = build_geometry(n)
-    A, B = G.primary, G.secondary
-    # the row store and the pair memo hang on the group both rulings share,
-    # keyed by element index alone, with no parabolic in a key
+    A, B = G.model, FlagModel(n)
+    # both sheets and both orientations read the one model
+    assert build_geometry(n, -1).model is A
+    assert all(part.model is A for part in G.class_W(G.d, 1).parts)
+    # the row store and the pair memo hang on the group every model of the
+    # quadric shares, keyed by element index alone, with no parabolic in a key
     assert A._reps is B._reps and A.group is B.group
     g = A.group
     assert all(type(k) is int for key in g.pair_products for k in key)
@@ -490,8 +499,8 @@ def _random_mixed_cycle(G, I, arity, rng, p):
     """A seeded, usually inhomogeneous mixed cycle with terms on every sheet."""
     syms = basis_symbols(G.ctx)
     coeffs = {}
-    for k, M in enumerate(G.sheets(I)):
-        basis = M.basis(I)
+    basis = G.model.basis(I)
+    for k in range(G.sheets(I)):
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.choice(syms) for _ in range(arity))
             coeffs[(k, rng.choice(basis), mono)] = rng.randint(-3, 3)

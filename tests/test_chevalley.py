@@ -13,6 +13,7 @@ divisor sum a_j sigma_{s_j}; c_1(O(1)) on F(i-1, i) is checked that way.
 import pytest
 
 from quadchow.schubert import FlagCycle, build_flag_model
+from rulings import ruling
 
 
 def _coroot(beta):
@@ -102,7 +103,8 @@ def test_hyperplane_products_on_the_quadric_follow_chevalley(n):
 
 
 def _check_tautological_divisor(n, orientation):
-    model = build_flag_model(n, orientation)
+    # the other ruling is the sigma-image of the model
+    model = ruling(n, orientation)
     group = model.group
     simple = {group._index[s.window]: j for j, s in enumerate(group.simple_reflections)}
     weights = _double_weights(group)

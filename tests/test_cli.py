@@ -60,6 +60,21 @@ def test_compute_range_error_exit3(capsys):
     assert "range" in err
 
 
+def test_symmetrizing_builtins_stop_at_the_factor_bound(capsys):
+    # rho i and delta i symmetrize i + 1 factors: 8 is the bound, 9 exits 3
+    code, out, _ = run_cli(capsys, "compute", "--n", "14", "rho 7")
+    assert code == 0 and out.count(" x ") == 40320 * 7
+    for expr in ("rho 8", "delta 8"):
+        code, out, err = run_cli(capsys, "compute", "--n", "16", expr)
+        assert (code, out) == (3, "")
+        assert "symmetrization over 9 factors (supported: at most 8)" in err
+    # lemma21 reaches d + 1 factors, and says so before any case
+    code, out, err = run_cli(capsys, "verify", "lemma21", "--n", "16", "--deep")
+    assert (code, out) == (3, "") and err == "error: %s\n" % (
+        "symmetrization over 9 factors (supported: at most 8)"
+    )
+
+
 def test_verify_text_and_exit0(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma24", "--n", "3")
     assert code == 0

@@ -342,3 +342,21 @@ def test_strict_codim_errors_on_mixed_degrees():
     with pytest.raises(ValueError, match="inhomogeneous"):
         mixed.codim()
     assert not mixed.is_homogeneous()
+
+
+def test_symmetrizations_stop_at_the_factor_bound():
+    from quadchow.quadpow import MAX_SYM_FACTORS
+    from quadchow.weyl import RangeError
+
+    ctx = quad_context(16)
+    assert MAX_SYM_FACTORS == 8
+    for m in (MAX_SYM_FACTORS, MAX_SYM_FACTORS + 1):
+        # m distinct factors: every reordering is its own monomial
+        x = external_list([h_power_cycle(ctx, a) for a in range(m)])
+        if m <= MAX_SYM_FACTORS:
+            assert len(sym(x).coeffs) == 40320
+            assert len(alternating_sym(x).coeffs) == 20160
+        else:
+            for f in (sym, alternating_sym):
+                with pytest.raises(RangeError, match="over 9 factors"):
+                    f(x)

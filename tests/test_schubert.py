@@ -37,6 +37,7 @@ from quadchow.schubert import (
     build_geometry,
 )
 from quadchow.weyl import RangeError, SignedPermutation, make_group
+from rulings import SigmaImage, ruling
 
 
 def test_model_sizes():
@@ -85,16 +86,18 @@ def test_quadric_basis_identification():
             assert M.l_class(b).codim() == n - b
         if n % 2 == 0:
             # the two rulings are distinct and sum to the middle h-power
-            assert M.l_class(M.d) != M.lp_class()
-            assert M.h_power(M.d) == M.l_class(M.d) + M.lp_class()
+            lp = M.x_class(("lp", M.d))
+            assert M.l_class(M.d) != lp
+            assert M.h_power(M.d) == M.l_class(M.d) + lp
 
 
 def test_ruling_naming_is_orientation_swapped():
+    # the other ruling's l_d, the sigma-image of the model's, is the model's l_d'
     for n in (4, 6):
-        Mp = build_flag_model(n, 1)
-        Mm = build_flag_model(n, -1)
-        assert Mm.l_class(Mm.d).coeffs == Mp.lp_class().coeffs
-        assert Mm.lp_class().coeffs == Mp.l_class(Mp.d).coeffs
+        Mp, Mm = ruling(n, 1), ruling(n, -1)
+        lp = ("lp", n // 2)
+        assert Mm.l_class(Mm.d).coeffs == Mp.x_class(lp).coeffs
+        assert Mm.x_class(lp).coeffs == Mp.l_class(Mp.d).coeffs
 
 
 def test_product_ring_axioms():
@@ -245,8 +248,8 @@ def test_geometry_union_layer():
     for n in (4, 6):
         G = build_geometry(n)
         d = G.d
-        assert len(G.sheets([d])) == 2
-        assert len(G.sheets([0])) == 1
+        assert G.sheets([d]) == 2
+        assert G.sheets([0]) == 1
         # W^d_0 is the full fundamental class of the disconnected variety
         assert G.class_W(d, 0) == G.fundamental([d])
         # z^d_0 marks exactly one sheet
@@ -260,13 +263,21 @@ def test_geometry_union_layer():
 
 def test_geometry_odd_single_sheet():
     G = build_geometry(5)
-    assert G.secondary is None
-    assert len(G.sheets([G.d])) == 1
+    assert G.sheets(range(G.d + 1)) == 1
+    assert G.sheets([G.d]) == 1
 
 
 # -- the per-object memo of distinguished classes -------------------------------
 
-SPACES = [(n, o) for n in range(3, 9) for o in ((1, -1) if n % 2 == 0 else (None,))]
+SPACES = [(n, o) for n in range(3, 9) for o in ((1, -1) if n % 2 == 0 else (1,))]
+# the memo-holding objects: one model per n, and a geometry per orientation
+MEMO_SPACES = [(FlagModel, n, 1) for n in range(3, 9)] + [
+    (QuadricGeometry, n, o) for n, o in SPACES
+]
+
+
+def _space(kind, n, orientation):
+    return FlagModel(n) if kind is FlagModel else QuadricGeometry(n, orientation)
 
 
 def _class_calls(space):
@@ -299,16 +310,13 @@ def _content(x):
 
 def _owned_by(x, space):
     if isinstance(x, UnionCycle):
-        return x.geometry is space and all(
-            part.model is M for part, M in zip(x.parts, space.sheets(x.I))
-        )
+        return x.geometry is space and all(part.model is space.model for part in x.parts)
     return x.model is space
 
 
-@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
-@pytest.mark.parametrize("n,orientation", SPACES)
+@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
 def test_memoised_classes_do_not_depend_on_the_order_asked(kind, n, orientation):
-    a, b = kind(n, orientation), kind(n, orientation)
+    a, b = _space(kind, n, orientation), _space(kind, n, orientation)
     calls = _class_calls(a)
     forward = {c: _call(a, c) for c in calls}
     backward = {c: _call(b, c) for c in reversed(calls)}
@@ -323,10 +331,9 @@ def test_memoised_classes_do_not_depend_on_the_order_asked(kind, n, orientation)
             assert getattr(a, f)(*idx) is x
 
 
-@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
-@pytest.mark.parametrize("n,orientation", SPACES)
+@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
 def test_memoised_classes_are_unchanged_by_use(kind, n, orientation):
-    space = kind(n, orientation)
+    space = _space(kind, n, orientation)
     classes = [_call(space, c) for c in _class_calls(space)]
     before = [_content(x) for x in classes]
     for x in classes:
@@ -343,10 +350,9 @@ def test_memoised_classes_are_unchanged_by_use(kind, n, orientation):
     assert [_content(x) for x in classes] == before
 
 
-@pytest.mark.parametrize("kind", [FlagModel, QuadricGeometry])
-@pytest.mark.parametrize("n,orientation", SPACES)
+@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
 def test_out_of_range_classes_raise_every_time_and_store_nothing(kind, n, orientation):
-    space = kind(n, orientation)
+    space = _space(kind, n, orientation)
     d = space.d
     bad = [
         ("h_power", (-1,)), ("h_power", (n + 1,)),
@@ -397,7 +403,7 @@ def test_each_distinguished_class_is_built_once(monkeypatch):
             getattr(M, f)(i, j, p)
     assert len(solves) == 1 + len(cherns)
     # one pullpush per distinct Z-class the geometry has not built yet
-    for n, orientation in ((5, None), (6, 1), (6, -1)):
+    for n, orientation in ((5, 1), (6, 1), (6, -1)):
         G = QuadricGeometry(n, orientation)
         built = set(G._classes)
         pullpushes = _count_calls(monkeypatch, G, "pullpush")
@@ -442,7 +448,7 @@ def test_deg_product_checks_every_factor():
     pt, fund = M.point_class(I).scale(3), M.fundamental(I, 2)
     with pytest.raises(ValueError, match="space/ring mismatch"):
         M.deg_product([pt, fund])
-    other = build_flag_model(4, -1)
+    other = FlagModel(4)
     with pytest.raises(ValueError, match="space/ring mismatch"):
         M.deg_product([pt, other.fundamental(I)])
     with pytest.raises(ValueError, match="space/ring mismatch"):
@@ -456,15 +462,16 @@ def test_deg_product_checks_every_factor():
 
 def _foreign_cycle_calls():
     """(function, *arguments) by name: each hands a space a cycle of another
-    model or geometry, on a quadric of another dimension or the other ruling."""
-    M5, M7, Mp, Mm = (build_flag_model(n, o) for n, o in ((5, 1), (7, 1), (6, 1), (6, -1)))
+    model or geometry: on a quadric of another dimension, another model object
+    of the same quadric, or the geometry of the other orientation."""
+    M5, M7, Mp, Mm = build_flag_model(5), build_flag_model(7), build_flag_model(6), FlagModel(6)
     G5, G7, Gp, Gm = (build_geometry(n, o) for n, o in ((5, 1), (7, 1), (6, 1), (6, -1)))
     return {
         "model-pullback": (M7.pullback, [0, 1], M5.class_Z(0, 3)),
         "model-pushforward": (M7.pushforward, [1], M5.pullback([0, 1], M5.class_Z(0, 3))),
         "model-deg": (M7.deg, M5.point_class([0])),
         "model-deg_product": (M7.deg_product, [M5.h_power(1)] * 5),
-        "model-deg_product-ruling": (Mp.deg_product, [Mm.l_class(3)] * 2),
+        "model-deg_product-same-n": (Mp.deg_product, [Mm.l_class(3)] * 2),
         "geometry-pullback": (G7.pullback, [0, 1], G5.class_Z(0, 3)),
         "geometry-pushforward": (G7.pushforward, [1], G5.pullback([0, 1], G5.class_Z(0, 3))),
         "geometry-deg": (G7.deg, G5.point_class([0])),
@@ -477,7 +484,7 @@ def _foreign_cycle_calls():
 
 FOREIGN_CYCLE_CALLS = [
     "model-pullback", "model-pushforward", "model-deg", "model-deg_product",
-    "model-deg_product-ruling", "geometry-pullback", "geometry-pushforward",
+    "model-deg_product-same-n", "geometry-pullback", "geometry-pushforward",
     "geometry-deg", "geometry-deg_product", "to-quad", "to-quad-flag-cycle", "to-quad-ruling",
 ]
 
@@ -508,7 +515,7 @@ def test_index_sets_are_memoised_only_when_valid():
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_x_basis_names_each_schubert_class_of_x_once(n, orientation):
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     syms = basis_symbols(M.ctx)
     assert set(M.x_basis) == set(syms) and len(M.x_basis) == len(syms)
     assert sorted(M.x_basis.values()) == list(M.basis([0]))
@@ -530,19 +537,21 @@ def test_x_class_names_a_bad_symbol_with_a_typed_error():
         assert not isinstance(e.value, RangeError)
 
 
-def _cycle(space, I, step):
-    """A cycle on F(I) with distinct coefficients on every step-th basis element."""
+def _cycle(G, I, step):
+    """A cycle on F(I) with distinct coefficients on every step-th basis
+    element, shifted on each further sheet."""
+    M = G.model
     parts = tuple(
-        FlagCycle(M, I, {w: k + 1 for k, w in enumerate(M.basis(I)[::step])})
-        for M in space.sheets(I)
+        FlagCycle(M, I, {w: k + 1 + 10 * sheet for k, w in enumerate(M.basis(I)[::step])})
+        for sheet in range(G.sheets(I))
     )
-    return space.from_parts(I, parts)
+    return G.from_parts(I, parts)
 
 
 @pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
 def test_pullpush_is_pushforward_after_pullback(n, orientation):
     G = build_geometry(n, orientation)
-    M = G.primary
+    M = G.model
     subsets = [
         frozenset(c) for r in (1, 2) for c in itertools.combinations(range(G.d + 1), r)
     ]
@@ -557,10 +566,11 @@ def test_pullpush_is_pushforward_after_pullback(n, orientation):
 
 
 def _sheet_parts(G, I, rng, p, c=None):
-    """Seeded FlagCycles on F(I), one per sheet on its model; of codimension c
-    on every sheet when c is given."""
+    """Seeded FlagCycles on F(I), one per sheet, on the model; of codimension
+    c on every sheet when c is given."""
     parts = []
-    for M in G.sheets(I):
+    M = G.model
+    for _ in range(G.sheets(I)):
         basis = [w for w in M.basis(I) if c is None or M.group._lengths[w] == c]
         coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
         parts.append(FlagCycle(M, I, coeffs, p))
@@ -577,7 +587,7 @@ def _codim_by_parts(parts):
 @pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
 def test_sheet_keyed_operations_match_part_by_part_flag_model_operations(n, orientation):
     G = build_geometry(n, orientation)
-    d, A = G.d, G.primary
+    d, A = G.d, G.model
     rng = random.Random(7 * n + orientation)
     connected, split = ([0], [1], [0, 1]), ([d], [d - 1, d], [0, d])
     for p in (0, 2):
@@ -604,50 +614,57 @@ def test_sheet_keyed_operations_match_part_by_part_flag_model_operations(n, orie
                             z.codim()
                     else:
                         assert z.codim() == expected
-                degs = sum(M.deg(u) for M, u in zip(G.sheets(I), a))
+                degs = sum(A.deg(u) for u in a)
                 assert G.deg(x) == (degs % 2 if p == 2 else degs)
                 c1 = rng.randint(0, dim)
                 c2 = rng.randint(0, dim - c1)
                 factors = [_sheet_parts(G, I, rng, p, c) for c in (c1, c2, dim - c1 - c2)]
-                degs = sum(
-                    M.deg(reduce(FlagCycle.__mul__, fs))
-                    for M, fs in zip(G.sheets(I), zip(*factors))
-                )
+                degs = sum(A.deg(reduce(FlagCycle.__mul__, fs)) for fs in zip(*factors))
                 got = G.deg_product([G.from_parts(I, fs) for fs in factors])
                 assert got == (degs % 2 if p == 2 else degs), (I, p)
-            point = [M.zero(I, p) for M in G.sheets(I)]
+            point = [A.zero(I, p)] * G.sheets(I)
             point[0] = A.point_class(I, p)
             assert G.point_class(I, p) == G.from_parts(I, point)
             assert G.deg(G.point_class(I, p)) == 1
+        # sheet 1 is stored as its sigma-transport, so crossing between it
+        # and a connected space moves each key by sigma
+        def move(x):
+            sigma = G.group.sigma
+            return FlagCycle(A, x.I, {sigma[w]: c for w, c in x.coeffs.items()}, p)
+
         for I in connected:
             (u,) = _sheet_parts(G, I, rng, p)
             J = frozenset(I) | {d}
-            pulled = [M.pullback(J, FlagCycle(M, I, u.coeffs, p)) for M in G.sheets(J)]
+            pulled = [A.pullback(J, u)]
+            if G.sheets(J) == 2:
+                pulled.append(A.pullback(J, move(u)))
             assert G.pullback(J, G.from_parts(I, [u])) == G.from_parts(J, pulled), (I, p)
         for I in split[1:]:
             a = _sheet_parts(G, I, rng, p)
             J = frozenset(I) - {d}
-            total = A.zero(J, p)
-            for M, u in zip(G.sheets(I), a):
-                total = total + FlagCycle(A, J, M.pushforward(J, u).coeffs, p)
+            total = A.pushforward(J, a[0])
+            if G.sheets(I) == 2:
+                total = total + move(A.pushforward(J, a[1]))
             assert G.pushforward(J, G.from_parts(I, a)) == G.from_parts(J, [total]), (I, p)
 
 
 def _class_Z_per_sheet(G, i, j, p):
-    """Z^i_j as built before `pullpush`: on each sheet's model, the primary's
-    l_{n-i-j} moved onto it, pulled up to F(0, i) and pushed down to G_i."""
+    """Z^i_j as built before `pullpush`: on each sheet, the model's l_{n-i-j},
+    pulled up to F(0, i) and pushed down to G_i; sheet 1 is the other ruling
+    stored as its sigma-transport, so there l_{n-i-j} enters moved by sigma."""
     if j > G.n - i:
         return G.zero([i], p)
-    x = G.primary.l_class(G.n - i - j, p)
-    parts = [
-        M.pushforward([i], M.pullback([0, i], FlagCycle(M, [0], x.coeffs, p)))
-        for M in G.sheets([i])
-    ]
+    M = G.model
+    x = M.l_class(G.n - i - j, p)
+    moved = [x.coeffs]
+    if G.sheets([i]) == 2:
+        moved.append({G.group.sigma[w]: c for w, c in x.coeffs.items()})
+    parts = [M.pushforward([i], M.pullback([0, i], FlagCycle(M, [0], c, p))) for c in moved]
     return G.from_parts([i], parts)
 
 
 @pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
-def test_geometry_class_Z_names_l_d_by_the_primary_on_every_sheet(n, orientation):
+def test_geometry_class_Z_names_l_d_by_the_model_on_every_sheet(n, orientation):
     G = build_geometry(n, orientation)
     for i in range(G.d + 1):
         for j in range(n - i - G.d, n - i + 2):
@@ -680,11 +697,12 @@ def test_duality_pairing_matches_frozen_top_coefficients():
     # The frozen product tables come from the earlier engine, which never used
     # the pairing: the top coefficient of s_u s_v must be 1 exactly when v is
     # the dual of u, and deg_product of the pair must read it back, from a
-    # cold half memo and then, factors swapped, from a warm one.
-    from quadchow.schubert import FlagModel
-
+    # cold half memo and then, factors swapped, from a warm one.  The tables
+    # of the other ruling are read on the sigma-image of the model.
     for entry in TABLES:
-        M = FlagModel(entry["n"], entry["orientation"])
+        M = FlagModel(entry["n"])
+        if entry["orientation"] == -1:
+            M = SigmaImage(M)
         I = entry["I"]
         products = {
             (tuple(u), tuple(v)): {tuple(w): c for w, c in terms}
@@ -755,7 +773,7 @@ def _random_product(rng, M):
 
 @pytest.mark.parametrize("n,orientation", [(5, None), (6, 1), (6, -1), (7, None)])
 def test_deg_product_matches_top_degree_extraction(n, orientation):
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     rng = random.Random(2016 + n * 3 + (orientation or 0))
     nonzero = 0
     for _ in range(50):
@@ -767,19 +785,20 @@ def test_deg_product_matches_top_degree_extraction(n, orientation):
 
 
 def test_orientation_is_normalised_before_caching():
-    from quadchow.quadpow import quad_context
-
-    assert build_flag_model(4) is build_flag_model(4, None) is build_flag_model(4, 1)
-    assert build_flag_model(5, -1) is build_flag_model(5, 1) is build_flag_model(5)
-    assert build_geometry(5, -1) is build_geometry(5, None) is build_geometry(5)
-    assert build_geometry(4, None) is build_geometry(4)
+    assert build_geometry(5, -1) is build_geometry(5, 1) is build_geometry(5)
+    assert build_geometry(4, 1) is build_geometry(4)
+    # the orientation names the rulings in print only: both geometries of an
+    # even quadric read the one model
+    assert build_geometry(4, -1) is not build_geometry(4)
+    assert build_geometry(4, -1).model is build_geometry(4).model is build_flag_model(4)
     G, H = build_geometry(5, -1), build_geometry(5, 1)
     assert G.class_Z(1, 4) + H.class_Z(1, 4) == H.class_Z(1, 4).scale(2)
-    for bad in (0, 2, 7):
+    for bad in (0, 2, 7, None):
         for n in (4, 5):
-            for build in (build_flag_model, build_geometry, quad_context):
-                with pytest.raises(ValueError, match="orientation must be 1, -1 or None"):
-                    build(n, bad)
+            with pytest.raises(ValueError, match="orientation must be 1 or -1"):
+                build_geometry(n, bad)
+            with pytest.raises(ValueError, match="orientation must be 1 or -1"):
+                QuadricGeometry(n, bad)
 
 
 # -- expand by localization against the divided-difference routes ---------------
@@ -891,7 +910,7 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("n,orientation,I", _oracle_cases())
 def test_expand_matches_one_word_per_candidate(n, orientation, I):
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     rng = random.Random(f"{n} {orientation} {I}")
     # at n >= 7 short factors keep the one-word-per-candidate reference cheap
     max_length = M.dim_flag(I) // 2 if n <= 6 else 5
@@ -1005,7 +1024,7 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     # word: every I and every y at n <= 6 with both rulings at even n, and at
     # n = 7, 8 seeded samples of 4 index sets and 6 elements of each basis
     subsets = [I for r in range(1, M.d + 2) for I in itertools.combinations(range(M.d + 1), r)]
-    models = (M, FlagModel(n, -1)) if n % 2 == 0 else (M,)
+    models = (M, ruling(n, -1)) if n % 2 == 0 else (M,)
     if n > 6:
         subsets, models = rng.sample(subsets, 4), models[:1]
     billey = {}
@@ -1020,7 +1039,7 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
                 row = model._restriction_row(y)
                 got = {g.elements[x].window: c for x, c in row.items()}
                 got = {x: c for x, c in got.items() if x in keep}
-                assert got == want, (model.ctx.orientation, I, y)
+                assert got == want, (type(model).__name__, I, y)
 
 
 def _polynomial_product(M, I, u, v):
@@ -1041,7 +1060,7 @@ def _product_cases():
 
 @pytest.mark.parametrize("n,orientation,I", _product_cases())
 def test_basis_product_matches_the_polynomial_route(n, orientation, I):
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     g = M.group
     rng = random.Random(f"{n} {orientation} {I}")
     basis, dim = M.basis(I), M.dim_flag(I)
@@ -1061,7 +1080,7 @@ def test_basis_products_on_cold_memos_match_the_polynomial_route(monkeypatch, n,
     # every pair of every F(I), each F(I) solved on an empty pair memo and the
     # whole test on an empty row store, so the zero skip runs on every F(I)
     # against rows the recursion builds in the solve's own order
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     g = M.group
     monkeypatch.setattr(g, "restriction_rows", {})
     zeros = 0
@@ -1081,7 +1100,7 @@ def test_basis_products_on_cold_memos_match_the_polynomial_route(monkeypatch, n,
     "n,orientation", [(3, None), (4, 1), (4, -1), (5, None), (6, 1), (6, -1)]
 )
 def test_full_flag_products_match_the_polynomial_route(n, orientation):
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     g = M.group
     full = range(M.d + 1)
     basis, dim = M.basis(full), M.dim_flag(full)
@@ -1140,7 +1159,7 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
 def test_expand_reads_back_every_schubert_representative(n, orientation):
     # rep(w) for w in basis(I) is fixed by W_P, and the solve must read it back
     # as s_w on F(I); at n >= 7 a seeded sample of short w keeps this cheap
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     g = M.group
     rng = random.Random(f"reps {n} {orientation}")
     for I in _index_sets(M.d):
@@ -1176,7 +1195,7 @@ def _taut_root_polynomials(M, i):
     on the minus D-ruling at i = d."""
     m = M.group.rank
     roots = [variable(m, j).scale(-1) for j in range(1, i + 2)]
-    if M.ctx.family == "D" and i == M.d and M.ctx.orientation == -1:
+    if isinstance(M, SigmaImage) and i == M.d:
         roots[-1] = variable(m, m)
     return roots
 
@@ -1202,7 +1221,7 @@ def _value_defined_classes(M):
 
 @pytest.mark.parametrize("n,orientation", SPACES)
 def test_value_defined_classes_match_expand_of_their_polynomials(n, orientation):
-    M = FlagModel(n, orientation)
+    M = ruling(n, orientation)
     for call, x, I, poly in _value_defined_classes(M):
         assert x == M.expand(poly, I), call
 
@@ -1211,7 +1230,7 @@ def test_no_build_or_verify_path_goes_through_polynomials(monkeypatch):
     # cold builds: fresh model and geometry caches, restored after the test
     from quadchow import cli, schubert
 
-    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
     monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
     calls = [
         _count_calls(monkeypatch, FlagModel, "expand"),
@@ -1243,13 +1262,13 @@ def _elements_in(obj):
 
 
 def test_no_cycle_memo_or_table_names_an_element_by_window(monkeypatch):
-    # cold builds and verify runs at n = 5 and both rulings at n = 6, on fresh
+    # cold builds and verify runs at n = 5 and both orientations at n = 6, on fresh
     # model, geometry and group memos, restored after the test
     from quadchow import cli, schubert
 
-    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
     monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
-    spaces = [(5, None, "plus"), (6, 1, "plus"), (6, -1, "minus")]
+    spaces = [(5, 1, "plus"), (6, 1, "plus"), (6, -1, "minus")]
     for n in (5, 6):
         ctx = QuadricContext(n)
         g = make_group(ctx.family, ctx.rank)
@@ -1264,8 +1283,8 @@ def test_no_cycle_memo_or_table_names_an_element_by_window(monkeypatch):
     for n, orientation, _ in spaces:
         G = build_geometry(n, orientation)
         tables[n, orientation, "geometry"] = [G._classes, G.bridge_memo]
-        for M in G.sheets([G.d]):
-            tables[n, M.ctx.orientation, "model"] = [M._classes, M._duals, M._pushes]
+        M = G.model
+        tables[n, "model"] = [M._classes, M._duals, M._pushes]
         tables[n, "group"] = [G.group.pair_products, G.group.restriction_rows]
     for key, memos in tables.items():
         assert all(memos), key  # the runs filled every memo
@@ -1282,7 +1301,7 @@ ROW_STORE_ENTRIES = {7: 22496, 8: 282612}
 def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(monkeypatch, n):
     from quadchow import cli, schubert
 
-    monkeypatch.setattr(schubert, "_cached_model", lru_cache(maxsize=None)(FlagModel))
+    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
     monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
     ctx = QuadricContext(n)
     g = make_group(ctx.family, ctx.rank)
@@ -1306,7 +1325,7 @@ def _draw_flag_cycle(data, M, I, p):
 @settings(max_examples=60, deadline=None)
 def test_flag_cycle_products_commute_and_associate(data):
     n, orientation = data.draw(st.sampled_from([s for s in SPACES if s[0] <= 6]))
-    M = build_flag_model(n, orientation)
+    M = ruling(n, orientation)
     I = data.draw(st.sampled_from(_index_sets(M.d)))
     p = data.draw(st.sampled_from([0, 2]))
     a, b, c = (_draw_flag_cycle(data, M, I, p) for _ in range(3))

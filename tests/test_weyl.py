@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from quadchow.schubert import build_flag_model
-from quadchow.weyl import RangeError, make_group
+from quadchow.weyl import RangeError, SignedPermutation, make_group
+from rulings import ruling
 
 
 def brute_force_windows(family: str, rank: int) -> set[tuple[int, ...]]:
@@ -324,7 +324,7 @@ def test_parabolic_longest_matches_generated_subgroup():
 
 @pytest.mark.parametrize("n,orientation", [(7, None), (8, 1), (8, -1)])
 def test_model_parabolic_longest_matches_generated_subgroup(n, orientation):
-    model = build_flag_model(n, orientation)
+    model = ruling(n, orientation)
     G = model.group
     for r in range(model.d + 2):
         for I in itertools.combinations(range(model.d + 1), r):
@@ -359,3 +359,51 @@ def test_simple_indices_out_of_range(bad):
     for call in calls:
         with pytest.raises(RangeError, match=r"out of range \(1\.\.3\): \[%d\]" % bad):
             call()
+
+
+# -- the diagram automorphism of D_m ----------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_sigma_table_is_conjugation_by_the_last_sign_change(rank):
+    G = make_group("D", rank)
+    sigma = G.sigma
+    # c is in B_m, not D_m: the generic product composes windows alone
+    c = SignedPermutation(G, (*range(1, rank), -rank))
+    letter = [*range(rank - 2), rank - 1, rank - 2]  # sigma on the letters, 0-based
+    assert len(sigma) == len(G)
+    for w, x in enumerate(G.elements):
+        assert G.elements[sigma[w]].window == (c * x * c).window, x
+        assert sigma[sigma[w]] == w
+        assert G._lengths[sigma[w]] == G._lengths[w]
+        for i in range(rank):
+            assert G._right[sigma[w]][letter[i]] == sigma[G._right[w][i]], (x, i)
+
+
+def test_sigma_is_defined_for_type_d_only():
+    with pytest.raises(ValueError, match="type D only"):
+        make_group("B", 3).sigma
+
+
+def _other_ruling_parabolic(model, I):
+    """The parabolic of F(I) over the other ruling component, as the second
+    model built it: i = d cuts node m - 1 where the model's cuts m."""
+    m, d = model.group.rank, model.d
+    cut = set()
+    for i in I:
+        if i <= d - 2:
+            cut.add(i + 1)
+        else:
+            cut.update((m - 1, m) if i == d - 1 else (m - 1,))
+    return frozenset(range(1, m + 1)) - cut
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sigma_moves_each_split_basis_onto_the_other_ruling(n):
+    model = ruling(n)
+    G, d = model.group, model.d
+    for r in range(model.d + 1):
+        for rest in itertools.combinations(range(d), r):
+            I = (*rest, d)
+            other = G.coset_indices(_other_ruling_parabolic(model, I))
+            assert sorted(G.sigma[w] for w in model.basis(I)) == list(other), I
