@@ -5,7 +5,7 @@ Run:  python demos/02_flag_varieties.py
 
 from quadchow.schubert import build_geometry
 
-# Building the geometry also runs the convention gate: the classical pullback
+# Building the model also runs the convention gate: the classical pullback
 # ladders between consecutive grassmannians must hold on the nose, otherwise
 # construction aborts.
 G = build_geometry(5)
@@ -14,8 +14,8 @@ print(f"n = {n}, d = {d}; flag models over the Weyl group {G.group.family}_{G.gr
 
 # Ranks of the Chow groups of each grassmannian, straight from the Schubert basis.
 for i in range(d + 1):
-    basis = G.model.basis([i])
-    print(f"G_{i}: dim = {G.model.dim_flag([i])}, Chow rank = {len(basis)}")
+    basis = G.basis([i])
+    print(f"G_{i}: dim = {G.dim_flag([i])}, Chow rank = {len(basis)}")
 
 # The distinguished classes: Z^i_j is the pull-push of a subspace class
 # through the incidence flag F(0, i); W^i_j comes from a hyperplane power.

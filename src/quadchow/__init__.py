@@ -8,7 +8,9 @@ The package computes, with exact integer (or mod-2) coefficients:
   in integers, since every simple root is monic in its main variable);
 * ``schubert`` -- Chow rings of orthogonal grassmannians and partial flag
   varieties of a split quadric, with pull/push along all projections,
-  tautological Chern classes and the distinguished Z/W cycles;
+  tautological Chern classes and the distinguished Z/W cycles, on one
+  ``FlagModel`` per quadric (``build_geometry(n)``) whose cycles carry both
+  ruling components of a disconnected F(I) as sheets;
 * ``quadpow`` -- the Chow ring of powers of the split quadric with its
   monomial basis, symmetrization, and correspondence algebra;
 * ``bridge`` -- mixed cycles on (flag variety) x (quadric power), incidence
@@ -50,9 +52,6 @@ from quadchow.schubert import (
     FlagCycle,
     FlagModel,
     QuadricContext,
-    QuadricGeometry,
-    UnionCycle,
-    build_flag_model,
     build_geometry,
 )
 from quadchow.suites import run_suite, suite_names
@@ -71,9 +70,6 @@ __all__ = [
     "QuadricContext",
     "FlagModel",
     "FlagCycle",
-    "UnionCycle",
-    "QuadricGeometry",
-    "build_flag_model",
     "build_geometry",
     "QuadCycle",
     "Correspondence",

@@ -16,7 +16,7 @@ from functools import cache
 
 from quadchow import bridge, edi, quadpow, suites
 from quadchow.quadpow import QuadCycle, format_cycle, parse_cycle, quad_context
-from quadchow.schubert import UnionCycle, build_geometry
+from quadchow.schubert import FlagCycle, build_geometry
 from quadchow.weyl import RangeError
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ def _signature(name: str) -> str:
     return " ".join([name, *"ij"[: BUILTINS[name]]])
 
 
-def _builtin_cycle(name: str, args: list[str], n: int, orientation: int, p: int):
+def _builtin_cycle(name: str, args: list[str], n: int, p: int):
     """The class the builtin ``name`` gives for the indices ``args``."""
     if len(args) != BUILTINS[name]:
         raise ValueError("wrong number of indices (expected: %s)" % _signature(name))
@@ -57,21 +57,21 @@ def _builtin_cycle(name: str, args: list[str], n: int, orientation: int, p: int)
         return quadpow.rho_i(ctx, idx[0], p)
     if name == "rost":
         return quadpow.rost(ctx, p).cycle
-    geometry = build_geometry(n, orientation)
+    model = build_geometry(n)
     if name == "theta":
-        return bridge.theta(geometry, idx[0], p)
+        return bridge.theta(model, idx[0], p)
     if name == "alpha":
-        return bridge.alpha(geometry, idx[0], p).cycle
-    out = (geometry.class_Z if name == "z" else geometry.class_W)(idx[0], idx[1], p)
+        return bridge.alpha(model, idx[0], p).cycle
+    out = (model.class_Z if name == "z" else model.class_W)(idx[0], idx[1], p)
     if out.I == frozenset([0]):
-        return bridge.flag_cycle_to_quad(geometry, out)
+        return bridge.flag_cycle_to_quad(model, out)
     return out
 
 
 def _sheets_json(x, terms) -> dict:
     """The JSON form of a class on F(I) or on F(I) x X^m: the (sheet, term)
     pairs of ``terms`` listed per sheet, sorted by window and then monomial."""
-    sheets: list[list] = [[] for _ in range(x.geometry.sheets(x.I))]
+    sheets: list[list] = [[] for _ in range(x.model.sheets(x.I))]
     for k, term in terms:
         sheets[k].append(term)
     return {
@@ -83,21 +83,21 @@ def _sheets_json(x, terms) -> dict:
     }
 
 
-def _format_union(x: UnionCycle, fmt: str):
+def _format_flag(x: FlagCycle, fmt: str, orientation: int):
     if fmt == "json":
-        elements = x.geometry.group.elements
+        elements = x.model.group.elements
         return _sheets_json(
             x,
             ((k, {"coeff": c, "window": list(elements[w].window)})
-             for (k, w), c in x.geometry.printed(x.coeffs).items()),
+             for (k, w), c in x.model.printed(x.coeffs, orientation).items()),
         )
-    return repr(x)
+    return x.render(orientation)
 
 
-def _format_mixed(x, fmt: str):
+def _format_mixed(x, fmt: str, orientation: int):
     names = quadpow._symbol_names(mono for _, _, mono in x.coeffs)
-    elements = x.geometry.group.elements
-    coeffs = x.geometry.printed(x.coeffs)
+    elements = x.model.group.elements
+    coeffs = x.model.printed(x.coeffs, orientation)
     if fmt == "json":
         return _sheets_json(
             x,
@@ -137,7 +137,7 @@ def cmd_compute(args) -> int:
     head = tokens[0].lower() if tokens else ""
     try:
         if head in BUILTINS:
-            out = _builtin_cycle(head, tokens[1:], args.n, orientation, p)
+            out = _builtin_cycle(head, tokens[1:], args.n, p)
         else:
             out = parse_cycle(quad_context(args.n), args.expr.strip())
             if p == 2:
@@ -147,10 +147,10 @@ def cmd_compute(args) -> int:
         return _classify_value_error(exc)
     if isinstance(out, QuadCycle):
         rendered = _format_quad(out, args.format)
-    elif isinstance(out, UnionCycle):
-        rendered = _format_union(out, args.format)
+    elif isinstance(out, FlagCycle):
+        rendered = _format_flag(out, args.format, orientation)
     else:
-        rendered = _format_mixed(out, args.format)
+        rendered = _format_mixed(out, args.format, orientation)
     if args.format == "json":
         print(json.dumps(rendered, sort_keys=True))
     else:

@@ -36,9 +36,9 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   two W^P classes, pulled back from G/B, per pair of indices whichever F(I)
   asked for it;
 * the distinguished classes (Z, W, the Chern classes, c_1(O(1)) and h^k)
-  are memoised on the model or geometry that built them, one dict per
-  object keyed by (constructor, indices, p), and freed with it; a call that
-  raises stores nothing;
+  are memoised on the model that built them, one dict per model keyed by
+  (constructor, indices, p), and freed with it; a call that raises stores
+  nothing;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
@@ -64,15 +64,16 @@ D_m, and the middle class l_d on X is named so that a generic member of G_d
 meets the subspace representing l_d in exactly one point (this makes
 deg(z^d_0) = 1, and flips between the same and the opposite family according
 to n mod 4).  The other component is its image under sigma, w -> c w c with c
-the sign change of the last coordinate (`WeylGroup.sigma`).  `QuadricGeometry`
-keys every cycle on F(I) by (sheet, w), w an index (`UnionCycle`): F(I) has
-two sheets, its components over the two rulings, when n is even and d is in
-I, and one otherwise.  Sheet 1 is stored as its sigma-transport, so every
-sheet is read on the one model, and sigma is applied only where a cycle
-crosses between sheet 1 and a connected F(J) (pullback, pushforward) and
-where a window is printed: under the orientation minus, G_d is the other
+the sign change of the last coordinate (`WeylGroup.sigma`).  A `FlagCycle` is
+keyed by (sheet, w), w an index: F(I) has two sheets, its components over the
+two rulings, when n is even and d is in I, and one otherwise.  Sheet 1 is
+stored as its sigma-transport, so every sheet is read on the one model, and
+sigma is applied only where a cycle crosses between sheet 1 and a connected
+F(J) (`pullback`, `pushforward`) and where a window is printed
+(`FlagModel.printed`): under the orientation minus, G_d is the other
 component, and sheet 0 and the connected spaces print through sigma, not
-sheet 1.  Degrees sum over the sheets.
+sheet 1.  Degrees sum over the sheets.  The orientation only names the
+rulings in print, so one model per n (`build_geometry`) serves both.
 
 Sign conventions not forced by the mathematics (the Chern roots of the
 tautological bundles and c_1(O(1)) on F(i-1,i)) are pinned by the classical
@@ -97,9 +98,6 @@ __all__ = [
     "SparseCycle",
     "FlagModel",
     "FlagCycle",
-    "UnionCycle",
-    "QuadricGeometry",
-    "build_flag_model",
     "build_geometry",
     "pullback_ladder",
 ]
@@ -210,9 +208,9 @@ class SparseCycle:
 
 def _memoised(method):
     """Memoise a distinguished-class constructor f(self, *indices, p=0) in
-    its object's ``_classes`` dict, keyed by (name, *indices, p), so the memo
-    is freed with its model or geometry.  A call that raises stores nothing,
-    so a range error raises every time.  Callers share the cached cycle."""
+    its model's ``_classes`` dict, keyed by (name, *indices, p), so the memo
+    is freed with its model.  A call that raises stores nothing, so a range
+    error raises every time.  Callers share the cached cycle."""
     name = method.__name__
     arity = method.__code__.co_argcount - 1  # the indices and p
 
@@ -231,7 +229,9 @@ def _memoised(method):
 
 class FlagCycle(SparseCycle):
     """A cycle on F(I), stored by its integer (or mod-2) Schubert coefficients,
-    keyed by the index of each basis element in the group's `elements`."""
+    keyed (sheet, w): w is the index of a basis element in the group's
+    `elements`, and the sheet is the component of F(I) it lies on, 0 or 1
+    (`FlagModel.sheets`), sheet 1 stored as its sigma-transport."""
 
     __slots__ = ("model", "I")
 
@@ -243,29 +243,39 @@ class FlagCycle(SparseCycle):
     def _space(self) -> tuple:
         return (self.model, self.I)
 
-    def _key_codim(self, w: int) -> int:
-        return self.model.group._lengths[w]
+    def _key_codim(self, key: tuple[int, int]) -> int:
+        return self.model.group._lengths[key[1]]
 
     def __mul__(self, other: "FlagCycle") -> "FlagCycle":
         self._check(other)
+        model, I = self.model, self.I
+        right: list[list] = [[] for _ in range(model.sheets(I))]
+        for (k, v), c in other.coeffs.items():
+            right[k].append((v, c))
         out: dict = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                for w, c in self.model.basis_product(self.I, u, v).items():
-                    out[w] = out.get(w, 0) + cu * cv * c
-        return FlagCycle(self.model, self.I, out, self.p)
+        for (k, u), cu in self.coeffs.items():
+            for v, cv in right[k]:
+                for w, c in model.basis_product(I, u, v).items():
+                    key = (k, w)
+                    out[key] = out.get(key, 0) + cu * cv * c
+        return FlagCycle(model, I, out, self.p)
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
+    def render(self, orientation: int = 1) -> str:
+        """The terms c*S(window) of each sheet in index order, the sheets
+        joined by " (+) ", with the windows the orientation prints."""
         elements = self.model.group.elements
-        parts = [f"{c}*S{elements[w].window}" for w, c in sorted(self.coeffs.items())]
+        sheets: list[list] = [[] for _ in range(self.model.sheets(self.I))]
+        for (k, w), c in sorted(self.model.printed(self.coeffs, orientation).items()):
+            sheets[k].append("%d*S%s" % (c, elements[w].window))
         tag = " (mod 2)" if self.p == 2 else ""
-        return " + ".join(parts) + tag
+        return " (+) ".join(" + ".join(terms) + tag if terms else "0" for terms in sheets)
+
+    __repr__ = render
 
 
 class FlagModel:
-    """All Chow-ring data for the flag varieties of one split quadric."""
+    """All Chow-ring data for the flag varieties of one split quadric, over
+    both ruling components where F(I) has two (`sheets`)."""
 
     def __init__(self, n: int):
         if not MIN_N <= n <= MAX_N:
@@ -279,10 +289,27 @@ class FlagModel:
         self._pushes: dict = {}
         self._duals: dict = {}
         self._classes: dict = {}  # see _memoised
+        # bridge memo: the incidence powers on G_i x X^m by (i, m, p) (the
+        # incidence class is m = 1, eta_i is m = i, theta_i m = i + 1)
+        self.bridge_memo: dict = {}
         self._identify_quadric_basis()
         self.validate_conventions()
 
     # -- index bookkeeping ---------------------------------------------------
+
+    def sheets(self, I: Iterable[int]) -> int:
+        """The number of connected components of F(I)."""
+        return 2 if self.n % 2 == 0 and self.d in frozenset(I) else 1
+
+    def printed(self, coeffs: Mapping, orientation: int = 1) -> Mapping:
+        """Keys (sheet, w, ...) with w as the orientation (1 or -1) prints it:
+        moved by sigma on sheet 1 under plus, on sheet 0 and connected spaces
+        under minus."""
+        if self.n % 2:
+            return coeffs
+        same, sigma = range(len(self.group)), self.group.sigma
+        tables = (same, sigma) if orientation == 1 else (sigma, same)
+        return {(k, tables[k][w], *r): c for (k, w, *r), c in coeffs.items()}
 
     def parabolic(self, I: Iterable[int]) -> frozenset[int]:
         """Simple-reflection indices of the parabolic for F(I): every node but
@@ -320,10 +347,11 @@ class FlagModel:
         return FlagCycle(self, I, {}, p)
 
     def fundamental(self, I: Iterable[int], p: int = 0) -> FlagCycle:
-        return FlagCycle(self, I, {0: 1}, p)
+        return FlagCycle(self, I, {(k, 0): 1 for k in range(self.sheets(I))}, p)
 
     def point_class(self, I: Iterable[int], p: int = 0) -> FlagCycle:
-        return FlagCycle(self, I, {self.top_element(I): 1}, p)
+        """The class of a point; on a disconnected F(I), a point of sheet 0."""
+        return FlagCycle(self, I, {(0, self.top_element(I)): 1}, p)
 
     # -- Schubert representatives and expansion -------------------------------
 
@@ -340,14 +368,15 @@ class FlagModel:
         return rep
 
     def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
-        """Express a polynomial representative in the Schubert basis of F(I).
+        """Express a polynomial representative in the Schubert basis of F(I),
+        on sheet 0: a polynomial names a class on the model's own ruling.
 
-        Each homogeneous part of degree k <= dim F(I) is solved by
-        `from_values`; the codimension-k coefficients of the solve are the
-        non-equivariant ones.  A part not fixed by W_P, the parabolic of F(I),
-        is no class on F(I) and raises ValueError, as does a polynomial in the
-        wrong number of variables.  A fractional coefficient is a hard error
-        (a convention broke).
+        Each homogeneous part of degree k <= dim F(I) is solved from its
+        values at the fixed points; the codimension-k coefficients of the
+        solve are the non-equivariant ones.  A part not fixed by W_P, the
+        parabolic of F(I), is no class on F(I) and raises ValueError, as does
+        a polynomial in the wrong number of variables.  A fractional
+        coefficient is a hard error (a convention broke).
         """
         I = frozenset(I)
         g = self.group
@@ -355,7 +384,7 @@ class FlagModel:
             raise ValueError("rank mismatch")
         dim = self.dim_flag(I)
         par = sorted(self.parabolic(I))
-        out: dict[int, int] = {}
+        out: dict = {}
         for k, part in sorted(poly.homogeneous_parts().items()):
             if k > dim:
                 break
@@ -365,22 +394,28 @@ class FlagModel:
                     "the degree-%d part is no class on F(%s): s_%d moves it"
                     % (k, ",".join(map(str, sorted(I))), moved[0])
                 )
-            for w, c in self.from_values(I, k, part.numerator_at()).coeffs.items():
+            for w, c in self._solve_values(I, k, part.numerator_at()).items():
                 if c % part.den:
                     raise ArithmeticError(
                         "nonintegral Schubert coefficient %s at %r"
                         % (Fraction(c, part.den), g.elements[w].window)
                     )
-                out[w] = c // part.den
+                out[0, w] = c // part.den
         return FlagCycle(self, I, out, p)
 
     def from_values(self, I: Iterable[int], k: int, f, p: int = 0) -> FlagCycle:
         """The codimension-k class on F(I) whose value at each fixed point y is
         the integer f(x), x = -y^{-1}.t (`_fixed_point`); f must evaluate a
-        W_P-invariant polynomial of degree k in x_1, ..., x_m."""
+        W_P-invariant polynomial of degree k in x_1, ..., x_m whose class
+        sigma fixes, so the one solve is put on every sheet."""
+        solved = self._solve_values(I, k, f)
+        coeffs = {(s, w): c for s in range(self.sheets(I)) for w, c in solved.items()}
+        return FlagCycle(self, I, coeffs, p)
+
+    def _solve_values(self, I, k: int, f) -> dict[int, int]:
         elements = self.group.elements
         value = lambda y, row: f(_fixed_point(elements[y]))  # noqa: E731
-        return FlagCycle(self, I, self._localized_expansion(I, value, 0, k), p)
+        return self._localized_expansion(I, value, 0, k)
 
     def basis_product(self, I, u: int, v: int) -> dict[int, int]:
         """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)
@@ -485,13 +520,22 @@ class FlagModel:
     # -- functoriality ---------------------------------------------------------
 
     def pullback(self, target_I: Iterable[int], x: FlagCycle) -> FlagCycle:
-        """Pullback along F(target_I) -> F(J); requires J contained in target_I."""
+        """Pullback along F(target_I) -> F(J), J = x.I contained in target_I.
+
+        Every key keeps its Schubert element, and a connected source (d not in
+        J) is copied onto sheet 0 of a split target as is and onto sheet 1
+        through sigma.
+        """
         _own(self, x)
         target_I = frozenset(target_I)
         if not x.I <= target_I:
             raise ValueError("pullback requires J to be a subset of I")
         self.parabolic(target_I)  # range-checks the target's indices
-        return FlagCycle(self, target_I, x.coeffs, x.p)
+        coeffs = x.coeffs
+        if self.sheets(target_I) > self.sheets(x.I):
+            sigma = self.group.sigma
+            coeffs = {**coeffs, **{(1, sigma[w]): c for (_, w), c in coeffs.items()}}
+        return FlagCycle(self, target_I, coeffs, x.p)
 
     def pushforward(self, target_J: Iterable[int], x: FlagCycle) -> FlagCycle:
         """Pushforward along F(I) -> F(J) for J contained in I.
@@ -499,7 +543,8 @@ class FlagModel:
         On the Schubert basis this is combinatorial: s_w maps to s_u when
         w = u v, u in basis(J) and v = w_0(P_J) w_0(P_I), and to 0 otherwise.
         The table is built once per (I, J): v is w_0(P_J), reached by ascent,
-        walked down by P_I, and each u is followed along a word of v.
+        walked down by P_I, and each u is followed along a word of v.  Over a
+        connected target (d not in J) sheet 1 adds into sheet 0 through sigma.
         """
         _own(self, x)
         target_J = frozenset(target_J)
@@ -511,11 +556,13 @@ class FlagModel:
             top = g._walk(0, g._mask(self.parabolic(target_J)), 1)[0]
             v = g._word(g._walk(top, g._mask(self.parabolic(x.I)), -1)[0])
             table = self._pushes[x.I, target_J] = {g._follow(u, v): u for u in self.basis(target_J)}
-        out: dict[int, int] = {}
-        for w, c in x.coeffs.items():
+        merge = self.sheets(target_J) < self.sheets(x.I)
+        out: dict = {}
+        for (k, w), c in x.coeffs.items():
             u = table.get(w)
             if u is not None:
-                out[u] = out.get(u, 0) + c
+                key = (0, self.group.sigma[u]) if merge and k else (k, u)
+                out[key] = out.get(key, 0) + c
         return FlagCycle(self, target_J, out, x.p)
 
     def pullpush(self, x: FlagCycle, J: Iterable[int]) -> FlagCycle:
@@ -524,9 +571,12 @@ class FlagModel:
         return self.pushforward(J, self.pullback(x.I | J, x))
 
     def deg(self, x: FlagCycle) -> int:
-        """Degree homomorphism: coefficient of the point class in top codimension."""
+        """Degree homomorphism: the sum over the sheets of the coefficient of
+        the point class."""
         _own(self, x)
-        return x.coeffs.get(self.top_element(x.I), 0)
+        top = self.top_element(x.I)
+        total = sum(x.coeffs.get((k, top), 0) for k in range(self.sheets(x.I)))
+        return total % 2 if x.p == 2 else total
 
     def poincare_dual(self, I: Iterable[int]) -> dict[int, int]:
         """The involution u -> w_0 u w_0(P_I) of basis(I), memoised per I.
@@ -549,13 +599,13 @@ class FlagModel:
         The factors are split greedily (largest codimension first) into two
         halves of near-equal codimension; each half is multiplied out as
         FlagCycles (an empty half is the fundamental class), and the two
-        Schubert vectors A, B are paired: deg = sum_u A_u B_{dual(u)}.
+        Schubert vectors A, B are paired on every sheet: deg = sum_(k, u)
+        A_(k, u) B_(k, dual(u)).
         """
         if not classes:
             raise ValueError("empty product")
         _own(self, *classes)
-        first = classes[0]
-        I = first.I
+        I = classes[0].I
         codims = [x.codim() for x in classes]
         if sum(codims) != self.dim_flag(I):
             return 0
@@ -565,10 +615,10 @@ class FlagModel:
             k = 0 if weight[0] <= weight[1] else 1
             halves[k].append(x)
             weight[k] += c
-        a, b = (reduce(FlagCycle.__mul__, h).coeffs if h else {0: 1} for h in halves)
+        a, b = (reduce(FlagCycle.__mul__, h) if h else self.fundamental(I) for h in halves)
         dual = self.poincare_dual(I)
-        total = sum(c * b.get(dual[u], 0) for u, c in a.items())
-        return total % 2 if first.p == 2 else total
+        total = sum(c * b.coeffs.get((k, dual[u]), 0) for (k, u), c in a.coeffs.items())
+        return total % 2 if classes[0].p == 2 else total
 
     # -- the quadric inside the model -------------------------------------------
 
@@ -593,7 +643,7 @@ class FlagModel:
             same = self.pullpush(self.point_class([d]), [0])
             if len(same.coeffs) != 1 or set(same.coeffs.values()) != {1}:
                 raise AssertionError("ruling identification failed")
-            (w_same,) = same.coeffs
+            ((_, w_same),) = same.coeffs
             (w_other,) = [w for w in mids if w != w_same]
             # l_d is the ruling a generic member of G_d meets in a point:
             # the same family iff the rank d+1 is odd, i.e. iff 4 | n.
@@ -601,7 +651,7 @@ class FlagModel:
                 w_same, w_other = w_other, w_same
             self.x_basis[("l", d)], self.x_basis[("lp", d)] = w_same, w_other
             total = self.h_power(d)
-            if total.coeffs != {mids[0]: 1, mids[1]: 1}:
+            if total.coeffs != {(0, mids[0]): 1, (0, mids[1]): 1}:
                 raise AssertionError("h^d should split as l_d + l_d'")
 
     def x_class(self, s: tuple[str, int], p: int = 0) -> FlagCycle:
@@ -615,7 +665,7 @@ class FlagModel:
             if any(s[:1] == (kind,) for kind, _ in self.x_basis):
                 raise RangeError("X-class index out of range: %r" % (s,))
             raise ValueError("no X-class symbol %r at n = %d" % (s, self.n))
-        return FlagCycle(self, [0], {w: 1}, p)
+        return FlagCycle(self, [0], {(0, w): 1}, p)
 
     @_memoised
     def h_power(self, k: int, p: int = 0) -> FlagCycle:
@@ -632,7 +682,8 @@ class FlagModel:
 
     @_memoised
     def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
-        """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) and push down.
+        """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) onto every sheet and
+        push down (the naming of l_d is the model's on both sheets).
 
         Out-of-range j gives the natural zero class rather than an error only
         when the l-index merely overflows codimension (j > n - i); the lower
@@ -691,58 +742,63 @@ class FlagModel:
             raise RangeError("bundle index out of range")
         return self.from_values([i - 1, i], 1, lambda x: -x[i], p)
 
+    def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> FlagCycle:
+        """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
+        W^{i-1}_{t-j} . pi_* pi^*(Z^i_{n-2i+j})."""
+        total = self.zero([i - 1], p)
+        for j in js:
+            sigma = self.pullpush(self.class_Z(i, self.n - 2 * i + j, p), [i - 1])
+            total = total + self.class_W(i - 1, t - j, p) * sigma
+        return total
+
     # -- convention gate -----------------------------------------------------------
 
     def validate_conventions(self) -> None:
-        _check_ladder(self, range(1, self.d + 1))
+        """The build gate: raise at the first failing identity of the Lemma 2.4
+        ladders, i = 1..d, each read on every sheet."""
+        for i in range(1, self.d + 1):
+            for case_id, params, lhs, rhs in pullback_ladder(self, i):
+                if lhs != rhs:
+                    raise ArithmeticError(
+                        "sign-convention gate failed at i=%d (%s, %s)" % (i, case_id, params)
+                    )
 
 
-def pullback_ladder(space, i: int):
+def pullback_ladder(model: FlagModel, i: int):
     """The Lemma 2.4 identities on F(i-1, i) that pin every sign choice.
 
-    `space` is a FlagModel or a QuadricGeometry.  Yields (case_id, params,
-    lhs, rhs) tuples; every one must be an exact equality.
+    Yields (case_id, params, lhs, rhs) tuples; every one must be an exact
+    equality.
     """
-    n, d = space.n, space.d
+    n, d = model.n, model.d
     I = [i - 1, i]
-    xi = space.class_O1(i)
-    pull = lambda x: space.pullback(I, x)  # noqa: E731
+    xi = model.class_O1(i)
+    pull = lambda x: model.pullback(I, x)  # noqa: E731
     # the full pull-push of h^i is the fundamental class of G_i
-    yield "fundamental", {"n": n, "i": i}, space.class_W(i, 0), space.fundamental([i])
+    yield "fundamental", {"n": n, "i": i}, model.class_W(i, 0), model.fundamental([i])
     # Z-classes on consecutive grassmannians
     for j in range(n - i + 1 - d, n - i + 2):
-        lhs = pull(space.class_Z(i - 1, j))
-        rhs = xi * pull(space.class_Z(i, j - 1)) + pull(space.class_Z(i, j))
+        lhs = pull(model.class_Z(i - 1, j))
+        rhs = xi * pull(model.class_Z(i, j - 1)) + pull(model.class_Z(i, j))
         yield "Z-ladder", {"n": n, "i": i, "j": j}, lhs, rhs
     # W-classes below the top
     for j in range(0, d - i + 1):
-        lhs = pull(space.class_W(i - 1, j))
-        rhs = xi * pull(space.class_W(i, j - 1)) + pull(space.class_W(i, j))
+        lhs = pull(model.class_W(i - 1, j))
+        rhs = xi * pull(model.class_W(i, j - 1)) + pull(model.class_W(i, j))
         yield "W-ladder", {"n": n, "i": i, "j": j}, lhs, rhs
     # the top W-class picks up a doubled Z-term
-    lhs = pull(space.class_W(i - 1, d - i + 1))
-    rhs = xi * pull(space.class_W(i, d - i)) + pull(space.class_Z(i, d - i + 1)).scale(2)
+    lhs = pull(model.class_W(i - 1, d - i + 1))
+    rhs = xi * pull(model.class_W(i, d - i)) + pull(model.class_Z(i, d - i + 1)).scale(2)
     yield "top-W-ladder", {"n": n, "i": i}, lhs, rhs
 
 
-def _check_ladder(space, indices: Iterable[int]) -> None:
-    """The build gate: raise at the first failing identity of the ladders."""
-    for i in indices:
-        for case_id, params, lhs, rhs in pullback_ladder(space, i):
-            if lhs != rhs:
-                raise ArithmeticError(
-                    "sign-convention gate failed on %s at i=%d (%s, %s)"
-                    % (type(space).__name__, i, case_id, params)
-                )
-
-
-def _own(space, *cycles) -> None:
-    """Raise ValueError unless the cycles lie on one F(I) of `space`, a
-    FlagModel or a QuadricGeometry, over one ring."""
+def _own(model: FlagModel, *cycles) -> None:
+    """Raise ValueError unless the cycles lie on one F(I) of `model`, over one
+    ring."""
     first = cycles[0]
     for x in cycles[1:]:
         first._check(x)
-    if first._space()[0] is not space:
+    if first.model is not model:
         raise ValueError("space/ring mismatch")
 
 
@@ -785,224 +841,7 @@ def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict]:
 
 
 @lru_cache(maxsize=None)
-def build_flag_model(n: int) -> FlagModel:
-    """Build (and cache) the flag-variety model for the split quadric of dim n."""
+def build_geometry(n: int) -> FlagModel:
+    """Build (and cache) the flag model of the split quadric of dimension n,
+    the one object per n that every orientation prints from."""
     return FlagModel(n)
-
-
-class UnionCycle(SparseCycle):
-    """A cycle on F(I) of a QuadricGeometry, keyed (sheet, w), w an index.
-
-    The sheets are the connected components of F(I): one for n odd or d not
-    in I, and two for n even with d in I, where the maximal isotropic
-    subspaces form both ruling components.  Sheet 1 is stored as its
-    sigma-transport onto sheet 0, so w runs over the Schubert basis of F(I)
-    on the geometry's one model on either sheet.  `parts` views the cycle as
-    one FlagCycle per sheet, all on that model.
-    """
-
-    __slots__ = ("geometry", "I", "_parts")
-
-    def __init__(self, geometry: "QuadricGeometry", I, coeffs: Mapping, p: int = 0):
-        self.geometry = geometry
-        self.I = frozenset(I)
-        self._parts: tuple[FlagCycle, ...] | None = None
-        SparseCycle.__init__(self, coeffs, p)
-
-    def _space(self) -> tuple:
-        return (self.geometry, self.I)
-
-    def _key_codim(self, key: tuple[int, int]) -> int:
-        return self.geometry.group._lengths[key[1]]
-
-    @property
-    def parts(self) -> tuple[FlagCycle, ...]:
-        """One FlagCycle per sheet, on the geometry's model; built once."""
-        if self._parts is None:
-            split: list[dict] = [{} for _ in range(self.geometry.sheets(self.I))]
-            for (k, w), c in self.coeffs.items():
-                split[k][w] = c
-            model = self.geometry.model
-            self._parts = tuple(FlagCycle(model, self.I, part, self.p) for part in split)
-        return self._parts
-
-    def __mul__(self, other: "UnionCycle") -> "UnionCycle":
-        self._check(other)
-        return self.geometry.from_parts(self.I, [a * b for a, b in zip(self.parts, other.parts)])
-
-    def __repr__(self) -> str:
-        g = self.geometry
-        shown = self if g.n % 2 else UnionCycle(g, self.I, g.printed(self.coeffs), self.p)
-        return " (+) ".join(repr(x) for x in shown.parts)
-
-
-class QuadricGeometry:
-    """Sheet-aware front end over the flag model of one split quadric.
-
-    All Chow-ring operations below take and return :class:`UnionCycle`,
-    summing over the two ruling components wherever the geometry is
-    disconnected; the global middle class l_d is the model's.  `orientation`
-    (1 or -1, plus or minus) names the rulings in printed windows only.
-    """
-
-    def __init__(self, n: int, orientation: int = 1):
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be 1 or -1")
-        self.n = n
-        self.d = n // 2
-        self.model = build_flag_model(n)
-        self.ctx = self.model.ctx
-        self.group = self.model.group
-        self.orientation = orientation if n % 2 == 0 else 1  # odd n: one ruling
-        # bridge memo, freed with this geometry: the incidence powers on
-        # G_i x X^m by (i, m, p) (the incidence class is m = 1, eta_i is
-        # m = i, theta_i m = i + 1)
-        self.bridge_memo: dict = {}
-        self._classes: dict = {}  # see _memoised
-        if n % 2 == 0:
-            # the model's gate cannot see sigma's wiring of sheet 1
-            _check_ladder(self, [self.d])
-
-    # -- sheets ------------------------------------------------------------
-
-    def sheets(self, I: Iterable[int]) -> int:
-        """The number of connected components of F(I)."""
-        return 2 if self.n % 2 == 0 and self.d in frozenset(I) else 1
-
-    def printed(self, coeffs: Mapping) -> Mapping:
-        """Keys (sheet, w, ...) with w as the orientation prints it: moved by
-        sigma on sheet 1 under plus, on sheet 0 and connected spaces under minus."""
-        if self.n % 2:
-            return coeffs
-        same, sigma = range(len(self.group)), self.group.sigma
-        tables = (same, sigma) if self.orientation == 1 else (sigma, same)
-        return {(k, tables[k][w], *r): c for (k, w, *r), c in coeffs.items()}
-
-    def from_parts(self, I: Iterable[int], parts: Iterable[FlagCycle]) -> UnionCycle:
-        """The cycle on F(I) whose part on sheet k is the FlagCycle parts[k]."""
-        parts = tuple(parts)
-        if len(parts) != self.sheets(I):
-            raise ValueError("wrong number of sheet parts")
-        coeffs = {(k, w): c for k, x in enumerate(parts) for w, c in x.coeffs.items()}
-        return UnionCycle(self, I, coeffs, parts[0].p)
-
-    def from_model(self, x: FlagCycle) -> UnionCycle:
-        """The cycle on F(x.I) whose part on every sheet is x."""
-        return self.from_parts(x.I, [x] * self.sheets(x.I))
-
-    # -- basic classes -------------------------------------------------------
-
-    def zero(self, I, p: int = 0) -> UnionCycle:
-        return UnionCycle(self, I, {}, p)
-
-    def fundamental(self, I, p: int = 0) -> UnionCycle:
-        return self.from_model(self.model.fundamental(I, p))
-
-    def point_class(self, I, p: int = 0) -> UnionCycle:
-        # On a disconnected variety this is the point of sheet 0.
-        return UnionCycle(self, I, {(0, self.model.top_element(I)): 1}, p)
-
-    @_memoised
-    def h_power(self, k: int, p: int = 0) -> UnionCycle:
-        return self.from_model(self.model.h_power(k, p))
-
-    # -- functoriality ---------------------------------------------------------
-
-    def pullback(self, target_I, x: UnionCycle) -> UnionCycle:
-        """Pullback along F(target_I) -> F(J): every key keeps its Schubert
-        element, and a connected source (d not in J) is copied onto sheet 0
-        of a split target as is and onto sheet 1 through sigma."""
-        _own(self, x)
-        target_I = frozenset(target_I)
-        if not x.I <= target_I:
-            raise ValueError("pullback requires J to be a subset of I")
-        self.model.parabolic(target_I)  # range-checks the target's indices
-        coeffs = x.coeffs
-        if self.sheets(target_I) > self.sheets(x.I):
-            sigma = self.group.sigma
-            coeffs = {**coeffs, **{(1, sigma[w]): c for (_, w), c in coeffs.items()}}
-        return UnionCycle(self, target_I, coeffs, x.p)
-
-    def pushforward(self, target_J, x: UnionCycle) -> UnionCycle:
-        """Pushforward along F(I) -> F(target_J), sheet by sheet on the model;
-        over a connected target (d not in target_J) sheet 1 adds into sheet 0
-        through sigma."""
-        _own(self, x)
-        target_J = frozenset(target_J)
-        if not target_J <= x.I:
-            raise ValueError("pushforward requires J to be a subset of I")
-        parts = [self.model.pushforward(target_J, part) for part in x.parts]
-        if len(parts) > self.sheets(target_J):
-            sigma = self.group.sigma
-            moved = {sigma[u]: c for u, c in parts[1].coeffs.items()}
-            parts = [parts[0] + FlagCycle(self.model, target_J, moved, x.p)]
-        return self.from_parts(target_J, parts)
-
-    def pullpush(self, x: UnionCycle, J: Iterable[int]) -> UnionCycle:
-        """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
-        J = frozenset(J)
-        return self.pushforward(J, self.pullback(x.I | J, x))
-
-    def deg(self, x: UnionCycle) -> int:
-        """The sum over the sheets of the coefficient of the point class."""
-        _own(self, x)
-        top = self.model.top_element(x.I)
-        total = sum(x.coeffs.get((k, top), 0) for k in range(self.sheets(x.I)))
-        return total % 2 if x.p == 2 else total
-
-    def deg_product(self, classes: list[UnionCycle]) -> int:
-        """deg of a product: the sum over the sheets of `FlagModel.deg_product`."""
-        if not classes:
-            raise ValueError("empty product")
-        _own(self, *classes)
-        sheet_parts = zip(*(x.parts for x in classes))
-        total = sum(self.model.deg_product(list(parts)) for parts in sheet_parts)
-        return total % 2 if classes[0].p == 2 else total
-
-    # -- distinguished classes ----------------------------------------------------
-
-    @_memoised
-    def class_Z(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        """Z^i_j: the model's l_{n-i-j} on X (its naming of l_d is global),
-        pulled through F(0, i) onto every sheet of G_i."""
-        if not 0 <= i <= self.d:
-            raise RangeError("grassmannian index out of range")
-        return self.pullpush(self.from_model(self.model.class_Z(0, i + j, p)), [i])
-
-    # sigma fixes W, the Chern classes and c_1(O(1)): sheet 1 holds the model's
-    @_memoised
-    def class_W(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self.from_model(self.model.class_W(i, j, p))
-
-    @_memoised
-    def chern_taut(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self.from_model(self.model.chern_taut(i, j, p))
-
-    @_memoised
-    def chern_quot(self, i: int, j: int, p: int = 0) -> UnionCycle:
-        return self.from_model(self.model.chern_quot(i, j, p))
-
-    @_memoised
-    def class_O1(self, i: int, p: int = 0) -> UnionCycle:
-        # F(i-1, i) splits exactly when G_i does
-        return self.from_model(self.model.class_O1(i, p))
-
-    def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> UnionCycle:
-        """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
-        W^{i-1}_{t-j} . pi_* pi^*(Z^i_{n-2i+j})."""
-        total = self.zero([i - 1], p)
-        for j in js:
-            sigma = self.pullpush(self.class_Z(i, self.n - 2 * i + j, p), [i - 1])
-            total = total + self.class_W(i - 1, t - j, p) * sigma
-        return total
-
-
-@lru_cache(maxsize=None)
-def _cached_geometry(n: int, orientation: int) -> QuadricGeometry:
-    return QuadricGeometry(n, orientation)
-
-
-def build_geometry(n: int, orientation: int = 1) -> QuadricGeometry:
-    """Build (and cache) the sheet-aware geometry for the split quadric of dim
-    n; at odd n, with one ruling, orientation -1 is the plus geometry."""
-    return _cached_geometry(n, 1 if n % 2 and orientation == -1 else orientation)

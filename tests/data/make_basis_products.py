@@ -21,7 +21,7 @@ import json
 import pathlib
 import sys
 
-from quadchow.schubert import FlagModel, build_flag_model
+from quadchow.schubert import FlagModel, build_geometry
 
 HERE = pathlib.Path(__file__).parent
 SKIP = {(6, (1, 2))}
@@ -57,7 +57,7 @@ def table(model: FlagModel, I: tuple[int, ...], orientation: int | None) -> list
 def generate() -> list:
     entries = []
     for n in range(3, 7):
-        model = build_flag_model(n)
+        model = build_geometry(n)
         for orientation in orientations(n):
             for I in spaces(n):
                 entries.append(

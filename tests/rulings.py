@@ -8,17 +8,17 @@ becomes sigma[w], a polynomial f becomes c.f (x_m -> -x_m), and the
 parabolic of F(I) has the last two nodes swapped.  `SigmaImage` does the
 moving, so the tests hold that ruling to the same frozen tables and
 polynomial oracles as the model's own.  Its cycles are FlagCycles whose model
-is the view.
+is the view, keyed (sheet, w) as the model's: each sheet moved by sigma.
 """
 
 from quadchow.polyring import act
-from quadchow.schubert import FlagCycle, build_flag_model
+from quadchow.schubert import FlagCycle, build_geometry
 from quadchow.weyl import SignedPermutation
 
 
 def ruling(n: int, orientation=None):
     """The model, or its sigma-image at orientation -1 and even n."""
-    model = build_flag_model(n)
+    model = build_geometry(n)
     return SigmaImage(model) if orientation == -1 and n % 2 == 0 else model
 
 
@@ -37,7 +37,7 @@ class SigmaImage:
     # -- moving between the model and the view ---------------------------------
 
     def _move(self, coeffs) -> dict:
-        return {self.sigma[w]: c for w, c in coeffs.items()}
+        return {(k, self.sigma[w]): c for (k, w), c in coeffs.items()}
 
     def _cycle(self, x: FlagCycle) -> FlagCycle:
         """A cycle of the model, moved onto the view."""
@@ -50,6 +50,12 @@ class SigmaImage:
         return FlagCycle(self.model, x.I, self._move(x.coeffs), x.p)
 
     # -- the FlagModel interface the tests use -----------------------------------
+
+    def sheets(self, I):
+        return self.model.sheets(I)
+
+    def printed(self, coeffs, orientation=1):
+        return coeffs  # the view's windows are the other ruling's already
 
     def parabolic(self, I):
         return frozenset(self._nodes.get(i, i) for i in self.model.parabolic(I))
@@ -76,7 +82,8 @@ class SigmaImage:
         return self._cycle(self.model.expand(act(self.c, poly), I, p))
 
     def basis_product(self, I, u, v):
-        return self._move(self.model.basis_product(I, self.sigma[u], self.sigma[v]))
+        product = self.model.basis_product(I, self.sigma[u], self.sigma[v])
+        return {self.sigma[w]: c for w, c in product.items()}
 
     def poincare_dual(self, I):
         dual = self.model.poincare_dual(I)

@@ -39,7 +39,7 @@ from quadchow.quadpow import (
     rho_i,
     sym_h_chain,
 )
-from quadchow.schubert import FlagCycle, FlagModel, QuadricGeometry, build_geometry
+from quadchow.schubert import FlagCycle, FlagModel, build_geometry
 from quadchow.weyl import RangeError
 from rulings import SigmaImage
 
@@ -56,11 +56,11 @@ def test_incidence_gate():
             validate_incidence(G, i)
 
 
-def test_incidence_cache_belongs_to_its_geometry():
-    G1, G2 = QuadricGeometry(5), QuadricGeometry(5)
+def test_incidence_cache_belongs_to_its_model():
+    G1, G2 = FlagModel(5), FlagModel(5)
     inc1, inc2 = incidence_class(G1, 1), incidence_class(G2, 1)
     assert inc1 is not inc2
-    assert inc1.geometry is G1 and inc2.geometry is G2
+    assert inc1.model is G1 and inc2.model is G2
     assert incidence_class(G1, 1) is inc1
     # the powers sit in G1's memo; every power refers back to G1, so G1 can
     # only be collected once no power is alive
@@ -77,7 +77,7 @@ def test_incidence_cache_belongs_to_its_geometry():
     assert ref() is None
 
 
-GEOMETRIES = [(3, 1), (4, 1), (4, -1), (5, 1), (6, 1), (6, -1), (7, 1)]
+MODELS = [3, 4, 5, 6, 7]
 
 
 def _left_fold(G, i, m, p):
@@ -89,29 +89,29 @@ def _left_fold(G, i, m, p):
     return total
 
 
-@pytest.mark.parametrize("n,orientation", GEOMETRIES)
-def test_incidence_powers_match_the_left_fold(n, orientation):
-    G = build_geometry(n, orientation)
+@pytest.mark.parametrize("n", MODELS)
+def test_incidence_powers_match_the_left_fold(n):
+    G = build_geometry(n)
     for p in (0, 2):
         for i in range(1, G.d + 1):
             for m in range(1, i + 2):
                 got = _incidence_power(G, i, m, p)
-                assert got == _left_fold(G, i, m, p), (n, orientation, p, i, m)
+                assert got == _left_fold(G, i, m, p), (n, p, i, m)
                 assert _incidence_power(G, i, m, p) is got
             assert eta(G, i, p) is _incidence_power(G, i, i, p)
             assert theta(G, i, p) is _incidence_power(G, i, i + 1, p)
             assert incidence_class(G, i, p) is _incidence_power(G, i, 1, p)
 
 
-@pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
-def test_incidence_powers_do_not_depend_on_build_order(n, orientation):
-    theta_first, eta_first = QuadricGeometry(n, orientation), QuadricGeometry(n, orientation)
+@pytest.mark.parametrize("n", [5, 6])
+def test_incidence_powers_do_not_depend_on_build_order(n):
+    theta_first, eta_first = FlagModel(n), FlagModel(n)
     for p in (0, 2):
         for i in range(1, theta_first.d + 1):
             th = theta(theta_first, i, p)
             et = eta(eta_first, i, p)
-            assert th.parts == theta(eta_first, i, p).parts
-            assert et.parts == eta(theta_first, i, p).parts
+            assert th.coeffs == theta(eta_first, i, p).coeffs
+            assert et.coeffs == eta(theta_first, i, p).coeffs
             assert alpha(theta_first, i, p).cycle == alpha(eta_first, i, p).cycle
 
 
@@ -141,15 +141,14 @@ def test_incidence_zero_is_diagonal():
         G = build_geometry(n)
         inc0 = incidence_class(G, 0)
         got = {}
-        for (w, mono), c in inc0.parts[0].items():
-            q = flag_cycle_to_quad(G, FlagCycle(G.model, [0], {w: 1}))
+        for (_, w, mono), c in inc0.coeffs.items():
+            q = flag_cycle_to_quad(G, FlagCycle(G, [0], {(0, w): 1}))
             ((sym0,),) = q.coeffs.keys()
             got[(sym0, mono[0])] = c
         assert got == dict(diagonal_class(G.ctx).coeffs)
-    # a cycle on any other F(I), as a FlagCycle or a UnionCycle, is refused
+    # a cycle on any other F(I) is refused
     G = build_geometry(5)
-    M = G.model
-    for x in (M.fundamental([1]), M.point_class([1]), M.zero([0, 1]), G.class_Z(1, 3)):
+    for x in (G.fundamental([1]), G.point_class([1]), G.zero([0, 1]), G.class_Z(1, 3)):
         with pytest.raises(ValueError, match="expected a cycle on X"):
             flag_cycle_to_quad(G, x)
 
@@ -172,21 +171,25 @@ def test_incidence_kunneth_shape_mod2():
         ctx, d = G.ctx, G.d
         for i in range(1, d + 1):
             inc = incidence_class(G, i, 2)
-            expected_parts = []
+            expected = {}
             # sheet 1 is the other ruling, the sigma-image of the model, and
-            # is stored moved back onto the model
-            sheets = [G.model, SigmaImage(G.model)] if G.sheets([i]) == 2 else [G.model]
-            for model in sheets:
+            # is stored moved back onto the model; each sheet is read off
+            # sheet 0 of its own ruling's classes
+            sheets = [G, SigmaImage(G)] if G.sheets([i]) == 2 else [G]
+            for sheet, model in enumerate(sheets):
                 part = {}
 
+                def sheet0(x):
+                    return {w: c for (k, w), c in x.coeffs.items() if k == 0}
+
                 def z_of(j, model=model):
-                    x = G.model.x_class(("l", n - i - j), 2)
+                    x = G.x_class(("l", n - i - j), 2)
                     return model.pullpush(FlagCycle(model, [0], x.coeffs, 2), [i])
 
                 for m in range(0, d + 1):
                     zc = z_of(n - i - m)
                     for hsym, hc in h_power_cycle(ctx, m, 2).coeffs.items():
-                        for w, c in zc.coeffs.items():
+                        for w, c in sheet0(zc).items():
                             key = (w, hsym)
                             part[key] = (part.get(key, 0) + c * hc) % 2
                 for m in range(i, d + 1):
@@ -195,13 +198,13 @@ def test_incidence_kunneth_shape_mod2():
                         target = ("lp", d) if n % 4 == 0 else ("l", d)
                     else:
                         target = ("l", m)
-                    for w, c in wcls.coeffs.items():
+                    for w, c in sheet0(wcls).items():
                         key = (w, (target,))
                         part[key] = (part.get(key, 0) + c) % 2
-                if model is not G.model:
+                if model is not G:
                     part = {(model.sigma[w], mono): c for (w, mono), c in part.items()}
-                expected_parts.append({k: v for k, v in part.items() if v})
-            assert tuple(expected_parts) == inc.parts, (n, i)
+                expected.update({(sheet, w, mono): c for (w, mono), c in part.items() if c})
+            assert expected == inc.coeffs, (n, i)
 
 
 def test_eta_theta_symmetry_and_codim():
@@ -215,11 +218,10 @@ def test_eta_theta_symmetry_and_codim():
             perm = list(range(1, i + 1)) + [0]
             assert permute_x(th, perm) == th
             # homogeneous of the incidence-variety codimension
-            for part in th.parts:
-                for (w, mono), _ in part.items():
-                    total = G.group._lengths[w] + sum(codim1(ctx, s) for s in mono)
-                    assert total == (i + 1) * (n - i)
-            assert eta(G, 1, 0).parts == incidence_class(G, 1, 0).parts
+            for _, w, mono in th.coeffs:
+                total = G.group._lengths[w] + sum(codim1(ctx, s) for s in mono)
+                assert total == (i + 1) * (n - i)
+            assert eta(G, 1, 0) == incidence_class(G, 1, 0)
 
 
 def test_theta_action_routes_agree():
@@ -415,11 +417,8 @@ def test_slot_pairings_agree_with_products(n):
                 assert kept == oracle.push_x(range(r)), (p, i, r)
             # action_on_quad is the sheet split of id_times_action with no kept slot
             x = _random_quad_cycle(ctx, 2, rng, p)
-            split = tuple(
-                FlagCycle(G.model, I, {w: c for (w, _), c in part.items()}, p)
-                for part in M.id_times_action(x).parts
-            )
-            assert M.action_on_quad(x) == G.from_parts(I, split)
+            split = {(k, w): c for (k, w, _), c in M.id_times_action(x).coeffs.items()}
+            assert M.action_on_quad(x) == FlagCycle(G, I, split, p)
 
 
 def test_correspondence_actions_check_their_argument():
@@ -449,36 +448,33 @@ def test_correspondence_actions_check_their_argument():
 
 
 def _random_flag_cycle(G, I, rng, p):
-    """A seeded, usually inhomogeneous cycle on F(I), with a part on every sheet."""
-    parts = []
-    basis = G.model.basis(I)
-    for _ in range(G.sheets(I)):
-        coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
-        parts.append(FlagCycle(G.model, I, coeffs, p))
-    return G.from_parts(I, parts)
+    """A seeded, usually inhomogeneous cycle on F(I), with terms on every sheet."""
+    coeffs = {}
+    basis = G.basis(I)
+    for k in range(G.sheets(I)):
+        coeffs.update({(k, rng.choice(basis)): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))})
+    return FlagCycle(G, I, coeffs, p)
 
 
-@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1), (7, 1)])
-def test_action_on_flag_matches_product_oracle(n, orientation):
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_action_on_flag_matches_product_oracle(n):
     # p_*((x (x) 1) . M) by the full product and push_to_quad, against the dual read-off
-    G = build_geometry(n, orientation)
-    rng = random.Random(100 * n + orientation)
+    G = build_geometry(n)
+    rng = random.Random(100 * n + 1)
     for p in (0, 2):
         for i in range(1, G.d + 1):
             for M in (incidence_class(G, i, p), eta(G, i, p), theta(G, i, p)):
                 for _ in range(3):
                     x = _random_flag_cycle(G, [i], rng, p)
                     oracle = (MixedCycle.from_flag(x, M.arity) * M).push_to_quad()
-                    assert M.action_on_flag(x) == oracle, (n, orientation, p, i, M.arity)
+                    assert M.action_on_flag(x) == oracle, (n, p, i, M.arity)
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_schubert_memos_belong_to_the_group(n):
-    G = build_geometry(n)
-    A, B = G.model, FlagModel(n)
-    # both sheets and both orientations read the one model
-    assert build_geometry(n, -1).model is A
-    assert all(part.model is A for part in G.class_W(G.d, 1).parts)
+    A, B = build_geometry(n), FlagModel(n)
+    # both sheets are read on the one model
+    assert A.class_W(A.d, 1).model is A and A.sheets([A.d]) == 2
     # the row store and the pair memo hang on the group every model of the
     # quadric shares, keyed by element index alone, with no parabolic in a key
     assert A._reps is B._reps and A.group is B.group
@@ -492,14 +488,14 @@ def test_schubert_memos_belong_to_the_group(n):
     assert prod
     assert g.pair_products[u, v] is prod
     assert A.basis_product([0, 1], v, u) is prod
-    assert B.basis_product([0, 1, G.d], u, v) is prod
+    assert B.basis_product([0, 1, A.d], u, v) is prod
 
 
 def _random_mixed_cycle(G, I, arity, rng, p):
     """A seeded, usually inhomogeneous mixed cycle with terms on every sheet."""
     syms = basis_symbols(G.ctx)
     coeffs = {}
-    basis = G.model.basis(I)
+    basis = G.basis(I)
     for k in range(G.sheets(I)):
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.choice(syms) for _ in range(arity))
@@ -507,11 +503,11 @@ def _random_mixed_cycle(G, I, arity, rng, p):
     return MixedCycle(G, I, arity, coeffs, p)
 
 
-@pytest.mark.parametrize("n,orientation", [(3, 1), (4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
-def test_mixed_product_is_a_ring_and_pull_x_a_ring_map(n, orientation):
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mixed_product_is_a_ring_and_pull_x_a_ring_map(n):
     # the incidence-power recursion rests on these three laws
-    G = build_geometry(n, orientation)
-    rng = random.Random(10 * n + orientation)
+    G = build_geometry(n)
+    rng = random.Random(10 * n + 1)
     for p in (0, 2):
         for i in range(G.d + 1):
             I = [i]

@@ -12,7 +12,7 @@ divisor sum a_j sigma_{s_j}; c_1(O(1)) on F(i-1, i) is checked that way.
 
 import pytest
 
-from quadchow.schubert import FlagCycle, build_flag_model
+from quadchow.schubert import FlagCycle, build_geometry
 from rulings import ruling
 
 
@@ -64,9 +64,14 @@ def _windows(group, coeffs):
     return {group.elements[v].window: c for v, c in coeffs.items()}
 
 
+def _sheet0(x):
+    """The sheet-0 coefficients of a flag cycle, keyed by index."""
+    return {w: c for (k, w), c in x.coeffs.items() if k == 0}
+
+
 def test_weights_are_dual_to_simple_coroots():
     for n in range(3, 9):
-        group = build_flag_model(n).group
+        group = build_geometry(n).group
         simple = {
             _reflection(group, beta).window: beta for beta in group.positive_roots
         }
@@ -80,7 +85,7 @@ def test_weights_are_dual_to_simple_coroots():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_full_flag_divisors_follow_chevalley(n):
-    model = build_flag_model(n)
+    model = build_geometry(n)
     group = model.group
     I = range(model.d + 1)
     assert not model.parabolic(I)
@@ -92,9 +97,9 @@ def test_full_flag_divisors_follow_chevalley(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_hyperplane_products_on_the_quadric_follow_chevalley(n):
-    model = build_flag_model(n)
+    model = build_geometry(n)
     group = model.group
-    (h,) = model.x_class(("h", 1)).coeffs
+    ((_, h),) = model.x_class(("h", 1)).coeffs
     assert group.elements[h] == group.simple_reflections[0]
     weight2 = _double_weights(group)[0]
     for w in model.basis([0]):
@@ -111,16 +116,19 @@ def _check_tautological_divisor(n, orientation):
     for i in range(1, model.d + 1):
         I = [i - 1, i]
         xi = model.class_O1(i)
-        assert set(xi.coeffs) <= set(simple), xi
+        divisor = _sheet0(xi)
+        # sigma fixes c_1(O(1)): every sheet carries the same divisor
+        assert xi.coeffs == {(k, s): a for k in range(model.sheets(I)) for s, a in divisor.items()}
+        assert set(divisor) <= set(simple), xi
         reps = {group.elements[w].window for w in model.basis(I)}
         for w in model.basis(I):
             want = {}
-            for s, a in xi.coeffs.items():
+            for s, a in divisor.items():
                 for v, c in _chevalley(group, weights[simple[s]], group.elements[w]).items():
                     if v in reps:
                         want[v] = want.get(v, 0) + a * c
-            got = xi * FlagCycle(model, I, {w: 1})
-            assert _windows(group, got.coeffs) == {v: c for v, c in want.items() if c}, (i, w)
+            got = xi * FlagCycle(model, I, {(0, w): 1})
+            assert _windows(group, _sheet0(got)) == {v: c for v, c in want.items() if c}, (i, w)
 
 
 @pytest.mark.parametrize(

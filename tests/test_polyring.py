@@ -255,10 +255,10 @@ def test_fused_kernel_matches_long_division():
 
 
 def test_point_class_carries_the_group_order():
-    from quadchow.schubert import build_flag_model
+    from quadchow.schubert import build_geometry
 
     for n in (3, 4, 5):
-        model = build_flag_model(n)
+        model = build_geometry(n)
         G = model.group
         assert model.point_rep.den == len(G)
         top = divided_difference_word(G, G.reduced_word(G.longest_element), model.point_rep)

@@ -7,7 +7,7 @@ import pathlib
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 from operator import mul
 
@@ -28,40 +28,36 @@ from quadchow.quadpow import basis_symbols, codim1
 from quadchow.schubert import (
     FlagCycle,
     FlagModel,
-    QuadricContext,
-    QuadricGeometry,
     SparseCycle,
-    UnionCycle,
     _symmetric_function,
-    build_flag_model,
     build_geometry,
 )
-from quadchow.weyl import RangeError, SignedPermutation, make_group
+from quadchow.weyl import RangeError, SignedPermutation
 from rulings import SigmaImage, ruling
 
 
 def test_model_sizes():
     # full-flag Schubert counts are the Weyl group orders
-    M3 = build_flag_model(3)
+    M3 = build_geometry(3)
     assert len(M3.basis(range(M3.d + 1))) == 8
-    M5 = build_flag_model(5)
+    M5 = build_geometry(5)
     assert len(M5.basis(range(M5.d + 1))) == 48
-    M4 = build_flag_model(4)
+    M4 = build_geometry(4)
     assert len(M4.basis(range(M4.d + 1))) == 24
 
 
 def test_rejects_degenerate_dimensions():
     with pytest.raises(ValueError, match="out of range"):
-        build_flag_model(2)
+        build_geometry(2)
     with pytest.raises(ValueError, match="out of range"):
-        build_flag_model(1)
+        build_geometry(1)
     with pytest.raises(ValueError, match="out of range"):
-        build_flag_model(9)
+        build_geometry(9)
 
 
 def test_poincare_ranks_match_length_generating_function():
     for n in (3, 4, 5):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         G = M.group
         I = list(range(M.d + 1))
         by_len = {}
@@ -77,7 +73,7 @@ def test_poincare_ranks_match_length_generating_function():
 
 def test_quadric_basis_identification():
     for n in (3, 4, 5, 6):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         h = M.x_class(("h", 1))
         assert h.codim() == 1
         assert M.deg(M.point_class([0])) == 1
@@ -101,7 +97,7 @@ def test_ruling_naming_is_orientation_swapped():
 
 
 def test_product_ring_axioms():
-    M = build_flag_model(5)
+    M = build_geometry(5)
     basis = [M.h_power(k) for k in range(3)] + [M.l_class(b) for b in range(3)]
     one = M.fundamental([0])
     for x in basis:
@@ -113,7 +109,7 @@ def test_product_ring_axioms():
 
 
 def test_pullback_is_ring_homomorphism():
-    M = build_flag_model(5)
+    M = build_geometry(5)
     h = M.x_class(("h", 1))
     hh = h * h
     ph = M.pullback([0, 1], h)
@@ -128,26 +124,26 @@ def test_pullback_is_ring_homomorphism():
 def test_projection_formula_exhaustive_small():
     # push(pull(y) * x) = y * push(x), over all basis pairs, n <= 5
     for n in (3, 4, 5):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         for i in range(1, M.d + 1):
             I = [i - 1, i]
             for y in M.basis([i]):
-                ycls = FlagCycle(M, [i], {y: 1})
+                ycls = FlagCycle(M, [i], {(0, y): 1})
                 pull_y = M.pullback(I, ycls)
                 for x in M.basis(I):
-                    xcls = FlagCycle(M, I, {x: 1})
+                    xcls = FlagCycle(M, I, {(0, x): 1})
                     lhs = M.pushforward([i], pull_y * xcls)
                     rhs = ycls * M.pushforward([i], xcls)
                     assert lhs == rhs, (n, i, y, x)
 
 
 def test_pushforward_degree_drop():
-    M = build_flag_model(5)
+    M = build_geometry(5)
     for i in (1, 2):
         I = [i - 1, i]
         fiber_dim = M.dim_flag(I) - M.dim_flag([i])
         for w in M.basis(I):
-            x = FlagCycle(M, I, {w: 1})
+            x = FlagCycle(M, I, {(0, w): 1})
             pushed = M.pushforward([i], x)
             if not pushed.is_zero():
                 assert pushed.codim() == x.codim() - fiber_dim
@@ -155,7 +151,7 @@ def test_pushforward_degree_drop():
 
 def test_projective_bundle_facts():
     for n in (3, 4, 5, 6):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         for i in range(1, M.d + 1):
             xi = M.class_O1(i)
             power = M.fundamental([i - 1, i])
@@ -179,10 +175,10 @@ def test_projective_bundle_facts():
 
 def test_pushforward_kills_low_codimension():
     # pushing a class whose codimension is below the fiber dimension gives 0;
-    # over a zero-dimensional fiber (one ruling sheet at i = d, even n) the
-    # projection is an isomorphism instead
+    # over a zero-dimensional fiber (F(d-1, d) -> G_(d-1) at even n, one point
+    # on each ruling sheet) the fundamental class goes to one per sheet
     for n in (4, 5, 6):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         for i in range(1, M.d + 1):
             pulled = M.pullback([i - 1, i], M.fundamental([i]))
             pushed = M.pushforward([i - 1], pulled)
@@ -190,12 +186,12 @@ def test_pushforward_kills_low_codimension():
             if fiber > 0:
                 assert pushed.is_zero(), (n, i)
             else:
-                assert pushed == M.fundamental([i - 1]), (n, i)
+                assert pushed == M.fundamental([i - 1]).scale(M.sheets([i])), (n, i)
 
 
 def test_distinguished_class_anchors():
     for n in (3, 4, 5):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         assert M.class_Z(0, n) == M.l_class(0)
         for i in range(1, M.d + 1):
             assert M.class_W(i, 0) == M.fundamental([i])
@@ -213,7 +209,7 @@ def test_distinguished_class_anchors():
 
 def test_chern_classes():
     for n in (3, 4, 5):
-        M = build_flag_model(n)
+        M = build_geometry(n)
         for i in range(M.d + 1):
             assert M.chern_taut(i, 0) == M.fundamental([i])
             assert M.chern_quot(i, 0) == M.fundamental([i])
@@ -235,7 +231,7 @@ def test_chern_classes():
 
 
 def test_deg_and_mod2():
-    M = build_flag_model(4)
+    M = build_geometry(4)
     assert M.deg(M.point_class([0])) == 1
     assert M.deg(M.x_class(("h", 1))) == 0
     doubled = M.x_class(("h", 1)).scale(2)
@@ -244,7 +240,7 @@ def test_deg_and_mod2():
     assert (M.x_class(("h", 1)).mod2() * M.x_class(("h", 1)).mod2()) == hh.mod2()
 
 
-def test_geometry_union_layer():
+def test_sheets_of_an_even_quadric():
     for n in (4, 6):
         G = build_geometry(n)
         d = G.d
@@ -254,8 +250,7 @@ def test_geometry_union_layer():
         assert G.class_W(d, 0) == G.fundamental([d])
         # z^d_0 marks exactly one sheet
         z0 = G.class_Z(d, n - 2 * d)
-        nonzero = [not part.is_zero() for part in z0.parts]
-        assert sorted(nonzero) == [False, True]
+        assert len({k for k, _ in z0.coeffs}) == 1
         # pushing the disconnected fundamental class down to F(d-1) doubles
         two = G.pushforward([d - 1], G.pullback([d - 1, d], G.fundamental([d])))
         assert two == G.fundamental([d - 1]).scale(2)
@@ -267,22 +262,15 @@ def test_geometry_odd_single_sheet():
     assert G.sheets([G.d]) == 1
 
 
-# -- the per-object memo of distinguished classes -------------------------------
+# -- the per-model memo of distinguished classes --------------------------------
 
 SPACES = [(n, o) for n in range(3, 9) for o in ((1, -1) if n % 2 == 0 else (1,))]
-# the memo-holding objects: one model per n, and a geometry per orientation
-MEMO_SPACES = [(FlagModel, n, 1) for n in range(3, 9)] + [
-    (QuadricGeometry, n, o) for n, o in SPACES
-]
-
-
-def _space(kind, n, orientation):
-    return FlagModel(n) if kind is FlagModel else QuadricGeometry(n, orientation)
+MEMO_NS = range(3, 9)
 
 
 def _class_calls(space):
-    """Every valid (constructor, indices, p) on a FlagModel or QuadricGeometry,
-    in forward index order, including the natural zeros past the top."""
+    """Every valid (constructor, indices, p) on a FlagModel, in forward index
+    order, including the natural zeros past the top."""
     n, d = space.n, space.d
     calls = [("h_power", (k,)) for k in range(n + 1)]
     for i in range(d + 1):
@@ -299,24 +287,14 @@ def _call(space, call):
     return getattr(space, f)(*idx, p)
 
 
-def _parts(x):
-    return x.parts if isinstance(x, UnionCycle) else (x,)
-
-
 def _content(x):
-    """(I, per-part (p, coefficients)): comparable across models and geometries."""
-    return x.I, tuple((part.p, dict(part.coeffs)) for part in _parts(x))
+    """(I, p, coefficients): comparable across models."""
+    return x.I, x.p, dict(x.coeffs)
 
 
-def _owned_by(x, space):
-    if isinstance(x, UnionCycle):
-        return x.geometry is space and all(part.model is space.model for part in x.parts)
-    return x.model is space
-
-
-@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
-def test_memoised_classes_do_not_depend_on_the_order_asked(kind, n, orientation):
-    a, b = _space(kind, n, orientation), _space(kind, n, orientation)
+@pytest.mark.parametrize("n", MEMO_NS)
+def test_memoised_classes_do_not_depend_on_the_order_asked(n):
+    a, b = FlagModel(n), FlagModel(n)
     calls = _class_calls(a)
     forward = {c: _call(a, c) for c in calls}
     backward = {c: _call(b, c) for c in reversed(calls)}
@@ -324,35 +302,34 @@ def test_memoised_classes_do_not_depend_on_the_order_asked(kind, n, orientation)
         f, idx, p = c
         x = forward[c]
         assert _content(x) == _content(backward[c]), c
-        assert _owned_by(x, a) and _owned_by(backward[c], b), c
-        assert {part.p for part in _parts(x)} == {p}, c
+        assert x.model is a and backward[c].model is b, c
+        assert x.p == p, c
         assert _call(a, c) is x
         if p == 0:
             assert getattr(a, f)(*idx) is x
 
 
-@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
-def test_memoised_classes_are_unchanged_by_use(kind, n, orientation):
-    space = _space(kind, n, orientation)
+@pytest.mark.parametrize("n", MEMO_NS)
+def test_memoised_classes_are_unchanged_by_use(n):
+    space = FlagModel(n)
     classes = [_call(space, c) for c in _class_calls(space)]
     before = [_content(x) for x in classes]
     for x in classes:
         x + x, x - x, x * x, x.scale(3), x.mod2(), space.pullpush(x, [0])
         space.deg_product([x, x])
-        dim = _parts(x)[0].model.dim_flag(x.I)
+        dim = space.dim_flag(x.I)
         dual = [
             y for y in classes
-            if _content(y)[0] == x.I and _parts(y)[0].p == _parts(x)[0].p
-            and x.codim() + y.codim() == dim
+            if y.I == x.I and y.p == x.p and x.codim() + y.codim() == dim
         ]
         if dual:
             space.deg_product([x, dual[0]])
     assert [_content(x) for x in classes] == before
 
 
-@pytest.mark.parametrize("kind,n,orientation", MEMO_SPACES)
-def test_out_of_range_classes_raise_every_time_and_store_nothing(kind, n, orientation):
-    space = _space(kind, n, orientation)
+@pytest.mark.parametrize("n", MEMO_NS)
+def test_out_of_range_classes_raise_every_time_and_store_nothing(n):
+    space = FlagModel(n)
     d = space.d
     bad = [
         ("h_power", (-1,)), ("h_power", (n + 1,)),
@@ -390,7 +367,8 @@ def test_each_distinguished_class_is_built_once(monkeypatch):
     assert M.class_W(1, 1, 2) is first
     assert M.h_power(2, 2) is M.h_power(2, 2)
     assert len(solves) == 1
-    # no Chern class takes part in the build gate: one solve each
+    # no Chern class takes part in the build gate: one solve each, put on
+    # every sheet
     cherns = [
         (f, i, j, p)
         for i in range(M.d + 1)
@@ -402,30 +380,27 @@ def test_each_distinguished_class_is_built_once(monkeypatch):
         for f, i, j, p in cherns:
             getattr(M, f)(i, j, p)
     assert len(solves) == 1 + len(cherns)
-    # one pullpush per distinct Z-class the geometry has not built yet
-    for n, orientation in ((5, 1), (6, 1), (6, -1)):
-        G = QuadricGeometry(n, orientation)
-        built = set(G._classes)
-        pullpushes = _count_calls(monkeypatch, G, "pullpush")
+    # one pullpush per distinct Z-class on G_i, i > 0, below the zeros past
+    # the top, that the model has not built yet (its gate builds some)
+    for n in (5, 6):
+        M = FlagModel(n)
+        built = set(M._classes)
+        pullpushes = _count_calls(monkeypatch, M, "pullpush")
         zs = [
             ("class_Z", i, j, p)
-            for i in range(G.d + 1)
-            for j in range(n - i - G.d, n - i + 2)
+            for i in range(M.d + 1)
+            for j in range(n - i - M.d, n - i + 2)
             for p in (0, 2)
         ]
         for _ in range(2):
             for _, i, j, p in zs:
-                G.class_Z(i, j, p)
-        assert len(pullpushes) == len(set(zs) - built) > 0
+                M.class_Z(i, j, p)
+        pushed = {z for z in set(zs) - built if z[1] > 0 and z[2] <= n - z[1]}
+        assert len(pullpushes) == len(pushed) > 0
 
 
-def test_nonintegral_extraction_raises(monkeypatch):
-    from fractions import Fraction
-
-    from quadchow.polyring import variable
-    from quadchow.schubert import FlagModel
-
-    M = FlagModel(3)
+def test_nonintegral_extraction_raises(cold_engine):
+    M = cold_engine(3)
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
@@ -434,8 +409,6 @@ def test_nonintegral_extraction_raises(monkeypatch):
     # corrupted one may outlive the test); at n = 3, h^2 = 2 l_1, so a diagonal
     # value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
     h, y, g = M.x_class(("h", 1)), M.x_basis[("l", 1)], M.group
-    monkeypatch.setattr(g, "pair_products", {})
-    monkeypatch.setattr(g, "restriction_rows", {})
     row = M._restriction_row(y)
     g.restriction_rows[y] = {**row, y: 7 * row[y]}
     with pytest.raises(ArithmeticError, match=r"inexact localization division at \(-2, 1\)"):
@@ -443,7 +416,7 @@ def test_nonintegral_extraction_raises(monkeypatch):
 
 
 def test_deg_product_checks_every_factor():
-    M = build_flag_model(4)
+    M = build_geometry(4)
     I = [0]
     pt, fund = M.point_class(I).scale(3), M.fundamental(I, 2)
     with pytest.raises(ValueError, match="space/ring mismatch"):
@@ -456,41 +429,32 @@ def test_deg_product_checks_every_factor():
     assert M.deg_product([pt, M.fundamental(I)]) == 3
     with pytest.raises(ValueError, match="empty product"):
         M.deg_product([])
-    with pytest.raises(ValueError, match="empty product"):
-        build_geometry(4).deg_product([])
 
 
 def _foreign_cycle_calls():
-    """(function, *arguments) by name: each hands a space a cycle of another
-    model or geometry: on a quadric of another dimension, another model object
-    of the same quadric, or the geometry of the other orientation."""
-    M5, M7, Mp, Mm = build_flag_model(5), build_flag_model(7), build_flag_model(6), FlagModel(6)
-    G5, G7, Gp, Gm = (build_geometry(n, o) for n, o in ((5, 1), (7, 1), (6, 1), (6, -1)))
+    """(function, *arguments) by name: each hands a model a cycle of another
+    model: on a quadric of another dimension, or another model object of the
+    same quadric."""
+    M5, M7, M6, other6 = build_geometry(5), build_geometry(7), build_geometry(6), FlagModel(6)
     return {
         "model-pullback": (M7.pullback, [0, 1], M5.class_Z(0, 3)),
         "model-pushforward": (M7.pushforward, [1], M5.pullback([0, 1], M5.class_Z(0, 3))),
         "model-deg": (M7.deg, M5.point_class([0])),
         "model-deg_product": (M7.deg_product, [M5.h_power(1)] * 5),
-        "model-deg_product-same-n": (Mp.deg_product, [Mm.l_class(3)] * 2),
-        "geometry-pullback": (G7.pullback, [0, 1], G5.class_Z(0, 3)),
-        "geometry-pushforward": (G7.pushforward, [1], G5.pullback([0, 1], G5.class_Z(0, 3))),
-        "geometry-deg": (G7.deg, G5.point_class([0])),
-        "geometry-deg_product": (G7.deg_product, [G5.h_power(1)] * 5),
-        "to-quad": (flag_cycle_to_quad, G7, G5.class_Z(0, 3)),
-        "to-quad-flag-cycle": (flag_cycle_to_quad, G7, M5.class_Z(0, 3)),
-        "to-quad-ruling": (flag_cycle_to_quad, Gp, Gm.class_Z(0, 3)),
+        "model-deg_product-same-n": (M6.deg_product, [other6.l_class(3)] * 2),
+        "to-quad": (flag_cycle_to_quad, M7, M5.class_Z(0, 3)),
+        "to-quad-same-n": (flag_cycle_to_quad, M6, other6.class_Z(0, 3)),
     }
 
 
 FOREIGN_CYCLE_CALLS = [
     "model-pullback", "model-pushforward", "model-deg", "model-deg_product",
-    "model-deg_product-same-n", "geometry-pullback", "geometry-pushforward",
-    "geometry-deg", "geometry-deg_product", "to-quad", "to-quad-flag-cycle", "to-quad-ruling",
+    "model-deg_product-same-n", "to-quad", "to-quad-same-n",
 ]
 
 
 @pytest.mark.parametrize("call", FOREIGN_CYCLE_CALLS)
-def test_a_cycle_of_another_model_or_geometry_raises(call):
+def test_a_cycle_of_another_model_raises(call):
     calls = _foreign_cycle_calls()
     assert sorted(calls) == sorted(FOREIGN_CYCLE_CALLS)
     f, *args = calls[call]
@@ -499,7 +463,7 @@ def test_a_cycle_of_another_model_or_geometry_raises(call):
 
 
 def test_index_sets_are_memoised_only_when_valid():
-    M = build_flag_model(6)
+    M = build_geometry(6)
     assert M.parabolic([0, 2]) is M.parabolic((2, 0))
     assert M.parabolic([1]) is M.parabolic({1})
     for _ in range(2):
@@ -528,52 +492,65 @@ def test_x_basis_names_each_schubert_class_of_x_once(n, orientation):
 
 def test_x_class_names_a_bad_symbol_with_a_typed_error():
     with pytest.raises(RangeError, match=r"X-class index out of range: \('h', 3\)"):
-        build_flag_model(6).x_class(("h", 3))  # h^3 = l_3 + l_3' is no basis class
+        build_geometry(6).x_class(("h", 3))  # h^3 = l_3 + l_3' is no basis class
     with pytest.raises(RangeError, match=r"\('lp', 2\)"):
-        build_flag_model(6).x_class(("lp", 2))
+        build_geometry(6).x_class(("lp", 2))
     for s in (("lp", 2), ("q", 1)):
         with pytest.raises(ValueError, match=r"no X-class symbol \('%s', \d\) at n = 5" % s[0]) as e:
-            build_flag_model(5).x_class(s)
+            build_geometry(5).x_class(s)
         assert not isinstance(e.value, RangeError)
+
+
+def _split(x):
+    """The part of x on each sheet, moved onto sheet 0."""
+    parts: list[dict] = [{} for _ in range(x.model.sheets(x.I))]
+    for (k, w), c in x.coeffs.items():
+        parts[k][0, w] = c
+    return [FlagCycle(x.model, x.I, part, x.p) for part in parts]
+
+
+def _join(M, I, parts):
+    """The cycle on F(I) whose part on sheet k is parts[k], a sheet-0 cycle."""
+    parts = list(parts)
+    assert len(parts) == M.sheets(I)
+    coeffs = {(k, w): c for k, x in enumerate(parts) for (_, w), c in x.coeffs.items()}
+    return FlagCycle(M, I, coeffs, parts[0].p)
 
 
 def _cycle(G, I, step):
     """A cycle on F(I) with distinct coefficients on every step-th basis
     element, shifted on each further sheet."""
-    M = G.model
-    parts = tuple(
-        FlagCycle(M, I, {w: k + 1 + 10 * sheet for k, w in enumerate(M.basis(I)[::step])})
+    return FlagCycle(G, I, {
+        (sheet, w): k + 1 + 10 * sheet
         for sheet in range(G.sheets(I))
-    )
-    return G.from_parts(I, parts)
+        for k, w in enumerate(G.basis(I)[::step])
+    })
 
 
-@pytest.mark.parametrize("n,orientation", [(5, 1), (6, 1), (6, -1)])
-def test_pullpush_is_pushforward_after_pullback(n, orientation):
-    G = build_geometry(n, orientation)
-    M = G.model
+@pytest.mark.parametrize("n", [5, 6])
+def test_pullpush_is_pushforward_after_pullback(n):
+    G = build_geometry(n)
     subsets = [
         frozenset(c) for r in (1, 2) for c in itertools.combinations(range(G.d + 1), r)
     ]
     for I in subsets:
         x = _cycle(G, I, 3)
         assert G.pullpush(x, I) == x
-        flat = x.parts[0]
-        assert M.pullpush(flat, I) == flat
+        flat = _split(x)[0]
+        assert G.pullpush(flat, I) == flat
         for J in subsets:
             assert G.pullpush(x, J) == G.pushforward(J, G.pullback(I | J, x)), (I, J)
-            assert M.pullpush(flat, J) == M.pushforward(J, M.pullback(I | J, flat))
+            assert G.pullpush(flat, J) == G.pushforward(J, G.pullback(I | J, flat))
 
 
 def _sheet_parts(G, I, rng, p, c=None):
-    """Seeded FlagCycles on F(I), one per sheet, on the model; of codimension
-    c on every sheet when c is given."""
+    """Seeded sheet-0 cycles on F(I), one per sheet; of codimension c on
+    every sheet when c is given."""
     parts = []
-    M = G.model
     for _ in range(G.sheets(I)):
-        basis = [w for w in M.basis(I) if c is None or M.group._lengths[w] == c]
-        coeffs = {rng.choice(basis): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
-        parts.append(FlagCycle(M, I, coeffs, p))
+        basis = [w for w in G.basis(I) if c is None or G.group._lengths[w] == c]
+        coeffs = {(0, rng.choice(basis)): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+        parts.append(FlagCycle(G, I, coeffs, p))
     return parts
 
 
@@ -584,28 +561,30 @@ def _codim_by_parts(parts):
     return degs.pop() if degs else -1
 
 
-@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
-def test_sheet_keyed_operations_match_part_by_part_flag_model_operations(n, orientation):
-    G = build_geometry(n, orientation)
-    d, A = G.d, G.model
-    rng = random.Random(7 * n + orientation)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sheet_keyed_operations_match_sheet_by_sheet_operations(n):
+    # each sheet is a component of F(I): every operation on a cycle is the
+    # operation on its part on each sheet, read on sheet 0
+    G = build_geometry(n)
+    d = G.d
+    rng = random.Random(7 * n + 1)
     connected, split = ([0], [1], [0, 1]), ([d], [d - 1, d], [0, d])
     for p in (0, 2):
         for I in connected + split:
-            dim = A.dim_flag(I)
+            dim = G.dim_flag(I)
             for _ in range(3):
                 a, b = (_sheet_parts(G, I, rng, p, rng.choice([None, rng.randint(0, dim)]))
                         for _ in range(2))
-                x, y = G.from_parts(I, a), G.from_parts(I, b)
-                assert x.parts == tuple(a)
-                each = lambda f: G.from_parts(I, map(f, a, b))  # noqa: E731
+                x, y = _join(G, I, a), _join(G, I, b)
+                assert _split(x) == a
+                each = lambda f: _join(G, I, map(f, a, b))  # noqa: E731
                 assert x + y == each(lambda u, v: u + v)
                 assert x - y == each(lambda u, v: u - v)
                 assert x * y == each(lambda u, v: u * v)
-                assert x.scale(3) == G.from_parts(I, [u.scale(3) for u in a])
-                assert x.mod2() == G.from_parts(I, [u.mod2() for u in a])
-                assert (x == y) == (a == b) and x == G.from_parts(I, a)
-                assert hash(x) == hash(G.from_parts(I, a))
+                assert x.scale(3) == _join(G, I, [u.scale(3) for u in a])
+                assert x.mod2() == _join(G, I, [u.mod2() for u in a])
+                assert (x == y) == (a == b) and x == _join(G, I, a)
+                assert hash(x) == hash(_join(G, I, a))
                 for z, parts in ((x, a), (x + y, [u + v for u, v in zip(a, b)])):
                     try:
                         expected = _codim_by_parts(parts)
@@ -614,58 +593,58 @@ def test_sheet_keyed_operations_match_part_by_part_flag_model_operations(n, orie
                             z.codim()
                     else:
                         assert z.codim() == expected
-                degs = sum(A.deg(u) for u in a)
+                degs = sum(G.deg(u) for u in a)
                 assert G.deg(x) == (degs % 2 if p == 2 else degs)
                 c1 = rng.randint(0, dim)
                 c2 = rng.randint(0, dim - c1)
                 factors = [_sheet_parts(G, I, rng, p, c) for c in (c1, c2, dim - c1 - c2)]
-                degs = sum(A.deg(reduce(FlagCycle.__mul__, fs)) for fs in zip(*factors))
-                got = G.deg_product([G.from_parts(I, fs) for fs in factors])
+                degs = sum(G.deg(reduce(FlagCycle.__mul__, fs)) for fs in zip(*factors))
+                got = G.deg_product([_join(G, I, fs) for fs in factors])
                 assert got == (degs % 2 if p == 2 else degs), (I, p)
-            point = [A.zero(I, p)] * G.sheets(I)
-            point[0] = A.point_class(I, p)
-            assert G.point_class(I, p) == G.from_parts(I, point)
+            point = [G.zero(I, p)] * G.sheets(I)
+            point[0] = G.point_class(I, p)
+            assert G.point_class(I, p) == _join(G, I, point)
             assert G.deg(G.point_class(I, p)) == 1
         # sheet 1 is stored as its sigma-transport, so crossing between it
         # and a connected space moves each key by sigma
         def move(x):
             sigma = G.group.sigma
-            return FlagCycle(A, x.I, {sigma[w]: c for w, c in x.coeffs.items()}, p)
+            return FlagCycle(G, x.I, {(k, sigma[w]): c for (k, w), c in x.coeffs.items()}, p)
 
         for I in connected:
             (u,) = _sheet_parts(G, I, rng, p)
             J = frozenset(I) | {d}
-            pulled = [A.pullback(J, u)]
+            pulled = [FlagCycle(G, J, u.coeffs, p)]
             if G.sheets(J) == 2:
-                pulled.append(A.pullback(J, move(u)))
-            assert G.pullback(J, G.from_parts(I, [u])) == G.from_parts(J, pulled), (I, p)
+                pulled.append(FlagCycle(G, J, move(u).coeffs, p))
+            assert G.pullback(J, u) == _join(G, J, pulled), (I, p)
         for I in split[1:]:
             a = _sheet_parts(G, I, rng, p)
             J = frozenset(I) - {d}
-            total = A.pushforward(J, a[0])
+            total = G.pushforward(J, a[0])
             if G.sheets(I) == 2:
-                total = total + move(A.pushforward(J, a[1]))
-            assert G.pushforward(J, G.from_parts(I, a)) == G.from_parts(J, [total]), (I, p)
+                total = total + move(G.pushforward(J, a[1]))
+            assert G.pushforward(J, _join(G, I, a)) == total, (I, p)
 
 
 def _class_Z_per_sheet(G, i, j, p):
-    """Z^i_j as built before `pullpush`: on each sheet, the model's l_{n-i-j},
-    pulled up to F(0, i) and pushed down to G_i; sheet 1 is the other ruling
-    stored as its sigma-transport, so there l_{n-i-j} enters moved by sigma."""
+    """Z^i_j sheet by sheet: on each sheet, the model's l_{n-i-j}, pulled up
+    to F(0, i) and pushed down to G_i, read on sheet 0; sheet 1 is the other
+    ruling stored as its sigma-transport, so there l_{n-i-j} enters moved by
+    sigma."""
     if j > G.n - i:
         return G.zero([i], p)
-    M = G.model
-    x = M.l_class(G.n - i - j, p)
+    x = G.l_class(G.n - i - j, p)
     moved = [x.coeffs]
     if G.sheets([i]) == 2:
-        moved.append({G.group.sigma[w]: c for w, c in x.coeffs.items()})
-    parts = [M.pushforward([i], M.pullback([0, i], FlagCycle(M, [0], c, p))) for c in moved]
-    return G.from_parts([i], parts)
+        moved.append({(0, G.group.sigma[w]): c for (_, w), c in x.coeffs.items()})
+    pushed = [G.pushforward([i], G.pullback([0, i], FlagCycle(G, [0], c, p))) for c in moved]
+    return _join(G, [i], [_split(z)[0] for z in pushed])
 
 
-@pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, 1), (6, 1), (6, -1)])
-def test_geometry_class_Z_names_l_d_by_the_model_on_every_sheet(n, orientation):
-    G = build_geometry(n, orientation)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_class_Z_names_l_d_by_the_model_on_every_sheet(n):
+    G = build_geometry(n)
     for i in range(G.d + 1):
         for j in range(n - i - G.d, n - i + 2):
             for p in (0, 2):
@@ -677,14 +656,11 @@ def test_geometry_class_Z_names_l_d_by_the_model_on_every_sheet(n, orientation):
 
 
 def test_pullback_range_checks_the_target():
-    M = build_flag_model(6)
+    M = build_geometry(6)
     x = M.fundamental([0])
     for bad in ([0, M.d + 1], [0, -1]):
         with pytest.raises(RangeError, match="flag index out of range"):
             M.pullback(bad, x)
-    G = build_geometry(6)
-    with pytest.raises(RangeError, match="flag index out of range"):
-        G.pullback([0, G.d + 1], G.fundamental([0]))
 
 
 # -- degrees by Poincare duality against independent oracles ------------------
@@ -721,16 +697,16 @@ def test_duality_pairing_matches_frozen_top_coefficients():
                 got = products.get((window(u), window(v)), {}).get(window(top), 0)
                 assert got == (1 if dual[u] == v else 0), (entry["n"], I, u, v)
                 if lengths[u] + lengths[v] == dim:
-                    pair = [FlagCycle(M, I, {u: 1}), FlagCycle(M, I, {v: 1})]
+                    pair = [FlagCycle(M, I, {(0, u): 1}), FlagCycle(M, I, {(0, v): 1})]
                     assert M.deg_product(pair) == got, (entry["n"], I, u, v)
                     assert M.deg_product(pair[::-1]) == got, (entry["n"], I, v, u)
 
 
 def _rep(x):
-    # the polynomial representative of a flag cycle: its Schubert representatives
-    # weighted by its coefficients
+    # the polynomial representative of a sheet-0 flag cycle: its Schubert
+    # representatives weighted by its coefficients
     poly = constant(x.model.group.rank, 0)
-    for w, c in x.coeffs.items():
+    for (_, w), c in x.coeffs.items():
         poly = poly + x.model.schubert_rep(w).scale(c)
     return poly
 
@@ -766,7 +742,7 @@ def _random_product(rng, M):
     classes = []
     for c in codims:
         terms = rng.sample(by_length[c], min(len(by_length[c]), rng.randint(1, 2)))
-        coeffs = {w: rng.choice([-2, -1, 1, 2, 3]) for w in terms}
+        coeffs = {(0, w): rng.choice([-2, -1, 1, 2, 3]) for w in terms}
         classes.append(FlagCycle(M, I, coeffs, p))
     return classes
 
@@ -784,24 +760,32 @@ def test_deg_product_matches_top_degree_extraction(n, orientation):
     assert nonzero >= 10
 
 
-def test_orientation_is_normalised_before_caching():
-    assert build_geometry(5, -1) is build_geometry(5, 1) is build_geometry(5)
-    assert build_geometry(4, 1) is build_geometry(4)
-    # the orientation names the rulings in print only: both geometries of an
-    # even quadric read the one model
-    assert build_geometry(4, -1) is not build_geometry(4)
-    assert build_geometry(4, -1).model is build_geometry(4).model is build_flag_model(4)
-    G, H = build_geometry(5, -1), build_geometry(5, 1)
-    assert G.class_Z(1, 4) + H.class_Z(1, 4) == H.class_Z(1, 4).scale(2)
-    for bad in (0, 2, 7, None):
-        for n in (4, 5):
-            with pytest.raises(ValueError, match="orientation must be 1 or -1"):
-                build_geometry(n, bad)
-            with pytest.raises(ValueError, match="orientation must be 1 or -1"):
-                QuadricGeometry(n, bad)
+def test_one_model_per_n_serves_both_orientations():
+    # the orientation names the rulings in print only: the engine takes n alone
+    assert build_geometry(4) is build_geometry(4)
+    with pytest.raises(TypeError):
+        build_geometry(4, -1)
+    # at odd n there is one ruling: both orientations print alike
+    x = build_geometry(5).class_Z(1, 4)
+    assert x.render(-1) == x.render(1) == repr(x)
+    # at even n plus prints sheet 1 through sigma and minus sheet 0 and the
+    # connected spaces, so a cycle prints under minus as its sigma-image
+    # prints under plus
+    M = build_geometry(4)
+    sigma = M.group.sigma
+    for x in (M.class_Z(1, 2), M.class_Z(2, 1), M.point_class([0, 2]), M.fundamental([2])):
+        image = FlagCycle(M, x.I, {(k, sigma[w]): c for (k, w), c in x.coeffs.items()}, x.p)
+        assert x.render(-1) == image.render(1)
+        assert x.render(1) == image.render(-1)
+    assert M.class_Z(2, 1).render(-1) != M.class_Z(2, 1).render(1)
 
 
 # -- expand by localization against the divided-difference routes ---------------
+
+
+def _on_sheet0(coeffs):
+    """Index-keyed Schubert coefficients as a cycle's (sheet, w) keys on sheet 0."""
+    return {(0, w): c for w, c in coeffs.items()}
 
 
 def _expand_by_words(M, poly, I):
@@ -917,7 +901,7 @@ def test_expand_matches_one_word_per_candidate(n, orientation, I):
     for kind, poly in _oracle_inputs(rng, M, I, max_length):
         if _is_class_on(M, poly, I):
             got = M.expand(poly, I)
-            assert got.coeffs == _expand_by_words(M, poly, I), (kind, repr(got))
+            assert got.coeffs == _on_sheet0(_expand_by_words(M, poly, I)), (kind, repr(got))
         else:
             # a factor outside basis(I), or a power of a variable that W_P moves
             assert kind in ("outside-basis", "linear-power"), kind
@@ -930,7 +914,7 @@ def test_expand_rejects_a_polynomial_that_is_no_class_on_the_flag_variety():
     # X = F(0) at n = 5: its values at the fixed points y depend on more than
     # the coset y W_P.  A solve that trusted them returned -3 s_(3,1,2) where
     # the divided differences give 0.
-    M = build_flag_model(5)
+    M = build_geometry(5)
     x1, x2 = variable(3, 1), variable(3, 2)
     poly = x1 * x1 + x1 * x2 + x2 * x2
     assert _expand_by_words(M, poly, [0]) == {}
@@ -938,13 +922,13 @@ def test_expand_rejects_a_polynomial_that_is_no_class_on_the_flag_variety():
         M.expand(poly, [0])
     # the same part on the full flag, where W_P is trivial, is a class
     full = range(M.d + 1)
-    assert M.expand(poly, full).coeffs == _expand_by_words(M, poly, full)
+    assert M.expand(poly, full).coeffs == _on_sheet0(_expand_by_words(M, poly, full))
 
 
 def test_expand_rejects_a_polynomial_of_another_rank():
     from quadchow.polyring import constant, variable
 
-    M = build_flag_model(3)  # rank 2
+    M = build_geometry(3)  # rank 2
     for poly in (constant(3, 1), variable(3, 1), constant(1, 0)):
         with pytest.raises(ValueError, match="rank mismatch"):
             M.expand(poly, [0])
@@ -955,7 +939,7 @@ def test_expand_rejects_a_polynomial_of_another_rank():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_deg_product_is_independent_of_factor_order_and_ring(n):
-    M = build_flag_model(n)
+    M = build_geometry(n)
     rng = random.Random(316 + n)
     for _ in range(30):
         classes = _random_product(rng, M)
@@ -1009,7 +993,7 @@ def _billey_row(g, y):
 def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     from quadchow.polyring import Polynomial, simple_root
 
-    M = build_flag_model(n)
+    M = build_geometry(n)
     g = M.group
     for a, root in enumerate(g.simple_roots, start=1):
         unit = [tuple(int(k == j) for k in range(g.rank)) for j in range(g.rank)]
@@ -1076,16 +1060,15 @@ def test_basis_product_matches_the_polynomial_route(n, orientation, I):
 
 
 @pytest.mark.parametrize("n,orientation", [(4, 1), (4, -1), (5, None)])
-def test_basis_products_on_cold_memos_match_the_polynomial_route(monkeypatch, n, orientation):
+def test_basis_products_on_cold_memos_match_the_polynomial_route(cold_engine, n, orientation):
     # every pair of every F(I), each F(I) solved on an empty pair memo and the
     # whole test on an empty row store, so the zero skip runs on every F(I)
     # against rows the recursion builds in the solve's own order
     M = ruling(n, orientation)
     g = M.group
-    monkeypatch.setattr(g, "restriction_rows", {})
     zeros = 0
     for I in _index_sets(M.d):
-        monkeypatch.setattr(g, "pair_products", {})
+        g.pair_products.clear()
         basis, dim = M.basis(I), M.dim_flag(I)
         for u, v in itertools.combinations_with_replacement(basis, 2):
             if g._lengths[u] + g._lengths[v] <= dim:
@@ -1129,7 +1112,7 @@ def _positive_root_point(G):
 def test_point_monomial_and_positive_roots_give_the_same_classes(n):
     from math import factorial
 
-    M = build_flag_model(n)
+    M = build_geometry(n)
     G = M.group
     m = G.rank
     rho = range(2 * m - 1, 0, -2) if G.family == "B" else range(2 * m - 2, -1, -2)
@@ -1144,12 +1127,12 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
         # 1920 whole-flag solves take minutes, so the reference reads them
         if n <= 7:
             return M.expand(poly, full).coeffs
-        return _expand_by_divided_differences(M, poly, full)
+        return _on_sheet0(_expand_by_divided_differences(M, poly, full))
 
     for i, w in enumerate(G.elements):
         old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
-        assert read(old) == {i: 1}, w
-        assert read(M.schubert_rep(i)) == {i: 1}, w
+        assert read(old) == {(0, i): 1}, w
+        assert read(M.schubert_rep(i)) == {(0, i): 1}, w
 
 
 @pytest.mark.parametrize(
@@ -1168,7 +1151,7 @@ def test_expand_reads_back_every_schubert_representative(n, orientation):
             short = [w for w in basis if g._lengths[w] <= 6]
             basis = rng.sample(short, min(len(short), 4))
         for w in basis:
-            assert M.expand(M.schubert_rep(w), I).coeffs == {w: 1}, (I, w)
+            assert M.expand(M.schubert_rep(w), I).coeffs == {(0, w): 1}, (I, w)
 
 
 def test_symmetric_functions_match_brute_force_sums():
@@ -1221,24 +1204,25 @@ def _value_defined_classes(M):
 
 @pytest.mark.parametrize("n,orientation", SPACES)
 def test_value_defined_classes_match_expand_of_their_polynomials(n, orientation):
+    # expand reads a polynomial on sheet 0; sigma fixes each of these classes,
+    # so every sheet carries the sheet-0 coefficients
     M = ruling(n, orientation)
     for call, x, I, poly in _value_defined_classes(M):
-        assert x == M.expand(poly, I), call
+        solved = {w: c for (k, w), c in M.expand(poly, I).coeffs.items() if k == 0}
+        on_every_sheet = {(k, w): c for k in range(M.sheets(I)) for w, c in solved.items()}
+        assert x.coeffs == on_every_sheet, call
 
 
-def test_no_build_or_verify_path_goes_through_polynomials(monkeypatch):
-    # cold builds: fresh model and geometry caches, restored after the test
-    from quadchow import cli, schubert
+def test_no_build_or_verify_path_goes_through_polynomials(cold_engine, monkeypatch):
+    from quadchow import cli
 
-    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
-    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
     calls = [
         _count_calls(monkeypatch, FlagModel, "expand"),
         _count_calls(monkeypatch, FlagModel, "schubert_rep"),
         _count_calls(monkeypatch, Polynomial, "__mul__"),
     ]
-    for n, orientation in SPACES:
-        build_geometry(n, orientation)
+    for n in MEMO_NS:
+        cold_engine(n)
     for n in range(3, 7):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
@@ -1261,31 +1245,22 @@ def _elements_in(obj):
             yield from _elements_in(x)
 
 
-def test_no_cycle_memo_or_table_names_an_element_by_window(monkeypatch):
-    # cold builds and verify runs at n = 5 and both orientations at n = 6, on fresh
-    # model, geometry and group memos, restored after the test
-    from quadchow import cli, schubert
+def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
+    # cold builds and verify runs at n = 5 and both orientations at n = 6, on
+    # fresh models and group memos
+    from quadchow import cli
 
-    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
-    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
-    spaces = [(5, 1, "plus"), (6, 1, "plus"), (6, -1, "minus")]
-    for n in (5, 6):
-        ctx = QuadricContext(n)
-        g = make_group(ctx.family, ctx.rank)
-        monkeypatch.setattr(g, "pair_products", {})
-        monkeypatch.setattr(g, "restriction_rows", {})
-    for n, orientation, name in spaces:
-        build_geometry(n, orientation)
+    spaces = [(5, "plus"), (6, "plus"), (6, "minus")]
+    for n, name in spaces:
+        cold_engine(n)
         with redirect_stdout(io.StringIO()):
             argv = ["verify", "all", "--n", str(n), "--orientation", name, "--seed", "0"]
             assert cli.main(argv) == 0
     tables = {}
-    for n, orientation, _ in spaces:
-        G = build_geometry(n, orientation)
-        tables[n, orientation, "geometry"] = [G._classes, G.bridge_memo]
-        M = G.model
-        tables[n, "model"] = [M._classes, M._duals, M._pushes]
-        tables[n, "group"] = [G.group.pair_products, G.group.restriction_rows]
+    for n, _ in spaces:
+        M = cold_engine(n)
+        tables[n, "model"] = [M._classes, M.bridge_memo, M._duals, M._pushes]
+        tables[n, "group"] = [M.group.pair_products, M.group.restriction_rows]
     for key, memos in tables.items():
         assert all(memos), key  # the runs filled every memo
         assert not any(_elements_in(memos)), key
@@ -1298,17 +1273,12 @@ ROW_STORE_ENTRIES = {7: 22496, 8: 282612}
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(monkeypatch, n):
-    from quadchow import cli, schubert
+def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(cold_engine, n):
+    from quadchow import cli
 
-    monkeypatch.setattr(schubert, "build_flag_model", lru_cache(maxsize=None)(FlagModel))
-    monkeypatch.setattr(schubert, "_cached_geometry", lru_cache(maxsize=None)(QuadricGeometry))
-    ctx = QuadricContext(n)
-    g = make_group(ctx.family, ctx.rank)
-    monkeypatch.setattr(g, "restriction_rows", {})
-    monkeypatch.setattr(g, "pair_products", {})
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
+    g = cold_engine(n).group
     entries = sum(map(len, g.restriction_rows.values()))
     assert 0 < entries <= 1.1 * ROW_STORE_ENTRIES[n], entries
 
@@ -1317,7 +1287,8 @@ def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(monkeypatch,
 
 
 def _draw_flag_cycle(data, M, I, p):
-    terms = st.dictionaries(st.sampled_from(M.basis(I)), st.integers(-3, 3), max_size=3)
+    keys = st.tuples(st.sampled_from(range(M.sheets(I))), st.sampled_from(M.basis(I)))
+    terms = st.dictionaries(keys, st.integers(-3, 3), max_size=3)
     return FlagCycle(M, I, data.draw(terms), p)
 
 
