@@ -33,20 +33,23 @@ bookkeeping, not a tolerance issue.
 
 The incidence powers on G_i x X^m (the class itself at m = 1, eta_i at
 m = i, theta_i at m = i + 1) are memoised per model in
-``FlagModel.bridge_memo``: each is built once, by one product from the
-power below it, so theta_i costs one product once eta_i exists and later
-eta/theta/alpha calls on that model are lookups.  The memo lives and dies
-with its model.
+``FlagModel.bridge_memo``, each built once, by one walk over the sorted
+multisets of X-symbols with one product on G_i per step (``_walk``).
+``theta_action`` takes only degrees on the same walk from the top Z-class,
+so alpha_i never builds theta_i; ``action_via_pullpush`` stays on eta_i, a
+second computation for lemma32 to compare.  The memo dies with its model.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 from quadchow.quadpow import (
     Correspondence,
     Mono,
     QuadCycle,
+    Sym,
     basis_symbols,
     codim1,
     contract,
@@ -265,7 +268,7 @@ class MixedCycle(SparseCycle):
         out = contract(
             self.model.ctx,
             (((k, w), mono, c) for (k, w, mono), c in self.coeffs.items()),
-            [((m[:r],), m[r:], c) for m, c in x.coeffs.items()],
+            (((m[:r],), m[r:], c) for m, c in x.coeffs.items()),
         )
         return MixedCycle(self.model, self.I, r, out, self.p)
 
@@ -307,28 +310,56 @@ def validate_incidence(model: FlagModel, i: int) -> None:
 def _power(model: FlagModel, i: int, m: int, p: int) -> MixedCycle:
     """The incidence power on G_i x X^m, memoised on the model by (i, m, p).
 
-    Power m is power m - 1 pulled to the first m - 1 slots times the incidence
-    class pulled to the last: the left fold over the factor pullbacks, with
-    its prefixes shared, since pull_x is a ring homomorphism.
+    At m = 1 it is the Kunneth expansion sum_s gamma_s (x) s.  Its m copies
+    sit in disjoint X-slots, so power m has gamma_{s_1} ... gamma_{s_m} on
+    every ordering of each multiset s_1 <= ... <= s_m: one ``_walk`` leaf.
     """
     memo = model.bridge_memo
     key = (i, m, p)
     out = memo.get(key)
     if out is not None:
         return out
+    coeffs: dict[MixedKey, int] = {}
     if m == 1:
         ctx = model.ctx
-        coeffs: dict[MixedKey, int] = {}
         for s in basis_symbols(ctx):
             z = _pullpush_to_g(model, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
             for (k, w), c in z.coeffs.items():
                 coeffs[(k, w, (s,))] = c
-        out = MixedCycle(model, [i], 1, coeffs, p)
     else:
-        prev = _power(model, i, m - 1, p).pull_x(m, range(m - 1))
-        out = prev * _power(model, i, 1, p).pull_x(m, [m - 1])
-    memo[key] = out
+        for monos, x in _walk(model, i, m, p, model.fundamental([i], p)):
+            for mono in monos:
+                for (k, w), c in x.coeffs.items():
+                    coeffs[(k, w, mono)] = c
+    out = memo[key] = MixedCycle(model, [i], m, coeffs, p)
     return out
+
+
+def _walk(model: FlagModel, i: int, m: int, p: int, start: FlagCycle, floor: int = 0):
+    """Yield (the orderings of s_1 <= ... <= s_m, start . gamma_{s_1} ...
+    gamma_{s_m}) per multiset of m basis symbols, gamma_s the incidence
+    class's coefficient on s: one product per prefix step, in sorted order,
+    dropping a prefix whose product is zero or whose codimension passes
+    dim G_i or can no longer reach ``floor``."""
+    gammas: dict[Sym, dict[tuple[int, int], int]] = {}
+    for (k, w, (s,)), c in _power(model, i, 1, p).coeffs.items():
+        gammas.setdefault(s, {})[(k, w)] = c
+    factors = [(s, FlagCycle(model, [i], g, p)) for s, g in gammas.items()]
+    factors = [(s, g, g.codim()) for s, g in factors]
+    top, rise = model.dim_flag([i]), max(c for _, _, c in factors)
+    stack = [((), 0, start, start.codim())]
+    while stack:
+        syms, lo, x, codim = stack.pop()
+        if len(syms) == m:
+            yield sorted(set(itertools.permutations(syms))), x
+            continue
+        reach = floor - (m - len(syms) - 1) * rise
+        for j in range(lo, len(factors)):
+            s, g, c = factors[j]
+            if reach <= codim + c <= top:
+                y = x * g
+                if y.coeffs:
+                    stack.append((syms + (s,), j, y, codim + c))
 
 
 def _incidence_power(model: FlagModel, i: int, m: int, p: int) -> MixedCycle:
@@ -350,9 +381,17 @@ def theta(model: FlagModel, i: int, p: int = 0) -> MixedCycle:
 
 def theta_action(model: FlagModel, i: int, p: int = 0) -> QuadCycle:
     """The direct route: theta_i as a correspondence G_i -> X^{i+1} applied to
-    the top Z-class."""
+    the top Z-class z, by degrees alone: (s_1, ..., s_{i+1}) has coefficient
+    deg(z . gamma_{s_1} ... gamma_{s_{i+1}}), and theta_i is never built."""
+    if not 1 <= i <= model.d:
+        raise RangeError("index out of range")
     z = model.class_Z(i, model.n - i, p)
-    return theta(model, i, p).action_on_flag(z)
+    out: dict[Mono, int] = {}
+    for monos, x in _walk(model, i, i + 1, p, z, model.dim_flag([i])):
+        c = model.deg(x)
+        if c:
+            out.update(dict.fromkeys(monos, c))
+    return QuadCycle(model.ctx, i + 1, out, p)
 
 
 def action_via_pullpush(model: FlagModel, i: int, x: QuadCycle) -> QuadCycle:

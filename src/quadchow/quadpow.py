@@ -144,31 +144,19 @@ def mul1(ctx: QuadricContext, s: Sym, t: Sym) -> dict[Sym, int]:
     return {} if same else {("l", 0): 1}
 
 
-def pair_deg(ctx: QuadricContext, s: Sym, t: Sym) -> int:
-    """deg(s . t) on X: the l_0-coefficient of the product."""
-    return mul1(ctx, s, t).get(("l", 0), 0)
-
-
-def _pairing(ctx: QuadricContext, xs: Sequence[Sym], ys: Sequence[Sym]) -> int:
-    """The product of pair_deg over aligned slots; 0 as soon as one slot is."""
-    factor = 1
-    for s, t in zip(xs, ys):
-        factor *= pair_deg(ctx, s, t)
-        if not factor:
-            return 0
-    return factor
-
-
-def contract(ctx: QuadricContext, left: Iterable[tuple], right: Sequence[tuple]) -> dict:
+def contract(ctx: QuadricContext, left: Iterable[tuple], right: Iterable[tuple]) -> dict:
     """The slot pairing behind every correspondence: over terms (kept key,
-    paired slots, coeff) of each side, sum c1 c2 deg(s1 . s2) on key k1 + k2."""
+    paired slots, coeff) of each side, sum c1 c2 deg(s1 . s2) on key k1 + k2.
+    deg(s . t) is 1 at t = dual1(s) and 0 otherwise, so each left term looks
+    up the right terms by its slot-wise duals."""
+    by_slots: dict = {}
+    for k2, s2, c2 in right:
+        by_slots.setdefault(s2, []).append((k2, c2))
     out: dict = {}
     for k1, s1, c1 in left:
-        for k2, s2, c2 in right:
-            factor = _pairing(ctx, s1, s2)
-            if factor:
-                key = k1 + k2
-                out[key] = out.get(key, 0) + c1 * c2 * factor
+        for k2, c2 in by_slots.get(tuple(dual1(ctx, s) for s in s1), ()):
+            key = k1 + k2
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
@@ -515,7 +503,7 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     out = contract(
         ctx,
         ((m[:a], m[a:], c) for m, c in alpha.cycle.coeffs.items()),
-        [(m[b:], m[:b], c) for m, c in beta.cycle.coeffs.items()],
+        ((m[b:], m[:b], c) for m, c in beta.cycle.coeffs.items()),
     )
     return Correspondence(
         QuadCycle(ctx, a + beta.target, out, alpha.cycle.p), a, beta.target
@@ -532,7 +520,7 @@ def action(alpha: Correspondence, x: QuadCycle) -> QuadCycle:
     out = contract(
         alpha.ctx,
         (((), m, c) for m, c in x.coeffs.items()),
-        [(m[a:], m[:a], c) for m, c in alpha.cycle.coeffs.items()],
+        ((m[a:], m[:a], c) for m, c in alpha.cycle.coeffs.items()),
     )
     return QuadCycle(alpha.ctx, alpha.target, out, x.p)
 

@@ -77,7 +77,7 @@ def test_incidence_cache_belongs_to_its_model():
     assert ref() is None
 
 
-MODELS = [3, 4, 5, 6, 7]
+MODELS = [3, 4, 5, 6, 7, 8]
 
 
 def _left_fold(G, i, m, p):
@@ -116,7 +116,7 @@ def test_incidence_powers_do_not_depend_on_build_order(n):
 
 
 def test_incidence_power_ranges_hold_on_a_warm_memo():
-    G = build_geometry(6)
+    G = FlagModel(6)
     for i in range(1, G.d + 1):
         theta(G, i)
         eta(G, i, 2)
@@ -125,13 +125,18 @@ def test_incidence_power_ranges_hold_on_a_warm_memo():
         lambda: eta(G, 0, 2),
         lambda: eta(G, G.d + 1),
         lambda: theta(G, G.d + 1, 2),
+        lambda: theta_action(G, 0, 2),
+        lambda: theta_action(G, G.d + 1),
         lambda: alpha(G, 0),
         lambda: incidence_class(G, G.d + 1),
         lambda: incidence_class(G, -1),
     ]
+    classes = set(G._classes)
     for bad in bad_calls:
         with pytest.raises(RangeError):
             bad()
+    # each index is refused before any class is built
+    assert set(G._classes) == classes
     incidence_class(G, 0)
     assert (0, 1, 0) in G.bridge_memo and (0, 2, 0) not in G.bridge_memo
 
@@ -233,6 +238,27 @@ def test_theta_action_routes_agree():
             for s in basis_symbols(ctx):
                 x = monomial_cycle(ctx, [s], p=2)
                 assert action(corr, x) == action_via_pullpush(G, i, x), (n, i, s)
+
+
+@pytest.mark.parametrize("n", MODELS)
+def test_theta_action_by_degrees_matches_theta_on_the_top_z(n):
+    # the degree walk against theta_i built in full and read by action_on_flag
+    G = build_geometry(n)
+    for p in (0, 2):
+        for i in range(1, G.d + 1):
+            z = G.class_Z(i, n - i, p)
+            assert theta_action(G, i, p) == theta(G, i, p).action_on_flag(z), (p, i)
+
+
+def test_a_cold_alpha_builds_no_theta(cold_engine):
+    for n in (5, 6, 7):
+        G = cold_engine(n)
+        for p in (0, 2):
+            for i in range(1, G.d + 1):
+                alpha(G, i, p)
+                assert (i, i + 1, p) not in G.bridge_memo, (n, p, i)
+        # only the incidence classes, whose Kunneth coefficients the walk reads
+        assert all(m == 1 for _, m, _ in G.bridge_memo), n
 
 
 def test_theta_action_dimension_vanishing():

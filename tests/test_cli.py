@@ -58,6 +58,9 @@ def test_compute_range_error_exit3(capsys):
     code, _, err = run_cli(capsys, "compute", "--n", "3", "rho 7")
     assert code == 3
     assert "range" in err
+    # theta_action checks its own index before it builds the top Z-class
+    code, out, err = run_cli(capsys, "compute", "--n", "7", "alpha 4")
+    assert (code, out, err) == (3, "", "error: index out of range\n")
 
 
 def test_symmetrizing_builtins_stop_at_the_factor_bound(capsys):

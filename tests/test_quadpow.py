@@ -14,8 +14,10 @@ from quadchow.quadpow import (
     alternating_sym,
     basis_symbols,
     compose,
+    contract,
     delta_i,
     diagonal_class,
+    dual1,
     external,
     external_list,
     format_cycle,
@@ -24,6 +26,7 @@ from quadchow.quadpow import (
     l_cycle,
     lp_cycle,
     monomial_cycle,
+    mul1,
     one,
     parse_cycle,
     primordial_shape,
@@ -44,6 +47,65 @@ def rand_cycle(ctx, m, rng, p=0, terms=4):
         mono = tuple(rng.choice(syms) for _ in range(m))
         out[mono] = rng.randrange(-3, 4)
     return QuadCycle(ctx, m, out, p)
+
+
+def pair_deg(ctx, s, t):
+    """deg(s . t) on X: the l_0-coefficient of the product."""
+    return mul1(ctx, s, t).get(("l", 0), 0)
+
+
+def test_degree_pairing_is_the_dual_basis():
+    # contract pairs slots by looking up dual1: deg(s . t) must be 1 at
+    # t = dual1(s) and 0 at every other basis symbol
+    for n in range(2, 18):
+        ctx = quad_context(n)
+        syms = basis_symbols(ctx)
+        for s in syms:
+            for t in syms:
+                assert pair_deg(ctx, s, t) == int(t == dual1(ctx, s)), (n, s, t)
+
+
+def _contract_all_pairs(ctx, left, right):
+    """contract's reference: every (left, right) term pair, weighted by the
+    product of pair_deg over the aligned slots."""
+    out = {}
+    for k1, s1, c1 in left:
+        for k2, s2, c2 in right:
+            factor = 1
+            for s, t in zip(s1, s2):
+                factor *= pair_deg(ctx, s, t)
+            if factor:
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2 * factor
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_contract_matches_the_all_pairs_reference(n):
+    ctx = quad_context(n)
+    syms = basis_symbols(ctx)
+    rng = random.Random(700 + n)
+
+    def term(slots):
+        return (rng.choice(syms),), slots, rng.randrange(-3, 4)
+
+    for p in (0, 2):
+        for r in range(4):
+            left = [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(12)]
+            # the duals of half the left terms, each under two kept keys, so
+            # paired-slot keys repeat on the right, and random terms
+            right = [
+                term(tuple(dual1(ctx, s) for s in s1))
+                for _, s1, _ in left[::2]
+                for _ in range(2)
+            ]
+            right += [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(8)]
+            rng.shuffle(right)
+            assert len({s2 for _, s2, _ in right}) < len(right)
+            got = contract(ctx, iter(left), iter(right))
+            want = _contract_all_pairs(ctx, left, right)
+            assert got == want, (p, r)
+            assert QuadCycle(ctx, 2, got, p) == QuadCycle(ctx, 2, want, p)
+            assert want, (p, r)
 
 
 def test_multiplication_rules_n3():
