@@ -158,7 +158,10 @@ class MixedCycle(SparseCycle):
 
     @classmethod
     def from_quad(cls, model: FlagModel, I, x: QuadCycle) -> "MixedCycle":
-        """[F(I)] (x) x."""
+        """[F(I)] (x) x, for a cycle x on a power of the model's quadric."""
+        if x.ctx != model.ctx:
+            raise ValueError("space/ring mismatch")
+        model.parabolic(I)  # range-checks I
         coeffs = {
             (k, 0, mono): c
             for k in range(model.sheets(I))

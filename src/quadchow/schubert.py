@@ -31,14 +31,13 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   c_1(O(1)) (one root) from integer functions of that point.  Each is
   invariant under the parabolic W_P of its F(I), so its values depend
   only on the coset of y;
-* restriction rows and two-class products are memoised on the
-  `WeylGroup`: the full row of each element, for every F(I), and a product of
-  two W^P classes, pulled back from G/B, per pair of indices whichever F(I)
-  asked for it;
-* the distinguished classes (Z, W, the Chern classes, c_1(O(1)) and h^k)
-  are memoised on the model that built them, one dict per model keyed by
-  (constructor, indices, p), and freed with it; a call that raises stores
-  nothing;
+* every memo is the model's and is freed with it, so
+  `build_geometry.cache_clear()` frees all that a model computed: the full
+  restriction row of each element, for every F(I); a product of two W^P
+  classes, pulled back from G/B, per pair of indices whichever F(I) and sheet
+  asked for it; the polynomial representatives; and the distinguished
+  classes (Z, W, the Chern classes, c_1(O(1)) and h^k), keyed by
+  (constructor, indices, p), where a call that raises stores nothing;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
@@ -85,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, reduce, wraps
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -284,7 +283,9 @@ class FlagModel:
         self.n = n
         self.d = self.ctx.d
         self.group: WeylGroup = make_group(self.ctx.family, self.ctx.rank)
-        self.point_rep, self._reps = _group_memos(self.ctx.family, self.ctx.rank)
+        self._rows: dict[int, dict[int, int]] = {}  # see _restriction_row
+        self._pairs: dict[tuple[int, int], dict[int, int]] = {}  # see basis_product
+        self._reps: dict[int, polyring.Polynomial] = {}  # see schubert_rep
         self._index_sets: dict = {}
         self._pushes: dict = {}
         self._duals: dict = {}
@@ -355,17 +356,39 @@ class FlagModel:
 
     # -- Schubert representatives and expansion -------------------------------
 
+    @cached_property
+    def point_rep(self) -> polyring.Polynomial:
+        """The point class of the full flag variety, the single monomial
+        m! x^rho / |W|, with rho = (2m-1, ..., 3, 1) for B_m and
+        (2m-2, ..., 2, 0) for D_m.
+
+        div_{w_0} sends x^rho to 2^m (B) or 2^(m-1) (D), so div_{w_0} of the
+        point class is 1, as for the product of the positive roots over |W|.
+        The two differ by an element of the ideal J of positive-degree
+        invariants, and div_i maps J into itself: for f in J of degree l(w),
+        div_w(f) = 0, so no expansion can tell the representatives derived
+        from either apart.
+        """
+        g, m = self.group, self.group.rank
+        rho = range(2 * m - 1, 0, -2) if g.family == "B" else range(2 * m - 2, -1, -2)
+        return polyring.Polynomial(m, {tuple(rho): factorial(m)}, len(g))
+
     def schubert_rep(self, w: int) -> polyring.Polynomial:
         """Polynomial representative of the Schubert class of the element of
-        index w (codim = length)."""
+        index w (codim = length): `point_rep` at the longest element, else the
+        divided difference of the representative one ascent up.  Memoised
+        per index on the model."""
         cached = self._reps.get(w)
-        if cached is not None:
-            return cached
-        g = self.group
-        ascents = ~g._descents[w] & ((1 << g.rank) - 1)
-        i = (ascents & -ascents).bit_length()  # the longest element is cached
-        rep = self._reps[w] = divided_difference(g, i, self.schubert_rep(g._right[w][i - 1]))
-        return rep
+        if cached is None:
+            g = self.group
+            ascents = ~g._descents[w] & ((1 << g.rank) - 1)
+            i = (ascents & -ascents).bit_length()
+            cached = self._reps[w] = (
+                divided_difference(g, i, self.schubert_rep(g._right[w][i - 1]))
+                if ascents
+                else self.point_rep
+            )
+        return cached
 
     def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I),
@@ -418,25 +441,24 @@ class FlagModel:
         return self._localized_expansion(I, value, 0, k)
 
     def basis_product(self, I, u: int, v: int) -> dict[int, int]:
-        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per (u, v)
-        on the group.
+        """s_u s_v for u, v in basis(I); pulled back from G/B, so memoised per
+        (u, v) on the model, one entry for every F(I) and sheet.
 
         Its value at y is xi_u(y) xi_v(y), and its coefficients lie between
         lengths max(l(u), l(v)) and l(u) + l(v).  Every x with a nonzero
         coefficient lies above both u and v, so where that value is 0 (u or v
         is not below y) no such x is below y either, and the solve skips y.
         """
-        g = self.group
         a, b = sorted((u, v))
-        cached = g.pair_products.get((a, b))
+        cached = self._pairs.get((a, b))
         if cached is None:
-            la, lb = g._lengths[a], g._lengths[b]
+            la, lb = self.group._lengths[a], self.group._lengths[b]
             if la + lb > self.dim_flag(I):
                 cached = {}
             else:
                 value = lambda y, row: row.get(a, 0) * row.get(b, 0)  # noqa: E731
                 cached = self._localized_expansion(I, value, lb, la + lb, skip_zeros=True)
-            g.pair_products[a, b] = cached
+            self._pairs[a, b] = cached
         return cached
 
     def _restriction_row(self, y: int) -> dict[int, int]:
@@ -453,11 +475,10 @@ class FlagModel:
         skips the last letter or ends with it, so row(y) = row(p) plus
         r = <p(alpha_a), t> times row(p) moved by s_a, which adds r xi_z(p) at
         z s_a for each z with no descent a.  Every row is memoised per y on the
-        group, for every F(I) and sheet, and built up from the nearest
+        model, one row for every F(I) and sheet, and built up from the nearest
         memoised ancestor; the solve reads only its basis(I) entries.
         """
-        g = self.group
-        rows = g.restriction_rows
+        g, rows = self.group, self._rows
         if y in rows:
             return rows[y]
         descents, right, elements = g._descents, g._right, g.elements
@@ -822,26 +843,9 @@ def _symmetric_function(roots: list[int], j: int, complete: bool = False) -> int
 
 
 @lru_cache(maxsize=None)
-def _group_memos(family: str, rank: int) -> tuple[polyring.Polynomial, dict]:
-    """(point representative, representative memo) of one group, the pieces
-    of the polynomial reference route.
-
-    The point class is the single monomial m! x^rho / |W|, with rho =
-    (2m-1, ..., 3, 1) for B_m and (2m-2, ..., 2, 0) for D_m: div_{w_0} sends
-    x^rho to 2^m (B) or 2^(m-1) (D), so div_{w_0} of the point class is 1,
-    as for the product of the positive roots over |W|.  The two differ by an
-    element of the ideal J of positive-degree invariants, and div_i maps J
-    into itself: for f in J of degree l(w), div_w(f) = 0, so no expansion
-    can tell the representatives derived from either apart.
-    """
-    g = make_group(family, rank)
-    rho = range(2 * rank - 1, 0, -2) if family == "B" else range(2 * rank - 2, -1, -2)
-    point = polyring.Polynomial(rank, {tuple(rho): factorial(rank)}, len(g))
-    return point, {len(g) - 1: point}
-
-
-@lru_cache(maxsize=None)
 def build_geometry(n: int) -> FlagModel:
     """Build (and cache) the flag model of the split quadric of dimension n,
-    the one object per n that every orientation prints from."""
+    the one object per n that every orientation prints from.  The model owns
+    every memo of what it computed, so `build_geometry.cache_clear()` frees
+    them all."""
     return FlagModel(n)

@@ -111,9 +111,10 @@ class WeylGroup:
     ``elements`` lists every element sorted by (length, window), so it starts
     with ``identity`` and ends with ``longest_element``; ``simple_reflections``
     is the identity's row of the right-multiplication table.  Each window has
-    one canonical element object.  The group also carries the Schubert
-    layer's memos that every model on it shares, `restriction_rows` and
-    `pair_products`, keyed by index.
+    one canonical element object.  The group holds only its own
+    combinatorics: the index tables, `sigma` and the coset indices per
+    parabolic.  What the Schubert layer computes on it is memoised on the
+    `FlagModel` that asked for it.
 
     Do not instantiate directly; use :func:`make_group`, which caches one
     group object per (family, rank) so elements of equal provenance share
@@ -141,10 +142,6 @@ class WeylGroup:
         self.simple_reflections = tuple(self.elements[j] for j in self._right[0])
         self.longest_element = self.elements[-1]
         self._coset_indices: dict[frozenset[int], tuple[int, ...]] = {}
-        # memos of the Schubert layer, shared by every model on this group:
-        # the restriction row of each element by index, and two-class products
-        self.restriction_rows: dict[int, dict[int, int]] = {}
-        self.pair_products: dict[tuple[int, int], dict] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -237,14 +234,6 @@ class WeylGroup:
         if self.family == "D" and sum(1 for v in win if v < 0) % 2 != 0:
             raise ValueError("odd number of sign changes in type D: %r" % (win,))
         return SignedPermutation(self, win)
-
-    def multiply(self, w: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-        if w.group is not self or v.group is not self:
-            raise ValueError("group mismatch")
-        return w * v
-
-    def inverse(self, w: SignedPermutation) -> SignedPermutation:
-        return w.inverse()
 
     def _position(self, w: SignedPermutation) -> int:
         """The index of w, an element of this group."""

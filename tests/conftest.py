@@ -6,7 +6,6 @@ from functools import lru_cache
 import pytest
 
 from quadchow import schubert
-from quadchow.weyl import make_group
 
 
 def pytest_collection_modifyitems(config, items):
@@ -23,17 +22,12 @@ def pytest_collection_modifyitems(config, items):
 def cold_engine(monkeypatch):
     """An uncached engine for one test, restored after it: every quadchow
     module's `build_geometry` is swapped for a fresh cache, so a model is
-    built anew on first use, and every group's restriction rows and pair
-    products start empty.  Yields that fresh `build_geometry`."""
+    built anew on first use, with every memo empty.  Yields that fresh
+    `build_geometry`."""
     cached, fresh = schubert.build_geometry, lru_cache(maxsize=None)(schubert.FlagModel)
     for name, mod in list(sys.modules.items()):
         if name == "quadchow" or name.startswith("quadchow."):
             for attr, value in list(vars(mod).items()):
                 if value is cached:
                     monkeypatch.setattr(mod, attr, fresh)
-    for n in range(schubert.MIN_N, schubert.MAX_N + 1):
-        ctx = schubert.QuadricContext(n)
-        g = make_group(ctx.family, ctx.rank)
-        monkeypatch.setattr(g, "restriction_rows", {})
-        monkeypatch.setattr(g, "pair_products", {})
     yield fresh

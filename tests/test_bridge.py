@@ -338,6 +338,19 @@ def test_mixed_cycle_algebra():
         a + MixedCycle.from_quad(G, [1], one(ctx, 2))
 
 
+def test_from_quad_takes_only_a_cycle_of_the_models_quadric():
+    G = build_geometry(5)
+    for x in (h_power_cycle(quad_context(7), 3), QuadCycle(quad_context(7), 1, {})):
+        with pytest.raises(ValueError, match="space/ring mismatch"):
+            MixedCycle.from_quad(G, [0], x)
+    for I in ([G.d + 1], [-1, 0]):
+        with pytest.raises(RangeError, match="flag index out of range"):
+            MixedCycle.from_quad(G, I, h_power_cycle(G.ctx, 1))
+    # a cycle of the model's own quadric goes on every sheet's unit, in its ring
+    want = MixedCycle(G, [0, 2], 1, {(0, 0, (("h", 1),)): 1}, 2)
+    assert MixedCycle.from_quad(G, [0, 2], h_power_cycle(G.ctx, 1, 2)) == want
+
+
 def test_mixed_slot_maps_reject_bad_slots():
     th = theta(build_geometry(5), 1)
     zero = th.scale(0)
@@ -497,24 +510,42 @@ def test_action_on_flag_matches_product_oracle(n):
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_schubert_memos_belong_to_the_group(n):
-    A, B = build_geometry(n), FlagModel(n)
+def test_schubert_memos_belong_to_the_model(n, monkeypatch):
+    A = build_geometry(n)
+    stores = lambda M: (M._rows, M._pairs, M._reps)  # noqa: E731
+    seen = []
+    identify = FlagModel._identify_quadric_basis
+
+    def spy(self):
+        seen.append([dict(store) for store in stores(self)])
+        identify(self)
+
+    monkeypatch.setattr(FlagModel, "_identify_quadric_basis", spy)
+    B = FlagModel(n)
+    # a new model of the quadric builds on empty stores of its own, shares
+    # none of build_geometry's, and builds no polynomial
+    assert seen == [[{}, {}, {}]]
+    assert not any(a is b for a, b in zip(stores(A), stores(B)))
+    assert B._reps == {} and "point_rep" not in vars(B)
     # both sheets are read on the one model
     assert A.class_W(A.d, 1).model is A and A.sheets([A.d]) == 2
-    # the row store and the pair memo hang on the group every model of the
-    # quadric shares, keyed by element index alone, with no parabolic in a key
-    assert A._reps is B._reps and A.group is B.group
-    g = A.group
-    assert all(type(k) is int for key in g.pair_products for k in key)
-    assert all(type(y) is int for y in g.restriction_rows)
-    for w in range(0, len(g), 7):
-        assert A.schubert_rep(w) is B.schubert_rep(w)
+    # the row store and the pair memo are keyed by element index alone, with
+    # no parabolic or sheet in a key, so one product serves every F(I) and sheet
+    assert all(type(k) is int for key in A._pairs for k in key)
+    assert all(type(y) is int for y in A._rows)
     u, v = A.basis([0])[1], A.basis([0])[2]
     prod = A.basis_product([0], u, v)
-    assert prod
-    assert g.pair_products[u, v] is prod
+    assert prod and A._pairs[u, v] is prod
     assert A.basis_product([0, 1], v, u) is prod
-    assert B.basis_product([0, 1, A.d], u, v) is prod
+    assert A.basis_product([0, 1, A.d], u, v) is prod
+    I = [0, A.d]
+    on_sheet1 = FlagCycle(A, I, {(1, u): 1}) * FlagCycle(A, I, {(1, v): 1})
+    assert on_sheet1.coeffs == {(1, w): c for w, c in prod.items()}
+    # the other model solves its own
+    assert B.basis_product([0], u, v) == prod and B._pairs[u, v] is not prod
+    for w in range(0, len(A.group), 7):
+        assert A.schubert_rep(w) is A.schubert_rep(w)
+        assert A.schubert_rep(w) == B.schubert_rep(w) and A._reps[w] is not B._reps[w]
 
 
 def _random_mixed_cycle(G, I, arity, rng, p):

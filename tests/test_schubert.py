@@ -405,12 +405,12 @@ def test_nonintegral_extraction_raises(cold_engine):
     with pytest.raises(ArithmeticError, match=r"nonintegral Schubert coefficient 1/2 at \(2, 1\)"):
         M.expand(half_h, [0])
     # deg_product multiplies out the half h.h, solved from restriction rows
-    # (fresh group memos: the pair memo may hold h.h, and no row built from the
+    # (a cold model: the pair memo may hold h.h, and no row built from the
     # corrupted one may outlive the test); at n = 3, h^2 = 2 l_1, so a diagonal
     # value xi_w(w) of l_1 taken 7 times leaves 2/7 at w
-    h, y, g = M.x_class(("h", 1)), M.x_basis[("l", 1)], M.group
+    h, y = M.x_class(("h", 1)), M.x_basis[("l", 1)]
     row = M._restriction_row(y)
-    g.restriction_rows[y] = {**row, y: 7 * row[y]}
+    M._rows[y] = {**row, y: 7 * row[y]}
     with pytest.raises(ArithmeticError, match=r"inexact localization division at \(-2, 1\)"):
         M.deg_product([h, h, h])
 
@@ -959,7 +959,7 @@ def _inversion_value(g, y):
     # prod <beta, t> over the positive roots beta that y^-1 sends negative,
     # at t = (m, ..., 1); a root is positive when its first nonzero entry is
     m = g.rank
-    yi = g.inverse(y)
+    yi = y.inverse()
     value = 1
     for beta in g.positive_roots:
         image = [0] * m
@@ -1064,11 +1064,12 @@ def test_basis_products_on_cold_memos_match_the_polynomial_route(cold_engine, n,
     # every pair of every F(I), each F(I) solved on an empty pair memo and the
     # whole test on an empty row store, so the zero skip runs on every F(I)
     # against rows the recursion builds in the solve's own order
-    M = ruling(n, orientation)
+    model = cold_engine(n)
+    M = SigmaImage(model) if orientation == -1 else model
     g = M.group
     zeros = 0
     for I in _index_sets(M.d):
-        g.pair_products.clear()
+        model._pairs.clear()
         basis, dim = M.basis(I), M.dim_flag(I)
         for u, v in itertools.combinations_with_replacement(basis, 2):
             if g._lengths[u] + g._lengths[v] <= dim:
@@ -1130,7 +1131,7 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
         return _on_sheet0(_expand_by_divided_differences(M, poly, full))
 
     for i, w in enumerate(G.elements):
-        old = divided_difference_word(G, G.reduced_word(G.inverse(w) * w0), old_point)
+        old = divided_difference_word(G, G.reduced_word(w.inverse() * w0), old_point)
         assert read(old) == {(0, i): 1}, w
         assert read(M.schubert_rep(i)) == {(0, i): 1}, w
 
@@ -1247,7 +1248,7 @@ def _elements_in(obj):
 
 def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
     # cold builds and verify runs at n = 5 and both orientations at n = 6, on
-    # fresh models and group memos
+    # fresh models
     from quadchow import cli
 
     spaces = [(5, "plus"), (6, "plus"), (6, "minus")]
@@ -1256,14 +1257,11 @@ def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
         with redirect_stdout(io.StringIO()):
             argv = ["verify", "all", "--n", str(n), "--orientation", name, "--seed", "0"]
             assert cli.main(argv) == 0
-    tables = {}
-    for n, _ in spaces:
+    for n in (5, 6):
         M = cold_engine(n)
-        tables[n, "model"] = [M._classes, M.bridge_memo, M._duals, M._pushes]
-        tables[n, "group"] = [M.group.pair_products, M.group.restriction_rows]
-    for key, memos in tables.items():
-        assert all(memos), key  # the runs filled every memo
-        assert not any(_elements_in(memos)), key
+        memos = [M._classes, M.bridge_memo, M._duals, M._pushes, M._pairs, M._rows]
+        assert all(memos), n  # the runs filled every memo
+        assert not any(_elements_in(memos)), n
 
 
 # restriction-row entries held after a cold `verify all --seed 0`,
@@ -1278,9 +1276,33 @@ def test_row_store_after_a_cold_verify_stays_near_its_recorded_size(cold_engine,
 
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--n", str(n), "--seed", "0"]) == 0
-    g = cold_engine(n).group
-    entries = sum(map(len, g.restriction_rows.values()))
+    entries = sum(map(len, cold_engine(n)._rows.values()))
     assert 0 < entries <= 1.1 * ROW_STORE_ENTRIES[n], entries
+
+
+def test_dropping_the_model_cache_frees_what_a_cold_verify_built(cold_engine):
+    # every memo is the model's, so clearing build_geometry's cache returns
+    # the traced memory to near where the run started; what stays is the
+    # process's own: the group's tables (make_group), the argument parser
+    import gc
+    import tracemalloc
+
+    from quadchow import cli
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--n", "7", "--seed", "0"]) == 0
+        gc.collect()
+        added = tracemalloc.get_traced_memory()[0] - start
+        cold_engine.cache_clear()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert added > 1e6, added
+    assert kept < min(0.25 * added, 1.5e6), (kept, added)
 
 
 # -- ring axioms of FlagCycle products ----------------------------------------------

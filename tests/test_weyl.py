@@ -57,7 +57,7 @@ def test_group_mismatch():
     w = B3.identity
     v = D3.identity
     with pytest.raises(ValueError, match="group mismatch"):
-        B3.multiply(w, v)
+        w * v
     # a D_m window is also a B_m window: the group, not the window, decides
     decompose = lambda u: B3.parabolic_decompose(u, [1])  # noqa: E731
     for call in (B3.length, B3.right_multiples, B3.reduced_word, decompose):
@@ -92,7 +92,7 @@ def test_group_axioms_random():
             u = rng.choice(G.elements)
             assert (w * v) * u == w * (v * u)
             assert w * w.inverse() == G.identity
-            assert G.multiply(w, G.identity) == w
+            assert w * G.identity == w
 
 
 def test_length_changes_by_one():
