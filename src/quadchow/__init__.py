@@ -2,7 +2,8 @@
 
 The package computes, with exact integer (or mod-2) coefficients:
 
-* ``weyl`` -- signed-permutation Weyl groups of types B and D;
+* ``weyl`` -- signed-permutation Weyl groups of types B and D, each element
+  named by its index in a length-ordered list and printed as its window;
 * ``polyring`` -- sparse polynomials with integer numerators over one common
   denominator, with the Weyl action and divided-difference operators (exact
   in integers, since every simple root is monic in its main variable);
@@ -55,12 +56,11 @@ from quadchow.schubert import (
     build_geometry,
 )
 from quadchow.suites import run_suite, suite_names
-from quadchow.weyl import MAX_RANK, RangeError, SignedPermutation, WeylGroup, make_group
+from quadchow.weyl import MAX_RANK, RangeError, WeylGroup, make_group
 
 __all__ = [
     "MAX_RANK",
     "RangeError",
-    "SignedPermutation",
     "WeylGroup",
     "make_group",
     "Polynomial",

@@ -88,7 +88,7 @@ def _format_flag(x: FlagCycle, fmt: str, orientation: int):
         elements = x.model.group.elements
         return _sheets_json(
             x,
-            ((k, {"coeff": c, "window": list(elements[w].window)})
+            ((k, {"coeff": c, "window": list(elements[w])})
              for (k, w), c in x.model.printed(x.coeffs, orientation).items()),
         )
     return x.render(orientation)
@@ -101,14 +101,14 @@ def _format_mixed(x, fmt: str, orientation: int):
     if fmt == "json":
         return _sheets_json(
             x,
-            ((k, {"coeff": c, "window": list(elements[w].window),
+            ((k, {"coeff": c, "window": list(elements[w]),
                   "monomial": [names[s] for s in mono]})
              for (k, w, mono), c in coeffs.items()),
         )
     lines = [
         "sheet%d: %d S%s (x) %s" % (k, c, window, " x ".join([names[s] for s in mono]))
         for (k, window, mono), c in sorted(
-            ((k, elements[w].window, mono), c) for (k, w, mono), c in coeffs.items()
+            ((k, elements[w], mono), c) for (k, w, mono), c in coeffs.items()
         )
     ]
     return "\n".join(lines) if lines else "0"

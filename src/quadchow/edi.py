@@ -94,8 +94,8 @@ def check_witt_consistency(square: EDISquare, i1: int | None = None) -> WittRepo
         i1 = square.witt_index
     if i1 is None:
         raise ValueError("no witt index supplied")
-    if i1 < 1:
-        raise ValueError("witt index must be positive")
+    if not 1 <= i1 <= square.d + 1:
+        raise RangeError("witt index out of range")
     closed = propagate(square)
     violations = tuple(
         sorted((i, c) for (i, c) in closed.marks if c == 0 and i < i1)

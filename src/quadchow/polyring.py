@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from quadchow.weyl import RangeError, SignedPermutation, WeylGroup
+from quadchow.weyl import RangeError, WeylGroup
 
 __all__ = [
     "Polynomial",
@@ -269,12 +269,12 @@ def constant(nvars: int, c) -> Polynomial:
     return Polynomial(nvars, {(0,) * nvars: c})
 
 
-def act(w: SignedPermutation, f: Polynomial) -> Polynomial:
-    """Ring automorphism sending ``x_j`` to ``sign(w(j)) * x_{|w(j)|}``."""
-    m = w.group.rank
+def act(window: Sequence[int], f: Polynomial) -> Polynomial:
+    """Ring automorphism sending ``x_j`` to ``sign(w(j)) * x_{|w(j)|}``, w the
+    signed permutation with this window."""
+    m = len(window)
     if f.nvars != m:
         raise ValueError("rank mismatch")
-    window = w.window
     shift = BITS * m
     out: dict[int, int] = {}
     for k, c in f.terms.items():
@@ -326,7 +326,7 @@ def divided_difference(group: WeylGroup, i: int, f: Polynomial) -> Polynomial:
         raise ValueError("rank mismatch")
     if not 1 <= i <= m:
         raise RangeError("simple index out of range")
-    a, b, sigma = _reflection_kernel(group.simple_reflections[i - 1].window)
+    a, b, sigma = _reflection_kernel(group.simple_reflections[i - 1])
     sa = BITS * a
     one = 1 << (BITS * m)  # degree one, in the degree field
     if b is None:

@@ -90,7 +90,7 @@ from typing import Iterable, Mapping
 
 from quadchow import polyring
 from quadchow.polyring import divided_difference
-from quadchow.weyl import RangeError, SignedPermutation, WeylGroup, make_group
+from quadchow.weyl import RangeError, WeylGroup, make_group
 
 __all__ = [
     "QuadricContext",
@@ -265,7 +265,7 @@ class FlagCycle(SparseCycle):
         elements = self.model.group.elements
         sheets: list[list] = [[] for _ in range(self.model.sheets(self.I))]
         for (k, w), c in sorted(self.model.printed(self.coeffs, orientation).items()):
-            sheets[k].append("%d*S%s" % (c, elements[w].window))
+            sheets[k].append("%d*S%s" % (c, elements[w]))
         tag = " (mod 2)" if self.p == 2 else ""
         return " (+) ".join(" + ".join(terms) + tag if terms else "0" for terms in sheets)
 
@@ -421,7 +421,7 @@ class FlagModel:
                 if c % part.den:
                     raise ArithmeticError(
                         "nonintegral Schubert coefficient %s at %r"
-                        % (Fraction(c, part.den), g.elements[w].window)
+                        % (Fraction(c, part.den), g.elements[w])
                     )
                 out[0, w] = c // part.den
         return FlagCycle(self, I, out, p)
@@ -530,8 +530,7 @@ class FlagModel:
             c -= sum(cx * row.get(x, 0) for x, cx in solved.items())
             cw, rem = divmod(c, row[w])
             if rem:
-                window = g.elements[w].window
-                raise ArithmeticError("inexact localization division at %r" % (window,))
+                raise ArithmeticError("inexact localization division at %r" % (g.elements[w],))
             if cw:
                 solved[w] = cw
                 if lw == k:
@@ -823,11 +822,12 @@ def _own(model: FlagModel, *cycles) -> None:
         raise ValueError("space/ring mismatch")
 
 
-def _fixed_point(y: SignedPermutation) -> list[int]:
-    """x = -y^{-1}.t at t = (m, ..., 1): x_j is the value of the variable x_j
-    at the fixed point y.  t_j = m + 1 - j, so x_j = y(j) - sign(y(j)) (m + 1)."""
-    t = len(y.window) + 1
-    return [v - t if v > 0 else v + t for v in y.window]
+def _fixed_point(window: tuple[int, ...]) -> list[int]:
+    """x = -y^{-1}.t at t = (m, ..., 1), y the element with this window: x_j is
+    the value of the variable x_j at the fixed point y.  t_j = m + 1 - j, so
+    x_j = y(j) - sign(y(j)) (m + 1)."""
+    t = len(window) + 1
+    return [v - t if v > 0 else v + t for v in window]
 
 
 def _symmetric_function(roots: list[int], j: int, complete: bool = False) -> int:

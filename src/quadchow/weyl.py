@@ -1,6 +1,6 @@
 """Signed-permutation Weyl groups of types B and D.
 
-Elements are stored in one-line "window" notation: a window ``(w(1), ..., w(m))``
+Elements are written in one-line "window" notation: a window ``(w(1), ..., w(m))``
 of nonzero integers whose absolute values are a permutation of ``1..m``; the
 sign of ``w(j)`` records whether the j-th basis vector is negated.  Type D
 admits only windows with an even number of negative entries.
@@ -17,11 +17,11 @@ Construction is one breadth-first walk of the Cayley graph of the simple
 reflections from the identity, each level taken in window order.  Right
 multiplication by s_i is an edit of the window -- for i < m it swaps entries
 i and i + 1; the last node negates the last entry (B) or swaps and negates the
-last two (D) -- so the walk needs no generic product.  It lists every element
+last two (D) -- so the walk needs no generic product.  It lists every window
 sorted by (length, window), since the length of w is its distance from the
 identity (the test suite checks it against the count of positive roots sent
-to negative ones).  Inside the engine an element is named by its index, its
-position in that list, and the tables hold per index the indices of
+to negative ones).  An element has one name, its index: its position in that
+list; its window is what prints.  The tables hold per index the indices of
 ``w * s_1, ..., w * s_m``, the length, and the right descents as one bitmask:
 bit i - 1 is set when l(w s_i) < l(w), which holds exactly when w s_i was
 reached at the level below.  Every descent or ascent question reads that
@@ -31,8 +31,7 @@ table by the lowest set bit of the descents (or ascents) inside a mask of
 indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
 unique element of W_P whose right descents are all of P, so an ascent from
 the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, 2.4).  The walks run on indices; the public
-methods take and return elements and convert once at their boundary.  The
+Combinatorics of Coxeter Groups, 2.4).  The walks run on indices.  The
 diagram automorphism of D_m, w -> c w c with c the sign change of the last
 coordinate, is the index table ``sigma``.
 """
@@ -40,9 +39,9 @@ coordinate, is the index table ``sigma``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["RangeError", "SignedPermutation", "WeylGroup", "make_group", "MAX_RANK"]
+__all__ = ["RangeError", "WeylGroup", "make_group", "MAX_RANK"]
 
 MAX_RANK = 5
 
@@ -52,73 +51,21 @@ class RangeError(ValueError):
 
 
 Root = tuple[int, ...]
-
-
-class SignedPermutation:
-    """One element of a signed-permutation Weyl group."""
-
-    __slots__ = ("group", "window")
-
-    def __init__(self, group: "WeylGroup", window: tuple[int, ...]):
-        self.group = group
-        self.window = window
-
-    def __call__(self, j: int) -> int:
-        """Signed image of basis index ``j`` (1-based); ``w(-j) = -w(j)``."""
-        if j < 0:
-            return -self.window[-j - 1]
-        return self.window[j - 1]
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition (``other`` applied first, then ``self``)."""
-        if self.group is not other.group:
-            raise ValueError("group mismatch")
-        return SignedPermutation(
-            self.group, tuple(self(other(j)) for j in range(1, self.group.rank + 1))
-        )
-
-    def inverse(self) -> "SignedPermutation":
-        win = [0] * self.group.rank
-        for j, v in enumerate(self.window, start=1):
-            if v > 0:
-                win[v - 1] = j
-            else:
-                win[-v - 1] = -j
-        return SignedPermutation(self.group, tuple(win))
-
-    @property
-    def length(self) -> int:
-        return self.group.length(self)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignedPermutation)
-            and self.group is other.group
-            and self.window == other.window
-        )
-
-    def __hash__(self) -> int:
-        # __eq__ requires the same group, so the window alone decides
-        return hash(self.window)
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation{self.window}"
+Window = tuple[int, ...]
 
 
 class WeylGroup:
     """Weyl group of type B_m or D_m, built by one walk from the identity.
 
-    ``elements`` lists every element sorted by (length, window), so it starts
-    with ``identity`` and ends with ``longest_element``; ``simple_reflections``
-    is the identity's row of the right-multiplication table.  Each window has
-    one canonical element object.  The group holds only its own
-    combinatorics: the index tables, `sigma` and the coset indices per
-    parabolic.  What the Schubert layer computes on it is memoised on the
-    `FlagModel` that asked for it.
+    ``elements`` lists the window of every element sorted by (length, window),
+    so it starts with the identity and ends with the longest element;
+    ``simple_reflections`` holds the windows of s_1, ..., s_m.  The group holds
+    only its own combinatorics: the index tables, `sigma` and the coset
+    indices per parabolic.  What the Schubert layer computes on it is memoised
+    on the `FlagModel` that asked for it.
 
     Do not instantiate directly; use :func:`make_group`, which caches one
-    group object per (family, rank) so elements of equal provenance share
-    their group by identity.
+    group object per (family, rank).
     """
 
     def __init__(self, family: str, rank: int):
@@ -131,16 +78,14 @@ class WeylGroup:
         self._indices = frozenset(range(1, rank + 1))
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
         self.simple_roots: tuple[Root, ...] = self._simple_roots()
-        self.identity = SignedPermutation(self, tuple(range(1, rank + 1)))
         # window -> index; then per index: right-descent mask, length, and the
         # indices of w * s_1, ..., w * s_m
-        self._index: dict[tuple[int, ...], int] = {}
+        self._index: dict[Window, int] = {}
         self._descents: list[int] = []
         self._lengths: list[int] = []
         self._right: list[tuple[int, ...]] = []
-        self.elements: tuple[SignedPermutation, ...] = self._walk_from_identity()
+        self.elements: tuple[Window, ...] = self._walk_from_identity()
         self.simple_reflections = tuple(self.elements[j] for j in self._right[0])
-        self.longest_element = self.elements[-1]
         self._coset_indices: dict[frozenset[int], tuple[int, ...]] = {}
 
     # -- construction -----------------------------------------------------
@@ -168,8 +113,8 @@ class WeylGroup:
         roots = [tuple((j == a) - (j == a + 1) for j in range(m)) for a in range(m - 1)]
         return (*roots, tuple(int(j == m - 1 or d and j == m - 2) for j in range(m)))
 
-    def _walk_from_identity(self) -> tuple[SignedPermutation, ...]:
-        """Every element, sorted by (length, window), by a breadth-first walk
+    def _walk_from_identity(self) -> tuple[Window, ...]:
+        """Every window, sorted by (length, window), by a breadth-first walk
         from the identity that fills the index tables.
 
         Each level is taken in window order, and each row is built from the
@@ -180,9 +125,9 @@ class WeylGroup:
         m, last_b = self.rank, self.family == "B"
         bits = [1 << i for i in range(m)]
         index, rows = self._index, []
-        level, frontier = 0, [self.identity.window]
+        level, frontier = 0, [tuple(range(1, m + 1))]
         while frontier:
-            above: set[tuple[int, ...]] = set()
+            above: set[Window] = set()
             for win in frontier:
                 index[win] = len(index)
                 edits = [win[:i] + (win[i + 1], win[i]) + win[i + 2 :] for i in range(m - 1)]
@@ -201,7 +146,7 @@ class WeylGroup:
                 self._lengths.append(level)
             level, frontier = level + 1, sorted(above)
         self._right.extend([tuple(map(index.__getitem__, row)) for row in rows])
-        return (self.identity, *(SignedPermutation(self, win) for win in list(index)[1:]))
+        return tuple(index)
 
     @cached_property
     def sigma(self) -> tuple[int, ...]:
@@ -218,47 +163,10 @@ class WeylGroup:
             sigma[w] = right[sigma[right[w][a]]][letter[a]]
         return tuple(sigma)
 
-    # -- the group interface ----------------------------------------------
+    # -- walks on indices ---------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self) -> Iterator[SignedPermutation]:
-        return iter(self.elements)
-
-    def element(self, window: Sequence[int]) -> SignedPermutation:
-        """Wrap a window after validating it belongs to this group."""
-        win = tuple(window)
-        if sorted(abs(v) for v in win) != list(range(1, self.rank + 1)):
-            raise ValueError("not a signed permutation window: %r" % (win,))
-        if self.family == "D" and sum(1 for v in win if v < 0) % 2 != 0:
-            raise ValueError("odd number of sign changes in type D: %r" % (win,))
-        return SignedPermutation(self, win)
-
-    def _position(self, w: SignedPermutation) -> int:
-        """The index of w, an element of this group."""
-        if w.group is not self:
-            raise ValueError("group mismatch")
-        return self._index[w.window]
-
-    def length(self, w: SignedPermutation) -> int:
-        return self._lengths[self._position(w)]
-
-    def right_multiples(self, w: SignedPermutation) -> tuple[SignedPermutation, ...]:
-        """``(w * s_1, ..., w * s_m)``, read from the table."""
-        return tuple(self.elements[j] for j in self._right[self._position(w)])
-
-    def reduced_word(self, w: SignedPermutation) -> tuple[int, ...]:
-        """A reduced word for ``w``, found by greedy right-descent removal.
-
-        The returned indices multiply left to right: ``w = s[i1] * ... * s[ik]``.
-        """
-        return tuple(self._word(self._position(w)))
-
-    def from_word(self, word: Iterable[int]) -> SignedPermutation:
-        word = tuple(word)
-        self._check_indices(word, "word letter")
-        return self.elements[self._follow(0, word)]
 
     def _follow(self, w: int, word: Iterable[int]) -> int:
         """The index of elements[w] * s[i1] * ... * s[ik], word = i1, ..., ik."""
@@ -304,17 +212,14 @@ class WeylGroup:
     def _mask(key: frozenset[int]) -> int:
         return sum(1 << (i - 1) for i in key)
 
-    def min_coset_reps(self, parabolic: Iterable[int]) -> tuple[SignedPermutation, ...]:
-        """Minimal-length representatives of the cosets ``w W_P``.
+    def coset_indices(self, parabolic: Iterable[int]) -> tuple[int, ...]:
+        """The indices of the minimal-length representatives of the cosets
+        ``w W_P``, in (length, window) order.
 
         ``parabolic`` lists the simple-reflection indices generating ``W_P``.
         A representative is exactly an element with no right descent in the
-        parabolic set.  Sorted by (length, window).
+        parabolic set.
         """
-        return tuple(self.elements[i] for i in self.coset_indices(parabolic))
-
-    def coset_indices(self, parabolic: Iterable[int]) -> tuple[int, ...]:
-        """The positions in `elements` of `min_coset_reps(parabolic)`, in order."""
         key = self._parabolic(parabolic)
         if key not in self._coset_indices:
             mask = self._mask(key)
@@ -323,22 +228,46 @@ class WeylGroup:
             )
         return self._coset_indices[key]
 
+    # -- window methods ------------------------------------------------------
+    # The engine calls none of these four.  They stay, taking and returning
+    # windows, because the benchmark's layer wrappers (bench/layers.py) bind
+    # them by name until that binding list is refreshed (ROADMAP item 1).
+
+    def _at(self, window: Sequence[int]) -> int:
+        """The index of a window, which must name an element of this group."""
+        win = tuple(window)
+        w = self._index.get(win)
+        if w is None:
+            raise ValueError("%r is not an element of %s%d" % (win, self.family, self.rank))
+        return w
+
+    def min_coset_reps(self, parabolic: Iterable[int]) -> tuple[Window, ...]:
+        """The windows of `coset_indices(parabolic)`, in order."""
+        return tuple(self.elements[i] for i in self.coset_indices(parabolic))
+
     def parabolic_decompose(
-        self, w: SignedPermutation, parabolic: Iterable[int]
-    ) -> tuple[SignedPermutation, SignedPermutation]:
+        self, window: Sequence[int], parabolic: Iterable[int]
+    ) -> tuple[Window, Window]:
         """Factor ``w = w_min * w_par`` with lengths adding."""
         mask = self._mask(self._parabolic(parabolic))
-        u, letters = self._walk(self._position(w), mask, -1)
+        u, letters = self._walk(self._at(window), mask, -1)
         # w = u * s[ik] * ... * s[i1] for the letters i1..ik removed
-        return self.elements[u], self.from_word(reversed(letters))
+        return self.elements[u], self.elements[self._follow(0, reversed(letters))]
 
-    def parabolic_longest(self, parabolic: Iterable[int]) -> SignedPermutation:
+    def parabolic_longest(self, parabolic: Iterable[int]) -> Window:
         """Longest element of the parabolic subgroup ``W_P``.
 
         Found by ascent: climb from the identity by any s_i, i in P, that
         lengthens, until every s_i in P is a right descent.
         """
         return self.elements[self._walk(0, self._mask(self._parabolic(parabolic)), 1)[0]]
+
+    def reduced_word(self, window: Sequence[int]) -> tuple[int, ...]:
+        """A reduced word for the window, found by greedy right-descent removal.
+
+        The returned indices multiply left to right: ``w = s[i1] * ... * s[ik]``.
+        """
+        return tuple(self._word(self._at(window)))
 
 
 @lru_cache(maxsize=None)

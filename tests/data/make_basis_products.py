@@ -43,7 +43,7 @@ def table(model: FlagModel, I: tuple[int, ...], orientation: int | None) -> list
     # the identity on the model's ruling, sigma on the other one
     move = model.group.sigma if orientation == -1 else range(len(model.group))
     basis = sorted(move[w] for w in model.basis(I))
-    window = lambda w: list(model.group.elements[w].window)  # noqa: E731
+    window = lambda w: list(model.group.elements[w])  # noqa: E731
     rows = []
     for a, u in enumerate(basis):
         for v in basis[a:]:

@@ -11,14 +11,16 @@ polynomial oracles as the model's own.  Its cycles are FlagCycles whose model
 is the view, keyed (sheet, w) as the model's: each sheet moved by sigma.
 """
 
+from quadchow import schubert
 from quadchow.polyring import act
-from quadchow.schubert import FlagCycle, build_geometry
-from quadchow.weyl import SignedPermutation
+from quadchow.schubert import FlagCycle
 
 
 def ruling(n: int, orientation=None):
-    """The model, or its sigma-image at orientation -1 and even n."""
-    model = build_geometry(n)
+    """The model, or its sigma-image at orientation -1 and even n.  The model
+    comes from `schubert.build_geometry` as bound when called, so inside a
+    `cold_engine` test it is that test's fresh model."""
+    model = schubert.build_geometry(n)
     return SigmaImage(model) if orientation == -1 and n % 2 == 0 else model
 
 
@@ -30,7 +32,7 @@ class SigmaImage:
         self.n, self.d, self.ctx, self.group = model.n, model.d, model.ctx, model.group
         self.sigma = model.group.sigma
         m = self.group.rank
-        self.c = SignedPermutation(self.group, (*range(1, m), -m))
+        self.c = (*range(1, m), -m)  # the window of c
         self.x_basis = {s: self.sigma[w] for s, w in model.x_basis.items()}
         self._nodes = {m - 1: m, m: m - 1}
 

@@ -40,7 +40,7 @@ def test_basis_products_match_frozen_tables(entry):
         for u, v, terms in entry["products"]
     }
     basis = model.basis(I)
-    window = lambda w: model.group.elements[w].window  # noqa: E731
+    window = model.group.elements.__getitem__
     seen = set()
     for a, u in enumerate(basis):
         for v in basis[a:]:

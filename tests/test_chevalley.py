@@ -14,6 +14,7 @@ import pytest
 
 from quadchow.schubert import FlagCycle, build_geometry
 from rulings import ruling
+from signed import SignedPermutation, length
 
 
 def _coroot(beta):
@@ -32,7 +33,8 @@ def _reflection(group, beta):
         (l,) = [j for j, c in enumerate(image) if c]
         assert image[l] in (1, -1)
         window.append(image[l] * (l + 1))
-    return group.element(window)
+    assert tuple(window) in group._index
+    return SignedPermutation(window)
 
 
 def _double_weights(group):
@@ -45,15 +47,16 @@ def _double_weights(group):
     return weights
 
 
-def _chevalley(group, weight2, w):
+def _chevalley(group, weight2, window):
     out = {}
-    lw = group.length(w)
+    w = SignedPermutation(window)
+    lw = length(group, w)
     for beta in group.positive_roots:
         pairing = sum(a * b for a, b in zip(weight2, _coroot(beta)))
         if not pairing:
             continue
         v = w * _reflection(group, beta)
-        if group.length(v) == lw + 1:
+        if length(group, v) == lw + 1:
             assert pairing % 2 == 0
             out[v.window] = pairing // 2
     return out
@@ -61,7 +64,7 @@ def _chevalley(group, weight2, w):
 
 def _windows(group, coeffs):
     """Schubert coefficients keyed by the window of each index."""
-    return {group.elements[v].window: c for v, c in coeffs.items()}
+    return {group.elements[v]: c for v, c in coeffs.items()}
 
 
 def _sheet0(x):
@@ -77,7 +80,7 @@ def test_weights_are_dual_to_simple_coroots():
         }
         weights = _double_weights(group)
         for i, s in enumerate(group.simple_reflections):
-            alpha = simple[s.window]
+            alpha = simple[s]
             for j, weight2 in enumerate(weights):
                 pairing = sum(a * b for a, b in zip(weight2, _coroot(alpha)))
                 assert pairing == (2 if i == j else 0)
@@ -91,8 +94,8 @@ def test_full_flag_divisors_follow_chevalley(n):
     assert not model.parabolic(I)
     for s, weight2 in zip(group.simple_reflections, _double_weights(group)):
         for w in model.basis(I):
-            got = _windows(group, model.basis_product(I, group._index[s.window], w))
-            assert got == _chevalley(group, weight2, group.elements[w]), (s.window, w)
+            got = _windows(group, model.basis_product(I, group._index[s], w))
+            assert got == _chevalley(group, weight2, group.elements[w]), (s, w)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -111,7 +114,7 @@ def _check_tautological_divisor(n, orientation):
     # the other ruling is the sigma-image of the model
     model = ruling(n, orientation)
     group = model.group
-    simple = {group._index[s.window]: j for j, s in enumerate(group.simple_reflections)}
+    simple = {group._index[s]: j for j, s in enumerate(group.simple_reflections)}
     weights = _double_weights(group)
     for i in range(1, model.d + 1):
         I = [i - 1, i]
@@ -120,7 +123,7 @@ def _check_tautological_divisor(n, orientation):
         # sigma fixes c_1(O(1)): every sheet carries the same divisor
         assert xi.coeffs == {(k, s): a for k in range(model.sheets(I)) for s, a in divisor.items()}
         assert set(divisor) <= set(simple), xi
-        reps = {group.elements[w].window for w in model.basis(I)}
+        reps = {group.elements[w] for w in model.basis(I)}
         for w in model.basis(I):
             want = {}
             for s, a in divisor.items():

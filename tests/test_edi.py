@@ -16,6 +16,7 @@ from quadchow.edi import (
     square_from_json,
     square_to_json,
 )
+from quadchow.weyl import RangeError
 
 
 def random_square(rng, d_max=6):
@@ -87,6 +88,22 @@ def test_witt_consistency():
     report = check_witt_consistency(sq, 3)
     assert report.consistent
     assert report.unconstrained == ((0, 1),)
+
+
+@pytest.mark.parametrize("i1", [0, -1, 5, 9])
+def test_witt_index_out_of_range_is_a_range_error(i1):
+    # n = 6: d = 3, so i1 runs over 1..4, as EDISquare(witt_index=...) admits
+    sq = EDISquare(6, frozenset({(1, 0), (2, 0), (3, 0)}))
+    with pytest.raises(RangeError, match="witt index out of range"):
+        check_witt_consistency(sq, i1)
+    with pytest.raises(RangeError, match="witt index out of range"):
+        EDISquare(6, witt_index=i1)
+
+
+def test_witt_index_at_both_ends_is_accepted():
+    sq = EDISquare(6, frozenset({(1, 0), (2, 0), (3, 0)}))
+    assert check_witt_consistency(sq, 1).consistent
+    assert check_witt_consistency(sq, 4).violations == ((1, 0), (2, 0), (3, 0))
 
 
 def test_render_ascii():

@@ -17,6 +17,7 @@ from quadchow.polyring import (
     variable,
 )
 from quadchow.weyl import MAX_RANK, RangeError, make_group
+from signed import elements, identity, length, simple_reflections
 
 
 def rand_poly(m, rng, terms=5, deg=3):
@@ -28,12 +29,13 @@ def rand_poly(m, rng, terms=5, deg=3):
 
 
 def all_reduced_words(G, w):
-    """Every reduced word of w, via right descents: word(w) = word(w*s_i) + (i,)."""
-    if G.length(w) == 0:
+    """Every reduced word of the signed permutation w, via right descents:
+    word(w) = word(w*s_i) + (i,)."""
+    if length(G, w) == 0:
         yield ()
         return
-    for i, s in enumerate(G.simple_reflections, start=1):
-        if G.length(w * s) < G.length(w):
+    for i, s in enumerate(simple_reflections(G), start=1):
+        if length(G, w * s) < length(G, w):
             for head in all_reduced_words(G, w * s):
                 yield tuple(head) + (i,)
 
@@ -62,7 +64,7 @@ def test_act_identity_and_sign_change():
     B3 = make_group("B", 3)
     rng = random.Random(3)
     f = rand_poly(3, rng)
-    assert act(B3.identity, f) == f
+    assert act(B3.elements[0], f) == f
     assert act(B3.simple_reflections[2], variable(3, 3)) == variable(3, 3).scale(-1)
 
 
@@ -70,16 +72,16 @@ def test_act_is_ring_automorphism_and_left_action():
     rng = random.Random(5)
     for G in (make_group("B", 3), make_group("D", 3)):
         for _ in range(25):
-            w, v = rng.choice(G.elements), rng.choice(G.elements)
+            w, v = rng.choice(elements(G)), rng.choice(elements(G))
             f, g = rand_poly(3, rng), rand_poly(3, rng)
-            assert act(w, f * g) == act(w, f) * act(w, g)
-            assert act(w * v, f) == act(w, act(v, f))
+            assert act(w.window, f * g) == act(w.window, f) * act(w.window, g)
+            assert act((w * v).window, f) == act(w.window, act(v.window, f))
 
 
 def test_rank_mismatch():
     B3 = make_group("B", 3)
     with pytest.raises(ValueError, match="rank mismatch"):
-        act(B3.identity, variable(2, 1))
+        act(B3.elements[0], variable(2, 1))
     with pytest.raises(ValueError, match="rank mismatch"):
         divided_difference(B3, 1, variable(2, 1))
 
@@ -121,10 +123,14 @@ def test_word_independence_exhaustive():
     rng = random.Random(19)
     for G in (make_group("B", 3), make_group("D", 3)):
         f = rand_poly(3, rng, terms=6, deg=4)
-        for w in G.elements:
+        s = simple_reflections(G)
+        for w in elements(G):
             words = list(all_reduced_words(G, w))
             for word in words:
-                assert G.from_word(word) == w
+                product = identity(G)
+                for i in word:
+                    product = product * s[i - 1]
+                assert product == w
             results = {
                 tuple(sorted(divided_difference_word(G, word, f).coeffs.items()))
                 for word in words
@@ -261,7 +267,7 @@ def test_point_class_carries_the_group_order():
         model = build_geometry(n)
         G = model.group
         assert model.point_rep.den == len(G)
-        top = divided_difference_word(G, G.reduced_word(G.longest_element), model.point_rep)
+        top = divided_difference_word(G, G.reduced_word(G.elements[-1]), model.point_rep)
         assert top == constant(G.rank, 1)
 
 

@@ -32,8 +32,9 @@ from quadchow.schubert import (
     _symmetric_function,
     build_geometry,
 )
-from quadchow.weyl import RangeError, SignedPermutation
+from quadchow.weyl import RangeError
 from rulings import SigmaImage, ruling
+from signed import SignedPermutation, elements, identity, length, simple_reflections
 
 
 def test_model_sizes():
@@ -66,8 +67,8 @@ def test_poincare_ranks_match_length_generating_function():
         # oracle: count all Weyl elements by length and divide by |W_P| graded?
         # here P is trivial (full flag), so compare against the raw count
         full = {}
-        for w in G.elements:
-            full[G.length(w)] = full.get(G.length(w), 0) + 1
+        for lw in G._lengths:
+            full[lw] = full.get(lw, 0) + 1
         assert by_len == full
 
 
@@ -399,6 +400,17 @@ def test_each_distinguished_class_is_built_once(monkeypatch):
         assert len(pullpushes) == len(pushed) > 0
 
 
+def test_ruling_reads_the_cold_engine_model(cold_engine):
+    # ruling() looks build_geometry up when called, so a cold test's rulings
+    # are the fixture's fresh model and not the process-wide warm one
+    warm = build_geometry(6)
+    fresh = cold_engine(6)
+    assert fresh is not warm
+    assert ruling(6) is fresh
+    assert ruling(6, -1).model is fresh
+    assert ruling(5) is cold_engine(5) is not build_geometry(5)
+
+
 def test_nonintegral_extraction_raises(cold_engine):
     M = cold_engine(3)
     half_h = variable(M.group.rank, 1).scale(Fraction(1, 2))
@@ -688,7 +700,7 @@ def test_duality_pairing_matches_frozen_top_coefficients():
         dual = M.poincare_dual(I)
         basis = M.basis(I)
         lengths = M.group._lengths
-        window = lambda w: M.group.elements[w].window  # noqa: E731
+        window = M.group.elements.__getitem__
         assert set(dual) == set(dual.values()) == set(basis)
         for a, u in enumerate(basis):
             assert dual[dual[u]] == u
@@ -812,7 +824,7 @@ def _expand_by_divided_differences(M, poly, I):
     g = M.group
     dim = M.dim_flag(I)
     degrees = {k for k in poly.degrees() if k <= dim}
-    diffs = {g.identity.window: poly}  # window of v -> div_v(poly)
+    diffs = {g.elements[0]: poly}  # window of v -> div_v(poly)
     out = {}
     for w in M.basis(I):
         if g._lengths[w] not in degrees:
@@ -820,9 +832,9 @@ def _expand_by_divided_differences(M, poly, I):
         v = g.elements[w]
         word = g.reduced_word(v)
         pending = []
-        while (r := diffs.get(v.window)) is None:
-            pending.append(v.window)
-            v = g.from_word(word[len(pending) :])
+        while (r := diffs.get(v)) is None:
+            pending.append(v)
+            v = g.elements[g._follow(0, word[len(pending) :])]
         for j in reversed(range(len(pending))):
             if not r.is_zero():
                 r = divided_difference(g, word[j], r)
@@ -956,7 +968,8 @@ def test_deg_product_is_independent_of_factor_order_and_ring(n):
 
 
 def _inversion_value(g, y):
-    # prod <beta, t> over the positive roots beta that y^-1 sends negative,
+    # prod <beta, t> over the positive roots beta that y^-1 sends negative, y
+    # a SignedPermutation,
     # at t = (m, ..., 1); a root is positive when its first nonzero entry is
     m = g.rank
     yi = y.inverse()
@@ -972,18 +985,20 @@ def _inversion_value(g, y):
 
 
 def _billey_row(g, y):
-    # Billey's formula by one pass along the greedy reduced word of y, with no
-    # parent recursion: it carries every partial subword product z with its
-    # weight, keyed by window, and multiplies generically
+    # Billey's formula by one pass along the greedy reduced word of the window
+    # y, with no parent recursion: it carries every partial subword product z
+    # with its weight, keyed by window, and multiplies generically
     t = g.rank + 1
-    prefix, states = g.identity, {g.identity: 1}
+    simple = simple_reflections(g)
+    prefix = identity(g)
+    states = {prefix: 1}
     for a in g.reduced_word(y):
-        s = g.simple_reflections[a - 1]
+        s = simple[a - 1]
         root = g.simple_roots[a - 1]
         r = sum(c * (t - k if k > 0 else -t - k) for c, k in zip(root, prefix.window))
         for z, c in list(states.items()):
             zs = z * s
-            if g.length(zs) > g.length(z):
+            if length(g, zs) > length(g, z):
                 states[zs] = states.get(zs, 0) + c * r
         prefix = prefix * s
     return {z.window: c for z, c in states.items()}
@@ -999,7 +1014,7 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
         unit = [tuple(int(k == j) for k in range(g.rank)) for j in range(g.rank)]
         assert Polynomial(g.rank, {unit[j]: c for j, c in enumerate(root)}) == simple_root(g, a)
     rng = random.Random(n)
-    ys = g.elements if n <= 6 else rng.sample(g.elements, 60)
+    ys = elements(g) if n <= 6 else rng.sample(elements(g), 60)
     for y in ys:
         row = M._restriction_row(g._index[y.window])
         assert row[g._index[y.window]] == _inversion_value(g, y), y
@@ -1015,13 +1030,13 @@ def test_restriction_rows_have_inversion_diagonals_and_unit_identity(n):
     for model in models:
         for I in subsets:
             basis = model.basis(I)
-            keep = {g.elements[w].window for w in basis}
+            keep = {g.elements[w] for w in basis}
             for y in basis if n <= 6 else rng.sample(basis, min(6, len(basis))):
                 if y not in billey:
                     billey[y] = _billey_row(g, g.elements[y])
                 want = {x: c for x, c in billey[y].items() if x in keep}
                 row = model._restriction_row(y)
-                got = {g.elements[x].window: c for x, c in row.items()}
+                got = {g.elements[x]: c for x, c in row.items()}
                 got = {x: c for x, c in got.items() if x in keep}
                 assert got == want, (type(model).__name__, I, y)
 
@@ -1121,7 +1136,7 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
     assert M.point_rep.den == len(G)
     full = range(M.d + 1)
     old_point = _positive_root_point(G)
-    w0 = G.longest_element
+    w0 = SignedPermutation(G.elements[-1])
 
     def read(poly):
         # the solve reads every representative back at n <= 7; at n = 8 its
@@ -1130,8 +1145,8 @@ def test_point_monomial_and_positive_roots_give_the_same_classes(n):
             return M.expand(poly, full).coeffs
         return _on_sheet0(_expand_by_divided_differences(M, poly, full))
 
-    for i, w in enumerate(G.elements):
-        old = divided_difference_word(G, G.reduced_word(w.inverse() * w0), old_point)
+    for i, w in enumerate(elements(G)):
+        old = divided_difference_word(G, G.reduced_word((w.inverse() * w0).window), old_point)
         assert read(old) == {(0, i): 1}, w
         assert read(M.schubert_rep(i)) == {(0, i): 1}, w
 
@@ -1230,20 +1245,20 @@ def test_no_build_or_verify_path_goes_through_polynomials(cold_engine, monkeypat
     assert calls == [[], [], []]
 
 
-def _elements_in(obj):
-    """Every SignedPermutation in the keys and values of obj, through dicts,
-    tuples, sets and cycle coefficients."""
-    if isinstance(obj, SignedPermutation):
+def _windows_in(obj, windows):
+    """Every tuple in the keys and values of obj, through dicts, tuples, sets
+    and cycle coefficients, that is one of the windows."""
+    if isinstance(obj, tuple) and obj in windows:
         yield obj
     elif isinstance(obj, SparseCycle):
-        yield from _elements_in(obj.coeffs)
+        yield from _windows_in(obj.coeffs, windows)
     elif isinstance(obj, dict):
         for key, value in obj.items():
-            yield from _elements_in(key)
-            yield from _elements_in(value)
+            yield from _windows_in(key, windows)
+            yield from _windows_in(value, windows)
     elif isinstance(obj, (tuple, list, set, frozenset)):
         for x in obj:
-            yield from _elements_in(x)
+            yield from _windows_in(x, windows)
 
 
 def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
@@ -1261,7 +1276,7 @@ def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
         M = cold_engine(n)
         memos = [M._classes, M.bridge_memo, M._duals, M._pushes, M._pairs, M._rows]
         assert all(memos), n  # the runs filled every memo
-        assert not any(_elements_in(memos)), n
+        assert not any(_windows_in(memos, M.group._index)), n
 
 
 # restriction-row entries held after a cold `verify all --seed 0`,

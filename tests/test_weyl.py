@@ -1,14 +1,19 @@
-"""Group axioms, lengths, reduced words and coset combinatorics for types B/D."""
+"""Group axioms, lengths, reduced words and coset combinatorics for types B/D.
+
+The group's tables are checked against generic products of signed
+permutations (`signed`), which compose windows without them."""
 
 import functools
 import itertools
 import operator
 import random
+import re
 
 import pytest
 
-from quadchow.weyl import RangeError, SignedPermutation, make_group
+from quadchow.weyl import RangeError, make_group
 from rulings import ruling
+from signed import SignedPermutation, elements, identity, length, simple_reflections
 
 
 def brute_force_windows(family: str, rank: int) -> set[tuple[int, ...]]:
@@ -51,78 +56,105 @@ def test_unsupported_rank():
         make_group("B", 0)
 
 
-def test_group_mismatch():
-    B3 = make_group("B", 3)
-    D3 = make_group("D", 3)
-    w = B3.identity
-    v = D3.identity
-    with pytest.raises(ValueError, match="group mismatch"):
-        w * v
-    # a D_m window is also a B_m window: the group, not the window, decides
-    decompose = lambda u: B3.parabolic_decompose(u, [1])  # noqa: E731
-    for call in (B3.length, B3.right_multiples, B3.reduced_word, decompose):
-        with pytest.raises(ValueError, match="group mismatch"):
-            call(D3.longest_element)
+# the methods that take a window, each applied to one
+TAKE_WINDOW = {
+    "parabolic_decompose": lambda G, w: G.parabolic_decompose(w, [1]),
+    "reduced_word": lambda G, w: G.reduced_word(w),
+}
 
 
-def test_d_parity_enforced():
-    D3 = make_group("D", 3)
-    with pytest.raises(ValueError, match="odd number of sign changes"):
-        D3.element((1, 2, -3))
-    w = D3.element((1, -2, -3))
-    assert w in D3.elements
+@pytest.mark.parametrize("method", sorted(TAKE_WINDOW))
+@pytest.mark.parametrize(
+    "family,window",
+    [
+        pytest.param("B", (1, 2), id="short"),
+        pytest.param("B", (1, 2, 3, 4), id="long"),
+        pytest.param("D", (1, 2, -3), id="odd-signs"),
+        pytest.param("D", (-1, 2, 3), id="odd-signs-first"),
+        pytest.param("B", (1, 1, 3), id="repeat"),
+        pytest.param("B", (1, 2, 4), id="out-of-range"),
+        pytest.param("D", (0, 2, 3), id="zero"),
+    ],
+)
+def test_window_outside_the_group_is_a_value_error(method, family, window):
+    # a ValueError naming the window and the group, not a KeyError
+    G = make_group(family, 3)
+    message = re.escape("%r is not an element of %s3" % (window, family))
+    with pytest.raises(ValueError, match=message):
+        TAKE_WINDOW[method](G, window)
+
+
+def test_windows_name_one_element_in_every_group():
+    # a D_m window is also a B_m window, of the same signed permutation
+    B3, D3 = make_group("B", 3), make_group("D", 3)
+    for w in D3.elements:
+        assert _product(B3, B3.reduced_word(w)).window == w
+        assert B3.parabolic_decompose(list(w), [1]) == B3.parabolic_decompose(w, [1])
+    assert D3.reduced_word((1, -2, -3)) == D3.reduced_word([1, -2, -3])
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_window_methods_return_plain_windows(family, rank):
+    G = make_group(family, rank)
+    P = (1, 2)
+    outputs = [
+        *G.min_coset_reps(P),
+        G.parabolic_longest(P),
+        *G.parabolic_decompose(G.elements[-1], P),
+    ]
+    for w in outputs:
+        assert type(w) is tuple and all(type(v) is int for v in w)
+        assert G.elements[G._index[w]] == w
 
 
 def test_longest_lengths():
     # Number of positive roots: m^2 for B_m, m^2 - m for D_m.
-    B3 = make_group("B", 3)
-    assert B3.length(B3.longest_element) == 9
-    D3 = make_group("D", 3)
-    assert D3.length(D3.longest_element) == 6
-    B2 = make_group("B", 2)
-    assert B2.length(B2.longest_element) == 4
+    assert make_group("B", 3)._lengths[-1] == 9
+    assert make_group("D", 3)._lengths[-1] == 6
+    assert make_group("B", 2)._lengths[-1] == 4
 
 
 def test_group_axioms_random():
     rng = random.Random(7)
     for G in (make_group("B", 3), make_group("D", 4)):
+        ws, e = elements(G), identity(G)
         for _ in range(100):
-            w = rng.choice(G.elements)
-            v = rng.choice(G.elements)
-            u = rng.choice(G.elements)
+            w = rng.choice(ws)
+            v = rng.choice(ws)
+            u = rng.choice(ws)
             assert (w * v) * u == w * (v * u)
-            assert w * w.inverse() == G.identity
-            assert w * G.identity == w
+            assert w * w.inverse() == e
+            assert w * e == w
 
 
 def test_length_changes_by_one():
     for G in (make_group("B", 3), make_group("D", 3)):
-        for w in G.elements:
-            for s in G.simple_reflections:
-                assert abs(G.length(w * s) - G.length(w)) == 1
+        for w in elements(G):
+            for s in simple_reflections(G):
+                assert abs(length(G, w * s) - length(G, w)) == 1
 
 
 def test_reduced_words_exhaustive():
     for G in (make_group("B", 3), make_group("D", 3)):
-        for w in G.elements:
+        for i, w in enumerate(G.elements):
             word = G.reduced_word(w)
-            assert len(word) == G.length(w)
-            assert G.from_word(word) == w
+            assert len(word) == G._lengths[i]
+            assert _product(G, word).window == w
     # identity and a single reflection
     B2 = make_group("B", 2)
-    assert B2.reduced_word(B2.identity) == ()
+    assert B2.reduced_word(B2.elements[0]) == ()
     assert B2.reduced_word(B2.simple_reflections[0]) == (1,)
     # longest element of B_2 has a word of length 4
-    assert len(B2.reduced_word(B2.longest_element)) == 4
+    assert len(B2.reduced_word(B2.elements[-1])) == 4
 
 
 def test_longest_word_brute_force_b2():
     # Oracle: search all words of length 4 for the longest element of B_2.
     B2 = make_group("B", 2)
-    w0 = B2.longest_element
+    w0 = B2.elements[-1]
     found = False
     for word in itertools.product((1, 2), repeat=4):
-        if B2.from_word(word) == w0:
+        if _product(B2, word).window == w0:
             found = True
             break
     assert found
@@ -130,7 +162,7 @@ def test_longest_word_brute_force_b2():
 
 def test_min_coset_reps_trivial_cases():
     B3 = make_group("B", 3)
-    assert B3.min_coset_reps([1, 2, 3]) == (B3.identity,)
+    assert B3.min_coset_reps([1, 2, 3]) == ((1, 2, 3),)
     assert len(B3.min_coset_reps([])) == len(B3)
     B2 = make_group("B", 2)
     assert len(B2.min_coset_reps([2])) == 4
@@ -144,26 +176,27 @@ def test_coset_partition_exhaustive():
             for P in itertools.combinations(range(1, rank + 1), r):
                 reps = G.min_coset_reps(P)
                 WP = [
-                    w
+                    SignedPermutation(w)
                     for w in G.elements
-                    if G.parabolic_decompose(w, P)[0] == G.identity
+                    if G.parabolic_decompose(w, P)[0] == G.elements[0]
                 ]
                 assert len(reps) * len(WP) == len(G)
-                seen = {(u * p).window for u in reps for p in WP}
+                seen = {(SignedPermutation(u) * p).window for u in reps for p in WP}
                 assert len(seen) == len(G)
 
 
 def test_parabolic_decompose_lengths_add():
     B3 = make_group("B", 3)
+    e = B3.elements[0]
     for w in B3.elements:
         for P in [(1,), (2,), (3,), (1, 3), (1, 2)]:
-            wm, wp = B3.parabolic_decompose(w, P)
-            assert wm * wp == w
-            assert B3.length(w) == B3.length(wm) + B3.length(wp)
-            assert wm in B3.min_coset_reps(P)
-    wpar = B3.from_word((1, 2, 1))
-    assert B3.parabolic_decompose(wpar, (1, 2)) == (B3.identity, wpar)
-    assert B3.parabolic_decompose(B3.identity, (1, 2)) == (B3.identity, B3.identity)
+            wm, wp = map(SignedPermutation, B3.parabolic_decompose(w, P))
+            assert (wm * wp).window == w
+            assert length(B3, SignedPermutation(w)) == length(B3, wm) + length(B3, wp)
+            assert wm.window in B3.min_coset_reps(P)
+    wpar = _product(B3, (1, 2, 1)).window
+    assert B3.parabolic_decompose(wpar, (1, 2)) == (e, wpar)
+    assert B3.parabolic_decompose(e, (1, 2)) == (e, e)
 
 
 GROUPS = [("B", r) for r in range(1, 6)] + [("D", r) for r in range(2, 6)]
@@ -171,27 +204,27 @@ GROUPS = [("B", r) for r in range(1, 6)] + [("D", r) for r in range(2, 6)]
 
 def _product(G, word):
     # Generic products only, so this stays independent of the table.
-    return functools.reduce(
-        operator.mul, (G.simple_reflections[i - 1] for i in word), G.identity
-    )
+    s = simple_reflections(G)
+    return functools.reduce(operator.mul, (s[i - 1] for i in word), identity(G))
 
 
 def _generated_longest(G, P):
     # Oracle: close {s_i : i in P} under generic products, take the longest.
-    subgroup = {G.identity}
-    frontier = {G.identity}
+    s = simple_reflections(G)
+    subgroup = {identity(G)}
+    frontier = set(subgroup)
     while frontier:
-        frontier = {u * G.simple_reflections[i - 1] for u in frontier for i in P}
+        frontier = {u * s[i - 1] for u in frontier for i in P}
         frontier -= subgroup
         subgroup |= frontier
-    return max(subgroup, key=G.length)
+    return max(subgroup, key=lambda w: length(G, w)).window
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
 def test_walk_lists_every_element_once_by_length(family, rank):
     G = make_group(family, rank)
-    assert {w.window for w in G.elements} == brute_force_windows(family, rank)
-    keys = [(G.length(w), w.window) for w in G.elements]
+    assert set(G.elements) == brute_force_windows(family, rank)
+    keys = list(zip(G._lengths, G.elements))
     assert keys == sorted(set(keys))
 
 
@@ -208,22 +241,21 @@ def test_simple_reflections_and_longest_element_windows(family, rank):
         expected.append((*range(1, m), -m))
     else:
         expected.append((*range(1, m - 1), -m, -(m - 1)))
-    assert [s.window for s in G.simple_reflections] == expected
+    assert list(G.simple_reflections) == expected
     # w_0 = -1 on every coordinate, except the last one for D_m with m odd
     w0 = [-j for j in range(1, m + 1)]
     if family == "D" and m % 2:
         w0[-1] = m
-    assert G.longest_element.window == tuple(w0)
+    assert G.elements[-1] == tuple(w0)
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
 def test_right_table_matches_generic_products(family, rank):
     G = make_group(family, rank)
-    for w in G.elements:
-        row = G.right_multiples(w)
+    for w, row in zip(elements(G), G._right):
         assert len(row) == rank
-        for ws, s in zip(row, G.simple_reflections):
-            assert ws == w * s
+        for ws, s in zip(row, simple_reflections(G)):
+            assert G.elements[ws] == (w * s).window
 
 
 def _root_count(G, w):
@@ -243,22 +275,22 @@ def _root_count(G, w):
 @pytest.mark.parametrize("family,rank", GROUPS)
 def test_lengths_match_root_count(family, rank):
     G = make_group(family, rank)
-    for w in G.elements:
-        assert G.length(w) == _root_count(G, w), w
+    for i, w in enumerate(elements(G)):
+        assert G._lengths[i] == _root_count(G, w), w
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_lengths(family, rank):
     # window -> _root_count, over every element: no table involved
     G = make_group(family, rank)
-    return {w.window: _root_count(G, w) for w in G.elements}
+    return {w.window: _root_count(G, w) for w in elements(G)}
 
 
 def _oracle_descents(G, w, lengths):
     # bit i - 1 set iff l(w s_i) < l(w), by generic products
     return sum(
         1 << i
-        for i, s in enumerate(G.simple_reflections)
+        for i, s in enumerate(simple_reflections(G))
         if lengths[(w * s).window] < lengths[w.window]
     )
 
@@ -268,7 +300,7 @@ def _greedy_word(G, w, lengths):
     # descent until none is left, with lengths from the root-count oracle
     letters = []
     while True:
-        for i, s in enumerate(G.simple_reflections, start=1):
+        for i, s in enumerate(simple_reflections(G), start=1):
             ws = w * s
             if lengths[ws.window] < lengths[w.window]:
                 letters.append(i)
@@ -282,8 +314,8 @@ def _greedy_word(G, w, lengths):
 def test_descent_masks_match_root_count(family, rank):
     G = make_group(family, rank)
     lengths = _oracle_lengths(family, rank)
-    for w in G.elements:
-        assert G._descents[G._index[w.window]] == _oracle_descents(G, w, lengths), w
+    for i, w in enumerate(elements(G)):
+        assert G._descents[i] == _oracle_descents(G, w, lengths), w
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
@@ -291,7 +323,7 @@ def test_min_coset_reps_match_descent_filter(family, rank):
     # every parabolic at rank <= 4, eight seeded ones at rank 5
     G = make_group(family, rank)
     lengths = _oracle_lengths(family, rank)
-    masks = {w.window: _oracle_descents(G, w, lengths) for w in G.elements}
+    masks = {w: _oracle_descents(G, SignedPermutation(w), lengths) for w in G.elements}
     subsets = [
         P for r in range(rank + 1) for P in itertools.combinations(range(1, rank + 1), r)
     ]
@@ -300,8 +332,7 @@ def test_min_coset_reps_match_descent_filter(family, rank):
     for P in subsets:
         mask = sum(1 << (i - 1) for i in P)
         expected = sorted(
-            (w for w in G.elements if not masks[w.window] & mask),
-            key=lambda w: (lengths[w.window], w.window),
+            (w for w in G.elements if not masks[w] & mask), key=lambda w: (lengths[w], w)
         )
         assert G.min_coset_reps(P) == tuple(expected), P
 
@@ -310,8 +341,8 @@ def test_min_coset_reps_match_descent_filter(family, rank):
 def test_reduced_words_match_greedy_route(family, rank):
     G = make_group(family, rank)
     lengths = _oracle_lengths(family, rank)
-    for w in G.elements:
-        assert G.reduced_word(w) == _greedy_word(G, w, lengths), w
+    for w in elements(G):
+        assert G.reduced_word(w.window) == _greedy_word(G, w, lengths), w
 
 
 def test_parabolic_longest_matches_generated_subgroup():
@@ -335,10 +366,10 @@ def test_model_parabolic_longest_matches_generated_subgroup(n, orientation):
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("D", 5)])
 def test_reduced_words_multiply_back(family, rank):
     G = make_group(family, rank)
-    for w in G.elements:
+    for i, w in enumerate(G.elements):
         word = G.reduced_word(w)
-        assert len(word) == G.length(w)
-        assert _product(G, word) == w
+        assert len(word) == G._lengths[i]
+        assert _product(G, word).window == w
 
 
 def test_unsupported_rank_is_a_range_error():
@@ -349,12 +380,11 @@ def test_unsupported_rank_is_a_range_error():
 @pytest.mark.parametrize("bad", [0, 4, -1])
 def test_simple_indices_out_of_range(bad):
     B3 = make_group("B", 3)
-    w = B3.longest_element
+    w = B3.elements[-1]
     calls = [
         lambda: B3.parabolic_longest([1, bad]),
         lambda: B3.parabolic_decompose(w, [bad]),
         lambda: B3.min_coset_reps([bad, 2]),
-        lambda: B3.from_word([1, bad, 2]),
     ]
     for call in calls:
         with pytest.raises(RangeError, match=r"out of range \(1\.\.3\): \[%d\]" % bad):
@@ -369,11 +399,11 @@ def test_sigma_table_is_conjugation_by_the_last_sign_change(rank):
     G = make_group("D", rank)
     sigma = G.sigma
     # c is in B_m, not D_m: the generic product composes windows alone
-    c = SignedPermutation(G, (*range(1, rank), -rank))
+    c = SignedPermutation((*range(1, rank), -rank))
     letter = [*range(rank - 2), rank - 1, rank - 2]  # sigma on the letters, 0-based
     assert len(sigma) == len(G)
-    for w, x in enumerate(G.elements):
-        assert G.elements[sigma[w]].window == (c * x * c).window, x
+    for w, x in enumerate(elements(G)):
+        assert G.elements[sigma[w]] == (c * x * c).window, x
         assert sigma[sigma[w]] == w
         assert G._lengths[sigma[w]] == G._lengths[w]
         for i in range(rank):
