@@ -39,13 +39,14 @@ print("delta_1 =", format_cycle(delta_i(ctx, 1)))
 
 # alpha_i = (incidence pushforward) + rho_i; its mod-2 action on h-powers
 # follows a strict three-case pattern, and its difference from delta_i is a
-# combination of h-power products ("nonessential").
+# combination of h-power products ("nonessential").  Every class is built
+# over Z; mod2() reduces it, and reduction commutes with the action.
 G = build_geometry(5)
-a2 = alpha(G, 2, p=2)
-print("alpha_2 action on 1:  ", format_cycle(action(a2, h_power_cycle(ctx, 0, 2))))
-print("alpha_2 action on h:  ", format_cycle(action(a2, h_power_cycle(ctx, 1, 2))))
-print("alpha_2 action on h^2:", format_cycle(action(a2, h_power_cycle(ctx, 2, 2))))
-beta = a2.cycle - delta_i(ctx, 2, p=2)
+a2 = alpha(G, 2)
+print("alpha_2 action on 1:  ", format_cycle(action(a2, h_power_cycle(ctx, 0)).mod2()))
+print("alpha_2 action on h:  ", format_cycle(action(a2, h_power_cycle(ctx, 1)).mod2()))
+print("alpha_2 action on h^2:", format_cycle(action(a2, h_power_cycle(ctx, 2)).mod2()))
+beta = (a2.cycle - delta_i(ctx, 2)).mod2()
 print("alpha_2 - delta_2 nonessential?", is_nonessential(beta))
 
 # The incidence pushforward alone, before adding rho.

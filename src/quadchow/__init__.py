@@ -1,6 +1,6 @@
 """quadchow: exact Chow-ring calculus for split quadrics and orthogonal flag varieties.
 
-The package computes, with exact integer (or mod-2) coefficients:
+The package computes over Z, reducing mod 2 with ``mod2()`` where asked:
 
 * ``weyl`` -- signed-permutation Weyl groups of types B and D, each element
   named by its index in a length-ordered list and printed as its window;

@@ -31,13 +31,14 @@ dual of b.  That assembly is validated against the intrinsic characterisation
 by ``validate_incidence``; a mismatch is a hard error in the Kunneth
 bookkeeping, not a tolerance issue.
 
-The incidence powers on G_i x X^m (the class itself at m = 1, eta_i at
-m = i, theta_i at m = i + 1) are memoised per model in
-``FlagModel.bridge_memo``, each built once, by one walk over the sorted
-multisets of X-symbols with one product on G_i per step (``_walk``).
-``theta_action`` takes only degrees on the same walk from the top Z-class,
-so alpha_i never builds theta_i; ``action_via_pullpush`` stays on eta_i, a
-second computation for lemma32 to compare.  The memo dies with its model.
+Every class here is built over Z, and a mod-2 class is its reduction by
+``SparseCycle.mod2``.  The incidence powers on G_i x X^m (the class itself at
+m = 1, eta_i at m = i, theta_i at m = i + 1) are memoised on the model by
+(i, m), each built once, by one walk over the sorted multisets of X-symbols
+with one product on G_i per step (``_walk``).  ``theta_action`` takes only
+degrees on the same walk from the top Z-class, memoised by i, so alpha_i
+never builds theta_i; ``action_via_pullpush`` stays on eta_i, a second
+computation for lemma32 to compare.  The memos die with their model.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from quadchow.quadpow import (
     rho_i,
 )
 from quadchow.quadpow import _mul_mono
-from quadchow.schubert import FlagCycle, FlagModel, SparseCycle, _own
+from quadchow.schubert import FlagCycle, FlagModel, SparseCycle, _memoised, _own
 from quadchow.weyl import RangeError
 
 __all__ = [
@@ -178,7 +179,7 @@ class MixedCycle(SparseCycle):
         even on a zero cycle, and the zero image gives the new I.
         """
         model = self.model
-        I = flag_map(model.zero(self.I, self.p)).I
+        I = flag_map(FlagCycle(model, self.I, {}, self.p)).I
         groups: dict[Mono, dict[tuple[int, int], int]] = {}
         for (k, w, mono), c in self.coeffs.items():
             groups.setdefault(mono, {})[(k, w)] = c
@@ -286,16 +287,16 @@ def _pullpush_to_g(model: FlagModel, i: int, x: QuadCycle) -> FlagCycle:
     return model.pullpush(fc, [i])
 
 
-def incidence_class(model: FlagModel, i: int, p: int = 0) -> MixedCycle:
+def incidence_class(model: FlagModel, i: int) -> MixedCycle:
     """The class of {(subspace, point on it)} in G_i x X, via its Kunneth expansion.
 
     The coefficient on the X-basis monomial b is the pull-push to G_i of the
     Poincare dual of b; for i = 0 this reduces to the diagonal of X.  It is the
-    first incidence power, memoised on the model under (i, 1, p).
+    first incidence power, memoised on the model under (i, 1).
     """
     if not 0 <= i <= model.d:
         raise RangeError("grassmannian index out of range")
-    return _power(model, i, 1, p)
+    return _power(model, i, 1)
 
 
 def validate_incidence(model: FlagModel, i: int) -> None:
@@ -310,44 +311,39 @@ def validate_incidence(model: FlagModel, i: int) -> None:
             )
 
 
-def _power(model: FlagModel, i: int, m: int, p: int) -> MixedCycle:
-    """The incidence power on G_i x X^m, memoised on the model by (i, m, p).
+@_memoised
+def _power(model: FlagModel, i: int, m: int) -> MixedCycle:
+    """The incidence power on G_i x X^m, memoised on the model by (i, m).
 
     At m = 1 it is the Kunneth expansion sum_s gamma_s (x) s.  Its m copies
     sit in disjoint X-slots, so power m has gamma_{s_1} ... gamma_{s_m} on
     every ordering of each multiset s_1 <= ... <= s_m: one ``_walk`` leaf.
     """
-    memo = model.bridge_memo
-    key = (i, m, p)
-    out = memo.get(key)
-    if out is not None:
-        return out
     coeffs: dict[MixedKey, int] = {}
     if m == 1:
         ctx = model.ctx
         for s in basis_symbols(ctx):
-            z = _pullpush_to_g(model, i, monomial_cycle(ctx, [dual1(ctx, s)], p))
+            z = _pullpush_to_g(model, i, monomial_cycle(ctx, [dual1(ctx, s)]))
             for (k, w), c in z.coeffs.items():
                 coeffs[(k, w, (s,))] = c
     else:
-        for monos, x in _walk(model, i, m, p, model.fundamental([i], p)):
+        for monos, x in _walk(model, i, m, model.fundamental([i])):
             for mono in monos:
                 for (k, w), c in x.coeffs.items():
                     coeffs[(k, w, mono)] = c
-    out = memo[key] = MixedCycle(model, [i], m, coeffs, p)
-    return out
+    return MixedCycle(model, [i], m, coeffs)
 
 
-def _walk(model: FlagModel, i: int, m: int, p: int, start: FlagCycle, floor: int = 0):
+def _walk(model: FlagModel, i: int, m: int, start: FlagCycle, floor: int = 0):
     """Yield (the orderings of s_1 <= ... <= s_m, start . gamma_{s_1} ...
     gamma_{s_m}) per multiset of m basis symbols, gamma_s the incidence
     class's coefficient on s: one product per prefix step, in sorted order,
     dropping a prefix whose product is zero or whose codimension passes
     dim G_i or can no longer reach ``floor``."""
     gammas: dict[Sym, dict[tuple[int, int], int]] = {}
-    for (k, w, (s,)), c in _power(model, i, 1, p).coeffs.items():
+    for (k, w, (s,)), c in _power(model, i, 1).coeffs.items():
         gammas.setdefault(s, {})[(k, w)] = c
-    factors = [(s, FlagCycle(model, [i], g, p)) for s, g in gammas.items()]
+    factors = [(s, FlagCycle(model, [i], g)) for s, g in gammas.items()]
     factors = [(s, g, g.codim()) for s, g in factors]
     top, rise = model.dim_flag([i]), max(c for _, _, c in factors)
     stack = [((), 0, start, start.codim())]
@@ -365,48 +361,50 @@ def _walk(model: FlagModel, i: int, m: int, p: int, start: FlagCycle, floor: int
                     stack.append((syms + (s,), j, y, codim + c))
 
 
-def _incidence_power(model: FlagModel, i: int, m: int, p: int) -> MixedCycle:
+def _incidence_power(model: FlagModel, i: int, m: int) -> MixedCycle:
     """Product over the m factor-pullbacks of the incidence class, on G_i x X^m."""
     if not 1 <= i <= model.d:
         raise RangeError("index out of range")
-    return _power(model, i, m, p)
+    return _power(model, i, m)
 
 
-def eta(model: FlagModel, i: int, p: int = 0) -> MixedCycle:
+def eta(model: FlagModel, i: int) -> MixedCycle:
     """Product over the i factor-pullbacks of the incidence class, on G_i x X^i."""
-    return _incidence_power(model, i, i, p)
+    return _incidence_power(model, i, i)
 
 
-def theta(model: FlagModel, i: int, p: int = 0) -> MixedCycle:
+def theta(model: FlagModel, i: int) -> MixedCycle:
     """The incidence correspondence class on G_i x X^{i+1}."""
-    return _incidence_power(model, i, i + 1, p)
+    return _incidence_power(model, i, i + 1)
 
 
-def theta_action(model: FlagModel, i: int, p: int = 0) -> QuadCycle:
+@_memoised
+def theta_action(model: FlagModel, i: int) -> QuadCycle:
     """The direct route: theta_i as a correspondence G_i -> X^{i+1} applied to
     the top Z-class z, by degrees alone: (s_1, ..., s_{i+1}) has coefficient
-    deg(z . gamma_{s_1} ... gamma_{s_{i+1}}), and theta_i is never built."""
+    deg(z . gamma_{s_1} ... gamma_{s_{i+1}}), and theta_i is never built.
+    Memoised on the model by i."""
     if not 1 <= i <= model.d:
         raise RangeError("index out of range")
-    z = model.class_Z(i, model.n - i, p)
+    z = model.class_Z(i, model.n - i)
     out: dict[Mono, int] = {}
-    for monos, x in _walk(model, i, i + 1, p, z, model.dim_flag([i])):
+    for monos, x in _walk(model, i, i + 1, z, model.dim_flag([i])):
         c = model.deg(x)
         if c:
             out.update(dict.fromkeys(monos, c))
-    return QuadCycle(model.ctx, i + 1, out, p)
+    return QuadCycle(model.ctx, i + 1, out)
 
 
 def action_via_pullpush(model: FlagModel, i: int, x: QuadCycle) -> QuadCycle:
     """The push-pull route through G_i x X^i for the action of
-    (theta_i)_*(top Z) on a cycle of X."""
-    zx = _pullpush_to_g(model, i, x) * model.class_Z(i, model.n - i, x.p)
-    return eta(model, i, x.p).action_on_flag(zx)
+    (theta_i)_*(top Z) on an integer cycle of X."""
+    zx = _pullpush_to_g(model, i, x) * model.class_Z(i, model.n - i)
+    return eta(model, i).action_on_flag(zx)
 
 
-def alpha(model: FlagModel, i: int, p: int = 0) -> Correspondence:
+def alpha(model: FlagModel, i: int) -> Correspondence:
     """theta-action plus the symmetrized h-chain, as a correspondence X -> X^i."""
-    cyc = theta_action(model, i, p) + rho_i(model.ctx, i, p)
+    cyc = theta_action(model, i) + rho_i(model.ctx, i)
     return Correspondence(cyc, 1, i)
 
 
@@ -418,17 +416,17 @@ def theta_prime(model: FlagModel, i: int) -> MixedCycle:
     # the split diagonal with its second slot moved onto the flag leg of F(0) x X
     diag: dict[MixedKey, int] = {}
     basis = model.x_basis
-    for (u, v), c in delta_i(model.ctx, 1, p=2).coeffs.items():
+    for (u, v), c in delta_i(model.ctx, 1).coeffs.items():
         diag[(0, basis[v], (u,))] = c
     I = [0, i]
-    left = MixedCycle(model, [0], 1, diag, 2).pull_flag(I).pull_x(2, [0])
-    return left * incidence_class(model, i, 2).pull_flag(I).pull_x(2, [1])
+    left = MixedCycle(model, [0], 1, diag).mod2().pull_flag(I).pull_x(2, [0])
+    return left * incidence_class(model, i).mod2().pull_flag(I).pull_x(2, [1])
 
 
 def eta_pushdown(model: FlagModel, i: int, k: int) -> QuadCycle:
     """The mixed pushforward of (W-part . top-z . eta_i) down to X^i, mod 2."""
-    wz = model.class_W(i, k - i, 2) * model.class_Z(i, model.n - i, 2)
-    return eta(model, i, 2).action_on_flag(wz)
+    wz = model.class_W(i, k - i) * model.class_Z(i, model.n - i)
+    return eta(model, i).action_on_flag(wz).mod2()
 
 
 def eta_pushdown_expansion(model: FlagModel, i: int, k: int) -> QuadCycle:
@@ -436,15 +434,15 @@ def eta_pushdown_expansion(model: FlagModel, i: int, k: int) -> QuadCycle:
     n, ctx = model.n, model.ctx
     if not 2 <= i <= model.d or not i <= k <= model.d:
         raise RangeError("index out of range")
-    eta_prev = eta(model, i - 1, 2)
-    z_prev = model.class_Z(i - 1, n - i + 1, 2)
+    eta_prev = eta(model, i - 1)
+    z_prev = model.class_Z(i - 1, n - i + 1)
     total: QuadCycle | None = None
     for m in range(0, k + 1):
         js = range(max(i - m, 0), min(k - m, i) + 1)
-        inner = model.w_sigma_sum(i, k - m, js, 2) * z_prev
-        term = external(eta_prev.action_on_flag(inner), h_power_cycle(ctx, m, 2))
+        inner = model.w_sigma_sum(i, k - m, js) * z_prev
+        term = external(eta_prev.action_on_flag(inner), h_power_cycle(ctx, m))
         total = term if total is None else total + term
-    return total
+    return total.mod2()
 
 
 def degree_congruence(

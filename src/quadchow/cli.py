@@ -42,8 +42,8 @@ def _signature(name: str) -> str:
     return " ".join([name, *"ij"[: BUILTINS[name]]])
 
 
-def _builtin_cycle(name: str, args: list[str], n: int, p: int):
-    """The class the builtin ``name`` gives for the indices ``args``."""
+def _builtin_cycle(name: str, args: list[str], n: int):
+    """The integer class the builtin ``name`` gives for the indices ``args``."""
     if len(args) != BUILTINS[name]:
         raise ValueError("wrong number of indices (expected: %s)" % _signature(name))
     try:
@@ -52,17 +52,17 @@ def _builtin_cycle(name: str, args: list[str], n: int, p: int):
         raise ValueError("indices must be integers") from None
     ctx = quad_context(n)
     if name == "delta":
-        return quadpow.delta_i(ctx, idx[0], p)
+        return quadpow.delta_i(ctx, idx[0])
     if name == "rho":
-        return quadpow.rho_i(ctx, idx[0], p)
+        return quadpow.rho_i(ctx, idx[0])
     if name == "rost":
-        return quadpow.rost(ctx, p).cycle
+        return quadpow.rost(ctx).cycle
     model = build_geometry(n)
     if name == "theta":
-        return bridge.theta(model, idx[0], p)
+        return bridge.theta(model, idx[0])
     if name == "alpha":
-        return bridge.alpha(model, idx[0], p).cycle
-    out = (model.class_Z if name == "z" else model.class_W)(idx[0], idx[1], p)
+        return bridge.alpha(model, idx[0]).cycle
+    out = (model.class_Z if name == "z" else model.class_W)(idx[0], idx[1])
     if out.I == frozenset([0]):
         return bridge.flag_cycle_to_quad(model, out)
     return out
@@ -132,16 +132,15 @@ def _format_quad(x: QuadCycle, fmt: str):
 
 def cmd_compute(args) -> int:
     orientation = ORIENTATIONS[args.orientation]
-    p = 2 if args.coeff == "z2" else 0
     tokens = args.expr.split()
     head = tokens[0].lower() if tokens else ""
     try:
         if head in BUILTINS:
-            out = _builtin_cycle(head, tokens[1:], args.n, p)
+            out = _builtin_cycle(head, tokens[1:], args.n)
         else:
             out = parse_cycle(quad_context(args.n), args.expr.strip())
-            if p == 2:
-                out = out.mod2()
+        if args.coeff == "z2":
+            out = out.mod2()
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _classify_value_error(exc)
@@ -261,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def quadric_options(p):
-        p.add_argument("--n", type=int, required=True, help="quadric dimension")
-        p.add_argument("--orientation", choices=ORIENTATIONS, default="plus")
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    def quadric_options(command):
+        command.add_argument("--n", type=int, required=True, help="quadric dimension")
+        command.add_argument("--orientation", choices=ORIENTATIONS, default="plus")
+        command.add_argument("--format", choices=["text", "json"], default="text")
 
     pc = sub.add_parser("compute", help="evaluate a cycle expression or builtin")
     quadric_options(pc)

@@ -271,10 +271,12 @@ def constant(nvars: int, c) -> Polynomial:
 
 def act(window: Sequence[int], f: Polynomial) -> Polynomial:
     """Ring automorphism sending ``x_j`` to ``sign(w(j)) * x_{|w(j)|}``, w the
-    signed permutation with this window."""
+    signed permutation with this window; any other window raises ValueError."""
     m = len(window)
     if f.nvars != m:
         raise ValueError("rank mismatch")
+    if sorted(abs(v) for v in window) != list(range(1, m + 1)):
+        raise ValueError("not a signed permutation window: %r" % (tuple(window),))
     shift = BITS * m
     out: dict[int, int] = {}
     for k, c in f.terms.items():

@@ -19,7 +19,9 @@ the split-quadric rules:
 
 Everything downstream (symmetrization, projections, diagonals, correspondence
 composition) is induced factor-wise from these rules with exact integer
-coefficients; a parallel mod-2 lane reduces coefficients after each step.
+coefficients.  Every constructor builds over Z; a mod-2 class is its integer
+class reduced once by ``SparseCycle.mod2``, and the results of operations on
+mod-2 cycles stay mod 2.
 ``_slot_products`` multiplies out one sum of classes per slot, and
 ``contract`` pairs slots by degree for every correspondence composition and
 action, here and in ``quadchow.bridge``.
@@ -294,30 +296,30 @@ def _mul_mono(ctx: QuadricContext, m1: Mono, m2: Mono) -> dict[Mono, int]:
 # -- constructors ----------------------------------------------------------------
 
 
-def one(ctx: QuadricContext, m: int, p: int = 0) -> QuadCycle:
-    return QuadCycle(ctx, m, {(("h", 0),) * m: 1}, p)
+def one(ctx: QuadricContext, m: int) -> QuadCycle:
+    return QuadCycle(ctx, m, {(("h", 0),) * m: 1})
 
 
-def monomial_cycle(ctx: QuadricContext, mono: Iterable[Sym], p: int = 0) -> QuadCycle:
+def monomial_cycle(ctx: QuadricContext, mono: Iterable[Sym]) -> QuadCycle:
     mono = tuple(mono)
     for s in mono:
         _check_symbol(ctx, s)
-    return QuadCycle(ctx, len(mono), {mono: 1}, p)
+    return QuadCycle(ctx, len(mono), {mono: 1})
 
 
-def h_power_cycle(ctx: QuadricContext, a: int, p: int = 0) -> QuadCycle:
+def h_power_cycle(ctx: QuadricContext, a: int) -> QuadCycle:
     """h^a as a cycle on X (expanded over the basis)."""
     if a < 0 or a > ctx.n:
         raise RangeError("h power out of range")
-    return QuadCycle(ctx, 1, {(s,): c for s, c in _h_reduce(ctx, a).items()}, p)
+    return QuadCycle(ctx, 1, {(s,): c for s, c in _h_reduce(ctx, a).items()})
 
 
-def l_cycle(ctx: QuadricContext, b: int, p: int = 0) -> QuadCycle:
-    return monomial_cycle(ctx, [("l", b)], p)
+def l_cycle(ctx: QuadricContext, b: int) -> QuadCycle:
+    return monomial_cycle(ctx, [("l", b)])
 
 
-def lp_cycle(ctx: QuadricContext, p: int = 0) -> QuadCycle:
-    return monomial_cycle(ctx, [("lp", ctx.d)], p)
+def lp_cycle(ctx: QuadricContext) -> QuadCycle:
+    return monomial_cycle(ctx, [("lp", ctx.d)])
 
 
 def external(x: QuadCycle, y: QuadCycle) -> QuadCycle:
@@ -338,12 +340,12 @@ def external_list(cycles: Sequence[QuadCycle]) -> QuadCycle:
     return out
 
 
-def sym_h_chain(ctx: QuadricContext, powers: Iterable[int], p: int = 0) -> QuadCycle:
+def sym_h_chain(ctx: QuadricContext, powers: Iterable[int]) -> QuadCycle:
     """sym of the external product of the listed h-powers (unit on X^0 if empty)."""
     powers = list(powers)
     if not powers:
-        return one(ctx, 0, p)
-    return sym(external_list([h_power_cycle(ctx, a, p) for a in powers]))
+        return one(ctx, 0)
+    return sym(external_list([h_power_cycle(ctx, a) for a in powers]))
 
 
 def sym(x: QuadCycle) -> QuadCycle:
@@ -387,32 +389,32 @@ def _sum_images(x: QuadCycle, images) -> QuadCycle:
     return QuadCycle(x.ctx, x.m, out, x.p)
 
 
-def diagonal_class(ctx: QuadricContext, p: int = 0) -> QuadCycle:
+def diagonal_class(ctx: QuadricContext) -> QuadCycle:
     """The class of the diagonal in X x X, via Poincare duality: sum of b x b-dual."""
     out: dict[Mono, int] = {}
     for s in basis_symbols(ctx):
         out[(s, dual1(ctx, s))] = 1
-    return QuadCycle(ctx, 2, out, p)
+    return QuadCycle(ctx, 2, out)
 
 
-def rho_i(ctx: QuadricContext, i: int, p: int = 0) -> QuadCycle:
+def rho_i(ctx: QuadricContext, i: int) -> QuadCycle:
     """sym(h^0 x h^1 x ... x h^{i-1} x l_0) on X^{i+1}; the i = 1 case is the
     Rost correspondence and i = 0 degenerates to l_0."""
     if not 0 <= i <= ctx.d:
         raise RangeError("index out of range")
-    factors = [h_power_cycle(ctx, j, p) for j in range(i)] + [l_cycle(ctx, 0, p)]
+    factors = [h_power_cycle(ctx, j) for j in range(i)] + [l_cycle(ctx, 0)]
     return sym(external_list(factors))
 
 
-def delta_i(ctx: QuadricContext, i: int, p: int = 0) -> QuadCycle:
+def delta_i(ctx: QuadricContext, i: int) -> QuadCycle:
     """sym((x h^j)_{j<i} x 1 x l_0) + sum_k sym((x h^j)_{j<i} x h^k x l_k)."""
     if not 1 <= i <= ctx.d:
         raise RangeError("index out of range")
-    prefix = [h_power_cycle(ctx, j, p) for j in range(1, i)]
-    total = sym(external_list(prefix + [one(ctx, 1, p), l_cycle(ctx, 0, p)]))
+    prefix = [h_power_cycle(ctx, j) for j in range(1, i)]
+    total = sym(external_list(prefix + [one(ctx, 1), l_cycle(ctx, 0)]))
     for k in range(i, ctx.d + 1):
         total = total + sym(
-            external_list(prefix + [h_power_cycle(ctx, k, p), l_cycle(ctx, k, p)])
+            external_list(prefix + [h_power_cycle(ctx, k), l_cycle(ctx, k)])
         )
     return total
 
@@ -525,8 +527,8 @@ def action(alpha: Correspondence, x: QuadCycle) -> QuadCycle:
     return QuadCycle(alpha.ctx, alpha.target, out, x.p)
 
 
-def rost(ctx: QuadricContext, p: int = 0) -> Correspondence:
-    return Correspondence(rho_i(ctx, 1, p), 1, 1)
+def rost(ctx: QuadricContext) -> Correspondence:
+    return Correspondence(rho_i(ctx, 1), 1, 1)
 
 
 def primordial_shape(
@@ -539,15 +541,15 @@ def primordial_shape(
     js = list(range(i1, ctx.d - i1 + 2))
     if len(coefficients) != len(js):
         raise ValueError("expected %d coefficients" % len(js))
-    lo = l_cycle(ctx, i1 - 1, 2)
-    total = external(one(ctx, 1, 2), lo) + external(lo, one(ctx, 1, 2))
+    lo = l_cycle(ctx, i1 - 1)
+    total = external(one(ctx, 1), lo) + external(lo, one(ctx, 1))
     for a_j, j in zip(coefficients, js):
         if a_j % 2 == 0:
             continue
-        hj = h_power_cycle(ctx, j, 2)
-        lj = l_cycle(ctx, j + i1 - 1, 2)
+        hj = h_power_cycle(ctx, j)
+        lj = l_cycle(ctx, j + i1 - 1)
         total = total + external(hj, lj) + external(lj, hj)
-    return Correspondence(total, 1, 1)
+    return Correspondence(total.mod2(), 1, 1)
 
 
 # -- text form -------------------------------------------------------------------
@@ -597,11 +599,7 @@ def _parse_atom(ctx: QuadricContext, tok: str) -> QuadCycle:
     if tok.startswith("h"):
         return h_power_cycle(ctx, int(m.group(1)) if m.group(1) else 1)
     idx = ctx.d if m.group(2) is None else int(m.group(2))
-    if m.group(3):
-        if ctx.n % 2 or idx != ctx.d:
-            raise ValueError("second ruling only exists in the middle for even n")
-        return lp_cycle(ctx)
-    return l_cycle(ctx, idx)
+    return monomial_cycle(ctx, [("lp" if m.group(3) else "l", idx)])
 
 
 def parse_cycle(ctx: QuadricContext, text: str) -> QuadCycle:

@@ -36,8 +36,12 @@ Schubert expansion from its values at the torus-fixed points, by one solve:
   restriction row of each element, for every F(I); a product of two W^P
   classes, pulled back from G/B, per pair of indices whichever F(I) and sheet
   asked for it; the polynomial representatives; and the distinguished
-  classes (Z, W, the Chern classes, c_1(O(1)) and h^k), keyed by
-  (constructor, indices, p), where a call that raises stores nothing;
+  classes (Z, W, the Chern classes, c_1(O(1)), h^k, and the bridge's
+  incidence powers and theta-actions), keyed by (constructor, indices),
+  where a call that raises stores nothing;
+* every class is built over Z; its mod-2 class is its image under
+  `SparseCycle.mod2`, a ring map that commutes with every product,
+  pullback, pushforward and degree, so one integer class serves both rings;
 * degrees of products use Poincare duality on G/P: deg(s_u s_v) is 1 when
   v = w_0 u w_0(P_I) and 0 otherwise (Bernstein-Gelfand-Gelfand, Schubert
   cells and cohomology of G/P, 1973).  The factors are split into two halves
@@ -127,6 +131,9 @@ class QuadricContext:
 class SparseCycle:
     """Integer (p = 0) or mod-2 (p = 2) coefficients on a basis, stored sparsely.
 
+    Constructors build over Z, and ``mod2`` reduces; the results of
+    operations on mod-2 cycles stay mod 2.
+
     Cycles are immutable: every operation builds a new one, and memoised
     results are shared between callers, so nothing may change ``coeffs`` in
     place.  A subclass names its ambient space by ``_space()``, the leading
@@ -206,17 +213,14 @@ class SparseCycle:
 
 
 def _memoised(method):
-    """Memoise a distinguished-class constructor f(self, *indices, p=0) in
-    its model's ``_classes`` dict, keyed by (name, *indices, p), so the memo
-    is freed with its model.  A call that raises stores nothing, so a range
+    """Memoise a constructor f(model, *indices) of an integer class in the
+    model's ``_classes`` dict, keyed by (name, *indices), so the memo is
+    freed with its model.  A call that raises stores nothing, so a range
     error raises every time.  Callers share the cached cycle."""
     name = method.__name__
-    arity = method.__code__.co_argcount - 1  # the indices and p
 
     @wraps(method)
-    def cached(self, *args, p: int = 0):
-        if len(args) == arity - 1:
-            args += (p,)
+    def cached(self, *args):
         key = (name, *args)
         out = self._classes.get(key)
         if out is None:
@@ -290,9 +294,6 @@ class FlagModel:
         self._pushes: dict = {}
         self._duals: dict = {}
         self._classes: dict = {}  # see _memoised
-        # bridge memo: the incidence powers on G_i x X^m by (i, m, p) (the
-        # incidence class is m = 1, eta_i is m = i, theta_i m = i + 1)
-        self.bridge_memo: dict = {}
         self._identify_quadric_basis()
         self.validate_conventions()
 
@@ -344,15 +345,15 @@ class FlagModel:
         """The longest minimal coset representative, w_0 * w_0(P_I)."""
         return self.basis(I)[-1]
 
-    def zero(self, I: Iterable[int], p: int = 0) -> FlagCycle:
-        return FlagCycle(self, I, {}, p)
+    def zero(self, I: Iterable[int]) -> FlagCycle:
+        return FlagCycle(self, I, {})
 
-    def fundamental(self, I: Iterable[int], p: int = 0) -> FlagCycle:
-        return FlagCycle(self, I, {(k, 0): 1 for k in range(self.sheets(I))}, p)
+    def fundamental(self, I: Iterable[int]) -> FlagCycle:
+        return FlagCycle(self, I, {(k, 0): 1 for k in range(self.sheets(I))})
 
-    def point_class(self, I: Iterable[int], p: int = 0) -> FlagCycle:
+    def point_class(self, I: Iterable[int]) -> FlagCycle:
         """The class of a point; on a disconnected F(I), a point of sheet 0."""
-        return FlagCycle(self, I, {(0, self.top_element(I)): 1}, p)
+        return FlagCycle(self, I, {(0, self.top_element(I)): 1})
 
     # -- Schubert representatives and expansion -------------------------------
 
@@ -390,7 +391,7 @@ class FlagModel:
             )
         return cached
 
-    def expand(self, poly: polyring.Polynomial, I: Iterable[int], p: int = 0) -> FlagCycle:
+    def expand(self, poly: polyring.Polynomial, I: Iterable[int]) -> FlagCycle:
         """Express a polynomial representative in the Schubert basis of F(I),
         on sheet 0: a polynomial names a class on the model's own ruling.
 
@@ -424,16 +425,16 @@ class FlagModel:
                         % (Fraction(c, part.den), g.elements[w])
                     )
                 out[0, w] = c // part.den
-        return FlagCycle(self, I, out, p)
+        return FlagCycle(self, I, out)
 
-    def from_values(self, I: Iterable[int], k: int, f, p: int = 0) -> FlagCycle:
+    def from_values(self, I: Iterable[int], k: int, f) -> FlagCycle:
         """The codimension-k class on F(I) whose value at each fixed point y is
         the integer f(x), x = -y^{-1}.t (`_fixed_point`); f must evaluate a
         W_P-invariant polynomial of degree k in x_1, ..., x_m whose class
         sigma fixes, so the one solve is put on every sheet."""
         solved = self._solve_values(I, k, f)
         coeffs = {(s, w): c for s in range(self.sheets(I)) for w, c in solved.items()}
-        return FlagCycle(self, I, coeffs, p)
+        return FlagCycle(self, I, coeffs)
 
     def _solve_values(self, I, k: int, f) -> dict[int, int]:
         elements = self.group.elements
@@ -674,7 +675,7 @@ class FlagModel:
             if total.coeffs != {(0, mids[0]): 1, (0, mids[1]): 1}:
                 raise AssertionError("h^d should split as l_d + l_d'")
 
-    def x_class(self, s: tuple[str, int], p: int = 0) -> FlagCycle:
+    def x_class(self, s: tuple[str, int]) -> FlagCycle:
         """The class on X = G_0 of a basis symbol ("h", a), ("l", b) or ("lp", d).
 
         A known kind with an index that names no basis class raises
@@ -685,23 +686,23 @@ class FlagModel:
             if any(s[:1] == (kind,) for kind, _ in self.x_basis):
                 raise RangeError("X-class index out of range: %r" % (s,))
             raise ValueError("no X-class symbol %r at n = %d" % (s, self.n))
-        return FlagCycle(self, [0], {(0, w): 1}, p)
+        return FlagCycle(self, [0], {(0, w): 1})
 
     @_memoised
-    def h_power(self, k: int, p: int = 0) -> FlagCycle:
+    def h_power(self, k: int) -> FlagCycle:
         """h^k on X, for 0 <= k <= n (expanded in the Schubert basis)."""
         if not 0 <= k <= self.n:
             raise RangeError("hyperplane power out of range")
-        return self.from_values([0], k, lambda x: x[0] ** k, p)
+        return self.from_values([0], k, lambda x: x[0] ** k)
 
-    def l_class(self, b: int, p: int = 0) -> FlagCycle:
+    def l_class(self, b: int) -> FlagCycle:
         """The class of a b-dimensional isotropic subspace on X (oriented at b = d)."""
-        return self.x_class(("l", b), p)
+        return self.x_class(("l", b))
 
     # -- distinguished classes ---------------------------------------------------
 
     @_memoised
-    def class_Z(self, i: int, j: int, p: int = 0) -> FlagCycle:
+    def class_Z(self, i: int, j: int) -> FlagCycle:
         """Z^i_j on G_i: pull l_{n-i-j} through F(0,i) onto every sheet and
         push down (the naming of l_d is the model's on both sheets).
 
@@ -712,14 +713,14 @@ class FlagModel:
         if not 0 <= i <= self.d:
             raise RangeError("grassmannian index out of range")
         if j > self.n - i:
-            return self.zero([i], p)
+            return self.zero([i])
         if j < self.n - i - self.d:
             raise RangeError("Z index out of range")
-        x = self.l_class(self.n - i - j, p)
+        x = self.l_class(self.n - i - j)
         return x if i == 0 else self.pullpush(x, [i])
 
     @_memoised
-    def class_W(self, i: int, j: int, p: int = 0) -> FlagCycle:
+    def class_W(self, i: int, j: int) -> FlagCycle:
         """W^i_j on G_i (and W^0_j = h^j); zero for negative j.
 
         The distinguished range is j + i <= d, but the defining pull-push of
@@ -729,46 +730,46 @@ class FlagModel:
         if not 0 <= i <= self.d:
             raise RangeError("grassmannian index out of range")
         if j < 0:
-            return self.zero([i], p)
+            return self.zero([i])
         if i == 0:
-            return self.h_power(j, p)
+            return self.h_power(j)
         if j + i > self.n:
             raise RangeError("W index out of range")
-        return self.pullpush(self.h_power(j + i, p), [i])
+        return self.pullpush(self.h_power(j + i), [i])
 
     @_memoised
-    def chern_taut(self, i: int, j: int, p: int = 0) -> FlagCycle:
+    def chern_taut(self, i: int, j: int) -> FlagCycle:
         """c_j of the tautological bundle on G_i: e_j of its Chern roots,
         -x_1, ..., -x_(i+1) at the fixed point x."""
         if not 0 <= j <= i + 1:
             raise RangeError("Chern index out of range")
         roots = lambda x: [-v for v in x[: i + 1]]  # noqa: E731
-        return self.from_values([i], j, lambda x: _symmetric_function(roots(x), j), p)
+        return self.from_values([i], j, lambda x: _symmetric_function(roots(x), j))
 
     @_memoised
-    def chern_quot(self, i: int, j: int, p: int = 0) -> FlagCycle:
+    def chern_quot(self, i: int, j: int) -> FlagCycle:
         """c_j of the quotient of the trivial bundle by the tautological one:
         h_j of the negated tautological roots, x_1, ..., x_(i+1)."""
         rank_q = self.n + 2 - (i + 1)
         if not 0 <= j <= rank_q:
             raise RangeError("Chern index out of range")
-        return self.from_values([i], j, lambda x: _symmetric_function(x[: i + 1], j, True), p)
+        return self.from_values([i], j, lambda x: _symmetric_function(x[: i + 1], j, True))
 
     @_memoised
-    def class_O1(self, i: int, p: int = 0) -> FlagCycle:
+    def class_O1(self, i: int) -> FlagCycle:
         """c_1(O(1)) of the projective bundle F(i-1, i) -> G_i: the last
         tautological root of G_i, -x_i."""
         if not 1 <= i <= self.d:
             raise RangeError("bundle index out of range")
-        return self.from_values([i - 1, i], 1, lambda x: -x[i], p)
+        return self.from_values([i - 1, i], 1, lambda x: -x[i])
 
-    def w_sigma_sum(self, i: int, t: int, js: Iterable[int], p: int = 0) -> FlagCycle:
+    def w_sigma_sum(self, i: int, t: int, js: Iterable[int]) -> FlagCycle:
         """The Lemma 2.5 sum on G_{i-1}: sum over j in js of
         W^{i-1}_{t-j} . pi_* pi^*(Z^i_{n-2i+j})."""
-        total = self.zero([i - 1], p)
+        total = self.zero([i - 1])
         for j in js:
-            sigma = self.pullpush(self.class_Z(i, self.n - 2 * i + j, p), [i - 1])
-            total = total + self.class_W(i - 1, t - j, p) * sigma
+            sigma = self.pullpush(self.class_Z(i, self.n - 2 * i + j), [i - 1])
+            total = total + self.class_W(i - 1, t - j) * sigma
         return total
 
     # -- convention gate -----------------------------------------------------------

@@ -5,7 +5,8 @@ Each suite yields :class:`CaseResult` records with the instantiating
 parameters and both sides, which `run_suite` prints, flag cycles with the
 windows of the orientation asked for, so the command-line front end can emit
 per-case pass/fail lines and a machine-readable report.  All checks are exact
-(integer or mod-2); there are no tolerances anywhere.
+(integer or mod-2); there are no tolerances anywhere.  Both sides of a mod-2
+identity are computed from integer classes and reduced by ``mod2()``.
 """
 
 from __future__ import annotations
@@ -102,11 +103,12 @@ def suite_lemma21(n: int, seed: int = 0) -> Iterator[CaseResult]:
     d = ctx.d
     quadpow.check_sym_factors(d + 1)  # the top orbit sum, before any case
     # base: the mod-2 diagonal identity, under both ruling namings
-    diag = diagonal_class(ctx, p=2)
-    corr = delta_i(ctx, 1, p=2)
+    diag = diagonal_class(ctx).mod2()
+    corr = delta_i(ctx, 1)
     if n % 4 == 0:
-        hd = h_power_cycle(ctx, d, p=2)
+        hd = h_power_cycle(ctx, d)
         corr = corr + external(hd, hd)
+    corr = corr.mod2()
     yield _case("diagonal(i=1)", {"n": n}, corr, diag)
     yield _case("diagonal-swapped(i=1)", {"n": n}, swap_ruling(corr), diag)
     for i in range(2, d + 1):
@@ -163,26 +165,23 @@ def suite_lemma26(n: int, seed: int = 0) -> Iterator[CaseResult]:
     d = M.d
     for i in range(1, d + 1):
         for j in range(0, i + 1):
-            lhs = M.chern_taut(i - 1, j, 2)
-            rhs = M.pullpush(M.class_Z(i, n - 2 * i + j, 2), [i - 1])
+            lhs = M.chern_taut(i - 1, j).mod2()
+            rhs = M.pullpush(M.class_Z(i, n - 2 * i + j), [i - 1]).mod2()
             yield _case("chern-pushdown", {"n": n, "i": i, "j": j}, lhs, rhs)
         for j in range(1, i + 1):
             # the Whitney truncation mod 2
-            lhs = M.chern_taut(i - 1, j, 2)
-            rhs = M.chern_quot(i - 1, j, 2) + M.w_sigma_sum(
-                i, j, range(max(1, j - d + i - 1), j), 2
-            )
-            yield _case("whitney-truncation", {"n": n, "i": i, "j": j}, lhs, rhs)
+            lhs = M.chern_taut(i - 1, j).mod2()
+            rhs = M.chern_quot(i - 1, j) + M.w_sigma_sum(i, j, range(max(1, j - d + i - 1), j))
+            yield _case("whitney-truncation", {"n": n, "i": i, "j": j}, lhs, rhs.mod2())
         for j in range(1, d + 1):
             # the summation-identity instance the induction uses (integral)
-            lhs = M.pullpush(M.class_W(i, d - i) * M.class_Z(i, n - i - d + j), [i - 1])
+            pushed = M.pullpush(M.class_W(i, d - i) * M.class_Z(i, n - i - d + j), [i - 1])
             rhs = M.w_sigma_sum(i, j, range(max(j - d + i, 0), j + 1))
-            yield _case("summation-instance", {"n": n, "i": i, "j": j}, lhs, rhs)
+            yield _case("summation-instance", {"n": n, "i": i, "j": j}, pushed, rhs)
             # the top-W absorption mod 2
-            lhs = M.pullpush(M.class_W(i, d - i, 2) * M.class_Z(i, n - i - d + j, 2), [i - 1])
-            prev = M.pullpush(M.class_Z(i, n - i - d + j - 1, 2), [i - 1])
-            rhs = M.class_W(i - 1, d - i + 1, 2) * prev
-            yield _case("top-absorption", {"n": n, "i": i, "j": j}, lhs, rhs)
+            prev = M.pullpush(M.class_Z(i, n - i - d + j - 1), [i - 1])
+            rhs = M.class_W(i - 1, d - i + 1) * prev
+            yield _case("top-absorption", {"n": n, "i": i, "j": j}, pushed.mod2(), rhs.mod2())
         # the quotient-bundle facts the induction quotes
         for j in range(0, d - i + 1 + 1):
             yield _case(
@@ -192,7 +191,7 @@ def suite_lemma26(n: int, seed: int = 0) -> Iterator[CaseResult]:
         for l in range(d - i + 1, n + 1 - i + 1):
             yield _case(
                 "quotient-even", {"n": n, "i": i, "l": l},
-                M.chern_quot(i, l, 2), M.zero([i], 2),
+                M.chern_quot(i, l).mod2(), M.zero([i]).mod2(),
             )
 
 
@@ -207,11 +206,11 @@ def suite_lemma32(n: int, seed: int = 0) -> Iterator[CaseResult]:
             "incidence-gate", {"n": n, "i": i}, "pass", "action", "pull-push"
         )
     for i in range(1, M.d + 1):
-        corr = Correspondence(theta_action(M, i, 2), 1, i)
+        corr = Correspondence(theta_action(M, i), 1, i)
         for s in basis_symbols(ctx):
-            x = monomial_cycle(ctx, [s], p=2)
-            direct = action(corr, x)
-            route = action_via_pullpush(M, i, x)
+            x = monomial_cycle(ctx, [s])
+            direct = action(corr, x).mod2()
+            route = action_via_pullpush(M, i, x).mod2()
             yield _case(
                 "route", {"n": n, "i": i, "x": quadpow._format_symbol(s)}, direct, route
             )
@@ -224,36 +223,36 @@ def suite_prop31(n: int, seed: int = 0) -> Iterator[CaseResult]:
     M = build_geometry(n)
     ctx, d = M.ctx, M.d
     for i in range(1, d + 1):
-        al = alpha(M, i, p=2)
+        al = alpha(M, i)
         for k in range(0, d + 1):
-            got = action(al, h_power_cycle(ctx, k, 2))
+            got = action(al, h_power_cycle(ctx, k)).mod2()
             if k == 0:
-                exp = sym_h_chain(ctx, list(range(1, i)) + [0], 2)
+                exp = sym_h_chain(ctx, list(range(1, i)) + [0])
             elif k <= i - 1:
-                exp = QuadCycle(ctx, i, {}, 2)
+                exp = QuadCycle(ctx, i, {})
             else:
-                exp = sym_h_chain(ctx, list(range(1, i)) + [k], 2)
-            yield _case("action", {"n": n, "i": i, "k": k}, got, exp)
+                exp = sym_h_chain(ctx, list(range(1, i)) + [k])
+            yield _case("action", {"n": n, "i": i, "k": k}, got, exp.mod2())
         # the mixed pushdown expression itself
         for k in range(i, d + 1):
             direct = eta_pushdown(M, i, k)
             yield _case(
                 "pushdown", {"n": n, "i": i, "k": k},
-                direct, sym_h_chain(ctx, list(range(1, i)) + [k], 2),
+                direct, sym_h_chain(ctx, list(range(1, i)) + [k]).mod2(),
             )
     # the mixed-cycle factorization and its pullback relation
     for i in range(2, d + 1):
         I = [i - 1, i]
-        A = incidence_class(M, i, 2).pull_flag(I).pull_x(i, [i - 1])
-        B = MixedCycle.from_flag(M.class_Z(i - 1, n - i + 1, 2), i - 1) * eta(M, i - 1, 2)
+        A = incidence_class(M, i).mod2().pull_flag(I).pull_x(i, [i - 1])
+        B = MixedCycle.from_flag(M.class_Z(i - 1, n - i + 1).mod2(), i - 1) * eta(M, i - 1).mod2()
         B = B.pull_flag(I).pull_x(i, list(range(i - 1)))
         lhs = (A * B).push_flag([i])
-        rhs = MixedCycle.from_flag(M.class_Z(i, n - i, 2), i) * eta(M, i, 2)
+        rhs = MixedCycle.from_flag(M.class_Z(i, n - i).mod2(), i) * eta(M, i).mod2()
         yield _case("factorization", {"n": n, "i": i}, lhs, rhs)
-        lhs = incidence_class(M, i - 1, 2).pull_flag(I)
-        xi = MixedCycle.from_flag(M.class_O1(i, 2), 1)
-        h1 = MixedCycle.from_quad(M, I, h_power_cycle(ctx, 1, 2))
-        rhs = (xi + h1) * incidence_class(M, i, 2).pull_flag(I)
+        lhs = incidence_class(M, i - 1).mod2().pull_flag(I)
+        xi = MixedCycle.from_flag(M.class_O1(i).mod2(), 1)
+        h1 = MixedCycle.from_quad(M, I, h_power_cycle(ctx, 1).mod2())
+        rhs = (xi + h1) * incidence_class(M, i).mod2().pull_flag(I)
         yield _case("incidence-pullback", {"n": n, "i": i}, lhs, rhs)
     # the double-sum rewriting and the coordinate chain
     for i in range(2, d + 1):
@@ -267,44 +266,43 @@ def suite_prop31(n: int, seed: int = 0) -> Iterator[CaseResult]:
             coord = _coordinate_on_last(direct, i - 1)
             yield _case(
                 "coordinate-direct", {"n": n, "i": i, "k": k},
-                coord, sym_h_chain(ctx, list(range(1, i - 1)) + [k], 2),
+                coord, sym_h_chain(ctx, list(range(1, i - 1)) + [k]).mod2(),
             )
             t = k - i + 1
-            inner = M.w_sigma_sum(i, t, range(1, min(t, i) + 1), 2) * M.class_Z(
-                i - 1, n - i + 1, 2
-            )
-            terms = eta(M, i - 1, 2).action_on_flag(inner)
+            eta_prev, z_prev = eta(M, i - 1), M.class_Z(i - 1, n - i + 1)
+            inner = M.w_sigma_sum(i, t, range(1, min(t, i) + 1)) * z_prev
+            terms = eta_prev.action_on_flag(inner).mod2()
             yield _case("coordinate-expansion", {"n": n, "i": i, "k": k}, coord, terms)
             # Whitney collapse and the resulting next pushdown
-            acc = M.w_sigma_sum(i, t, range(0, min(t, i) + 1), 2)
+            acc = M.w_sigma_sum(i, t, range(0, min(t, i) + 1))
             yield _case(
-                "whitney-collapse", {"n": n, "i": i, "k": k}, acc, M.zero([i - 1], 2)
+                "whitney-collapse", {"n": n, "i": i, "k": k}, acc.mod2(), M.zero([i - 1]).mod2()
             )
-            inner = M.class_W(i - 1, t, 2) * M.class_Z(i - 1, n - i + 1, 2)
-            got314 = eta(M, i - 1, 2).action_on_flag(inner)
+            got314 = eta_prev.action_on_flag(M.class_W(i - 1, t) * z_prev).mod2()
             yield _case(
                 "pushdown-next", {"n": n, "i": i, "k": k},
-                got314, sym_h_chain(ctx, list(range(1, i - 1)) + [k], 2),
+                got314, sym_h_chain(ctx, list(range(1, i - 1)) + [k]).mod2(),
             )
             # coordinate on top right h^k: the alternative extraction
             coord_k = _coordinate_on_last(direct, k)
             yield _case(
                 "retrieved-coordinate", {"n": n, "i": i, "k": k},
-                coord_k, sym_h_chain(ctx, range(1, i), 2),
+                coord_k, sym_h_chain(ctx, range(1, i)).mod2(),
             )
     # the retrieved identity shape: p(z_i . eta_i) = sym(h^1 x ... x h^i)
     for i in range(1, d + 1):
-        got = eta(M, i, 2).action_on_flag(M.class_Z(i, n - i, 2))
+        got = eta(M, i).action_on_flag(M.class_Z(i, n - i)).mod2()
         yield _case(
             "retrieved-identity", {"n": n, "i": i},
-            got, sym_h_chain(ctx, range(1, i + 1), 2),
+            got, sym_h_chain(ctx, range(1, i + 1)).mod2(),
         )
 
 
 def _coordinate_on_last(x: QuadCycle, m: int) -> QuadCycle:
-    """Pair the last slot against l_m and push it out ('coordinate on top right h^m')."""
+    """Pair the last slot against l_m and push it out ('coordinate on top right h^m');
+    x is mod 2."""
     ctx = x.ctx
-    dual = l_cycle(ctx, m, x.p).pull_proj(x.m, [x.m - 1])
+    dual = l_cycle(ctx, m).mod2().pull_proj(x.m, [x.m - 1])
     return (x * dual).push_proj(list(range(x.m - 1)))
 
 
@@ -313,8 +311,8 @@ def suite_cor315(n: int, seed: int = 0) -> Iterator[CaseResult]:
     M = build_geometry(n)
     ctx = M.ctx
     for i in range(1, M.d + 1):
-        al = alpha(M, i, p=2).cycle
-        beta = al - delta_i(ctx, i, p=2)
+        al = alpha(M, i).cycle.mod2()
+        beta = al - delta_i(ctx, i).mod2()
         ok = quadpow.is_nonessential(beta)
         yield CaseResult(
             "nonessential", {"n": n, "i": i},
@@ -360,17 +358,18 @@ def suite_lemma42(n: int, seed: int = 0) -> Iterator[CaseResult]:
         for bits in itertools.product((0, 1), repeat=bits_len):
             pi = primordial_shape(ctx, i1, bits)
             for i in range(1, i1):
-                mult = external(one(ctx, 1, 2), h_power_cycle(ctx, i1 - i, 2))
+                mult = external(one(ctx, 1), h_power_cycle(ctx, i1 - i)).mod2()
                 tau = Correspondence(mult * pi.cycle, 1, 1)
-                lhs = compose(Correspondence(rho_i(ctx, i, 2), 1, i), tau).cycle
-                rhs = external(one(ctx, 1, 2), rho_i(ctx, i - 1, 2))
+                lhs = compose(Correspondence(rho_i(ctx, i).mod2(), 1, i), tau).cycle
+                rho_prev = rho_i(ctx, i - 1).mod2()
+                rhs = external(one(ctx, 1).mod2(), rho_prev)
                 yield _case(
                     "composite", {"n": n, "i1": i1, "i": i, "a": list(bits)}, lhs, rhs
                 )
                 pulled = lhs.pull_diagonal([0, 0] + list(range(1, i)), i)
                 yield _case(
                     "diagonal-pullback", {"n": n, "i1": i1, "i": i, "a": list(bits)},
-                    pulled, rho_i(ctx, i - 1, 2),
+                    pulled, rho_prev,
                 )
 
 
@@ -382,56 +381,52 @@ def suite_prop51(n: int, seed: int = 0) -> Iterator[CaseResult]:
     for i in range(1, d + 1):
         tp = theta_prime(M, i)
         I = frozenset([0, i])
-        atoms = [h_power_cycle(ctx, k, 2) for k in range(i)] + [l_cycle(ctx, 0, 2)]
+        z_top = M.class_Z(i, n - i)
+
+        def on_z(f: QuadCycle, r: int) -> MixedCycle:
+            """[G_i] x f times top-z x [X^r], mod 2."""
+            g = MixedCycle.from_quad(M, frozenset([i]), f.mod2())
+            return g * MixedCycle.from_flag(z_top.mod2(), r)
+
+        atoms = [h_power_cycle(ctx, k) for k in range(i)] + [l_cycle(ctx, 0)]
         labels = ["h^%d" % k for k in range(i)] + ["l0"]
         for ia in range(len(atoms)):
             for ib in range(len(atoms)):
                 if ia == ib:
                     continue
-                got = tp.action_on_quad(external(atoms[ia], atoms[ib]))
+                got = tp.action_on_quad(external(atoms[ia], atoms[ib]).mod2())
                 if ib == len(atoms) - 1:
-                    exp = M.pullback(I, M.h_power(ia, 2)) * M.pullback(
-                        I, M.class_Z(i, n - i, 2)
-                    )
+                    exp = M.pullback(I, M.h_power(ia)) * M.pullback(I, z_top)
                 else:
-                    exp = M.zero(I, 2)
+                    exp = M.zero(I)
                 yield _case(
                     "action-table",
                     {"n": n, "i": i, "alpha": labels[ia], "beta": labels[ib]},
-                    got, exp,
+                    got, exp.mod2(),
                 )
-        got = tp.id_times_action(rho_i(ctx, i, 2))
+        got = tp.id_times_action(rho_i(ctx, i).mod2())
         exp = None
         for k in range(i):
-            quadpart = sym_h_chain(ctx, [j for j in range(i) if j != k], 2)
-            flagpart = M.pullback(I, M.h_power(k, 2)) * M.pullback(
-                I, M.class_Z(i, n - i, 2)
-            )
+            quadpart = sym_h_chain(ctx, [j for j in range(i) if j != k]).mod2()
+            flagpart = M.pullback(I, M.h_power(k)) * M.pullback(I, z_top)
             term = MixedCycle.from_quad(M, I, quadpart) * MixedCycle.from_flag(
-                flagpart, i - 1
+                flagpart.mod2(), i - 1
             )
             exp = term if exp is None else exp + term
         yield _case("rho-image", {"n": n, "i": i}, got, exp)
-        mult = MixedCycle.from_flag(M.pullback(I, M.h_power(1, 2)), i - 1)
+        mult = MixedCycle.from_flag(M.pullback(I, M.h_power(1)).mod2(), i - 1)
         pushed = (got * mult).push_flag([i])
-        exp2 = MixedCycle.from_quad(
-            M, frozenset([i]), sym_h_chain(ctx, range(i - 1), 2)
-        ) * MixedCycle.from_flag(M.class_Z(i, n - i, 2), i - 1)
+        exp2 = on_z(sym_h_chain(ctx, range(i - 1)), i - 1)
         yield _case("descend-first", {"n": n, "i": i}, pushed, exp2)
         for k in range(2, i):
-            inc = incidence_class(M, i, 2)
-            m1 = inc.pull_x(i - k + 1, [i - k])
+            m1 = incidence_class(M, i).mod2().pull_x(i - k + 1, [i - k])
             hk = MixedCycle.from_quad(
                 M, frozenset([i]),
-                h_power_cycle(ctx, k, 2).pull_proj(i - k + 1, [i - k]),
+                h_power_cycle(ctx, k).mod2().pull_proj(i - k + 1, [i - k]),
             )
-            m2 = MixedCycle.from_quad(
-                M, frozenset([i]), sym_h_chain(ctx, range(i - k + 1), 2)
-            ) * MixedCycle.from_flag(M.class_Z(i, n - i, 2), i - k + 1)
+            m2 = on_z(sym_h_chain(ctx, range(i - k + 1)), i - k + 1)
             lhs = (m1 * hk * m2).push_x(list(range(i - k)))
-            rhs = MixedCycle.from_quad(
-                M, frozenset([i]), sym_h_chain(ctx, range(i - k), 2)
-            ) * MixedCycle.from_flag(M.class_Z(i, n - i, 2), i - k)
+            rhs = on_z(sym_h_chain(ctx, range(i - k)), i - k)
             yield _case("descend(k)", {"n": n, "i": i, "k": k}, lhs, rhs)
 
 

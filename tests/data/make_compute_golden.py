@@ -11,7 +11,10 @@ The file maps each command line ``compute --n N --coeff C --format F
   i = d - 1 and d, ``--coeff z``, both formats and both orientations; j runs
   over n - i - d..n - i for Z (the l_b range) and 0..n - i for W.
 
-Each command runs in a fresh interpreter.
+Each command runs in a fresh interpreter.  ``--coeff z2`` prints the
+integer class reduced once by ``mod2()``; the digests were recorded when each
+builtin still built its mod-2 class in Z/2 step by step, and reduction is a
+ring map, so both routes print alike.
 
     PYTHONPATH=src python tests/data/make_compute_golden.py [OUT]
 

@@ -71,8 +71,8 @@ class SigmaImage:
     def top_element(self, I):
         return self.sigma[self.model.top_element(I)]
 
-    def point_class(self, I, p=0):
-        return self._cycle(self.model.point_class(I, p))
+    def point_class(self, I):
+        return self._cycle(self.model.point_class(I))
 
     def schubert_rep(self, w):
         return self.model.schubert_rep(w)  # one representative per element
@@ -80,8 +80,8 @@ class SigmaImage:
     def _restriction_row(self, y):
         return self.model._restriction_row(y)  # one row per element
 
-    def expand(self, poly, I, p=0):
-        return self._cycle(self.model.expand(act(self.c, poly), I, p))
+    def expand(self, poly, I):
+        return self._cycle(self.model.expand(act(self.c, poly), I))
 
     def basis_product(self, I, u, v):
         product = self.model.basis_product(I, self.sigma[u], self.sigma[v])
@@ -106,11 +106,11 @@ class SigmaImage:
     def pullpush(self, x, J):
         return self.pushforward(J, self.pullback(x.I | frozenset(J), x))
 
-    def x_class(self, s, p=0):
-        return self._cycle(self.model.x_class(s, p))
+    def x_class(self, s):
+        return self._cycle(self.model.x_class(s))
 
-    def l_class(self, b, p=0):
-        return self._cycle(self.model.l_class(b, p))
+    def l_class(self, b):
+        return self._cycle(self.model.l_class(b))
 
     def __getattr__(self, name):
         # the distinguished classes: class_Z, class_W, chern_taut, chern_quot,
@@ -118,4 +118,4 @@ class SigmaImage:
         if name not in ("class_Z", "class_W", "chern_taut", "chern_quot", "class_O1", "h_power"):
             raise AttributeError(name)
         make = getattr(self.model, name)
-        return lambda *args, **kwargs: self._cycle(make(*args, **kwargs))
+        return lambda *args: self._cycle(make(*args))

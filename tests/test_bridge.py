@@ -1,8 +1,10 @@
 """Mixed cycles, the incidence class, and the correspondence machinery."""
 
 import gc
+import io
 import random
 import weakref
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -64,15 +66,18 @@ def test_incidence_cache_belongs_to_its_model():
     assert incidence_class(G1, 1) is inc1
     # the powers sit in G1's memo; every power refers back to G1, so G1 can
     # only be collected once no power is alive
-    powers = [eta(G1, 2), theta(G1, 2, 2), alpha(G1, 1).cycle]
-    assert G1.bridge_memo[(2, 2, 0)] is powers[0]
-    assert G1.bridge_memo[(2, 3, 2)] is powers[1]
+    powers = [eta(G1, 2), theta(G1, 2), alpha(G1, 1).cycle]
+    assert G1._classes["_power", 2, 2] is powers[0]
+    assert G1._classes["_power", 2, 3] is powers[1]
+    assert G1._classes["theta_action", 1] is theta_action(G1, 1)
     # the X window table belongs to the model, not to the memo
-    flag_cycle_to_quad(G1, G1.class_Z(0, 4))
-    assert all(len(key) == 3 for key in G1.bridge_memo)
-    assert not G2.bridge_memo.keys() - {(1, 1, 0)}
+    z = G1.class_Z(0, 4)
+    stored = set(G1._classes)
+    flag_cycle_to_quad(G1, z)
+    assert set(G1._classes) == stored
+    assert {key for key in G2._classes if key[0] == "_power"} == {("_power", 1, 1)}
     ref = weakref.ref(G1)
-    del G1, inc1, powers
+    del G1, inc1, powers, z
     gc.collect()
     assert ref() is None
 
@@ -80,9 +85,9 @@ def test_incidence_cache_belongs_to_its_model():
 MODELS = [3, 4, 5, 6, 7, 8]
 
 
-def _left_fold(G, i, m, p):
+def _left_fold(G, i, m):
     """The reference power: inc.pull_x(m, [0]) * ... * inc.pull_x(m, [m-1])."""
-    inc = incidence_class(G, i, p)
+    inc = incidence_class(G, i)
     total = inc.pull_x(m, [0])
     for j in range(1, m):
         total = total * inc.pull_x(m, [j])
@@ -92,40 +97,38 @@ def _left_fold(G, i, m, p):
 @pytest.mark.parametrize("n", MODELS)
 def test_incidence_powers_match_the_left_fold(n):
     G = build_geometry(n)
-    for p in (0, 2):
-        for i in range(1, G.d + 1):
-            for m in range(1, i + 2):
-                got = _incidence_power(G, i, m, p)
-                assert got == _left_fold(G, i, m, p), (n, p, i, m)
-                assert _incidence_power(G, i, m, p) is got
-            assert eta(G, i, p) is _incidence_power(G, i, i, p)
-            assert theta(G, i, p) is _incidence_power(G, i, i + 1, p)
-            assert incidence_class(G, i, p) is _incidence_power(G, i, 1, p)
+    for i in range(1, G.d + 1):
+        for m in range(1, i + 2):
+            got = _incidence_power(G, i, m)
+            assert got == _left_fold(G, i, m), (n, i, m)
+            assert _incidence_power(G, i, m) is got
+        assert eta(G, i) is _incidence_power(G, i, i)
+        assert theta(G, i) is _incidence_power(G, i, i + 1)
+        assert incidence_class(G, i) is _incidence_power(G, i, 1)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_incidence_powers_do_not_depend_on_build_order(n):
     theta_first, eta_first = FlagModel(n), FlagModel(n)
-    for p in (0, 2):
-        for i in range(1, theta_first.d + 1):
-            th = theta(theta_first, i, p)
-            et = eta(eta_first, i, p)
-            assert th.coeffs == theta(eta_first, i, p).coeffs
-            assert et.coeffs == eta(theta_first, i, p).coeffs
-            assert alpha(theta_first, i, p).cycle == alpha(eta_first, i, p).cycle
+    for i in range(1, theta_first.d + 1):
+        th = theta(theta_first, i)
+        et = eta(eta_first, i)
+        assert th.coeffs == theta(eta_first, i).coeffs
+        assert et.coeffs == eta(theta_first, i).coeffs
+        assert alpha(theta_first, i).cycle == alpha(eta_first, i).cycle
 
 
 def test_incidence_power_ranges_hold_on_a_warm_memo():
     G = FlagModel(6)
     for i in range(1, G.d + 1):
         theta(G, i)
-        eta(G, i, 2)
+        theta_action(G, i)
     bad_calls = [
         lambda: theta(G, 0),
-        lambda: eta(G, 0, 2),
+        lambda: eta(G, 0),
         lambda: eta(G, G.d + 1),
-        lambda: theta(G, G.d + 1, 2),
-        lambda: theta_action(G, 0, 2),
+        lambda: theta(G, G.d + 1),
+        lambda: theta_action(G, 0),
         lambda: theta_action(G, G.d + 1),
         lambda: alpha(G, 0),
         lambda: incidence_class(G, G.d + 1),
@@ -138,7 +141,7 @@ def test_incidence_power_ranges_hold_on_a_warm_memo():
     # each index is refused before any class is built
     assert set(G._classes) == classes
     incidence_class(G, 0)
-    assert (0, 1, 0) in G.bridge_memo and (0, 2, 0) not in G.bridge_memo
+    assert ("_power", 0, 1) in G._classes and ("_power", 0, 2) not in G._classes
 
 
 def test_incidence_zero_is_diagonal():
@@ -175,7 +178,7 @@ def test_incidence_kunneth_shape_mod2():
         G = build_geometry(n)
         ctx, d = G.ctx, G.d
         for i in range(1, d + 1):
-            inc = incidence_class(G, i, 2)
+            inc = incidence_class(G, i).mod2()
             expected = {}
             # sheet 1 is the other ruling, the sigma-image of the model, and
             # is stored moved back onto the model; each sheet is read off
@@ -188,17 +191,17 @@ def test_incidence_kunneth_shape_mod2():
                     return {w: c for (k, w), c in x.coeffs.items() if k == 0}
 
                 def z_of(j, model=model):
-                    x = G.x_class(("l", n - i - j), 2)
-                    return model.pullpush(FlagCycle(model, [0], x.coeffs, 2), [i])
+                    x = G.x_class(("l", n - i - j))
+                    return model.pullpush(FlagCycle(model, [0], x.coeffs), [i])
 
                 for m in range(0, d + 1):
                     zc = z_of(n - i - m)
-                    for hsym, hc in h_power_cycle(ctx, m, 2).coeffs.items():
+                    for hsym, hc in h_power_cycle(ctx, m).coeffs.items():
                         for w, c in sheet0(zc).items():
                             key = (w, hsym)
                             part[key] = (part.get(key, 0) + c * hc) % 2
                 for m in range(i, d + 1):
-                    wcls = model.class_W(i, m - i, 2)
+                    wcls = model.class_W(i, m - i)
                     if n % 2 == 0 and m == d:
                         target = ("lp", d) if n % 4 == 0 else ("l", d)
                     else:
@@ -226,7 +229,7 @@ def test_eta_theta_symmetry_and_codim():
             for _, w, mono in th.coeffs:
                 total = G.group._lengths[w] + sum(codim1(ctx, s) for s in mono)
                 assert total == (i + 1) * (n - i)
-            assert eta(G, 1, 0) == incidence_class(G, 1, 0)
+            assert eta(G, 1) == incidence_class(G, 1)
 
 
 def test_theta_action_routes_agree():
@@ -234,9 +237,9 @@ def test_theta_action_routes_agree():
         G = build_geometry(n)
         ctx = G.ctx
         for i in range(1, G.d + 1):
-            corr = Correspondence(theta_action(G, i, 2), 1, i)
+            corr = Correspondence(theta_action(G, i), 1, i)
             for s in basis_symbols(ctx):
-                x = monomial_cycle(ctx, [s], p=2)
+                x = monomial_cycle(ctx, [s])
                 assert action(corr, x) == action_via_pullpush(G, i, x), (n, i, s)
 
 
@@ -244,21 +247,38 @@ def test_theta_action_routes_agree():
 def test_theta_action_by_degrees_matches_theta_on_the_top_z(n):
     # the degree walk against theta_i built in full and read by action_on_flag
     G = build_geometry(n)
-    for p in (0, 2):
-        for i in range(1, G.d + 1):
-            z = G.class_Z(i, n - i, p)
-            assert theta_action(G, i, p) == theta(G, i, p).action_on_flag(z), (p, i)
+    for i in range(1, G.d + 1):
+        z = G.class_Z(i, n - i)
+        assert theta_action(G, i) == theta(G, i).action_on_flag(z), i
 
 
 def test_a_cold_alpha_builds_no_theta(cold_engine):
     for n in (5, 6, 7):
         G = cold_engine(n)
-        for p in (0, 2):
-            for i in range(1, G.d + 1):
-                alpha(G, i, p)
-                assert (i, i + 1, p) not in G.bridge_memo, (n, p, i)
+        for i in range(1, G.d + 1):
+            alpha(G, i)
+            assert ("_power", i, i + 1) not in G._classes, (n, i)
         # only the incidence classes, whose Kunneth coefficients the walk reads
-        assert all(m == 1 for _, m, _ in G.bridge_memo), n
+        assert all(key[2] == 1 for key in G._classes if key[0] == "_power"), n
+
+
+def test_a_cold_verify_walks_from_each_top_z_once(cold_engine, monkeypatch):
+    # prop31 and cor315 act by alpha_i and lemma32 by theta_i's action, each
+    # for every i: the memoised action walks from Z^i_(n-i) once per i
+    from quadchow import bridge, cli
+
+    walk, starts = bridge._walk, []
+
+    def counting(model, i, m, start, floor=0):
+        if start.codim() > 0:  # the top Z-class, not the fundamental class
+            starts.append(i)
+        return walk(model, i, m, start, floor)
+
+    monkeypatch.setattr(bridge, "_walk", counting)
+    cold_engine(7)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all", "--n", "7", "--seed", "0"]) == 0
+    assert sorted(starts) == [1, 2, 3]
 
 
 def test_theta_action_dimension_vanishing():
@@ -267,9 +287,9 @@ def test_theta_action_dimension_vanishing():
         G = build_geometry(n)
         ctx = G.ctx
         for i in range(2, G.d + 1):
-            corr = Correspondence(theta_action(G, i, 2), 1, i)
+            corr = Correspondence(theta_action(G, i), 1, i)
             for k in range(1, i):
-                assert action(corr, h_power_cycle(ctx, k, 2)).is_zero()
+                assert action(corr, h_power_cycle(ctx, k)).is_zero()
 
 
 def test_alpha_action_formula_cases():
@@ -277,12 +297,12 @@ def test_alpha_action_formula_cases():
         G = build_geometry(n)
         ctx, d = G.ctx, G.d
         for i in range(1, d + 1):
-            al = alpha(G, i, p=2)
-            got0 = action(al, h_power_cycle(ctx, 0, 2))
-            assert got0 == sym_h_chain(ctx, list(range(1, i)) + [0], 2)
+            al = alpha(G, i)
+            got0 = action(al, h_power_cycle(ctx, 0)).mod2()
+            assert got0 == sym_h_chain(ctx, list(range(1, i)) + [0]).mod2()
             for k in range(i, d + 1):
-                got = action(al, h_power_cycle(ctx, k, 2))
-                assert got == sym_h_chain(ctx, list(range(1, i)) + [k], 2)
+                got = action(al, h_power_cycle(ctx, k)).mod2()
+                assert got == sym_h_chain(ctx, list(range(1, i)) + [k]).mod2()
 
 
 def test_eta_pushdown_routes_agree_example():
@@ -293,8 +313,8 @@ def test_eta_pushdown_routes_agree_example():
         Gn = build_geometry(n)
         d = Gn.d
         for i in range(2, d + 1):
-            w = Gn.class_W(i, d - i, 2)
-            assert Gn.pullpush(w * w, [i - 1]).is_zero(), (n, i)
+            w = Gn.class_W(i, d - i)
+            assert Gn.pullpush(w * w, [i - 1]).mod2().is_zero(), (n, i)
 
 
 def test_degree_congruence_examples():
@@ -315,15 +335,15 @@ def test_theta_prime_action_table_small():
             tp = theta_prime(G, i)
             I = frozenset([0, i])
             # the one nonzero pattern: h^k in the first slot, a point in the second
-            got = tp.action_on_quad(external(one(ctx, 1, 2), l_cycle(ctx, 0, 2)))
-            exp = G.pullback(I, G.h_power(0, 2)) * G.pullback(I, G.class_Z(i, n - i, 2))
-            assert got == exp
+            got = tp.action_on_quad(external(one(ctx, 1), l_cycle(ctx, 0)).mod2())
+            exp = G.pullback(I, G.h_power(0)) * G.pullback(I, G.class_Z(i, n - i))
+            assert got == exp.mod2()
             # reversed slots give zero
-            swapped = tp.action_on_quad(external(l_cycle(ctx, 0, 2), one(ctx, 1, 2)))
+            swapped = tp.action_on_quad(external(l_cycle(ctx, 0), one(ctx, 1)).mod2())
             assert swapped.is_zero()
             if i >= 2:
                 assert tp.action_on_quad(
-                    external(h_power_cycle(ctx, 1, 2), one(ctx, 1, 2))
+                    external(h_power_cycle(ctx, 1), one(ctx, 1)).mod2()
                 ).is_zero()
 
 
@@ -348,7 +368,7 @@ def test_from_quad_takes_only_a_cycle_of_the_models_quadric():
             MixedCycle.from_quad(G, I, h_power_cycle(G.ctx, 1))
     # a cycle of the model's own quadric goes on every sheet's unit, in its ring
     want = MixedCycle(G, [0, 2], 1, {(0, 0, (("h", 1),)): 1}, 2)
-    assert MixedCycle.from_quad(G, [0, 2], h_power_cycle(G.ctx, 1, 2)) == want
+    assert MixedCycle.from_quad(G, [0, 2], h_power_cycle(G.ctx, 1).mod2()) == want
 
 
 def test_mixed_slot_maps_reject_bad_slots():
@@ -365,7 +385,7 @@ def test_mixed_slot_maps_reject_bad_slots():
             x.push_x([5])
 
 
-def _random_quad_cycle(ctx, m, rng, p):
+def _random_quad_cycle(ctx, m, rng, p=0):
     syms = basis_symbols(ctx)
     coeffs = {
         tuple(rng.choice(syms) for _ in range(m)): rng.randint(-3, 3) for _ in range(6)
@@ -407,15 +427,14 @@ def test_mixed_slot_maps_match_quad_cycle(n):
 def test_flag_leg_maps_check_their_target_on_a_zero_cycle():
     G = build_geometry(6)
     d = G.d
-    for p in (0, 2):
-        on_g, on_flag = MixedCycle(G, [d], 1, {}, p), MixedCycle(G, [0, d], 2, {}, p)
-        with pytest.raises(ValueError):
-            on_g.pull_flag([0])  # from the split G_d to a set without d
-        with pytest.raises(ValueError):
-            on_flag.push_flag([1])  # to a set that is not a subset
-        # the zero image still lands on the target
-        assert on_g.pull_flag([0, d]) == MixedCycle(G, [0, d], 1, {}, p)
-        assert on_flag.push_flag([0]) == MixedCycle(G, [0], 2, {}, p)
+    on_g, on_flag = MixedCycle(G, [d], 1, {}), MixedCycle(G, [0, d], 2, {})
+    with pytest.raises(ValueError):
+        on_g.pull_flag([0])  # from the split G_d to a set without d
+    with pytest.raises(ValueError):
+        on_flag.push_flag([1])  # to a set that is not a subset
+    # the zero image still lands on the target
+    assert on_g.pull_flag([0, d]) == MixedCycle(G, [0, d], 1, {})
+    assert on_flag.push_flag([0]) == MixedCycle(G, [0], 2, {})
 
 
 def _product_action(a, x):
@@ -438,55 +457,53 @@ def test_slot_pairings_agree_with_products(n):
     G = build_geometry(n)
     ctx = G.ctx
     rng = random.Random(1000 + n)
-    for p in (0, 2):
-        for s, t in ((1, 1), (2, 1), (1, 2), (2, 0)):
-            a = Correspondence(_random_quad_cycle(ctx, s + t, rng, p), s, t)
-            b = Correspondence(_random_quad_cycle(ctx, t + 1, rng, p), t, 1)
-            x = _random_quad_cycle(ctx, s, rng, p)
-            assert action(a, x) == compose(a, Correspondence(x, 0, s)).cycle
-            assert action(a, x) == _product_action(a, x)
-            assert compose(b, a).cycle == _product_compose(b, a)
-        for i in range(G.d + 1):
-            I = [i]
-            M = _random_mixed_cycle(G, I, 2, rng, p)
-            for r in (0, 1):
-                x = _random_quad_cycle(ctx, r + 2, rng, p)
-                kept = M.id_times_action(x)
-                oracle = M.pull_x(r + 2, [r, r + 1]) * MixedCycle.from_quad(G, I, x)
-                assert kept == oracle.push_x(range(r)), (p, i, r)
-            # action_on_quad is the sheet split of id_times_action with no kept slot
-            x = _random_quad_cycle(ctx, 2, rng, p)
-            split = {(k, w): c for (k, w, _), c in M.id_times_action(x).coeffs.items()}
-            assert M.action_on_quad(x) == FlagCycle(G, I, split, p)
+    for s, t in ((1, 1), (2, 1), (1, 2), (2, 0)):
+        a = Correspondence(_random_quad_cycle(ctx, s + t, rng), s, t)
+        b = Correspondence(_random_quad_cycle(ctx, t + 1, rng), t, 1)
+        x = _random_quad_cycle(ctx, s, rng)
+        assert action(a, x) == compose(a, Correspondence(x, 0, s)).cycle
+        assert action(a, x) == _product_action(a, x)
+        assert compose(b, a).cycle == _product_compose(b, a)
+    for i in range(G.d + 1):
+        I = [i]
+        M = _random_mixed_cycle(G, I, 2, rng)
+        for r in (0, 1):
+            x = _random_quad_cycle(ctx, r + 2, rng)
+            kept = M.id_times_action(x)
+            oracle = M.pull_x(r + 2, [r, r + 1]) * MixedCycle.from_quad(G, I, x)
+            assert kept == oracle.push_x(range(r)), (i, r)
+        # action_on_quad is the sheet split of id_times_action with no kept slot
+        x = _random_quad_cycle(ctx, 2, rng)
+        split = {(k, w): c for (k, w, _), c in M.id_times_action(x).coeffs.items()}
+        assert M.action_on_quad(x) == FlagCycle(G, I, split)
 
 
 def test_correspondence_actions_check_their_argument():
     # each action refuses what the product route's SparseCycle._check refuses
     G = build_geometry(5)
-    e = eta(G, 1, 2)
-    for x in (G.class_Z(1, 3), build_geometry(6).class_Z(1, 4, 2), G.class_Z(2, 2, 2)):
+    e = eta(G, 1).mod2()
+    z = G.class_Z(1, 3).mod2()
+    for x in (G.class_Z(1, 3), build_geometry(6).class_Z(1, 4).mod2(), G.class_Z(2, 2).mod2()):
         with pytest.raises(ValueError, match="space/ring mismatch"):
             e.action_on_flag(x)
-    assert e.action_on_flag(G.class_Z(1, 3, 2)) == (
-        MixedCycle.from_flag(G.class_Z(1, 3, 2), 1) * e
-    ).push_to_quad()
+    assert e.action_on_flag(z) == (MixedCycle.from_flag(z, 1) * e).push_to_quad()
     tp = theta_prime(G, 1)
     ctx, other = G.ctx, quad_context(7)
     for q in (
-        l_cycle(ctx, 0, 2),  # arity 1 against arity 2
+        l_cycle(ctx, 0).mod2(),  # arity 1 against arity 2
         external(l_cycle(ctx, 0), l_cycle(ctx, 0)),
-        external(l_cycle(other, 0, 2), l_cycle(other, 0, 2)),
+        external(l_cycle(other, 0), l_cycle(other, 0)).mod2(),
     ):
         with pytest.raises(ValueError, match="space/ring mismatch"):
             tp.action_on_quad(q)
-    for q in (rho_i(ctx, 1, 0), rho_i(other, 1, 2)):
+    for q in (rho_i(ctx, 1), rho_i(other, 1).mod2()):
         with pytest.raises(ValueError, match="space/ring mismatch"):
             tp.id_times_action(q)
     with pytest.raises(ValueError, match="arity mismatch"):
-        tp.id_times_action(l_cycle(ctx, 0, 2))
+        tp.id_times_action(l_cycle(ctx, 0).mod2())
 
 
-def _random_flag_cycle(G, I, rng, p):
+def _random_flag_cycle(G, I, rng, p=0):
     """A seeded, usually inhomogeneous cycle on F(I), with terms on every sheet."""
     coeffs = {}
     basis = G.basis(I)
@@ -500,13 +517,12 @@ def test_action_on_flag_matches_product_oracle(n):
     # p_*((x (x) 1) . M) by the full product and push_to_quad, against the dual read-off
     G = build_geometry(n)
     rng = random.Random(100 * n + 1)
-    for p in (0, 2):
-        for i in range(1, G.d + 1):
-            for M in (incidence_class(G, i, p), eta(G, i, p), theta(G, i, p)):
-                for _ in range(3):
-                    x = _random_flag_cycle(G, [i], rng, p)
-                    oracle = (MixedCycle.from_flag(x, M.arity) * M).push_to_quad()
-                    assert M.action_on_flag(x) == oracle, (n, p, i, M.arity)
+    for i in range(1, G.d + 1):
+        for M in (incidence_class(G, i), eta(G, i), theta(G, i)):
+            for _ in range(3):
+                x = _random_flag_cycle(G, [i], rng)
+                oracle = (MixedCycle.from_flag(x, M.arity) * M).push_to_quad()
+                assert M.action_on_flag(x) == oracle, (n, i, M.arity)
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -548,7 +564,7 @@ def test_schubert_memos_belong_to_the_model(n, monkeypatch):
         assert A.schubert_rep(w) == B.schubert_rep(w) and A._reps[w] is not B._reps[w]
 
 
-def _random_mixed_cycle(G, I, arity, rng, p):
+def _random_mixed_cycle(G, I, arity, rng):
     """A seeded, usually inhomogeneous mixed cycle with terms on every sheet."""
     syms = basis_symbols(G.ctx)
     coeffs = {}
@@ -557,7 +573,7 @@ def _random_mixed_cycle(G, I, arity, rng, p):
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.choice(syms) for _ in range(arity))
             coeffs[(k, rng.choice(basis), mono)] = rng.randint(-3, 3)
-    return MixedCycle(G, I, arity, coeffs, p)
+    return MixedCycle(G, I, arity, coeffs)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -565,12 +581,59 @@ def test_mixed_product_is_a_ring_and_pull_x_a_ring_map(n):
     # the incidence-power recursion rests on these three laws
     G = build_geometry(n)
     rng = random.Random(10 * n + 1)
-    for p in (0, 2):
-        for i in range(G.d + 1):
-            I = [i]
-            for _ in range(2):
-                a, b, c = (_random_mixed_cycle(G, I, 2, rng, p) for _ in range(3))
-                assert a * b == b * a
-                assert (a * b) * c == a * (b * c)
-                for m, slots in ((2, [1, 0]), (3, [2, 0]), (4, [1, 3])):
-                    assert (a * b).pull_x(m, slots) == a.pull_x(m, slots) * b.pull_x(m, slots)
+    for i in range(G.d + 1):
+        I = [i]
+        for _ in range(2):
+            a, b, c = (_random_mixed_cycle(G, I, 2, rng) for _ in range(3))
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            for m, slots in ((2, [1, 0]), (3, [2, 0]), (4, [1, 3])):
+                assert (a * b).pull_x(m, slots) == a.pull_x(m, slots) * b.pull_x(m, slots)
+
+
+def _random_homogeneous_cycle(G, I, rng, c):
+    """A seeded cycle of codimension c on F(I), with terms on every sheet."""
+    basis = [w for w in G.basis(I) if G.group._lengths[w] == c]
+    coeffs = {
+        (k, rng.choice(basis)): rng.randint(-3, 3)
+        for k in range(G.sheets(I))
+        for _ in range(rng.randint(1, 3))
+    }
+    return FlagCycle(G, I, coeffs)
+
+
+@pytest.mark.parametrize("n", MODELS)
+def test_mod2_is_a_ring_map_on_flag_and_mixed_cycles(n):
+    # a mod-2 class is its integer class reduced once, so reduction must
+    # commute with every operation a mod-2 identity goes through
+    G = build_geometry(n)
+    ctx, d = G.ctx, G.d
+    rng = random.Random(3000 + n)
+    r = lambda x: x.mod2()  # noqa: E731
+    spaces = [[0], [d], [0, d], [d - 1, d]]
+    for I in spaces:
+        x, y = (_random_flag_cycle(G, I, rng) for _ in range(2))
+        assert r(x * y) == r(x) * r(y), I
+        assert r(x + y) == r(x) + r(y), I
+        assert G.deg(r(x)) == G.deg(x) % 2, I
+        dim = G.dim_flag(I)
+        c = rng.randint(0, dim)
+        factors = [_random_homogeneous_cycle(G, I, rng, k) for k in (c, dim - c)]
+        assert G.deg_product([r(f) for f in factors]) == G.deg_product(factors) % 2, I
+        for J in spaces:
+            if set(I) <= set(J):
+                assert r(G.pullback(J, x)) == G.pullback(J, r(x)), (I, J)
+            if set(J) <= set(I):
+                assert r(G.pushforward(J, x)) == G.pushforward(J, r(x)), (I, J)
+            assert r(G.pullpush(x, J)) == G.pullpush(r(x), J), (I, J)
+        a, b = (_random_mixed_cycle(G, I, 2, rng) for _ in range(2))
+        assert r(a * b) == r(a) * r(b), I
+        assert r(a.pull_x(3, [2, 0])) == r(a).pull_x(3, [2, 0]), I
+        assert r(a.push_x([1])) == r(a).push_x([1]), I
+        assert r(a.action_on_flag(x)) == r(a).action_on_flag(r(x)), I
+        for m in (2, 3):
+            q = _random_quad_cycle(ctx, m, rng)
+            assert r(a.id_times_action(q)) == r(a).id_times_action(r(q)), (I, m)
+        q = _random_quad_cycle(ctx, 2, rng)
+        assert r(a.action_on_quad(q)) == r(a).action_on_quad(r(q)), I
+

@@ -54,6 +54,17 @@ def test_compute_parse_error_exit2(capsys):
     assert "ends in a sign" in err
 
 
+def test_second_ruling_off_the_even_middle_exits2(capsys):
+    # l<b>' names l_d' only: at even n with b = d, and never at odd n
+    for n, atom in (("6", "l2'"), ("7", "l3'")):
+        for expr in (atom, "h x " + atom):
+            code, out, err = run_cli(capsys, "compute", "--n", n, expr)
+            assert (code, out) == (2, "")
+            assert err == "error: second ruling only exists in the middle for even n\n"
+    code, out, _ = run_cli(capsys, "compute", "--n", "6", "l3'")
+    assert (code, out.strip()) == (0, "l3'")
+
+
 def test_compute_range_error_exit3(capsys):
     code, _, err = run_cli(capsys, "compute", "--n", "3", "rho 7")
     assert code == 3

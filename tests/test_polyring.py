@@ -78,6 +78,15 @@ def test_act_is_ring_automorphism_and_left_action():
             assert act((w * v).window, f) == act(w.window, act(v.window, f))
 
 
+def test_act_refuses_a_window_that_is_no_signed_permutation():
+    x1, x2 = variable(3, 1), variable(3, 2)
+    # a repeated absolute value, a 0, and entries outside +-1..3
+    for window in ((1, 1, 3), (1, -1, 3), (0, 2, 3), (1, 2, 4), (-4, 2, 3)):
+        with pytest.raises(ValueError, match="not a signed permutation window"):
+            act(window, x1 * x2)
+    assert act((-2, 1, 3), x1 * x2) == (x1 * x2).scale(-1)
+
+
 def test_rank_mismatch():
     B3 = make_group("B", 3)
     with pytest.raises(ValueError, match="rank mismatch"):

@@ -88,24 +88,22 @@ def test_contract_matches_the_all_pairs_reference(n):
     def term(slots):
         return (rng.choice(syms),), slots, rng.randrange(-3, 4)
 
-    for p in (0, 2):
-        for r in range(4):
-            left = [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(12)]
-            # the duals of half the left terms, each under two kept keys, so
-            # paired-slot keys repeat on the right, and random terms
-            right = [
-                term(tuple(dual1(ctx, s) for s in s1))
-                for _, s1, _ in left[::2]
-                for _ in range(2)
-            ]
-            right += [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(8)]
-            rng.shuffle(right)
-            assert len({s2 for _, s2, _ in right}) < len(right)
-            got = contract(ctx, iter(left), iter(right))
-            want = _contract_all_pairs(ctx, left, right)
-            assert got == want, (p, r)
-            assert QuadCycle(ctx, 2, got, p) == QuadCycle(ctx, 2, want, p)
-            assert want, (p, r)
+    for r in range(4):
+        left = [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(12)]
+        # the duals of half the left terms, each under two kept keys, so
+        # paired-slot keys repeat on the right, and random terms
+        right = [
+            term(tuple(dual1(ctx, s) for s in s1))
+            for _, s1, _ in left[::2]
+            for _ in range(2)
+        ]
+        right += [term(tuple(rng.choice(syms) for _ in range(r))) for _ in range(8)]
+        rng.shuffle(right)
+        assert len({s2 for _, s2, _ in right}) < len(right)
+        got = contract(ctx, iter(left), iter(right))
+        want = _contract_all_pairs(ctx, left, right)
+        assert got == want, r
+        assert want, r
 
 
 def test_multiplication_rules_n3():
@@ -178,15 +176,14 @@ def test_sym_matches_the_sum_over_permutations(n):
     for m in range(0, 6):
         perms = list(itertools.permutations(range(m)))
         even = [q for q in perms if sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 0]
-        for p in (0, 2):
-            coeffs = {
-                tuple(rng.choice(pool) for _ in range(m)): rng.randint(-3, 3)
-                for _ in range(5)
-            }
-            x = QuadCycle(ctx, m, coeffs, p)
-            zero = QuadCycle(ctx, m, {}, p)
-            assert sym(x) == sum((x.permute(q) for q in perms), zero), (m, p)
-            assert alternating_sym(x) == sum((x.permute(q) for q in even), zero), (m, p)
+        coeffs = {
+            tuple(rng.choice(pool) for _ in range(m)): rng.randint(-3, 3)
+            for _ in range(5)
+        }
+        x = QuadCycle(ctx, m, coeffs)
+        zero = QuadCycle(ctx, m, {})
+        assert sym(x) == sum((x.permute(q) for q in perms), zero), m
+        assert alternating_sym(x) == sum((x.permute(q) for q in even), zero), m
 
 
 def test_push_pull_projections():
@@ -282,7 +279,7 @@ def test_primordial_shape():
             assert transpose(pi).cycle == pi.cycle
     # all-zero coefficients at i1 = 1 degenerate to the two-term symmetric cycle
     ctx3 = quad_context(3)
-    assert primordial_shape(ctx3, 1, [0] * ctx3.d).cycle == rho_i(ctx3, 1, p=2)
+    assert primordial_shape(ctx3, 1, [0] * ctx3.d).cycle == rho_i(ctx3, 1).mod2()
 
 
 def test_rho_action_cases():
@@ -309,17 +306,30 @@ def test_nonessential():
 
 
 def test_mod2_is_ring_homomorphism():
+    # and it commutes with the slot maps, the symmetrizations and the
+    # correspondence action, which every mod-2 identity on X^m goes through
     rng = random.Random(11)
     for n in (3, 4):
         ctx = quad_context(n)
         for _ in range(10):
             x, y = rand_cycle(ctx, 2, rng), rand_cycle(ctx, 2, rng)
             assert (x * y).mod2() == x.mod2() * y.mod2()
+            assert external(x, y).mod2() == external(x.mod2(), y.mod2())
             a = Correspondence(x, 1, 1)
             b = Correspondence(y, 1, 1)
             assert compose(b, a).cycle.mod2() == compose(
                 Correspondence(y.mod2(), 1, 1), Correspondence(x.mod2(), 1, 1)
             ).cycle
+            z = rand_cycle(ctx, 1, rng)
+            assert action(a, z).mod2() == action(Correspondence(x.mod2(), 1, 1), z.mod2())
+            for f in (
+                sym, alternating_sym, swap_ruling,
+                lambda q: q.permute([1, 0]),
+                lambda q: q.push_proj([1]),
+                lambda q: q.pull_proj(3, [2, 0]),
+                lambda q: q.pull_diagonal([0, 0], 1),
+            ):
+                assert f(x).mod2() == f(x.mod2())
 
 
 def test_swap_ruling_automorphism():

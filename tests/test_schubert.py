@@ -270,7 +270,7 @@ MEMO_NS = range(3, 9)
 
 
 def _class_calls(space):
-    """Every valid (constructor, indices, p) on a FlagModel, in forward index
+    """Every valid (constructor, indices) on a FlagModel, in forward index
     order, including the natural zeros past the top."""
     n, d = space.n, space.d
     calls = [("h_power", (k,)) for k in range(n + 1)]
@@ -280,12 +280,12 @@ def _class_calls(space):
         calls += [("chern_taut", (i, j)) for j in range(i + 2)]
         calls += [("chern_quot", (i, j)) for j in range(n + 2 - i)]
         calls += [("class_O1", (i,))] if i else []
-    return [(f, idx, p) for f, idx in calls for p in (0, 2)]
+    return calls
 
 
 def _call(space, call):
-    f, idx, p = call
-    return getattr(space, f)(*idx, p)
+    f, idx = call
+    return getattr(space, f)(*idx)
 
 
 def _content(x):
@@ -300,14 +300,11 @@ def test_memoised_classes_do_not_depend_on_the_order_asked(n):
     forward = {c: _call(a, c) for c in calls}
     backward = {c: _call(b, c) for c in reversed(calls)}
     for c in calls:
-        f, idx, p = c
         x = forward[c]
         assert _content(x) == _content(backward[c]), c
         assert x.model is a and backward[c].model is b, c
-        assert x.p == p, c
+        assert x.p == 0, c
         assert _call(a, c) is x
-        if p == 0:
-            assert getattr(a, f)(*idx) is x
 
 
 @pytest.mark.parametrize("n", MEMO_NS)
@@ -316,15 +313,13 @@ def test_memoised_classes_are_unchanged_by_use(n):
     classes = [_call(space, c) for c in _class_calls(space)]
     before = [_content(x) for x in classes]
     for x in classes:
-        x + x, x - x, x * x, x.scale(3), x.mod2(), space.pullpush(x, [0])
+        x + x, x - x, x * x, x.scale(3), x.mod2() * x.mod2(), space.pullpush(x, [0])
         space.deg_product([x, x])
         dim = space.dim_flag(x.I)
-        dual = [
-            y for y in classes
-            if y.I == x.I and y.p == x.p and x.codim() + y.codim() == dim
-        ]
+        dual = [y for y in classes if y.I == x.I and x.codim() + y.codim() == dim]
         if dual:
             space.deg_product([x, dual[0]])
+            space.deg_product([x.mod2(), dual[0].mod2()])
     assert [_content(x) for x in classes] == before
 
 
@@ -341,10 +336,9 @@ def test_out_of_range_classes_raise_every_time_and_store_nothing(n):
     ]
     stored = set(space._classes)
     for f, idx in bad:
-        for p in (0, 2):
-            for _ in range(2):
-                with pytest.raises(RangeError):
-                    getattr(space, f)(*idx, p)
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                getattr(space, f)(*idx)
     assert set(space._classes) == stored
 
 
@@ -362,41 +356,35 @@ def _count_calls(monkeypatch, obj, name):
 
 def test_each_distinguished_class_is_built_once(monkeypatch):
     M = FlagModel(5)
+    M._classes.clear()  # forget what the build gate built
     solves = _count_calls(monkeypatch, M, "from_values")
-    first = M.class_W(1, 1, 2)  # pull-push of h^2 mod 2: one solve
+    first = M.class_W(1, 1)  # pull-push of h^2: one solve
     assert len(solves) == 1
-    assert M.class_W(1, 1, 2) is first
-    assert M.h_power(2, 2) is M.h_power(2, 2)
+    assert M.class_W(1, 1) is first
+    assert M.h_power(2) is M.h_power(2)
     assert len(solves) == 1
-    # no Chern class takes part in the build gate: one solve each, put on
-    # every sheet
+    # one solve per Chern class, put on every sheet
     cherns = [
-        (f, i, j, p)
+        (f, i, j)
         for i in range(M.d + 1)
         for f, top in (("chern_taut", i + 1), ("chern_quot", M.n + 1 - i))
         for j in range(top + 1)
-        for p in (0, 2)
     ]
     for _ in range(2):
-        for f, i, j, p in cherns:
-            getattr(M, f)(i, j, p)
+        for f, i, j in cherns:
+            getattr(M, f)(i, j)
     assert len(solves) == 1 + len(cherns)
     # one pullpush per distinct Z-class on G_i, i > 0, below the zeros past
-    # the top, that the model has not built yet (its gate builds some)
+    # the top
     for n in (5, 6):
         M = FlagModel(n)
-        built = set(M._classes)
+        M._classes.clear()
         pullpushes = _count_calls(monkeypatch, M, "pullpush")
-        zs = [
-            ("class_Z", i, j, p)
-            for i in range(M.d + 1)
-            for j in range(n - i - M.d, n - i + 2)
-            for p in (0, 2)
-        ]
+        zs = [(i, j) for i in range(M.d + 1) for j in range(n - i - M.d, n - i + 2)]
         for _ in range(2):
-            for _, i, j, p in zs:
-                M.class_Z(i, j, p)
-        pushed = {z for z in set(zs) - built if z[1] > 0 and z[2] <= n - z[1]}
+            for i, j in zs:
+                M.class_Z(i, j)
+        pushed = [(i, j) for i, j in zs if i > 0 and j <= n - i]
         assert len(pullpushes) == len(pushed) > 0
 
 
@@ -430,7 +418,7 @@ def test_nonintegral_extraction_raises(cold_engine):
 def test_deg_product_checks_every_factor():
     M = build_geometry(4)
     I = [0]
-    pt, fund = M.point_class(I).scale(3), M.fundamental(I, 2)
+    pt, fund = M.point_class(I).scale(3), M.fundamental(I).mod2()
     with pytest.raises(ValueError, match="space/ring mismatch"):
         M.deg_product([pt, fund])
     other = FlagModel(4)
@@ -555,14 +543,14 @@ def test_pullpush_is_pushforward_after_pullback(n):
             assert G.pullpush(flat, J) == G.pushforward(J, G.pullback(I | J, flat))
 
 
-def _sheet_parts(G, I, rng, p, c=None):
+def _sheet_parts(G, I, rng, c=None):
     """Seeded sheet-0 cycles on F(I), one per sheet; of codimension c on
     every sheet when c is given."""
     parts = []
     for _ in range(G.sheets(I)):
         basis = [w for w in G.basis(I) if c is None or G.group._lengths[w] == c]
         coeffs = {(0, rng.choice(basis)): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
-        parts.append(FlagCycle(G, I, coeffs, p))
+        parts.append(FlagCycle(G, I, coeffs))
     return parts
 
 
@@ -581,76 +569,74 @@ def test_sheet_keyed_operations_match_sheet_by_sheet_operations(n):
     d = G.d
     rng = random.Random(7 * n + 1)
     connected, split = ([0], [1], [0, 1]), ([d], [d - 1, d], [0, d])
-    for p in (0, 2):
-        for I in connected + split:
-            dim = G.dim_flag(I)
-            for _ in range(3):
-                a, b = (_sheet_parts(G, I, rng, p, rng.choice([None, rng.randint(0, dim)]))
-                        for _ in range(2))
-                x, y = _join(G, I, a), _join(G, I, b)
-                assert _split(x) == a
-                each = lambda f: _join(G, I, map(f, a, b))  # noqa: E731
-                assert x + y == each(lambda u, v: u + v)
-                assert x - y == each(lambda u, v: u - v)
-                assert x * y == each(lambda u, v: u * v)
-                assert x.scale(3) == _join(G, I, [u.scale(3) for u in a])
-                assert x.mod2() == _join(G, I, [u.mod2() for u in a])
-                assert (x == y) == (a == b) and x == _join(G, I, a)
-                assert hash(x) == hash(_join(G, I, a))
-                for z, parts in ((x, a), (x + y, [u + v for u, v in zip(a, b)])):
-                    try:
-                        expected = _codim_by_parts(parts)
-                    except ValueError:
-                        with pytest.raises(ValueError, match="inhomogeneous"):
-                            z.codim()
-                    else:
-                        assert z.codim() == expected
-                degs = sum(G.deg(u) for u in a)
-                assert G.deg(x) == (degs % 2 if p == 2 else degs)
-                c1 = rng.randint(0, dim)
-                c2 = rng.randint(0, dim - c1)
-                factors = [_sheet_parts(G, I, rng, p, c) for c in (c1, c2, dim - c1 - c2)]
-                degs = sum(G.deg(reduce(FlagCycle.__mul__, fs)) for fs in zip(*factors))
-                got = G.deg_product([_join(G, I, fs) for fs in factors])
-                assert got == (degs % 2 if p == 2 else degs), (I, p)
-            point = [G.zero(I, p)] * G.sheets(I)
-            point[0] = G.point_class(I, p)
-            assert G.point_class(I, p) == _join(G, I, point)
-            assert G.deg(G.point_class(I, p)) == 1
-        # sheet 1 is stored as its sigma-transport, so crossing between it
-        # and a connected space moves each key by sigma
-        def move(x):
-            sigma = G.group.sigma
-            return FlagCycle(G, x.I, {(k, sigma[w]): c for (k, w), c in x.coeffs.items()}, p)
+    for I in connected + split:
+        dim = G.dim_flag(I)
+        for _ in range(3):
+            a, b = (_sheet_parts(G, I, rng, rng.choice([None, rng.randint(0, dim)]))
+                    for _ in range(2))
+            x, y = _join(G, I, a), _join(G, I, b)
+            assert _split(x) == a
+            each = lambda f: _join(G, I, map(f, a, b))  # noqa: E731
+            assert x + y == each(lambda u, v: u + v)
+            assert x - y == each(lambda u, v: u - v)
+            assert x * y == each(lambda u, v: u * v)
+            assert x.scale(3) == _join(G, I, [u.scale(3) for u in a])
+            assert x.mod2() == _join(G, I, [u.mod2() for u in a])
+            assert (x == y) == (a == b) and x == _join(G, I, a)
+            assert hash(x) == hash(_join(G, I, a))
+            for z, parts in ((x, a), (x + y, [u + v for u, v in zip(a, b)])):
+                try:
+                    expected = _codim_by_parts(parts)
+                except ValueError:
+                    with pytest.raises(ValueError, match="inhomogeneous"):
+                        z.codim()
+                else:
+                    assert z.codim() == expected
+            assert G.deg(x) == sum(G.deg(u) for u in a)
+            c1 = rng.randint(0, dim)
+            c2 = rng.randint(0, dim - c1)
+            factors = [_sheet_parts(G, I, rng, c) for c in (c1, c2, dim - c1 - c2)]
+            degs = sum(G.deg(reduce(FlagCycle.__mul__, fs)) for fs in zip(*factors))
+            assert G.deg_product([_join(G, I, fs) for fs in factors]) == degs, I
+        point = [G.zero(I)] * G.sheets(I)
+        point[0] = G.point_class(I)
+        assert G.point_class(I) == _join(G, I, point)
+        assert G.deg(G.point_class(I)) == 1
 
-        for I in connected:
-            (u,) = _sheet_parts(G, I, rng, p)
-            J = frozenset(I) | {d}
-            pulled = [FlagCycle(G, J, u.coeffs, p)]
-            if G.sheets(J) == 2:
-                pulled.append(FlagCycle(G, J, move(u).coeffs, p))
-            assert G.pullback(J, u) == _join(G, J, pulled), (I, p)
-        for I in split[1:]:
-            a = _sheet_parts(G, I, rng, p)
-            J = frozenset(I) - {d}
-            total = G.pushforward(J, a[0])
-            if G.sheets(I) == 2:
-                total = total + move(G.pushforward(J, a[1]))
-            assert G.pushforward(J, _join(G, I, a)) == total, (I, p)
+    # sheet 1 is stored as its sigma-transport, so crossing between it
+    # and a connected space moves each key by sigma
+    def move(x):
+        sigma = G.group.sigma
+        return FlagCycle(G, x.I, {(k, sigma[w]): c for (k, w), c in x.coeffs.items()})
+
+    for I in connected:
+        (u,) = _sheet_parts(G, I, rng)
+        J = frozenset(I) | {d}
+        pulled = [FlagCycle(G, J, u.coeffs)]
+        if G.sheets(J) == 2:
+            pulled.append(FlagCycle(G, J, move(u).coeffs))
+        assert G.pullback(J, u) == _join(G, J, pulled), I
+    for I in split[1:]:
+        a = _sheet_parts(G, I, rng)
+        J = frozenset(I) - {d}
+        total = G.pushforward(J, a[0])
+        if G.sheets(I) == 2:
+            total = total + move(G.pushforward(J, a[1]))
+        assert G.pushforward(J, _join(G, I, a)) == total, I
 
 
-def _class_Z_per_sheet(G, i, j, p):
+def _class_Z_per_sheet(G, i, j):
     """Z^i_j sheet by sheet: on each sheet, the model's l_{n-i-j}, pulled up
     to F(0, i) and pushed down to G_i, read on sheet 0; sheet 1 is the other
     ruling stored as its sigma-transport, so there l_{n-i-j} enters moved by
     sigma."""
     if j > G.n - i:
-        return G.zero([i], p)
-    x = G.l_class(G.n - i - j, p)
+        return G.zero([i])
+    x = G.l_class(G.n - i - j)
     moved = [x.coeffs]
     if G.sheets([i]) == 2:
         moved.append({(0, G.group.sigma[w]): c for (_, w), c in x.coeffs.items()})
-    pushed = [G.pushforward([i], G.pullback([0, i], FlagCycle(G, [0], c, p))) for c in moved]
+    pushed = [G.pushforward([i], G.pullback([0, i], FlagCycle(G, [0], c))) for c in moved]
     return _join(G, [i], [_split(z)[0] for z in pushed])
 
 
@@ -659,8 +645,7 @@ def test_class_Z_names_l_d_by_the_model_on_every_sheet(n):
     G = build_geometry(n)
     for i in range(G.d + 1):
         for j in range(n - i - G.d, n - i + 2):
-            for p in (0, 2):
-                assert G.class_Z(i, j, p) == _class_Z_per_sheet(G, i, j, p), (i, j, p)
+            assert G.class_Z(i, j) == _class_Z_per_sheet(G, i, j), (i, j)
         with pytest.raises(RangeError, match="Z index out of range"):
             G.class_Z(i, n - i - G.d - 1)
     with pytest.raises(RangeError, match="grassmannian index out of range"):
@@ -1274,7 +1259,7 @@ def test_no_cycle_memo_or_table_names_an_element_by_window(cold_engine):
             assert cli.main(argv) == 0
     for n in (5, 6):
         M = cold_engine(n)
-        memos = [M._classes, M.bridge_memo, M._duals, M._pushes, M._pairs, M._rows]
+        memos = [M._classes, M._duals, M._pushes, M._pairs, M._rows]
         assert all(memos), n  # the runs filled every memo
         assert not any(_windows_in(memos, M.group._index)), n
 
