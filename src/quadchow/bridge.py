@@ -7,9 +7,10 @@ are the (sheet, w) key of a ``FlagCycle`` on F(I) (two sheets when n is even
 and d is in I, else one): w is the index of a Schubert basis element of F(I)
 in the group's ``elements``, as everywhere in the engine.  Because both
 factors are cellular, pullback and pushforward act independently on the two
-tensor legs: the X leg by the ``QuadCycle`` slot maps, the flag leg by
-``FlagModel.pullback`` and ``pushforward`` on the (sheet, w) keys of each
-X-monomial group; those two hold the sheet rules (a connected space is
+tensor legs: the X leg by the ``QuadCycle`` slot maps on each (sheet, w)
+group, the flag leg by ``FlagModel.pullback`` and ``pushforward``
+themselves, which read the leading (sheet, w) of every key and carry the
+X-monomial along; those two hold the sheet rules (a connected space is
 copied onto both sheets of a split one, and a split one adds into sheet 0 of
 a connected one, sheet 1 through sigma).  Both sheets are read on the one
 model, so products, tops and Poincare duals are one per F(I), and its
@@ -152,7 +153,9 @@ class MixedCycle(SparseCycle):
 
     @classmethod
     def from_flag(cls, x: FlagCycle, arity: int) -> "MixedCycle":
-        """x (x) [X^arity]."""
+        """x (x) [X^arity], for an arity of 0 or more."""
+        if arity < 0:
+            raise ValueError("negative arity: %r" % (arity,))
         unit = (("h", 0),) * arity
         coeffs = {(k, w, unit): c for (k, w), c in x.coeffs.items()}
         return cls(x.model, x.I, arity, coeffs, x.p)
@@ -171,31 +174,6 @@ class MixedCycle(SparseCycle):
         return cls(model, I, x.m, coeffs, x.p)
 
     # -- the two tensor legs ---------------------------------------------------
-
-    def _map_flag(self, flag_map) -> "MixedCycle":
-        """Apply a FlagModel map to the flag leg of every X-monomial group.
-
-        The map runs once on the zero cycle first, so a bad target raises
-        even on a zero cycle, and the zero image gives the new I.
-        """
-        model = self.model
-        I = flag_map(FlagCycle(model, self.I, {}, self.p)).I
-        groups: dict[Mono, dict[tuple[int, int], int]] = {}
-        for (k, w, mono), c in self.coeffs.items():
-            groups.setdefault(mono, {})[(k, w)] = c
-        out: dict[MixedKey, int] = {}
-        for mono, coeffs in groups.items():
-            for (k, w), c in flag_map(FlagCycle(model, self.I, coeffs, self.p)).coeffs.items():
-                out[(k, w, mono)] = c
-        return MixedCycle(self.model, I, self.arity, out, self.p)
-
-    def pull_flag(self, target_I) -> "MixedCycle":
-        """Pullback along the flag projection F(target_I) -> F(I)."""
-        return self._map_flag(lambda x: self.model.pullback(target_I, x))
-
-    def push_flag(self, target_J) -> "MixedCycle":
-        """Pushforward along the flag projection F(I) -> F(target_J)."""
-        return self._map_flag(lambda x: self.model.pushforward(target_J, x))
 
     def push_to_quad(self) -> QuadCycle:
         """Integrate the flag leg over F(I); sheets add.  The action_on_flag reference."""
@@ -315,22 +293,21 @@ def validate_incidence(model: FlagModel, i: int) -> None:
 def _power(model: FlagModel, i: int, m: int) -> MixedCycle:
     """The incidence power on G_i x X^m, memoised on the model by (i, m).
 
-    At m = 1 it is the Kunneth expansion sum_s gamma_s (x) s.  Its m copies
-    sit in disjoint X-slots, so power m has gamma_{s_1} ... gamma_{s_m} on
-    every ordering of each multiset s_1 <= ... <= s_m: one ``_walk`` leaf.
+    At m = 1 it is the Kunneth expansion sum_s gamma_s (x) s: the diagonal
+    sum_s dual(s) (x) s of X x X, its first factor pull-pushed from X = G_0
+    to G_i.  Its m copies sit in disjoint X-slots, so power m has
+    gamma_{s_1} ... gamma_{s_m} on every ordering of each multiset
+    s_1 <= ... <= s_m: one ``_walk`` leaf.
     """
-    coeffs: dict[MixedKey, int] = {}
     if m == 1:
-        ctx = model.ctx
-        for s in basis_symbols(ctx):
-            z = _pullpush_to_g(model, i, monomial_cycle(ctx, [dual1(ctx, s)]))
-            for (k, w), c in z.coeffs.items():
-                coeffs[(k, w, (s,))] = c
-    else:
-        for monos, x in _walk(model, i, m, model.fundamental([i])):
-            for mono in monos:
-                for (k, w), c in x.coeffs.items():
-                    coeffs[(k, w, mono)] = c
+        ctx, basis = model.ctx, model.x_basis
+        diag = {(0, basis[dual1(ctx, s)], (s,)): 1 for s in basis_symbols(ctx)}
+        return model.pullpush(MixedCycle(model, [0], 1, diag), [i])
+    coeffs: dict[MixedKey, int] = {}
+    for monos, x in _walk(model, i, m, model.fundamental([i])):
+        for mono in monos:
+            for (k, w), c in x.coeffs.items():
+                coeffs[(k, w, mono)] = c
     return MixedCycle(model, [i], m, coeffs)
 
 
@@ -419,8 +396,8 @@ def theta_prime(model: FlagModel, i: int) -> MixedCycle:
     for (u, v), c in delta_i(model.ctx, 1).coeffs.items():
         diag[(0, basis[v], (u,))] = c
     I = [0, i]
-    left = MixedCycle(model, [0], 1, diag).mod2().pull_flag(I).pull_x(2, [0])
-    return left * incidence_class(model, i).mod2().pull_flag(I).pull_x(2, [1])
+    left = model.pullback(I, MixedCycle(model, [0], 1, diag).mod2()).pull_x(2, [0])
+    return left * model.pullback(I, incidence_class(model, i).mod2()).pull_x(2, [1])
 
 
 def eta_pushdown(model: FlagModel, i: int, k: int) -> QuadCycle:

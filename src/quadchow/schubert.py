@@ -215,12 +215,17 @@ class SparseCycle:
 def _memoised(method):
     """Memoise a constructor f(model, *indices) of an integer class in the
     model's ``_classes`` dict, keyed by (name, *indices), so the memo is
-    freed with its model.  A call that raises stores nothing, so a range
-    error raises every time.  Callers share the cached cycle."""
+    freed with its model.  An index that is not an int (a bool, a float equal
+    to an int) raises ValueError before the lookup; a call that raises stores
+    nothing, so a range error raises every time.  Callers share the cached
+    cycle."""
     name = method.__name__
 
     @wraps(method)
     def cached(self, *args):
+        for a in args:
+            if type(a) is not int:
+                raise ValueError("%s: indices must be integers, got %r" % (name, args))
         key = (name, *args)
         out = self._classes.get(key)
         if out is None:
@@ -540,12 +545,14 @@ class FlagModel:
 
     # -- functoriality ---------------------------------------------------------
 
-    def pullback(self, target_I: Iterable[int], x: FlagCycle) -> FlagCycle:
-        """Pullback along F(target_I) -> F(J), J = x.I contained in target_I.
+    def pullback(self, target_I: Iterable[int], x):
+        """Pullback along F(target_I) -> F(J), J = x.I contained in target_I,
+        of a cycle keyed (sheet, w, ...): a ``FlagCycle``, or a mixed cycle on
+        F(J) x X^m, whose X-monomial rides along unchanged.
 
         Every key keeps its Schubert element, and a connected source (d not in
         J) is copied onto sheet 0 of a split target as is and onto sheet 1
-        through sigma.
+        through sigma.  The result has x's type, on the target.
         """
         _own(self, x)
         target_I = frozenset(target_I)
@@ -555,11 +562,12 @@ class FlagModel:
         coeffs = x.coeffs
         if self.sheets(target_I) > self.sheets(x.I):
             sigma = self.group.sigma
-            coeffs = {**coeffs, **{(1, sigma[w]): c for (_, w), c in coeffs.items()}}
-        return FlagCycle(self, target_I, coeffs, x.p)
+            coeffs = {**coeffs, **{(1, sigma[w], *r): c for (_, w, *r), c in coeffs.items()}}
+        return type(x)(self, target_I, *x._space()[2:], coeffs, x.p)
 
-    def pushforward(self, target_J: Iterable[int], x: FlagCycle) -> FlagCycle:
-        """Pushforward along F(I) -> F(J) for J contained in I.
+    def pushforward(self, target_J: Iterable[int], x):
+        """Pushforward along F(I) -> F(J) for J contained in I, of a cycle
+        keyed (sheet, w, ...), as in `pullback`; the result has x's type.
 
         On the Schubert basis this is combinatorial: s_w maps to s_u when
         w = u v, u in basis(J) and v = w_0(P_J) w_0(P_I), and to 0 otherwise.
@@ -579,15 +587,16 @@ class FlagModel:
             table = self._pushes[x.I, target_J] = {g._follow(u, v): u for u in self.basis(target_J)}
         merge = self.sheets(target_J) < self.sheets(x.I)
         out: dict = {}
-        for (k, w), c in x.coeffs.items():
+        for (k, w, *r), c in x.coeffs.items():
             u = table.get(w)
             if u is not None:
-                key = (0, self.group.sigma[u]) if merge and k else (k, u)
+                key = (0, self.group.sigma[u], *r) if merge and k else (k, u, *r)
                 out[key] = out.get(key, 0) + c
-        return FlagCycle(self, target_J, out, x.p)
+        return type(x)(self, target_J, *x._space()[2:], out, x.p)
 
-    def pullpush(self, x: FlagCycle, J: Iterable[int]) -> FlagCycle:
-        """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I)."""
+    def pullpush(self, x, J: Iterable[int]):
+        """The correspondence F(I) <- F(I u J) -> F(J) on a cycle x on F(I),
+        of either kind `pullback` takes."""
         J = frozenset(J)
         return self.pushforward(J, self.pullback(x.I | J, x))
 

@@ -243,16 +243,16 @@ def suite_prop31(n: int, seed: int = 0) -> Iterator[CaseResult]:
     # the mixed-cycle factorization and its pullback relation
     for i in range(2, d + 1):
         I = [i - 1, i]
-        A = incidence_class(M, i).mod2().pull_flag(I).pull_x(i, [i - 1])
+        A = M.pullback(I, incidence_class(M, i).mod2()).pull_x(i, [i - 1])
         B = MixedCycle.from_flag(M.class_Z(i - 1, n - i + 1).mod2(), i - 1) * eta(M, i - 1).mod2()
-        B = B.pull_flag(I).pull_x(i, list(range(i - 1)))
-        lhs = (A * B).push_flag([i])
+        B = M.pullback(I, B).pull_x(i, list(range(i - 1)))
+        lhs = M.pushforward([i], A * B)
         rhs = MixedCycle.from_flag(M.class_Z(i, n - i).mod2(), i) * eta(M, i).mod2()
         yield _case("factorization", {"n": n, "i": i}, lhs, rhs)
-        lhs = incidence_class(M, i - 1).mod2().pull_flag(I)
+        lhs = M.pullback(I, incidence_class(M, i - 1).mod2())
         xi = MixedCycle.from_flag(M.class_O1(i).mod2(), 1)
         h1 = MixedCycle.from_quad(M, I, h_power_cycle(ctx, 1).mod2())
-        rhs = (xi + h1) * incidence_class(M, i).mod2().pull_flag(I)
+        rhs = (xi + h1) * M.pullback(I, incidence_class(M, i).mod2())
         yield _case("incidence-pullback", {"n": n, "i": i}, lhs, rhs)
     # the double-sum rewriting and the coordinate chain
     for i in range(2, d + 1):
@@ -415,7 +415,7 @@ def suite_prop51(n: int, seed: int = 0) -> Iterator[CaseResult]:
             exp = term if exp is None else exp + term
         yield _case("rho-image", {"n": n, "i": i}, got, exp)
         mult = MixedCycle.from_flag(M.pullback(I, M.h_power(1)).mod2(), i - 1)
-        pushed = (got * mult).push_flag([i])
+        pushed = M.pushforward([i], got * mult)
         exp2 = on_z(sym_h_chain(ctx, range(i - 1)), i - 1)
         yield _case("descend-first", {"n": n, "i": i}, pushed, exp2)
         for k in range(2, i):

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import itertools
 import random
 import weakref
 from contextlib import redirect_stdout
@@ -116,6 +117,28 @@ def test_incidence_powers_do_not_depend_on_build_order(n):
         assert th.coeffs == theta(eta_first, i).coeffs
         assert et.coeffs == eta(theta_first, i).coeffs
         assert alpha(theta_first, i).cycle == alpha(eta_first, i).cycle
+
+
+def test_incidence_powers_refuse_indices_that_are_not_ints():
+    G = FlagModel(6)
+    theta_action(G, 1)
+    incidence_class(G, 1)
+    classes = set(G._classes)
+    for bad in (lambda: theta_action(G, 1.0), lambda: incidence_class(G, True),
+                lambda: eta(G, 2.0), lambda: _incidence_power(G, 1, 1.0)):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            bad()
+    assert set(G._classes) == classes
+
+
+def test_from_flag_refuses_a_negative_arity():
+    G = build_geometry(4)
+    x = G.class_O1(1)
+    with pytest.raises(ValueError, match="negative arity"):
+        MixedCycle.from_flag(x, -1)
+    # arity 0 is the flag cycle itself, as prop51 uses it at i = 1
+    coeffs = {(k, w, ()): c for (k, w), c in x.coeffs.items()}
+    assert MixedCycle.from_flag(x, 0) == MixedCycle(G, x.I, 0, coeffs)
 
 
 def test_incidence_power_ranges_hold_on_a_warm_memo():
@@ -418,10 +441,10 @@ def test_mixed_slot_maps_match_quad_cycle(n):
         # at even n, [0] and [1] are connected and every set holding d is split
         for I, J in (([0], [0, d]), ([d], [d - 1, d]), ([1], [0, 1, d])):
             x = _random_flag_cycle(G, I, rng, p)
-            assert lift(x, q).pull_flag(J) == lift(G.pullback(J, x), q), (I, J)
+            assert G.pullback(J, lift(x, q)) == lift(G.pullback(J, x), q), (I, J)
         for I, J in (([0, d], [0]), ([d - 1, d], [d]), ([0, 1, d], [1])):
             x = _random_flag_cycle(G, I, rng, p)
-            assert lift(x, q).push_flag(J) == lift(G.pushforward(J, x), q), (I, J)
+            assert G.pushforward(J, lift(x, q)) == lift(G.pushforward(J, x), q), (I, J)
 
 
 def test_flag_leg_maps_check_their_target_on_a_zero_cycle():
@@ -429,12 +452,64 @@ def test_flag_leg_maps_check_their_target_on_a_zero_cycle():
     d = G.d
     on_g, on_flag = MixedCycle(G, [d], 1, {}), MixedCycle(G, [0, d], 2, {})
     with pytest.raises(ValueError):
-        on_g.pull_flag([0])  # from the split G_d to a set without d
+        G.pullback([0], on_g)  # from the split G_d to a set without d
     with pytest.raises(ValueError):
-        on_flag.push_flag([1])  # to a set that is not a subset
+        G.pushforward([1], on_flag)  # to a set that is not a subset
     # the zero image still lands on the target
-    assert on_g.pull_flag([0, d]) == MixedCycle(G, [0, d], 1, {})
-    assert on_flag.push_flag([0]) == MixedCycle(G, [0], 2, {})
+    assert G.pullback([0, d], on_g) == MixedCycle(G, [0, d], 1, {})
+    assert G.pushforward([0], on_flag) == MixedCycle(G, [0], 2, {})
+
+
+def _by_monomial(move, x: MixedCycle, target) -> MixedCycle:
+    """The reference route for a flag-leg map: group x's terms by X-monomial,
+    move each group as a FlagCycle, and reassemble on F(target) x X^m."""
+    groups = {}
+    for (k, w, mono), c in x.coeffs.items():
+        groups.setdefault(mono, {})[(k, w)] = c
+    out = {}
+    for mono, coeffs in groups.items():
+        for (k, w), c in move(FlagCycle(x.model, x.I, coeffs, x.p)).coeffs.items():
+            out[(k, w, mono)] = c
+    return MixedCycle(x.model, target, x.arity, out, x.p)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_flag_maps_on_mixed_cycles_match_the_monomial_by_monomial_route(n):
+    # pullback and pushforward carry the X-monomial of each key along, so
+    # they agree with moving one X-monomial group at a time, on every pair
+    # J < I; at even n that takes in every connected -> split pair
+    G = build_geometry(n)
+    d = G.d
+    rng = random.Random(1000 + n)
+    sets = [frozenset(c) for r in range(1, d + 2) for c in itertools.combinations(range(d + 1), r)]
+    pairs = [(J, I) for I in sets for J in sets if J < I]
+    assert (n % 2 == 0) == any(G.sheets(J) < G.sheets(I) for J, I in pairs)
+    for J, I in pairs:
+        m, p = rng.randint(0, 3), rng.choice((0, 2))
+        x, y = _random_mixed_cycle(G, J, m, rng), _random_mixed_cycle(G, I, m, rng)
+        if p:
+            x, y = x.mod2(), y.mod2()
+        assert G.pullback(I, x) == _by_monomial(lambda f: G.pullback(I, f), x, I), (J, I)
+        assert G.pushforward(J, y) == _by_monomial(lambda f: G.pushforward(J, f), y, J), (I, J)
+        # the range and subset checks hold on a zero mixed cycle too
+        zero_J, zero_I = MixedCycle(G, J, m, {}, p), MixedCycle(G, I, m, {}, p)
+        with pytest.raises(ValueError, match="subset"):
+            G.pullback(J, zero_I)
+        with pytest.raises(ValueError, match="subset"):
+            G.pushforward(I, zero_J)
+        with pytest.raises(RangeError):
+            G.pullback(I | {d + 1}, zero_J)
+    # incidence powers: pulled from G_i to F(i, j) and pushed on to G_j
+    for i in range(1, d + 1):
+        for m in (1, 2):
+            x = _incidence_power(G, i, m)
+            for j in range(d + 1):
+                I = frozenset((i, j))
+                pulled = G.pullback(I, x)
+                assert pulled == _by_monomial(lambda f: G.pullback(I, f), x, I), (i, j, m)
+                pushed = G.pushforward([j], pulled)
+                assert pushed == _by_monomial(lambda f: G.pushforward([j], f), pulled, [j])
+                assert G.pullpush(x, [j]) == pushed
 
 
 def _product_action(a, x):

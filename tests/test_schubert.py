@@ -342,6 +342,23 @@ def test_out_of_range_classes_raise_every_time_and_store_nothing(n):
     assert set(space._classes) == stored
 
 
+def test_classes_refuse_indices_that_are_not_ints():
+    # checked before the memo lookup, where a float equal to an int would
+    # find the int's entry; a bool is no index either
+    space = FlagModel(6)
+    space.class_O1(1)
+    bad = [
+        ("h_power", (2.5,)), ("h_power", (2.0,)), ("h_power", (True,)),
+        ("class_Z", (1, 4.0)), ("class_W", (True, 0)), ("chern_taut", (2, 1.5)),
+        ("chern_quot", (0.0, 1)), ("class_O1", (1.0,)),
+    ]
+    stored = set(space._classes)
+    for f, idx in bad:
+        with pytest.raises(ValueError, match="indices must be integers"):
+            getattr(space, f)(*idx)
+    assert set(space._classes) == stored
+
+
 def _count_calls(monkeypatch, obj, name):
     calls = []
     inner = getattr(obj, name)
