@@ -107,6 +107,8 @@ class MixedCycle(SparseCycle):
         coeffs: Mapping[MixedKey, int],
         p: int = 0,
     ):
+        if arity < 0:
+            raise ValueError("negative arity: %r" % (arity,))
         self.model = model
         self.I = frozenset(I)
         self.arity = arity
@@ -154,8 +156,6 @@ class MixedCycle(SparseCycle):
     @classmethod
     def from_flag(cls, x: FlagCycle, arity: int) -> "MixedCycle":
         """x (x) [X^arity], for an arity of 0 or more."""
-        if arity < 0:
-            raise ValueError("negative arity: %r" % (arity,))
         unit = (("h", 0),) * arity
         coeffs = {(k, w, unit): c for (k, w), c in x.coeffs.items()}
         return cls(x.model, x.I, arity, coeffs, x.p)

@@ -191,6 +191,8 @@ class QuadCycle(SparseCycle):
     __slots__ = ("ctx", "m")
 
     def __init__(self, ctx: QuadricContext, m: int, coeffs: Mapping[Mono, int], p: int = 0):
+        if m < 0:
+            raise ValueError("negative arity: %r" % (m,))
         self.ctx = ctx
         self.m = m
         SparseCycle.__init__(self, coeffs, p)

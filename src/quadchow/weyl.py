@@ -13,22 +13,53 @@ last two coordinates (simple root ``x_{m-1} + x_m``).
 Groups of rank <= 5 are supported; larger ranks are rejected (the geometry
 downstream never needs more at desk scale).
 
-Construction is one breadth-first walk of the Cayley graph of the simple
-reflections from the identity, each level taken in window order.  Right
-multiplication by s_i is an edit of the window -- for i < m it swaps entries
-i and i + 1; the last node negates the last entry (B) or swaps and negates the
-last two (D) -- so the walk needs no generic product.  It lists every window
-sorted by (length, window), since the length of w is its distance from the
-identity (the test suite checks it against the count of positive roots sent
-to negative ones).  An element has one name, its index: its position in that
-list; its window is what prints.  The tables hold per index the indices of
-``w * s_1, ..., w * s_m``, the length, and the right descents as one bitmask:
-bit i - 1 is set when l(w s_i) < l(w), which holds exactly when w s_i was
-reached at the level below.  Every descent or ascent question reads that
-integer: a minimal coset representative of W_P is an element with no right
-descent in P, and reduced words, parabolic factorisations and w_0(P) walk the
-table by the lowest set bit of the descents (or ascents) inside a mask of
-indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
+Construction reads every table from closed forms.  An element is coded by
+its permutation p = |w| and the set N = {i : w(i) < 0} of its negated
+positions.  Its length is the number of positive roots -- x_i - x_j and
+x_i + x_j for i < j, and x_i for B, a root being positive when its first
+nonzero coordinate is -- that w sends to negative ones (the test suite checks
+the tables against that count).  w sends x_j to +-x_|w(j)|, so the image of a
+root in positions i < j has its first nonzero coordinate at the smaller of
+p(i), p(j).  If p(i) < p(j), x_i - x_j and x_i + x_j are both read at w(i)
+and count 2 when i is in N, 0 when not; if p(i) > p(j), they are read at
+-w(j) and w(j), and exactly one counts.  x_i counts when i is in N.  Hence,
+with inv(p) = #{i < j : p(i) > p(j)} and e = 1 for B, 0 for D,
+
+    l(w) = inv(p) + sum over i in N of (2 #{j > i : p(j) > p(i)} + e).
+
+Bjorner-Brenti (Combinatorics of Coxeter Groups, 8.1-8.2) number the sign
+node first, as s_0 negating w(1), and count l(w) = inv(w) + neg(w) + nsp(w)
+for B (inv(w) + nsp(w) for D) on the window itself; that count taken on the
+mirrored window v(i) = +-(m + 1 - |w(m + 1 - i)|), with the sign of
+w(m + 1 - i), is the one above.  s_i is a right descent, l(w s_i) < l(w),
+exactly when w sends alpha_i to a negative root.  Read the same way, w sends
+alpha_i = x_i - x_(i+1), i < m, to a negative root when i is in N if
+p(i) < p(i+1), and when i + 1 is not in N otherwise; alpha_m = x_m (B) when m
+is in N; alpha_m = x_(m-1) + x_m (D) when the one of m - 1, m with the smaller
+p is in N.
+
+So the length, the window and the descents are each a constant plus a sum of
+one step per position in N.  The builder packs them in one sort key per
+element, with R = 2m + 1 and the descent mask in the m lowest bits:
+
+    (l(w) R^m + sum over i of (w(i) + m) R^(m - i)) 2^m + descents(w),
+
+and since each w(i) + m lies in 0..2m, keys sort by (length, window).  Per
+permutation it lists the keys of every sign pattern (every even one for D) as
+subset sums, then sorts once.  An element has one name, its index: its
+position in that order; its window is what prints.  Right multiplication by
+s_i is an edit of the code: for i < m it swaps entries i and i + 1, both of p
+and of the signs; s_m flips the last sign (B), or swaps the last two entries
+of p and sends their signs (a, b) to (not b, not a) (D), since (..., u, v)
+maps to (..., -v, -u).  So each s_i is one column over codes, which the
+sort's rank table moves to indices.  The tables hold per index the indices
+of ``w * s_1, ..., w * s_m``, the length, and the right descents as one
+bitmask: bit i - 1 is set when l(w s_i) < l(w).
+
+Every descent or ascent question reads that integer: a minimal coset
+representative of W_P is an element with no right descent in P, and reduced
+words, parabolic factorisations and w_0(P) walk the table by the lowest set
+bit of the descents (or ascents) inside a mask of indices.  The longest element w_0(P) of a parabolic subgroup W_P is the
 unique element of W_P whose right descents are all of P, so an ascent from
 the identity inside W_P reaches it in l(w_0(P)) steps (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, 2.4).  The walks run on indices.  The
@@ -39,6 +70,7 @@ coordinate, is the index table ``sigma``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import compress, permutations, product
 from typing import Iterable, Sequence
 
 __all__ = ["RangeError", "WeylGroup", "make_group", "MAX_RANK"]
@@ -55,7 +87,8 @@ Window = tuple[int, ...]
 
 
 class WeylGroup:
-    """Weyl group of type B_m or D_m, built by one walk from the identity.
+    """Weyl group of type B_m or D_m, built from permutations and sign
+    patterns by the closed forms of the module docstring.
 
     ``elements`` lists the window of every element sorted by (length, window),
     so it starts with the identity and ends with the longest element;
@@ -78,13 +111,9 @@ class WeylGroup:
         self._indices = frozenset(range(1, rank + 1))
         self.positive_roots: tuple[Root, ...] = self._positive_roots()
         self.simple_roots: tuple[Root, ...] = self._simple_roots()
-        # window -> index; then per index: right-descent mask, length, and the
-        # indices of w * s_1, ..., w * s_m
-        self._index: dict[Window, int] = {}
-        self._descents: list[int] = []
-        self._lengths: list[int] = []
-        self._right: list[tuple[int, ...]] = []
-        self.elements: tuple[Window, ...] = self._walk_from_identity()
+        # per index: the window, length, right-descent mask, and the indices
+        # of w * s_1, ..., w * s_m; and window -> index
+        self._build()
         self.simple_reflections = tuple(self.elements[j] for j in self._right[0])
         self._coset_indices: dict[frozenset[int], tuple[int, ...]] = {}
 
@@ -113,40 +142,82 @@ class WeylGroup:
         roots = [tuple((j == a) - (j == a + 1) for j in range(m)) for a in range(m - 1)]
         return (*roots, tuple(int(j == m - 1 or d and j == m - 2) for j in range(m)))
 
-    def _walk_from_identity(self) -> tuple[Window, ...]:
-        """Every window, sorted by (length, window), by a breadth-first walk
-        from the identity that fills the index tables.
+    def _build(self) -> None:
+        """Fill ``elements``, ``_index``, ``_lengths``, ``_descents`` and
+        ``_right``, by the closed forms of the module docstring.
 
-        Each level is taken in window order, and each row is built from the
-        m window edits.  w s_i lies one level above or below w; s_i is a right
-        descent exactly when w s_i lies in the level below, which is already
-        indexed, and sets bit i - 1.  The rows name windows until the walk ends.
+        An element is coded by its permutation p and its sign pattern, in the
+        order the loop lists them.  Per p, the key of every sign pattern is a
+        constant plus the steps of its negated positions; one sort of the
+        codes by key gives the index order.  Each simple reflection is an
+        edit of p and of the signs, so one column over codes, which the
+        sort's rank table moves to indices.
         """
-        m, last_b = self.rank, self.family == "B"
-        bits = [1 << i for i in range(m)]
-        index, rows = self._index, []
-        level, frontier = 0, [tuple(range(1, m + 1))]
-        while frontier:
-            above: set[Window] = set()
-            for win in frontier:
-                index[win] = len(index)
-                edits = [win[:i] + (win[i + 1], win[i]) + win[i + 2 :] for i in range(m - 1)]
-                if last_b:
-                    edits.append(win[:-1] + (-win[-1],))
+        m, b, radix = self.rank, int(self.family == "B"), 2 * self.rank + 1
+        low = 1 << m  # the descent mask takes the key's m lowest bits
+        unit = radix**m * low  # one step of length
+        digit = [radix ** (m - 1 - j) * low for j in range(m)]  # of w(j + 1)
+        every = list(product((0, 1), repeat=m))  # 1: the position is negated
+        kept = [b or sum(s) % 2 == 0 for s in every]  # D: an even number of signs
+        signs, perms = list(compress(every, kept)), list(permutations(range(1, m + 1)))
+        keys, windows = [], []
+        for p in perms:
+            # ups[j]: how many later entries of p exceed p[j] (positions from 0)
+            ups = [sum(v < u for u in p[j + 1 :]) for j, v in enumerate(p)]
+            key = (m * (m - 1) // 2 - sum(ups)) * unit + sum(
+                (v + m) * d for v, d in zip(p, digit)
+            )
+            steps = [(2 * u + b) * unit - 2 * v * d for u, v, d in zip(ups, p, digit)]
+            # descent bit a, of s_(a+1), reads one sign: for a < m - 1, that
+            # of position a, or the opposite of position a + 1's; for the last,
+            # that of position m - 1 (B), or of the smaller of p's last two (D)
+            for a in range(m - 1):
+                if p[a] < p[a + 1]:
+                    steps[a] += 1 << a
                 else:
-                    edits.append(win[:-2] + (-win[-1], -win[-2]))
-                mask = 0
-                for bit, ws in zip(bits, edits):
-                    if ws in index:
-                        mask |= bit
-                    else:
-                        above.add(ws)
-                rows.append(edits)
-                self._descents.append(mask)
-                self._lengths.append(level)
-            level, frontier = level + 1, sorted(above)
-        self._right.extend([tuple(map(index.__getitem__, row)) for row in rows])
-        return tuple(index)
+                    key += 1 << a
+                    steps[a + 1] -= 1 << a
+            steps[m - 1 if b or p[m - 2] > p[m - 1] else m - 2] += 1 << (m - 1)
+            sums = [key]
+            for step in steps:
+                sums = [s + t for s in sums for t in (0, step)]
+            keys += compress(sums, kept)
+            windows += compress(product(*[(v, -v) for v in p]), kept)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = [0] * len(order)
+        for w, c in enumerate(order):
+            rank[c] = w
+        self.elements: tuple[Window, ...] = tuple(map(windows.__getitem__, order))
+        self._index: dict[Window, int] = dict(zip(self.elements, range(len(order))))
+        keys = list(map(keys.__getitem__, order))
+        self._lengths: list[int] = [k // unit for k in keys]
+        self._descents: list[int] = [k & low - 1 for k in keys]
+
+        def swap(t: tuple, a: int) -> tuple:
+            return t[:a] + (t[a + 1], t[a]) + t[a + 2 :]
+
+        at_perm = {p: q for q, p in enumerate(perms)}
+        at_sign = {s: k for k, s in enumerate(signs)}
+        moves = [
+            ([at_perm[swap(p, a)] for p in perms], [at_sign[swap(s, a)] for s in signs])
+            for a in range(m - 1)
+        ]
+        if b:
+            moves.append((range(len(perms)), [at_sign[(*s[:-1], 1 - s[-1])] for s in signs]))
+        else:
+            moves.append((
+                [at_perm[swap(p, m - 2)] for p in perms],
+                [at_sign[(*s[:-2], 1 - s[-1], 1 - s[-2])] for s in signs],
+            ))
+        # the ranks of each permutation's codes
+        blocks = [rank[c : c + len(signs)] for c in range(0, len(rank), len(signs))]
+        columns = []
+        for perm_move, sign_move in moves:
+            column: list[int] = []  # per code, the index of its neighbour
+            for q in perm_move:
+                column += map(blocks[q].__getitem__, sign_move)
+            columns.append(map(column.__getitem__, order))
+        self._right: list[tuple[int, ...]] = list(zip(*columns))
 
     @cached_property
     def sigma(self) -> tuple[int, ...]:
@@ -270,7 +341,14 @@ class WeylGroup:
         return tuple(self._word(self._at(window)))
 
 
-@lru_cache(maxsize=None)
 def make_group(family: str, rank: int) -> WeylGroup:
-    """Return the cached Weyl group of the given family ('B' or 'D') and rank."""
-    return WeylGroup(family, rank)
+    """Return the cached Weyl group of the given family ('B' or 'D') and rank.
+
+    A rank that is not an int (a bool, a float equal to an int) raises
+    ValueError before the cache lookup, which takes True for 1."""
+    if type(rank) is not int:
+        raise ValueError("make_group: rank must be an integer, got %r" % (rank,))
+    return _groups(family, rank)
+
+
+_groups = lru_cache(maxsize=None)(WeylGroup)

@@ -141,6 +141,14 @@ def test_from_flag_refuses_a_negative_arity():
     assert MixedCycle.from_flag(x, 0) == MixedCycle(G, x.I, 0, coeffs)
 
 
+def test_mixed_cycle_refuses_a_negative_arity():
+    # the constructor itself, not only from_flag: no X^-2 space
+    G = build_geometry(4)
+    with pytest.raises(ValueError, match="negative arity: -2"):
+        MixedCycle(G, [0], -2, {})
+    assert MixedCycle(G, [0], 0, {}).arity == 0
+
+
 def test_incidence_power_ranges_hold_on_a_warm_memo():
     G = FlagModel(6)
     for i in range(1, G.d + 1):

@@ -142,6 +142,15 @@ def test_context_and_arity_mismatch():
         external(one(c3, 1), one(c4, 1))
 
 
+def test_quad_cycle_refuses_a_negative_arity():
+    ctx = quad_context(4)
+    for bad in (lambda: QuadCycle(ctx, -1, {}), lambda: one(ctx, -1)):
+        with pytest.raises(ValueError, match="negative arity: -1"):
+            bad()
+    # X^0 is a point: one(ctx, 0) is its unit, on the empty monomial
+    assert one(ctx, 0).coeffs == {(): 1}
+
+
 def test_ring_axioms_random():
     rng = random.Random(5)
     for n in (3, 4, 6):

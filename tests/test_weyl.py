@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from quadchow import weyl
 from quadchow.weyl import RangeError, make_group
 from rulings import ruling
 from signed import SignedPermutation, elements, identity, length, simple_reflections
@@ -54,6 +55,14 @@ def test_unsupported_rank():
         make_group("D", 1)
     with pytest.raises(ValueError, match="unsupported rank"):
         make_group("B", 0)
+
+
+@pytest.mark.parametrize("rank", [True, 4.0, "3", None])
+def test_rank_that_is_not_an_int_is_a_value_error(rank):
+    # refused before the cache, which would take True for 1
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        make_group("B", rank)
+    assert type(make_group("B", 1).rank) is int
 
 
 # the methods that take a window, each applied to one
@@ -316,6 +325,27 @@ def test_descent_masks_match_root_count(family, rank):
     lengths = _oracle_lengths(family, rank)
     for i, w in enumerate(elements(G)):
         assert G._descents[i] == _oracle_descents(G, w, lengths), w
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_rank_6_tables_match_the_oracles(family, monkeypatch):
+    # rank 6, which n = 10 and 11 need, built directly so that the
+    # make_group cache never holds a group past MAX_RANK
+    monkeypatch.setattr(weyl, "MAX_RANK", 6)
+    G = weyl.WeylGroup(family, 6)
+    assert len(G) == 720 * (64 if family == "B" else 32)
+    assert set(G.elements) == brute_force_windows(family, 6)
+    keys = list(zip(G._lengths, G.elements))
+    assert keys == sorted(set(keys))
+    lengths = {w.window: _root_count(G, w) for w in elements(G)}
+    for i, w in enumerate(elements(G)):
+        assert G._lengths[i] == lengths[w.window], w
+        assert G._descents[i] == _oracle_descents(G, w, lengths), w
+    s = simple_reflections(G)
+    for i in random.Random(6).sample(range(len(G)), 2000):
+        w = SignedPermutation(G.elements[i])
+        assert [G.elements[j] for j in G._right[i]] == [(w * t).window for t in s], w
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)
